@@ -216,8 +216,8 @@ def report_from_json(data: dict) -> ClassificationReport:
 
 
 def classify_diagram(diagram: CoxeterDiagram, bound: int = 30) -> ClassificationReport:
-    K = diagrams.trace_field_of(diagram)
     f = diagrams.ambient_form(diagram)
+    K = f.tower
     report = ClassificationReport(
         name=diagram.name, dim=diagram.dim, vertices=diagram.size,
         trace_field=K, ambient=f, quasi=False, arithmetic=False,

@@ -7,7 +7,9 @@
 
 Exit codes: 0 definite verdict (or identity verified), 1 parse/input error,
 2 non-hyperbolic signature, 3 unsupported edge label, 4 undetermined (or
-identity not confirmed at the requested precision).
+identity not confirmed at the requested precision), 5 internal error: any
+other exception while classifying a file, e.g. exhausted p-adic precision.
+A batch turns such a file into an error row and goes on with the rest.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 
 from . import classify, diagrams, fields, localfields, lvalues
@@ -26,6 +29,7 @@ EXIT_PARSE = 1
 EXIT_SIGNATURE = 2
 EXIT_UNSUPPORTED = 3
 EXIT_UNDETERMINED = 4
+EXIT_INTERNAL = 5
 
 _TSV_HEADER = "reference\tdim\ttrace_field\tdegree\tverdict\ta"
 
@@ -83,6 +87,10 @@ def _classify_json(path: str, bound: int) -> dict:
     except (ValueError, OSError) as exc:
         return {"diagram": name, "error": str(exc),
                 "exit_code": _code_for_exception(exc)}
+    except Exception as exc:  # one failing file must not abort a batch
+        traceback.print_exc(file=sys.stderr)
+        return {"diagram": name, "error": f"internal error: {type(exc).__name__}: {exc}",
+                "exit_code": EXIT_INTERNAL}
     return report.to_json()
 
 

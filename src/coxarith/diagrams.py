@@ -316,14 +316,14 @@ def ambient_form(diagram: CoxeterDiagram) -> QuadraticForm:
     """The form of signature (n,1) spanned by the facet normals, over the trace field.
 
     Normals are rescaled by path products from the base vertex (vertex 1),
-    which drags every entry into the trace field; a full-rank subset of
-    n+1 rows is then selected greedily and its Gram diagonalized.
+    which drags every entry into the trace field.  Rows of the Gram matrix
+    G are selected greedily until they span its row space; for such a
+    basis S, G is congruent to G[S,S] + 0, so the signature is read off
+    the diagonalized G[S,S] at the identity embedding, and SignatureError
+    is raised unless S has n+1 rows and that signature is (n,1).
     """
     n, r = diagram.dim, diagram.size
     G = diagram.gram_rows()
-    pos, neg, _zero = forms.signature_of_gram(G, diagram.tower)
-    if (pos, neg) != (n, 1):
-        raise SignatureError(f"not a hyperbolic polytope of dimension {n}")
     K = trace_field_of(diagram)
     # path products from the base vertex
     c: dict[int, FieldElement] = {1: diagram.tower.one()}
@@ -335,7 +335,7 @@ def ambient_form(diagram: CoxeterDiagram) -> QuadraticForm:
                 key = (min(v, w), max(v, w))
                 c[w] = c[v] * diagram.entries[key]
                 order.append(w)
-    # greedy row-rank selection of n+1 independent normals
+    # greedy row-rank selection: a basis of the row space of G
     basis: list[list[FieldElement]] = []
     pivots: list[int] = []
     selected: list[int] = []
@@ -350,11 +350,12 @@ def ambient_form(diagram: CoxeterDiagram) -> QuadraticForm:
             basis.append(row)
             pivots.append(piv)
             selected.append(v)
-            if len(selected) == n + 1:
-                break
-    assert len(selected) == n + 1, "Gram rank below n+1 despite signature (n,1)"
+    if len(selected) != n + 1:
+        raise SignatureError(f"not a hyperbolic polytope of dimension {n}")
     A = [[(c[s] * c[t] * G[s - 1][t - 1]).express_in(K) for t in selected]
          for s in selected]
     form, _ = forms.diagonalize(A, K)
+    if forms.signature_at(form, K.identity_embedding) != (n, 1):
+        raise SignatureError(f"not a hyperbolic polytope of dimension {n}")
     form.label = diagram.name
     return form

@@ -10,7 +10,9 @@ square class, and Hasse symbols at the finitely many places where the
 The transfer along a quadratic subextension K/F sends a rank-1 form <c>
 to the rank-2 F-form with Gram [[v, u], [u, a*v]] where c = u + v*sqrt(a)
 and a is the smallest squarefree generator of K over F; its determinant
-is -Norm_{K/F}(c), so blocks never degenerate.
+is -Norm_{K/F}(c), so blocks never degenerate.  Each block is diagonalized
+in closed form, to <v, -Norm(c)/v> when v != 0 and to the hyperbolic
+plane <2u, -u/2> when v = 0; no generic elimination runs.
 """
 
 from __future__ import annotations
@@ -62,10 +64,6 @@ class QuadraticForm:
     def scaled(self, c) -> "QuadraticForm":
         c = self.tower.coerce(c)
         return QuadraticForm(self.tower, [c * d for d in self.diagonal], self.label)
-
-    def direct_sum(self, other: "QuadraticForm") -> "QuadraticForm":
-        assert self.tower == other.tower
-        return QuadraticForm(self.tower, self.diagonal + other.diagonal)
 
     def over(self, K: FieldTower) -> "QuadraticForm":
         """The same diagonal read over a larger tower."""
@@ -193,7 +191,12 @@ def cleared_entries(form: QuadraticForm) -> list[FieldElement]:
 
 
 def transfer(form: QuadraticForm, F: FieldTower) -> QuadraticForm:
-    """Scharlau transfer of a K-form to the index-2 subtower F."""
+    """Scharlau transfer of a K-form to the index-2 subtower F.
+
+    Entry c = u + v*sqrt(a) contributes <v, (a*v^2 - u^2)/v> when v != 0,
+    the diagonal the generic elimination of its block would give, and
+    <2u, -u/2> when v = 0 (c lies in F).
+    """
     K = form.tower
     if F == K or not (F.subgroup_classes <= K.subgroup_classes) \
             or F.degree * 2 != K.degree:
@@ -202,18 +205,15 @@ def transfer(form: QuadraticForm, F: FieldTower) -> QuadraticForm:
     root = K.sqrt(a)
     sigma = next(s for s in fields.fixing_embeddings(K, F) if not s.is_identity)
     half = Fraction(1, 2)
-    n = 2 * form.rank
-    G = [[F.zero() for _ in range(n)] for _ in range(n)]
-    for i, c in enumerate(form.diagonal):
+    diag = []
+    for c in form.diagonal:
         cs = c.conjugate(sigma)
         u = ((c + cs) * half).express_in(F)
         v = ((c - cs) * half * root * Fraction(1, a)).express_in(F)
-        G[2 * i][2 * i] = v
-        G[2 * i][2 * i + 1] = u
-        G[2 * i + 1][2 * i] = u
-        G[2 * i + 1][2 * i + 1] = v * a
-    diag, _ = _sym_diagonalize(G, F)
-    assert all(diag), "transfer block degenerated"  # det of block i is -N(c_i) != 0
+        if v:
+            diag += [v, (v * v * a - u * u) / v]
+        else:
+            diag += [u * 2, -u * half]
     return QuadraticForm(F, diag, label=f"transfer[sqrt({a})]")
 
 

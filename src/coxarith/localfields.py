@@ -423,10 +423,6 @@ class LocalModel:
             self._pi_pows[k] = got
         return got
 
-    @staticmethod
-    def _pow_of(model: "LocalModel", x: _Elt, k: int) -> _Elt:
-        return model.npow(x, k)
-
     # -- valuations ----------------------------------------------------
 
     def _norm_fold(self, x: _Elt, nbits: int) -> tuple[int, int, int]:
@@ -743,7 +739,8 @@ class LocalModel:
         rows, dim = self.M_rows, self.dim
         for i in range(dim):
             for j in range(i):
-                assert (rows[i] >> j) & 1 == (rows[j] >> i) & 1, "pairing not symmetric"
+                if (rows[i] >> j) & 1 != (rows[j] >> i) & 1:
+                    raise RuntimeError("pairing not symmetric")
         pivots: dict[int, int] = {}
         for r in rows:
             x = r
@@ -753,20 +750,22 @@ class LocalModel:
                     pivots[h] = x
                     break
                 x ^= pivots[h]
-        assert len(pivots) == dim, "pairing is degenerate"
+        if len(pivots) != dim:
+            raise RuntimeError("pairing is degenerate")
         # (x, -x) = 1 on every basis element
         basis = [self.pi] + ([g for _, g in self.unit_gens] if self.p == 2 else [self.u0])
         for b in basis:
             vb = self.vec_int(b)
             vnb = self.vec_int(self.mneg(b))
-            assert self.pair_bits(vb, vnb) == 0, "(x,-x) != 1 in local pairing"
+            if self.pair_bits(vb, vnb):
+                raise RuntimeError("(x,-x) != 1 in local pairing")
         # rational arguments must agree with the closed formula over Q_p
         deg = self.e * self.f
         for a, b in ((-1, -1), (-1, 2), (2, 2), (2, 5), (3, 5), (2, 3), (3, 7)):
             got = -1 if self.pair_bits(self.vec_int(self.mrat(a)),
                                        self.vec_int(self.mrat(b))) else 1
-            assert got == hilbert_symbol_Q(a, b, self.p) ** deg, \
-                "local pairing disagrees with rational Hilbert symbol"
+            if got != hilbert_symbol_Q(a, b, self.p) ** deg:
+                raise RuntimeError("local pairing disagrees with rational Hilbert symbol")
 
     # -- embedding of the global field -----------------------------------
 

@@ -155,6 +155,35 @@ def test_batch_error_rows_and_first_error_exit(tmp_path, capsys):
     assert lines[3].split("\t")[4] == "undetermined"
 
 
+def test_batch_survives_an_internal_error(tmp_path, capsys, monkeypatch):
+    triangle = "dim 2\nvertices 3\nedge 1 2 3\nedge 2 3 3\nedge 1 3 4\n"
+    for name in ("a_ok", "b_boom", "c_ok"):
+        (tmp_path / f"{name}.cox").write_text(triangle)
+    real = classify.classify_diagram
+
+    def flaky(diagram, bound=30):
+        if diagram.name == "b_boom":
+            raise RuntimeError("p-adic precision exhausted")
+        return real(diagram, bound)
+
+    # worker processes are forked, so they inherit the patch
+    monkeypatch.setattr(classify, "classify_diagram", flaky)
+    outs = []
+    for jobs in ("1", "2"):
+        code, cap = run(capsys, "batch", str(tmp_path), "--jobs", jobs)
+        assert code == cli.EXIT_INTERNAL
+        lines = cap.out.splitlines()
+        assert len(lines) == 4
+        assert lines[2].split("\t")[4] == "error: internal error: RuntimeError: " \
+                                            "p-adic precision exhausted"
+        assert lines[1].split("\t")[4] == lines[3].split("\t")[4] == "arithmetic"
+        outs.append(cap.out)
+    assert outs[0] == outs[1]
+    code, cap = run(capsys, "classify", str(tmp_path / "b_boom.cox"))
+    assert code == cli.EXIT_INTERNAL
+    assert "RuntimeError" in cap.err
+
+
 def test_batch_undetermined_without_errors(tmp_path, capsys):
     (tmp_path / "stuck.cox").write_text(STUCK)
     code, _ = run(capsys, "batch", str(tmp_path), DELTA5)

@@ -152,6 +152,14 @@ def test_ambient_form_rejects_wrong_signature():
     euclidean = "dim 2\nvertices 3\nedge 1 2 3\nedge 2 3 6\nedge 1 3 2\n"
     with pytest.raises(SignatureError):
         ambient_form(parse_diagram(euclidean))
+    # fig2a has Gram rank 5: declared in dimension 3 the rank is above n+1,
+    # in dimension 5 below it
+    with open(os.path.join(CORPUS, "fig2a.cox")) as fh:
+        fig2a = fh.read()
+    assert "dim 4\n" in fig2a
+    for dim in (3, 5):
+        with pytest.raises(SignatureError, match=f"dimension {dim}"):
+            ambient_form(parse_diagram(fig2a.replace("dim 4\n", f"dim {dim}\n")))
 
 
 def test_relabeling_permutes_entries():

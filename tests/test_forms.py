@@ -10,6 +10,7 @@ from coxarith import fields, localfields
 from coxarith.fields import is_square, make_field
 from coxarith.forms import (
     QuadraticForm,
+    _sym_diagonalize,
     cleared_entries,
     diagonalize,
     globally_isometric,
@@ -139,6 +140,61 @@ def test_frobenius_reciprocity_seeded():
             g = QuadraticForm(F, [rand_nonzero(F, rng) for _ in range(rng.randint(1, 3))])
             s = transfer(g.over(K), F)
             assert localfields.is_hyperbolic(s), (K, F, g.diagonal)
+
+
+def block_transfer_diagonal(form, F):
+    """Generic elimination of the transfer Gram, blocks in diagonal order.
+
+    The block of <c> is the Gram of (x, y) -> s(c x y) on the basis
+    {1, sqrt(a)} of K over F, with s the sqrt(a)-coordinate
+    s(x) = (x - conj(x)) / (2 sqrt(a)); its corner s(c) is zero exactly
+    when c lies in F.  Also returns whether a zero corner precedes a
+    nonzero one, the one case where the elimination pivots out of order.
+    """
+    K = form.tower
+    a = min(K.subgroup_classes - F.subgroup_classes)
+    root = K.sqrt(a)
+    sigma = next(t for t in fields.fixing_embeddings(K, F) if not t.is_identity)
+
+    def s(x):
+        return ((x - x.conjugate(sigma)) / (root * 2)).express_in(F)
+
+    basis = [K.one(), root]
+    n = 2 * form.rank
+    G = [[F.zero()] * n for _ in range(n)]
+    for i, c in enumerate(form.diagonal):
+        for j in range(2):
+            for k in range(2):
+                G[2 * i + j][2 * i + k] = s(c * basis[j] * basis[k])
+    corners = [bool(G[i][i]) for i in range(0, n, 2)]
+    reordered = any(not corners[i] and any(corners[i + 1:]) for i in range(len(corners)))
+    diag, _ = _sym_diagonalize(G, F)
+    return diag, reordered
+
+
+def test_closed_form_transfer_matches_generic_elimination():
+    rng = random.Random(109)
+    reorders = 0
+    for K in (Q2, Q23, Q235):
+        for F in fields.subfields_index2(K):
+            diagonals = [[rand_nonzero(K, rng) for _ in range(rng.randint(1, 3))]
+                         for _ in range(2)]
+            # entries from F (the v = 0 blocks): last, then first
+            in_F = K.coerce(rand_nonzero(F, rng, scale=2))
+            diagonals.append([rand_nonzero(K, rng), in_F, K.coerce(rand_nonzero(F, rng))])
+            if K.r < 3:  # the isometry oracle needs local models of F
+                diagonals.append([in_F, rand_nonzero(K, rng, scale=2)])
+            for entries in diagonals:
+                form = QuadraticForm(K, entries)
+                got = transfer(form, F)
+                want, reordered = block_transfer_diagonal(form, F)
+                assert got.tower == F and got.rank == 2 * form.rank
+                if reordered:
+                    reorders += 1
+                    assert globally_isometric(got, QuadraticForm(F, want)), (K, F, entries)
+                else:
+                    assert list(got.diagonal) == want, (K, F, entries)
+    assert reorders >= 4
 
 
 def test_transfer_needs_index_two_subfield():

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from coxarith import fields, forms
+from coxarith import fields, forms, localfields
 from coxarith.fields import is_square, make_field
 from coxarith.localfields import (
     hasse_invariant,
@@ -284,3 +284,20 @@ def test_square_class_settles_after_exact_cancellation():
         vx = square_class_vector(x, pl)
         vy = square_class_vector(y, pl)
         assert square_class_vector(x * y, pl) == tuple(a ^ b for a, b in zip(vx, vy))
+
+
+@pytest.mark.parametrize("tower,p", [(Q, 2), (Q2, 2), (Q23, 2), (Q5, 5), (Q2, 3)])
+def test_pairing_matrix_check_raises_on_any_flipped_bit(tower, p):
+    # explicit exceptions, not asserts, so the check also runs under python -O
+    md = localfields._model(tower, p)
+    rows = list(md.M_rows)
+    try:
+        md._validate_matrix()
+        for i in range(md.dim):
+            for j in range(md.dim):
+                md.M_rows = list(rows)
+                md.M_rows[i] ^= 1 << j
+                with pytest.raises(RuntimeError):
+                    md._validate_matrix()
+    finally:
+        md.M_rows = rows
