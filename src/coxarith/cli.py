@@ -42,19 +42,13 @@ def _code_for_exception(exc: Exception) -> int:
     return EXIT_PARSE
 
 
-def _field_str(radicands) -> str:
-    if not radicands:
-        return "Q"
-    return "Q(" + ",".join(f"sqrt({d})" for d in radicands) + ")"
-
-
 def _tsv_row(j: dict) -> str:
     if "error" in j:
         return "\t".join([j["diagram"], "", "", "", f"error: {j['error']}", ""])
     tf = j["trace_field"]
     a = j["model"]["a"] if j.get("model") and j["model"].get("a") is not None else ""
     return "\t".join([
-        j["diagram"], str(j["dim"]), _field_str(tf["radicands"]),
+        j["diagram"], str(j["dim"]), str(fields.make_field(tf["radicands"])),
         str(tf["degree"]), j["verdict"], str(a),
     ])
 
@@ -62,14 +56,15 @@ def _tsv_row(j: dict) -> str:
 def _pretty(j: dict, out) -> None:
     tf = j["trace_field"]
     print(f"{j['diagram']}: dimension {j['dim']}, {j['vertices']} facets", file=out)
-    print(f"  trace field      {_field_str(tf['radicands'])}  (degree {tf['degree']})", file=out)
+    print(f"  trace field      {fields.make_field(tf['radicands'])}  (degree {tf['degree']})",
+          file=out)
     print(f"  ambient form     <{', '.join(j['ambient_diagonal'])}>", file=out)
     print(f"  verdict          {j['verdict']}", file=out)
     if j.get("base_field") is not None:
-        print(f"  base field       {_field_str(j['base_field']['radicands'])}", file=out)
+        print(f"  base field       {fields.make_field(j['base_field']['radicands'])}", file=out)
     for t in j.get("transfers", []):
         tag = "hyperbolic" if t["hyperbolic"] else "not hyperbolic"
-        print(f"    transfer to {_field_str(t['subfield']):24s} {tag}", file=out)
+        print(f"    transfer to {str(fields.make_field(t['subfield'])):24s} {tag}", file=out)
     if j.get("model") is not None:
         print(f"  model            <{', '.join(j['model']['diagonal'])}>", file=out)
     if j.get("subordinated"):

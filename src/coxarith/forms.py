@@ -17,7 +17,6 @@ plane <2u, -u/2> when v = 0; no generic elimination runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -26,10 +25,7 @@ from .fields import Embedding, FieldElement, FieldTower, element_literal, sign_a
 
 __all__ = [
     "QuadraticForm",
-    "FormInvariants",
     "diagonalize",
-    "signature_of_gram",
-    "invariants",
     "signature_at",
     "transfer",
     "globally_isometric",
@@ -140,23 +136,6 @@ def diagonalize(gram: Sequence[Sequence], tower: FieldTower):
     return QuadraticForm(tower, diag), T
 
 
-def signature_of_gram(gram: Sequence[Sequence], tower: FieldTower,
-                      sigma: Embedding | None = None) -> tuple[int, int, int]:
-    """(positive, negative, zero) inertia of a symmetric matrix at an embedding."""
-    diag, _ = _sym_diagonalize(gram, tower)
-    sigma = tower.identity_embedding if sigma is None else sigma
-    pos = neg = zero = 0
-    for c in diag:
-        s = sign_at(c, sigma) if c else 0
-        if s > 0:
-            pos += 1
-        elif s < 0:
-            neg += 1
-        else:
-            zero += 1
-    return pos, neg, zero
-
-
 def signature_at(form: QuadraticForm, sigma: Embedding) -> tuple[int, int]:
     pos = neg = 0
     for c in form.diagonal:
@@ -165,24 +144,6 @@ def signature_at(form: QuadraticForm, sigma: Embedding) -> tuple[int, int]:
         else:
             neg += 1
     return pos, neg
-
-
-@dataclass(frozen=True)
-class FormInvariants:
-    rank: int
-    det: FieldElement
-    signatures: tuple[tuple[int, int], ...]  # per embedding, in mask order
-
-    def same_as(self, other: "FormInvariants") -> bool:
-        if self.rank != other.rank or self.signatures != other.signatures:
-            return False
-        ok, _ = fields.is_square(self.det * other.det)
-        return ok
-
-
-def invariants(form: QuadraticForm) -> FormInvariants:
-    sigs = tuple(signature_at(form, s) for s in form.tower.embeddings())
-    return FormInvariants(form.rank, form.det(), sigs)
 
 
 def cleared_entries(form: QuadraticForm) -> list[FieldElement]:

@@ -7,19 +7,26 @@ model: elements are vectors over the local radicand basis with integer
 coordinates mod p^N, and every question (valuation, square class,
 Hilbert symbol) is answered inside that model.
 
-Square classes of a dyadic completion are computed by the quadratic
-defect loop: a unit is reduced against 1 by repeated exact square
-corrections until the obstruction is either an odd-valuation defect, an
-unsolvable Artin-Schreier equation at the critical level 2e, or it
-vanishes (a square).  Hilbert symbols are the F_2 pairing on the square
-class group; the pairing matrix is discovered by enumerating norms from
-each relevant quadratic extension and is validated internally (symmetry,
+At p = 2 one quadratic defect loop (O'Meara, Introduction to Quadratic
+Forms, section 63) does all the work: it reduces a unit toward 1 by exact
+square corrections until what is left is a square or an obstruction, an
+odd-valuation defect or an unsolvable Artin-Schreier equation at the
+critical level 2e.  The model is built one local generator at a time,
+and the obstruction of each new generator over the subfield so far gives
+the next uniformizer or residue generator.  On the finished model the
+loop divides each obstruction out by the matching unit generator, which
+gives the square class vector.  Hilbert symbols are the F_2 pairing on
+the square class group; the pairing matrix is discovered by enumerating
+norms from each relevant quadratic extension and is validated (symmetry,
 nondegeneracy, (x,-x)=1, and agreement with the closed formula over Q_p
 for rational arguments).
 
 Precision is an exponent N on p; every predicate either certifies from
-the stored digits or raises the internal retry signal, after which the
-model is rebuilt with more digits.  Nothing is ever decided by a float.
+the stored digits or raises the internal retry signal.  There is one
+precision policy: a retry signal from building a model or from using it
+doubles the digits and rebuilds, and after a fixed number of attempts the
+call raises RuntimeError.  Nothing is ever decided by a float.  Internal
+consistency checks raise RuntimeError, so they also run under python -O.
 """
 
 from __future__ import annotations
@@ -151,17 +158,20 @@ def _local_structure(tower: FieldTower, p: int) -> _Structure:
                 c = _class_mul(c, cls(chosen[j]), p)
         sub_cls[mask] = c
     cls_to_mask = {c: mask for mask, c in sub_cls.items()}
-    assert len(cls_to_mask) == size, "local class basis is dependent"
+    if len(cls_to_mask) != size:
+        raise RuntimeError("local class basis is dependent")
     gen_masks = tuple(cls_to_mask[cls(d)] for d in tower.radicands)
     dbar = set(cls_to_mask)
     if p == 2:
         f = 2 if (0, 5) in dbar else 1
         e = size // f
-        assert e in (1, 2, 4)
+        if e not in (1, 2, 4):
+            raise RuntimeError("dyadic ramification index not 1, 2 or 4")
     else:
         f = 2 if (0, -1) in dbar else 1
         e = 2 if any(v == 1 for v, _ in dbar) else 1
-        assert e * f == size
+        if e * f != size:
+            raise RuntimeError("local degree is not e*f")
     # Galois sign masks induced on the radicands by the local Galois group
     H = set()
     for tau in range(size):
@@ -170,10 +180,12 @@ def _local_structure(tower: FieldTower, p: int) -> _Structure:
             if (Sj & tau).bit_count() & 1:
                 bits |= 1 << j
         H.add(bits)
-    assert len(H) == size
+    if len(H) != size:
+        raise RuntimeError("local Galois sign masks are not distinct")
     reps = sorted({min(eps ^ h for h in H) for eps in range(1 << tower.r)})
     g = (1 << tower.r) // size
-    assert len(reps) == g
+    if len(reps) != g:
+        raise RuntimeError("place count is not the number of sign orbits")
     return _Structure(tuple(chosen), gen_masks, e, f, g, tuple(reps))
 
 
@@ -219,11 +231,13 @@ def _hensel_sqrt(q: Fraction, p: int, digits: int) -> tuple[int, int]:
     smaller residue mod p, for p = 2 the digit-by-digit lift starting at 1.
     """
     v, u = _split_val(q, p)
-    assert v % 2 == 0, "p-adic square root of odd valuation"
+    if v % 2:
+        raise RuntimeError("p-adic square root of odd valuation")
     mod = p**digits
     u_int = u.numerator % mod * pow(u.denominator, -1, mod) % mod
     if p == 2:
-        assert u_int % 8 == 1, "2-adic unit is not a square"
+        if u_int % 8 != 1:
+            raise RuntimeError("2-adic unit is not a square")
         x = 1
         for k in range(3, digits):
             if (x * x - u_int) % (1 << (k + 1)):
@@ -232,7 +246,8 @@ def _hensel_sqrt(q: Fraction, p: int, digits: int) -> tuple[int, int]:
     from sympy.ntheory.residue_ntheory import sqrt_mod
 
     r0 = sqrt_mod(u_int % p, p)
-    assert r0 is not None, "p-adic unit is not a square"
+    if r0 is None:
+        raise RuntimeError("p-adic unit is not a square")
     r0 = min(r0, p - r0)
     x, prec = r0, 1
     inv2 = pow(2, -1, mod)
@@ -291,16 +306,16 @@ class LocalModel:
             bp.append(prod)
         self.bprod = tuple(bp)
         self.one = self.mrat(1)
-        self.omega: _Elt | None = None
         if p == 2:
             self._build_dyadic()
         else:
             self._build_odd()
-        assert self.e == st.e and self.f == st.f
-        self.pi_inv = self.inv(self.pi)
-        self._pi_pows: dict[int, _Elt] = {0: self.one, 1: self.pi, -1: self.pi_inv}
-        assert self.val(self.pi) == 1
-        assert self.val(self.mrat(p)) == self.e
+        if self.e != st.e or self.f != st.f:
+            raise RuntimeError("local model disagrees with the splitting type")
+        if self.val(self.pi) != 1:
+            raise RuntimeError("uniformizer does not have valuation 1")
+        if self.val(self.mrat(p)) != self.e:
+            raise RuntimeError("valuation of p is not the ramification index")
         if p == 2:
             self._delta_and_unit_gens()
         self._build_matrix()
@@ -419,15 +434,23 @@ class LocalModel:
     def pi_pow(self, k: int) -> _Elt:
         got = self._pi_pows.get(k)
         if got is None:
-            got = self.npow(self.pi, k) if k >= 0 else self.npow(self.pi_inv, -k)
+            got = self.npow(self.pi, k) if k >= 0 else self.npow(self._pi_pows[-1], -k)
             self._pi_pows[k] = got
         return got
 
+    def _stage(self, nbits: int, e: int, f: int, pi: _Elt, omega: _Elt | None) -> None:
+        """Answer from now on for the subfield generated by the first nbits
+        local generators, with ramification e, residue degree f, uniformizer
+        pi and residue generator omega (w^2 = w + 1 when f = 2)."""
+        self._nbits, self.e, self.f, self.pi, self.omega = nbits, e, f, pi, omega
+        self._pi_pows: dict[int, _Elt] = {0: self.one, 1: pi, -1: self.inv(pi)}
+        self._c2: int | None = None
+
     # -- valuations ----------------------------------------------------
 
-    def _norm_fold(self, x: _Elt, nbits: int) -> tuple[int, int, int]:
+    def _norm_fold(self, x: _Elt) -> tuple[int, int, int]:
         cur = x
-        for k in range(nbits):
+        for k in range(self._nbits):
             cur = self.mmul(cur, self.conj(cur, 1 << k))
         s, cs, prec = cur
         guard = self._pp(prec // 2)
@@ -435,10 +458,8 @@ class LocalModel:
             raise _Precision("norm has irrational residue")
         return s, cs[0], prec
 
-    def val(self, x: _Elt, nbits: int | None = None, f: int | None = None) -> int:
-        nbits = self.m if nbits is None else nbits
-        f = self.f if f is None else f
-        s, c0, prec = self._norm_fold(x, nbits)
+    def val(self, x: _Elt) -> int:
+        s, c0, prec = self._norm_fold(x)
         if c0 == 0:
             raise _Precision("valuation of a (nearly) zero element")
         w = 0
@@ -448,20 +469,18 @@ class LocalModel:
         if w > prec // 2:
             raise _Precision("valuation beyond certified digits")
         total = s + w  # the fold already accumulated the shifts of all conjugates
-        assert total % f == 0, "norm valuation not divisible by residue degree"
-        return total // f
+        if total % self.f:
+            raise RuntimeError("norm valuation not divisible by residue degree")
+        return total // self.f
 
-    def is_val_ge(self, x: _Elt, t: int, nbits: int | None = None,
-                  f: int | None = None) -> bool:
+    def is_val_ge(self, x: _Elt, t: int) -> bool:
         # the p-shift alone certifies v_pi(x) >= e*shift >= shift; this also
         # covers near-cancelled elements whose relative precision is too low
         # to norm-fold (exact cancellations leave a single junk top digit)
         if x[0] >= t:
             return True
-        nbits = self.m if nbits is None else nbits
-        f = self.f if f is None else f
-        s, c0, prec = self._norm_fold(x, nbits)
-        need = t * f - s
+        s, c0, prec = self._norm_fold(x)
+        need = t * self.f - s
         if need <= 0:
             return True
         if need > prec:
@@ -470,102 +489,117 @@ class LocalModel:
 
     # -- residue field -------------------------------------------------
 
-    def _rep(self, sym: int, omega: _Elt | None) -> _Elt:
+    def _rep(self, sym: int) -> _Elt:
         out = self.mrat(sym & 1)
         if sym >> 1:
-            assert omega is not None
-            out = self.madd(out, omega)
+            if self.omega is None:
+                raise RuntimeError("residue symbol needs the residue generator")
+            out = self.madd(out, self.omega)
         return out
 
-    def _residue(self, x: _Elt, nbits: int | None = None, f: int | None = None,
-                 omega: _Elt | None = None) -> int:
-        f = self.f if f is None else f
-        omega = self.omega if omega is None else omega
-        for sym in range(1, 1 << f):
-            if self.is_val_ge(self.msub(x, self._rep(sym, omega)), 1, nbits, f):
+    def _residue(self, x: _Elt) -> int:
+        for sym in range(1, 1 << self.f):
+            if self.is_val_ge(self.msub(x, self._rep(sym)), 1):
                 return sym
         raise _Precision("unit residue unresolved")
 
-    # -- dyadic construction --------------------------------------------
+    def _c2_residue(self) -> int:
+        """Residue of 2/pi^e, the linear coefficient of the Artin-Schreier
+        equation s^2 + c2*s = ebar at the critical level 2e."""
+        if self._c2 is None:
+            self._c2 = self._residue(self.mmul(self.mrat(2), self.pi_pow(-self.e)))
+        return self._c2
 
-    def _reduce_defect(self, u: _Elt, nbits: int, e: int, f: int,
-                       pi: _Elt, omega: _Elt | None):
-        """Multiply u by squares toward 1.  Returns (kind, w, y) with
-        u*y^2 = 1 + pi^w * eps and kind in {"square", "odd", "unram"}."""
-        one = self.one
-        y = one
-        cur = u
-        r = self._residue(cur, nbits, f, omega)
-        if r != 1:
-            si = self.inv(self._rep(_f4_sqrt(r), omega))
-            y = self.mmul(y, si)
-            cur = self.mmul(cur, self.mmul(si, si))
-        pinv = self.inv(pi)
-        c2 = None
-        for _ in range(4 * e + 12):
-            d = self.msub(cur, one)
-            if self.is_val_ge(d, 2 * e + 1, nbits, f):
-                return ("square", None, y)
-            w = self.val(d, nbits, f)
-            eps = self.mmul(d, self.npow(pinv, w))
+    # -- the quadratic defect loop ----------------------------------------
+
+    def _reduce(self, u: _Elt, build: bool = False) -> tuple[int, str, int | None, _Elt]:
+        """Multiply the unit u by squares toward 1.
+
+        Each step writes u = 1 + pi^w*eps and raises w with a square factor:
+        the residue fix first, then 1+pi^(w/2)*s for even w < 2e, or
+        1+pi^e*s for a root s of the Artin-Schreier equation at w = 2e.  u
+        is a square once w > 2e.  An odd w, or w = 2e without a root, is an
+        obstruction.  While the model is built (build=True) the loop stops
+        at the first one and returns (0, kind, w, y), kind "odd" or "unram",
+        with u*y^2 = 1 + pi^w*eps.  The finished model divides out the
+        matching generator (1+pi^w*sym, or delta), flips its bit and goes
+        on; it returns (bits, "square", None, y) with bits the coordinates
+        of u over the unit generators.
+        """
+        one, e = self.one, self.e
+        bits, y = 0, one
+        r = self._residue(u)
+        corr = self._rep(_f4_sqrt(r)) if r != 1 else None
+        for _ in range(4 * e + 16):
+            if corr is not None:
+                ci = self.inv(corr)
+                if build:
+                    y = self.mmul(y, ci)
+                u = self.mmul(u, self.mmul(ci, ci))
+                corr = None
+            d = self.msub(u, one)
+            if self.is_val_ge(d, 2 * e + 1):
+                return bits, "square", None, y
+            w = self.val(d)
+            if build and w & 1:
+                return bits, "odd", w, y
+            ebar = self._residue(self.mmul(d, self.pi_pow(-w)))
             if w & 1:
-                return ("odd", w, y)
-            ebar = self._residue(eps, nbits, f, omega)
-            if w < 2 * e:
-                s = self._rep(_f4_sqrt(ebar), omega)
-                corr = self.madd(one, self.mmul(self.npow(pi, w // 2), s))
+                for sym in (1, 2):
+                    if ebar & sym:
+                        idx = self._gen_index[(w, sym)]
+                        bits ^= 1 << idx
+                        u = self.mmul(u, self._gen_inv[idx])
+            elif w < 2 * e:
+                corr = self.madd(one, self.mmul(self.pi_pow(w // 2), self._rep(_f4_sqrt(ebar))))
             else:
-                if c2 is None:
-                    c2 = self._residue(self.mmul(self.mrat(2), self.npow(pinv, e)),
-                                       nbits, f, omega)
-                sols = [s for s in range(1, 1 << f)
-                        if _f4_mul(s, s) ^ _f4_mul(c2, s) == ebar]
-                if not sols:
-                    return ("unram", w, y)
-                corr = self.madd(one, self.mmul(self.npow(pi, e),
-                                                self._rep(sols[0], omega)))
-            ci = self.inv(corr)
-            y = self.mmul(y, ci)
-            cur = self.mmul(cur, self.mmul(ci, ci))
+                c2 = self._c2_residue()
+                sols = [s for s in range(1, 1 << self.f) if _f4_mul(s, s) ^ _f4_mul(c2, s) == ebar]
+                if sols:
+                    corr = self.madd(one, self.mmul(self.pi_pow(e), self._rep(sols[0])))
+                elif build:
+                    return bits, "unram", w, y
+                else:
+                    bits ^= 1
+                    u = self.mmul(u, self._gen_inv[0])
         raise _Precision("defect loop did not settle")
 
+    # -- construction ----------------------------------------------------
+
     def _build_dyadic(self) -> None:
-        e, f = 1, 1
-        pi = self.mrat(2)
-        omega = None
+        # adjoin the local generators one at a time; an obstruction of the
+        # next radicand over the subfield so far gives its new uniformizer
+        # (odd defect) or residue generator (unramified defect)
+        self._stage(0, 1, 1, self.mrat(2), None)
         for j, c in enumerate(self.gens):
+            e, f, pi, omega = self.e, self.f, self.pi, self.omega
             t = e if c % 2 == 0 else 0
             beta = self.basis_elt(1 << j)
             if t & 1:
-                pi = self.mmul(beta, self.npow(self.inv(pi), (t - 1) // 2))
-                e *= 2
+                self._stage(j + 1, 2 * e, f, self.mmul(beta, self.pi_pow(-((t - 1) // 2))), omega)
                 continue
-            u = self.mmul(self.mrat(c), self.npow(self.inv(pi), t))
-            kind, w, y = self._reduce_defect(u, j, e, f, pi, omega)
-            gamma = self.mmul(beta, self.npow(self.inv(pi), t // 2))
-            eta = self.mmul(y, gamma)
+            _, kind, w, y = self._reduce(self.mmul(self.mrat(c), self.pi_pow(-t)), build=True)
+            eta = self.mmul(y, self.mmul(beta, self.pi_pow(-(t // 2))))
             if kind == "odd":
-                pi = self.mmul(self.msub(eta, self.one),
-                               self.npow(self.inv(pi), (w - 1) // 2))
-                e *= 2
+                pi = self.mmul(self.msub(eta, self.one), self.pi_pow(-((w - 1) // 2)))
+                self._stage(j + 1, 2 * e, f, pi, omega)
             elif kind == "unram":
-                omega = self.mmul(self.msub(eta, self.one), self.npow(self.inv(pi), e))
-                f *= 2
+                omega = self.mmul(self.msub(eta, self.one), self.pi_pow(-e))
+                self._stage(j + 1, e, 2 * f, pi, omega)
                 rel = self.msub(self.mmul(omega, omega), self.madd(omega, self.one))
-                assert self.is_val_ge(rel, 1, j + 1, f), \
-                    "residue generator does not satisfy w^2 = w + 1"
+                if not self.is_val_ge(rel, 1):
+                    raise RuntimeError("residue generator does not satisfy w^2 = w + 1")
             else:
-                raise AssertionError("locally square radicand in the local basis")
-        self.e, self.f, self.pi, self.omega = e, f, pi, omega
+                raise RuntimeError("locally square radicand in the local basis")
 
     def _build_odd(self) -> None:
         st = _local_structure(self.tower, self.p)
-        self.e, self.f = st.e, st.f
-        if self.e == 2:
+        if st.e == 2:
             j = next(i for i, g in enumerate(self.gens) if g % self.p == 0)
-            self.pi = self.basis_elt(1 << j)
+            pi = self.basis_elt(1 << j)
         else:
-            self.pi = self.mrat(self.p)
+            pi = self.mrat(self.p)
+        self._stage(self.m, st.e, st.f, pi, None)
         if self.f == 1:
             n0 = next(n for n in range(2, self.p) if pow(n, (self.p - 1) // 2, self.p) != 1)
             self.u0 = self.mrat(n0)
@@ -589,76 +623,40 @@ class LocalModel:
         y = self.npow(x, (self.p**self.f - 1) // 2)
         if self.is_val_ge(self.msub(y, self.one), 1):
             return True
-        assert self.is_val_ge(self.madd(y, self.one), 1), "unit power not +-1 mod P"
+        if not self.is_val_ge(self.madd(y, self.one), 1):
+            raise RuntimeError("unit power not +-1 mod P")
         return False
 
     # -- square class basis and vectors ---------------------------------
 
     def _delta_and_unit_gens(self) -> None:
         e, f = self.e, self.f
-        c2 = self._residue(self.mmul(self.mrat(2), self.pi_pow(-e)))
-        self._c2 = c2
+        c2 = self._c2_residue()
         image = {_f4_mul(s, s) ^ _f4_mul(c2, s) for s in range(1 << f)}
         rho = min(s for s in range(1, 1 << f) if s not in image)
-        delta = self.madd(self.one, self.mmul(self.mrat(4), self._rep(rho, self.omega)))
-        kind, w, _ = self._reduce_defect(delta, self.m, e, f, self.pi, self.omega)
-        assert kind == "unram" and w == 2 * e, "unramified unit candidate failed"
+        delta = self.madd(self.one, self.mmul(self.mrat(4), self._rep(rho)))
+        _, kind, w, _ = self._reduce(delta, build=True)
+        if kind != "unram" or w != 2 * e:
+            raise RuntimeError("unramified unit candidate failed")
         gens: list[tuple[str, _Elt]] = [("D", delta)]
         index: dict[tuple[int, int], int] = {}
         for w in range(1, 2 * e, 2):
             for sym in (1,) if f == 1 else (1, 2):
-                elt = self.madd(self.one, self.mmul(self.pi_pow(w), self._rep(sym, self.omega)))
+                elt = self.madd(self.one, self.mmul(self.pi_pow(w), self._rep(sym)))
                 index[(w, sym)] = len(gens)
                 gens.append((f"1+pi^{w}" + ("" if sym == 1 else "*w"), elt))
-        assert len(gens) == e * f + 1
+        if len(gens) != e * f + 1:
+            raise RuntimeError("unit generator count is not e*f + 1")
         self.unit_gens = gens
         self._gen_index = index
         self._gen_inv = [self.inv(g) for _, g in gens]
-
-    def _expression_bits(self, u: _Elt) -> int:
-        """Coordinates of a unit over [delta, 1+pi^w*t ...], as a bitmask."""
-        bits = 0
-        one = self.one
-        e, f = self.e, self.f
-        r = self._residue(u)
-        if r != 1:
-            si = self.inv(self._rep(_f4_sqrt(r), self.omega))
-            u = self.mmul(u, self.mmul(si, si))
-        for _ in range(4 * e + 16):
-            d = self.msub(u, one)
-            if self.is_val_ge(d, 2 * e + 1):
-                return bits
-            w = self.val(d)
-            eps = self.mmul(d, self.pi_pow(-w))
-            ebar = self._residue(eps)
-            if w & 1:
-                for sym, on in ((1, ebar & 1), (2, ebar >> 1)):
-                    if on:
-                        idx = self._gen_index[(w, sym)]
-                        bits ^= 1 << idx
-                        u = self.mmul(u, self._gen_inv[idx])
-            elif w < 2 * e:
-                s = self._rep(_f4_sqrt(ebar), self.omega)
-                ci = self.inv(self.madd(one, self.mmul(self.pi_pow(w // 2), s)))
-                u = self.mmul(u, self.mmul(ci, ci))
-            else:
-                sols = [s for s in range(1, 1 << f)
-                        if _f4_mul(s, s) ^ _f4_mul(self._c2, s) == ebar]
-                if sols:
-                    ci = self.inv(self.madd(one, self.mmul(self.pi_pow(e),
-                                                           self._rep(sols[0], self.omega))))
-                    u = self.mmul(u, self.mmul(ci, ci))
-                else:
-                    bits ^= 1
-                    u = self.mmul(u, self._gen_inv[0])
-        raise _Precision("square class expression did not settle")
 
     def vec_int(self, x: _Elt) -> int:
         """Square class of x as a bitmask over [pi] + unit generators."""
         v = self.val(x)
         u = self.mmul(x, self.pi_pow(-v))
         if self.p == 2:
-            return (v & 1) | (self._expression_bits(u) << 1)
+            return (v & 1) | (self._reduce(u)[0] << 1)
         b = 0 if self._unit_is_square(u) else 1
         return (v & 1) | (b << 1)
 
@@ -714,7 +712,8 @@ class LocalModel:
             raise RuntimeError("norm group rank not reached")
         cands = [c for c in range(1, 1 << dim)
                  if all((c & r).bit_count() % 2 == 0 for r in pivots.values())]
-        assert len(cands) == 1, "norm group annihilator not unique"
+        if len(cands) != 1:
+            raise RuntimeError("norm group annihilator not unique")
         return cands[0]
 
     def _build_matrix(self) -> None:
@@ -783,7 +782,8 @@ class LocalModel:
             root_elt: _Elt = (k, (root,) + (0,) * (self.size - 1), self.N)
             phi = self.mmul(root_elt, self.inv(B))
             diff = self.msub(self.mmul(phi, phi), self.mrat(d))
-            assert self.is_val_ge(diff, max(4, self.N // 4)), "radicand image check failed"
+            if not self.is_val_ge(diff, max(4, self.N // 4)):
+                raise RuntimeError("radicand image check failed")
             self.phi_rad.append(phi)
         self._phi_alpha: dict[int, _Elt] = {0: self.one}
 
@@ -818,52 +818,41 @@ class LocalModel:
 
 _BASE_DIGITS = 256
 _ODD_DIGITS = 64
+_ATTEMPTS = 14  # digits up to 2^13 times the base
 _MODELS: dict[tuple[FieldTower, int], LocalModel] = {}
 
 
-def _model(tower: FieldTower, p: int) -> LocalModel:
+def _model(tower: FieldTower, p: int, use=lambda md: md):
+    """use(md) for the cached local model md of the tower at p.
+
+    The one precision policy: a _Precision raised while building the model
+    or inside use discards the model and rebuilds it with twice the digits;
+    after _ATTEMPTS tries the call raises RuntimeError.
+    """
     key = (tower, p)
     md = _MODELS.get(key)
-    if md is None:
-        digits = _BASE_DIGITS if p == 2 else _ODD_DIGITS
-        for _ in range(6):
-            try:
-                md = LocalModel(tower, p, digits)
-                break
-            except _Precision:
-                digits *= 2
-        else:
-            raise RuntimeError(f"cannot build local model of {tower} at {p}")
-        _MODELS[key] = md
-    return md
-
-
-def _with_model(tower: FieldTower, p: int, fn):
-    for _ in range(8):
-        md = _model(tower, p)
+    digits = md.N if md is not None else _BASE_DIGITS if p == 2 else _ODD_DIGITS
+    for _ in range(_ATTEMPTS):
         try:
-            return fn(md)
+            if md is None:
+                md = _MODELS[key] = LocalModel(tower, p, digits)
+            return use(md)
         except _Precision:
-            del _MODELS[(tower, p)]
-            _MODELS[(tower, p)] = LocalModel(tower, p, md.N * 2)
+            _MODELS.pop(key, None)
+            md, digits = None, 2 * digits
     raise RuntimeError(f"p-adic precision exhausted for {tower} at {p}")
 
 
 def square_class_vector(x: FieldElement, place: Place) -> tuple[int, ...]:
     """Coordinates of x over the local square class basis at a finite place."""
-    assert place.kind == "finite"
+    if place.kind != "finite":
+        raise RuntimeError("square class vector at a place that is not finite")
     x = place.tower.coerce(x)
     if not x:
         raise ZeroDivisionError("square class of 0")
-    bits = _with_model(place.tower, place.p,
-                       lambda md: md.vec_of_element(x, place.eps_mask))
-    dim = _model(place.tower, place.p).dim
+    bits, dim = _model(place.tower, place.p,
+                       lambda md: (md.vec_of_element(x, place.eps_mask), md.dim))
     return tuple((bits >> i) & 1 for i in range(dim))
-
-
-def _vec_bits(x: FieldElement, place: Place) -> int:
-    return _with_model(place.tower, place.p,
-                       lambda md: md.vec_of_element(x, place.eps_mask))
 
 
 def hilbert_symbol_local(a, b, place: Place) -> int:
@@ -876,14 +865,14 @@ def hilbert_symbol_local(a, b, place: Place) -> int:
     if place.kind == "real":
         sigma = K.embeddings()[place.eps_mask]
         return -1 if (sign_at(a, sigma) < 0 and sign_at(b, sigma) < 0) else 1
-    va = _vec_bits(integral_rescale(a), place)
-    vb = _vec_bits(integral_rescale(b), place)
-    md = _model(K, place.p)
-    out = -1 if md.pair_bits(va, vb) else 1
-    if __debug__ and a.is_rational and b.is_rational:
+    ra, rb = integral_rescale(a), integral_rescale(b)
+    out = -1 if _model(K, place.p, lambda md: md.pair_bits(
+        md.vec_of_element(ra, place.eps_mask), md.vec_of_element(rb, place.eps_mask))) else 1
+    if a.is_rational and b.is_rational:
         expect = hilbert_symbol_Q(a.rational_value(), b.rational_value(),
                                   place.p) ** place.degree
-        assert out == expect, "local symbol disagrees with rational formula"
+        if out != expect:
+            raise RuntimeError("local symbol disagrees with rational formula")
     return out
 
 
@@ -895,13 +884,17 @@ def hasse_invariant(form, place: Place) -> int:
     if place.kind == "real":
         neg = sum(1 for c in entries if sign_at(c, K.embeddings()[place.eps_mask]) < 0)
         return -1 if (neg * (neg - 1) // 2) % 2 else 1
-    md = _model(K, place.p)
-    bit, pre = 0, 0
-    for c in entries:
-        v = _vec_bits(integral_rescale(c), place)
-        bit ^= md.pair_bits(pre, v)
-        pre ^= v
-    return -1 if bit else 1
+    rescaled = [integral_rescale(c) for c in entries]
+
+    def symbol_bit(md: LocalModel) -> int:
+        bit, pre = 0, 0
+        for c in rescaled:
+            v = md.vec_of_element(c, place.eps_mask)
+            bit ^= md.pair_bits(pre, v)
+            pre ^= v
+        return bit
+
+    return -1 if _model(K, place.p, symbol_bit) else 1
 
 
 def relevant_finite_places(tower: FieldTower, elements: Iterable) -> tuple[Place, ...]:
@@ -916,7 +909,8 @@ def relevant_finite_places(tower: FieldTower, elements: Iterable) -> tuple[Place
         if not c:
             raise ZeroDivisionError("degenerate entry")
         n = integral_rescale(c).rational_norm()
-        assert n.denominator == 1
+        if n.denominator != 1:
+            raise RuntimeError("norm of an integral rescale is not an integer")
         primes.update(p for p, _ in factorize(int(n)))
     out: list[Place] = []
     for p in sorted(primes):

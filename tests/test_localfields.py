@@ -5,7 +5,10 @@ and are checked first against textbook values, then the library is checked
 against the oracles.
 """
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -301,3 +304,140 @@ def test_pairing_matrix_check_raises_on_any_flipped_bit(tower, p):
                     md._validate_matrix()
     finally:
         md.M_rows = rows
+
+
+# -- pinned dyadic tables ------------------------------------------------------
+
+# (radicands, (e, f), square class basis, pairing rows, square class vectors of
+# 20 seeded elements).  Recorded when construction and square class vectors
+# still ran separate defect loops; the shared loop must reproduce them.
+_DYADIC_TABLES = [
+    ((), (1, 1), ['pi', 'D', '1+pi^1'],
+     ['011', '100', '101'],
+     '111 000 111 100 100 110 100 110 100 001 111 110 111 011 110 000 100 010 000 011'),
+    ((2,), (2, 1), ['pi', 'D', '1+pi^1', '1+pi^3'],
+     ['1110', '1000', '1011', '0010'],
+     '0101 1000 0000 1101 0001 0010 0100 1010 0001 0111 1100 1011 0101 0101 1110 0011 0111 1111 '
+     '0001 0011'),
+    ((5,), (1, 2), ['pi', 'D', '1+pi^1', '1+pi^1*w'],
+     ['0101', '1000', '0001', '1011'],
+     '1010 1001 1000 1001 1110 0000 1100 0111 1110 1001 1011 0101 1010 1110 0101 1000 0000 0111 '
+     '1010 0110'),
+    ((2, 3), (4, 1), ['pi', 'D', '1+pi^1', '1+pi^3', '1+pi^5', '1+pi^7'],
+     ['110000', '100000', '000111', '001010', '001100', '001000'],
+     '010100 000000 010000 010000 010001 011011 010001 010010 011000 101011 010100 010101 010011 '
+     '011011 000010 010101 000110 000011 001010 011011'),
+    ((2, 5), (2, 2), ['pi', 'D', '1+pi^1', '1+pi^1*w', '1+pi^3', '1+pi^3*w'],
+     ['010000', '100000', '000001', '000111', '000100', '001100'],
+     '011001 000000 000010 000000 010010 110000 000001 010000 110010 110111 000010 011000 000010 '
+     '100011 010000 001011 001001 010011 110001 110010'),
+    ((2, 3, 5), (4, 2),
+     ['pi', 'D', '1+pi^1', '1+pi^1*w', '1+pi^3', '1+pi^3*w', '1+pi^5', '1+pi^5*w', '1+pi^7',
+      '1+pi^7*w'],
+     ['0101000000', '1000000000', '0001010001', '1010011111', '0000010100', '0011101100',
+      '0001010000', '0001110000', '0001000000', '0011000000'],
+     '0010011110 0100000001 0100101010 0100000010 1010101011 0000100010 0110100010 1101011101 '
+     '0100101010 0110101010 0000111011 0100000011 1111111001 0010000100 0010000000 0010001001 '
+     '1010001011 1111101010 0010001000 0000100010'),
+]
+
+
+@pytest.mark.parametrize("radicands,ef,basis,rows,vectors", _DYADIC_TABLES)
+def test_dyadic_tables_are_pinned(radicands, ef, basis, rows, vectors):
+    K = make_field(radicands)
+    place = splitting(K, 2)[0]
+    assert (place.e, place.f) == ef
+    audit = localfields.local_audit(K, 2)
+    assert audit["square_class_basis"] == basis
+    assert ["".join(map(str, r)) for r in audit["pairing_matrix"]] == rows
+    rng = random.Random(1030)
+    got = [square_class_vector(rand_nonzero(K, rng, scale=40), place) for _ in range(20)]
+    assert " ".join("".join(map(str, v)) for v in got) == vectors
+
+
+# -- the precision policy ------------------------------------------------------
+
+
+def _fail(monkeypatch, owner, name, times):
+    """Make owner.name raise the internal precision signal on its first
+    `times` calls; returns the list of positional arguments of every call."""
+    real = getattr(owner, name)
+    calls = []
+
+    def flaky(*args, **kwargs):
+        calls.append(args)
+        if len(calls) <= times:
+            raise localfields._Precision("forced")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, flaky)
+    return calls
+
+
+@pytest.mark.parametrize("tower,p", [(Q, 2), (Q2, 2), (Q2, 7)])
+@pytest.mark.parametrize("where", ["use", "build"])
+def test_precision_retry_rebuilds_at_double_digits(tower, p, where, monkeypatch):
+    monkeypatch.setattr(localfields, "_MODELS", {})
+    place = splitting(tower, p)[0]
+    a, b = tower.rational(-1) - tower.sqrt(2 if tower.r else 4), tower.rational(3 * p)
+    base = localfields._BASE_DIGITS if p == 2 else localfields._ODD_DIGITS
+    want = hilbert_symbol_local(a, b, place)
+    assert localfields._MODELS[(tower, p)].N == base
+    if where == "use":
+        _fail(monkeypatch, localfields.LocalModel, "vec_of_element", 1)
+    else:
+        localfields._MODELS.clear()
+        builds = _fail(monkeypatch, localfields, "LocalModel", 1)
+    assert hilbert_symbol_local(a, b, place) == want
+    assert localfields._MODELS[(tower, p)].N == 2 * base
+    if where == "build":
+        assert [args[2] for args in builds] == [base, 2 * base]
+
+
+def test_precision_exhaustion_is_a_runtime_error(monkeypatch):
+    monkeypatch.setattr(localfields, "_MODELS", {})
+    place = splitting(Q, 3)[0]
+    a, b = Q.rational(-1), Q.rational(3)
+    hilbert_symbol_local(a, b, place)
+    _fail(monkeypatch, localfields.LocalModel, "vec_of_element", 1)
+    builds = _fail(monkeypatch, localfields, "LocalModel", float("inf"))
+    with pytest.raises(RuntimeError, match="precision exhausted"):
+        hilbert_symbol_local(a, b, place)
+    base = localfields._ODD_DIGITS
+    assert [args[2] for args in builds] == [base << k for k in range(1, 14)]
+    assert (Q, 3) not in localfields._MODELS
+
+
+_FLIPPED_RATIONAL_SYMBOL = """
+import sys
+from coxarith import localfields
+from coxarith.fields import make_field
+
+if __debug__:
+    sys.exit("expected python -O")
+Q = make_field([])
+honest = localfields.hilbert_symbol_Q
+for p in (2, 3):
+    place = localfields.splitting(Q, p)[0]
+    a, b = Q.rational(-1), Q.rational(3)
+    localfields.hilbert_symbol_local(a, b, place)
+    localfields.hilbert_symbol_Q = lambda *args: -honest(*args)
+    try:
+        localfields.hilbert_symbol_local(a, b, place)
+    except RuntimeError as exc:
+        print(p, exc)
+    localfields.hilbert_symbol_Q = honest
+"""
+
+
+def test_rational_cross_check_survives_python_O():
+    src = os.path.dirname(os.path.dirname(localfields.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-O", "-c", _FLIPPED_RATIONAL_SYMBOL], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        "2 local symbol disagrees with rational formula",
+        "3 local symbol disagrees with rational formula",
+    ]
