@@ -22,12 +22,11 @@ so only squarefree candidates are tried.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 
 from . import diagrams, fields, forms, localfields
 from .diagrams import CoxeterDiagram
-from .fields import FieldElement, FieldTower, element_literal, factorize, make_field, squarefree_part
+from .fields import FieldTower, element_literal, factorize, make_field, squarefree_part
 from .forms import QuadraticForm
 
 __all__ = [
@@ -41,7 +40,6 @@ __all__ = [
     "find_admissible_model",
     "subordinated_forms",
     "report_from_json",
-    "basis_det_check",
 ]
 
 ARITHMETIC = "arithmetic"
@@ -267,83 +265,3 @@ def classify_diagram(diagram: CoxeterDiagram, bound: int = 30) -> Classification
     report.subordinated = subordinated_forms(model, K)
     report.verdict = PSEUDO_ARITHMETIC
     return report
-
-
-# -- determinant identity for the multiquadratic basis --------------------
-
-
-def _int_det(rows: list[list[int]]) -> int:
-    """Exact integer determinant (fraction-free Bareiss)."""
-    a = [row[:] for row in rows]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for i in range(n - 1):
-        if not a[i][i]:
-            for j in range(i + 1, n):
-                if a[j][i]:
-                    a[i], a[j] = a[j], a[i]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for j in range(i + 1, n):
-            for t in range(i + 1, n):
-                a[j][t] = (a[j][t] * a[i][i] - a[j][i] * a[i][t]) // prev
-            a[j][i] = 0
-        prev = a[i][i]
-    return sign * a[-1][-1]
-
-
-def _det_field(rows: list[list[FieldElement]], tower: FieldTower) -> FieldElement:
-    a = [row[:] for row in rows]
-    n = len(a)
-    det = tower.one()
-    for i in range(n):
-        piv = next((j for j in range(i, n) if a[j][i]), None)
-        if piv is None:
-            return tower.zero()
-        if piv != i:
-            a[i], a[piv] = a[piv], a[i]
-            det = -det
-        det = det * a[i][i]
-        inv = tower.one() / a[i][i]
-        for j in range(i + 1, n):
-            if a[j][i]:
-                fac = a[j][i] * inv
-                a[j] = [x - fac * y for x, y in zip(a[j], a[i])]
-    return det
-
-
-def basis_det_check(tower: FieldTower) -> dict:
-    """Exact check of det(sigma_j(alpha_i)) = det(B) * prod(alpha_i).
-
-    B is the sign matrix sigma_j(alpha_i)/alpha_i over the multiquadratic
-    basis alpha_S; its determinant is computed as an integer, the left side
-    independently by Gaussian elimination in the field.
-    """
-    deg = tower.degree
-    alphas = []
-    for S in range(deg):
-        cs = [Fraction(0)] * deg
-        cs[S] = Fraction(1)
-        alphas.append(tower.element(cs))
-    embs = tower.embeddings()
-    B = [[-1 if (S & sigma.mask).bit_count() & 1 else 1 for S in range(deg)]
-         for sigma in embs]
-    det_b = _int_det(B)
-    M = [[alphas[S].conjugate(sigma) for S in range(deg)] for sigma in embs]
-    det_m = _det_field(M, tower)
-    prod = tower.one()
-    for x in alphas:
-        prod = prod * x
-    return {
-        "radicands": list(tower.radicands),
-        "r": tower.r,
-        "det_B": det_b,
-        # both readings of the determinant: the embedding matrix itself and
-        # its square (the discriminant of the trace form on this basis)
-        "det": element_literal(det_m),
-        "det_squared": str((det_m * det_m).rational_value()),
-        "identity_holds": det_m == tower.rational(det_b) * prod,
-    }

@@ -153,7 +153,8 @@ class CoxeterDiagram:
         """New diagram with vertex v renamed to perm[v]; same geometry."""
         if isinstance(perm, list):
             perm = {v: perm[v - 1] for v in range(1, self.size + 1)}
-        assert sorted(perm.values()) == list(range(1, self.size + 1))
+        if sorted(perm.values()) != list(range(1, self.size + 1)):
+            raise ValueError("relabeling is not a permutation of the vertices")
         entries = {}
         for (i, j), a in self.entries.items():
             x, y = perm[i], perm[j]

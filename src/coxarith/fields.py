@@ -2,13 +2,14 @@
 
 A field Q(sqrt(d_1), ..., sqrt(d_r)) with squarefree, multiplicatively
 independent radicands d_j is stored by its canonical ascending radicand
-tuple.  Elements are dense vectors of rationals over the 2^r basis
+tuple.  Elements are integer numerators over one common denominator in
+the 2^r basis
 
     alpha_S = sqrt(prod_{j in S} d_j),    S a bitmask over the radicands,
 
-so every operation is exact.  Real embeddings are sign vectors on the
-radicands; signs of elements are certified by interval refinement, never
-floating point.
+so every operation is exact and runs on plain integers.  Real embeddings
+are sign vectors on the radicands; signs of elements are certified by
+interval refinement, never floating point.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Iterable, NamedTuple
 
 __all__ = [
@@ -40,7 +41,6 @@ __all__ = [
     "squarefree_part",
 ]
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -163,28 +163,29 @@ class FieldTower:
         self.basis_class = tuple(cls)
         self.basis_scale = tuple(scl)
         self.class_to_mask = {t: S for S, t in enumerate(cls)}
-        assert len(self.class_to_mask) == self.degree, "radicands not independent"
+        if len(self.class_to_mask) != self.degree:
+            raise ValueError("radicands not independent")
         self._embeddings = tuple(Embedding(self, e) for e in range(self.degree))
         self._hash = hash(radicands)
 
     # -- constructors -------------------------------------------------
 
     def element(self, coeffs: Iterable) -> "FieldElement":
-        cs = tuple(Fraction(c) for c in coeffs)
+        cs = [Fraction(c) for c in coeffs]
         if len(cs) != self.degree:
             raise ValueError("coefficient vector has wrong length")
-        return FieldElement(self, cs)
+        den = lcm(*(c.denominator for c in cs))
+        return FieldElement(self, tuple(c.numerator * (den // c.denominator) for c in cs), den)
 
     def zero(self) -> "FieldElement":
-        return self.element([0] * self.degree)
+        return FieldElement(self, (0,) * self.degree)
 
     def one(self) -> "FieldElement":
         return self.rational(1)
 
     def rational(self, q) -> "FieldElement":
-        cs = [_ZERO] * self.degree
-        cs[0] = Fraction(q)
-        return FieldElement(self, tuple(cs))
+        q = Fraction(q)
+        return FieldElement(self, (q.numerator,) + (0,) * (self.degree - 1), q.denominator)
 
     def sqrt(self, q) -> "FieldElement":
         """sqrt(q) for positive rational q whose square class lies in the tower."""
@@ -197,10 +198,9 @@ class FieldTower:
         if mask is None:
             raise ValueError(f"sqrt({q}) does not lie in {self}")
         # sqrt(q) = isqrt(n//t)/den * sqrt(t), and sqrt(t) = alpha_mask / scale
-        coeff = Fraction(isqrt(n // t), q.denominator * self.basis_scale[mask])
-        cs = [_ZERO] * self.degree
-        cs[mask] = coeff
-        return FieldElement(self, tuple(cs))
+        nums = [0] * self.degree
+        nums[mask] = isqrt(n // t)
+        return FieldElement(self, tuple(nums), q.denominator * self.basis_scale[mask])
 
     def coerce(self, value) -> "FieldElement":
         if isinstance(value, FieldElement):
@@ -281,50 +281,71 @@ def make_field(raw_radicands: Iterable[int]) -> FieldTower:
 
 
 class FieldElement:
-    """Element of a FieldTower as an exact coefficient vector over the alpha basis.
+    """Element of a FieldTower as integer numerators over one common denominator.
 
-    Equality and hashing use the tower-independent canonical term list, so
-    the same number compares equal across different ambient towers.
+    The element is sum_S nums[S] * alpha_S / den.  The constructor keeps
+    den > 0 and gcd(den, *nums) == 1 (zero has den == 1), so two elements of
+    one tower are equal exactly when their (den, nums) are.  Across towers,
+    equality and hashing use a tower-independent integer key, so the same
+    number compares equal in different ambient towers.
     """
 
-    __slots__ = ("tower", "coeffs")
+    __slots__ = ("tower", "nums", "den")
 
-    def __init__(self, tower: FieldTower, coeffs: tuple[Fraction, ...]):
+    def __init__(self, tower: FieldTower, nums: tuple[int, ...], den: int = 1):
+        g = gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = tuple(n // g for n in nums)
+            den //= g
         self.tower = tower
-        self.coeffs = coeffs
+        self.nums = nums
+        self.den = den
 
     # -- canonical view ------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The rational coefficients over the alpha basis."""
+        return tuple(Fraction(n, self.den) for n in self.nums)
+
     def canonical_terms(self) -> tuple[tuple[int, Fraction], ...]:
         """Sorted (square class, coefficient of sqrt(class)) pairs, nonzero only."""
+        den, terms = self._key()
+        return tuple((t, Fraction(n, den)) for t, n in terms)
+
+    def _key(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        # (den, sorted (class, numerator of sqrt(class))) in lowest terms
         t = self.tower
-        items = [
-            (t.basis_class[S], c * t.basis_scale[S])
-            for S, c in enumerate(self.coeffs)
-            if c
-        ]
-        items.sort()
-        return tuple(items)
+        terms = [(t.basis_class[S], n * t.basis_scale[S]) for S, n in enumerate(self.nums) if n]
+        g = gcd(self.den, *(n for _, n in terms))
+        if g != 1:
+            terms = [(c, n // g) for c, n in terms]
+        terms.sort()
+        return self.den // g, tuple(terms)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, FieldElement):
-            return self.canonical_terms() == other.canonical_terms()
+            if other.tower is self.tower:
+                return self.den == other.den and self.nums == other.nums
+            return self._key() == other._key()
         if isinstance(other, (int, Fraction)):
-            return self.canonical_terms() == ((1, Fraction(other)),) if other else not self.canonical_terms()
+            return self.is_rational and Fraction(self.nums[0], self.den) == other
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.canonical_terms())
+        return hash(self._key())
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return any(self.nums)
 
     # -- arithmetic ----------------------------------------------------
 
     def _pair(self, other) -> tuple["FieldElement", "FieldElement"]:
-        if isinstance(other, (int, Fraction)):
-            return self, self.tower.rational(other)
         if not isinstance(other, FieldElement):
+            if isinstance(other, (int, Fraction)):
+                return self, self.tower.rational(other)
             raise TypeError(f"cannot combine FieldElement with {type(other).__name__}")
         if other.tower is self.tower:
             return self, other
@@ -333,50 +354,61 @@ class FieldElement:
         except ValueError:
             return self.express_in(other.tower), other
 
-    def __add__(self, other):
+    def __add__(self, other, sign: int = 1):
         a, b = self._pair(other)
-        return FieldElement(a.tower, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        if a.den == b.den:
+            return FieldElement(a.tower, tuple(x + sign * y for x, y in zip(a.nums, b.nums)),
+                                a.den)
+        g = gcd(a.den, b.den)
+        ma, mb = b.den // g, sign * (a.den // g)
+        return FieldElement(a.tower, tuple(x * ma + y * mb for x, y in zip(a.nums, b.nums)),
+                            a.den * ma)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.tower, tuple(-x for x in self.coeffs))
+        return FieldElement(self.tower, tuple(-x for x in self.nums), self.den)
 
     def __sub__(self, other):
-        a, b = self._pair(other)
-        return FieldElement(a.tower, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+        return self.__add__(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return FieldElement(self.tower, tuple(c * q for c in self.coeffs))
+        if not isinstance(other, FieldElement) and isinstance(other, (int, Fraction)):
+            return FieldElement(self.tower, tuple(n * other.numerator for n in self.nums),
+                                self.den * other.denominator)
         a, b = self._pair(other)
-        deg = a.tower.degree
         rad = a.tower.basis_radicand
-        out = [_ZERO] * deg
-        nza = [(S, c) for S, c in enumerate(a.coeffs) if c]
-        nzb = [(T, c) for T, c in enumerate(b.coeffs) if c]
-        for S, cs in nza:
-            for T, ct in nzb:
-                out[S ^ T] += cs * ct * rad[S & T]
-        return FieldElement(a.tower, tuple(out))
+        out = [0] * a.tower.degree
+        nzb = [(T, y) for T, y in enumerate(b.nums) if y]
+        for S, x in enumerate(a.nums):
+            if x:
+                for T, y in nzb:
+                    out[S ^ T] += x * y * rad[S & T]
+        return FieldElement(a.tower, tuple(out), a.den * b.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
+        """1/x by descending the tower one radicand at a time.
+
+        With y fixed by sigma_k for every k > j, y * sigma_j(y) is fixed by
+        sigma_j as well, so after the last radicand y = x * acc is rational.
+        """
         if not self:
             raise ZeroDivisionError("division by zero element")
-        if self.is_rational:
-            return self.tower.rational(1 / self.coeffs[0])
         acc = self.tower.one()
-        for sigma in self.tower.embeddings()[1:]:
-            acc = acc * self.conjugate(sigma)
-        norm = acc * self
-        assert norm.is_rational, "conjugate product must be rational"
-        return acc * (1 / norm.coeffs[0])
+        y = self
+        for j in reversed(range(self.tower.r)):
+            if any(y.nums[1 << j:]):  # y moves under sigma_j
+                c = y.conjugate(self.tower.embeddings()[1 << j])
+                acc = acc * c
+                y = y * c
+        if not y.is_rational:
+            raise RuntimeError("conjugate product must be rational")
+        return acc * Fraction(y.den, y.nums[0])
 
     def __truediv__(self, other):
         a, b = self._pair(other)
@@ -401,12 +433,12 @@ class FieldElement:
 
     @property
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational:
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def conjugate(self, sigma: Embedding) -> "FieldElement":
         if sigma.tower is not self.tower:
@@ -414,38 +446,41 @@ class FieldElement:
         mask = sigma.mask
         return FieldElement(
             self.tower,
-            tuple(
-                -c if (S & mask).bit_count() & 1 else c
-                for S, c in enumerate(self.coeffs)
-            ),
+            tuple(-n if (S & mask).bit_count() & 1 else n for S, n in enumerate(self.nums)),
+            self.den,
         )
 
     def rational_norm(self) -> Fraction:
         """Product of all real conjugates (the norm down to Q)."""
         acc = self
         for j in range(self.tower.r):
-            acc = acc * acc.conjugate(Embedding(self.tower, 1 << j))
-        assert acc.is_rational
-        return acc.coeffs[0]
+            acc = acc * acc.conjugate(self.tower.embeddings()[1 << j])
+        if not acc.is_rational:
+            raise RuntimeError("conjugate product must be rational")
+        return acc.rational_value()
 
     def support_classes(self) -> frozenset[int]:
         t = self.tower
-        return frozenset(t.basis_class[S] for S, c in enumerate(self.coeffs) if c)
+        return frozenset(t.basis_class[S] for S, n in enumerate(self.nums) if n)
 
     def express_in(self, target: FieldTower) -> "FieldElement":
         """Rewrite over another tower; raises ValueError if not contained."""
         if target is self.tower:
             return self
-        out = [_ZERO] * target.degree
-        for S, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            t = self.tower.basis_class[S]
-            mask = target.class_to_mask.get(t)
-            if mask is None:
-                raise ValueError(f"element does not lie in {target}")
-            out[mask] += c * Fraction(self.tower.basis_scale[S], target.basis_scale[mask])
-        return FieldElement(target, tuple(out))
+        src = self.tower
+        terms = []
+        for S, n in enumerate(self.nums):
+            if n:
+                mask = target.class_to_mask.get(src.basis_class[S])
+                if mask is None:
+                    raise ValueError(f"element does not lie in {target}")
+                # n * alpha_S = n * scale_S / scale_mask * alpha'_mask
+                terms.append((mask, n * src.basis_scale[S], target.basis_scale[mask]))
+        m = lcm(*(s for _, _, s in terms))
+        out = [0] * target.degree
+        for mask, n, s in terms:
+            out[mask] += n * (m // s)
+        return FieldElement(target, tuple(out), self.den * m)
 
     def __repr__(self) -> str:
         return f"<{element_literal(self)} in {self.tower}>"
@@ -460,22 +495,23 @@ def embeddings(tower: FieldTower) -> tuple[Embedding, ...]:
 
 def approx_interval(x: FieldElement, sigma: Embedding, bits: int) -> tuple[Fraction, Fraction]:
     """Exact rational interval [lo, hi] containing sigma(x), width <= terms/2^bits."""
-    lo = hi = _ZERO
-    scale = 1 << bits
+    lo = hi = 0
     scale2 = 1 << (2 * bits)
-    tower = x.tower
-    for S, c in enumerate(x.coeffs):
-        if not c:
+    rad = x.tower.basis_radicand
+    for S, n in enumerate(x.nums):
+        if not n:
             continue
         if (S & sigma.mask).bit_count() & 1:
-            c = -c
-        m = tower.basis_radicand[S]
-        a = isqrt(m * scale2)  # a <= sqrt(m)*2^bits < a+1
-        t1 = c * Fraction(a, scale)
-        t2 = c * Fraction(a + 1, scale)
-        lo += min(t1, t2)
-        hi += max(t1, t2)
-    return lo, hi
+            n = -n
+        a = isqrt(rad[S] * scale2)  # a <= sqrt(m)*2^bits < a+1
+        if n > 0:
+            lo += n * a
+            hi += n * (a + 1)
+        else:
+            lo += n * (a + 1)
+            hi += n * a
+    den = x.den << bits
+    return Fraction(lo, den), Fraction(hi, den)
 
 
 def sign_at(x: FieldElement, sigma: Embedding) -> int:
@@ -499,7 +535,7 @@ def _rational_square(q: Fraction) -> tuple[bool, Fraction | None]:
     if q < 0:
         return False, None
     if q == 0:
-        return True, _ZERO
+        return True, q
     n = q.numerator * q.denominator
     s = isqrt(n)
     if s * s != n:
@@ -513,25 +549,16 @@ def _split_top(x: FieldElement) -> tuple[FieldElement, FieldElement, int, FieldT
     d = tower.radicands[-1]
     sub = make_field(tower.radicands[:-1])
     half = sub.degree
-    top = 1 << (tower.r - 1)
-    ucs = [_ZERO] * half
-    vcs = [_ZERO] * half
-    for S, c in enumerate(x.coeffs):
-        if S & top:
-            vcs[S ^ top] = c
-        else:
-            ucs[S] = c
     # prefix basis products agree with the sub tower's, coefficients carry over
-    return FieldElement(sub, tuple(ucs)), FieldElement(sub, tuple(vcs)), d, sub
+    u = FieldElement(sub, x.nums[:half], x.den)
+    v = FieldElement(sub, x.nums[half:], x.den)
+    return u, v, d, sub
 
 
 def _embed_up(x: FieldElement, tower: FieldTower, with_root: bool) -> FieldElement:
     """Lift an element of the prefix tower, optionally multiplied by sqrt(top)."""
-    top = 1 << (tower.r - 1)
-    cs = [_ZERO] * tower.degree
-    for S, c in enumerate(x.coeffs):
-        cs[S | top if with_root else S] = c
-    return FieldElement(tower, tuple(cs))
+    pad = (0,) * len(x.nums)
+    return FieldElement(tower, pad + x.nums if with_root else x.nums + pad, x.den)
 
 
 def is_square(x) -> tuple[bool, FieldElement | None]:
@@ -551,7 +578,7 @@ def is_square(x) -> tuple[bool, FieldElement | None]:
         return ok, (make_field([]).rational(w) if ok else None)
     tower = x.tower
     if tower.r == 0:
-        ok, w = _rational_square(x.coeffs[0])
+        ok, w = _rational_square(x.rational_value())
         return ok, (tower.rational(w) if ok else None)
     if not x:
         return True, tower.zero()
@@ -560,12 +587,14 @@ def is_square(x) -> tuple[bool, FieldElement | None]:
         ok, p = is_square(u)
         if ok:
             w = _embed_up(p, tower, False)
-            assert w * w == x
+            if w * w != x:
+                raise RuntimeError("square witness check failed")
             return True, w
         ok, p = is_square(u * d)
         if ok:
             w = _embed_up(p * Fraction(1, d), tower, True)
-            assert w * w == x
+            if w * w != x:
+                raise RuntimeError("square witness check failed")
             return True, w
         return False, None
     ok, s = is_square(u * u - v * v * d)
@@ -633,7 +662,7 @@ def minimal_polynomial(x: FieldElement) -> list[Fraction]:
     seen = set()
     for sigma in x.tower.embeddings():
         y = x.conjugate(sigma)
-        key = y.canonical_terms()
+        key = (y.den, y.nums)
         if key not in seen:
             seen.add(key)
             orbit.append(y)
@@ -646,7 +675,8 @@ def minimal_polynomial(x: FieldElement) -> list[Fraction]:
         poly = nxt
     out = []
     for c in poly:
-        assert c.is_rational, "minimal polynomial must have rational coefficients"
+        if not c.is_rational:
+            raise RuntimeError("minimal polynomial must have rational coefficients")
         out.append(c.rational_value())
     return out
 
@@ -668,17 +698,12 @@ def integral_rescale(x: FieldElement) -> FieldElement:
     with squarefree content.  Same square class, algebraic integer output."""
     if not x:
         raise ValueError("cannot rescale 0")
-    den = 1
-    for c in x.coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    y = x * (den * den)
-    g = 0
-    for c in y.coeffs:
-        g = gcd(g, c.numerator)
+    # den is the lcm of the coefficient denominators, so x * den^2 = nums * den
+    nums = tuple(n * x.den for n in x.nums)
     s = 1
-    for p, e in factorize(g):
+    for p, e in factorize(gcd(*nums)):
         s *= p ** (e // 2)
-    return y * Fraction(1, s * s)
+    return FieldElement(x.tower, nums, s * s)
 
 
 # -- element literals ----------------------------------------------------

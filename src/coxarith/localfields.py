@@ -797,9 +797,9 @@ class LocalModel:
 
     def embed(self, x: FieldElement, eps_mask: int) -> _Elt:
         acc = self.mrat(0)
-        for S, c in enumerate(x.coeffs):
-            if c:
-                term = self.mmul(self.mrat(c), self._phi(S))
+        for S, n in enumerate(x.nums):
+            if n:
+                term = self.mmul(self.mrat(Fraction(n, x.den)), self._phi(S))
                 if (S & eps_mask).bit_count() & 1:
                     term = self.mneg(term)
                 acc = self.madd(acc, term)

@@ -53,7 +53,8 @@ class Ball:
     def __init__(self, value, err=0):
         self.value = Fraction(value)
         self.err = Fraction(err)
-        assert self.err >= 0
+        if self.err < 0:
+            raise ValueError("ball radius must be nonnegative")
 
     def __add__(self, other: "Ball") -> "Ball":
         return Ball(self.value + other.value, self.err + other.err)

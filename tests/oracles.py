@@ -7,11 +7,18 @@ primitive solution modulo p^k for a fixed small k (Hensel lifting needs a
 variable whose partial derivative has valuation at most 1 for odd p, at
 most 2 for p = 2; v_p(a), v_p(b) <= 1 keeps us inside that range with
 k = 3 respectively k = 7).
+
+Two references for the field layer live here as well: the determinant
+identity of the multiquadratic basis (`basis_det_check`, criterion 6) and
+dense Fraction-vector arithmetic that `coxarith.fields` is compared with.
 """
 
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from math import gcd, isqrt
 
 import numpy as np
+from coxarith.fields import element_literal
 
 
 def _strip_squares(n: int, p: int) -> int:
@@ -124,8 +131,6 @@ def is_square_quadratic(c0: Fraction, c1: Fraction, d: int) -> bool:
 
 
 def _is_rat_square(q: Fraction) -> bool:
-    from math import isqrt
-
     q = Fraction(q)
     if q < 0:
         return False
@@ -134,7 +139,232 @@ def _is_rat_square(q: Fraction) -> bool:
 
 
 def _rat_sqrt(q: Fraction) -> Fraction:
-    from math import isqrt
-
     q = Fraction(q)
     return Fraction(isqrt(q.numerator), isqrt(q.denominator))
+
+
+# -- determinant identity for the multiquadratic basis ----------------------
+
+
+def _int_det(rows: list[list[int]]) -> int:
+    """Exact integer determinant (fraction-free Bareiss)."""
+    a = [row[:] for row in rows]
+    n = len(a)
+    sign = 1
+    prev = 1
+    for i in range(n - 1):
+        if not a[i][i]:
+            for j in range(i + 1, n):
+                if a[j][i]:
+                    a[i], a[j] = a[j], a[i]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for j in range(i + 1, n):
+            for t in range(i + 1, n):
+                a[j][t] = (a[j][t] * a[i][i] - a[j][i] * a[i][t]) // prev
+            a[j][i] = 0
+        prev = a[i][i]
+    return sign * a[-1][-1]
+
+
+def _det_field(rows, tower):
+    a = [row[:] for row in rows]
+    n = len(a)
+    det = tower.one()
+    for i in range(n):
+        piv = next((j for j in range(i, n) if a[j][i]), None)
+        if piv is None:
+            return tower.zero()
+        if piv != i:
+            a[i], a[piv] = a[piv], a[i]
+            det = -det
+        det = det * a[i][i]
+        inv = tower.one() / a[i][i]
+        for j in range(i + 1, n):
+            if a[j][i]:
+                fac = a[j][i] * inv
+                a[j] = [x - fac * y for x, y in zip(a[j], a[i])]
+    return det
+
+
+def basis_det_check(tower) -> dict:
+    """Exact check of det(sigma_j(alpha_i)) = det(B) * prod(alpha_i).
+
+    B is the sign matrix sigma_j(alpha_i)/alpha_i over the multiquadratic
+    basis alpha_S; its determinant is computed as an integer, the left side
+    independently by Gaussian elimination in the field.
+    """
+    deg = tower.degree
+    alphas = []
+    for S in range(deg):
+        cs = [Fraction(0)] * deg
+        cs[S] = Fraction(1)
+        alphas.append(tower.element(cs))
+    embs = tower.embeddings()
+    B = [[-1 if (S & sigma.mask).bit_count() & 1 else 1 for S in range(deg)]
+         for sigma in embs]
+    det_b = _int_det(B)
+    M = [[alphas[S].conjugate(sigma) for S in range(deg)] for sigma in embs]
+    det_m = _det_field(M, tower)
+    prod = tower.one()
+    for x in alphas:
+        prod = prod * x
+    return {
+        "radicands": list(tower.radicands),
+        "r": tower.r,
+        "det_B": det_b,
+        # both readings of the determinant: the embedding matrix itself and
+        # its square (the discriminant of the trace form on this basis)
+        "det": element_literal(det_m),
+        "det_squared": str((det_m * det_m).rational_value()),
+        "identity_holds": det_m == tower.rational(det_b) * prod,
+    }
+
+
+# -- dense Fraction-vector multiquadratic arithmetic -------------------------
+#
+# A reference for coxarith.fields that shares none of its code: an element of
+# Q(sqrt(d_1), ..., sqrt(d_r)) is a list of 2^r Fractions over the basis
+# alpha_S = sqrt(prod_{j in S} d_j).  Inverses and norms come from the
+# multiplication matrix (linear solve, determinant), not from conjugates.
+
+
+def _squarefree_split(m: int) -> tuple[int, int]:
+    """m = s^2 * t with t squarefree, by trial division; returns (t, s)."""
+    t, s, p = 1, 1, 2
+    while p * p <= m:
+        while m % (p * p) == 0:
+            m //= p * p
+            s *= p
+        if m % p == 0:
+            m //= p
+            t *= p
+        p += 1
+    return t * m, s
+
+
+def dense_products(rads) -> list[int]:
+    """alpha_S^2 for every bitmask S."""
+    out = []
+    for S in range(1 << len(rads)):
+        m = 1
+        for j, d in enumerate(rads):
+            if (S >> j) & 1:
+                m *= d
+        out.append(m)
+    return out
+
+
+def dense_mul(rads, x, y) -> list[Fraction]:
+    m = dense_products(rads)
+    out = [Fraction(0)] * len(x)
+    for S, a in enumerate(x):
+        for T, b in enumerate(y):
+            out[S ^ T] += a * b * m[S & T]
+    return out
+
+
+def dense_conjugate(x, mask: int) -> list[Fraction]:
+    return [-c if bin(S & mask).count("1") % 2 else c for S, c in enumerate(x)]
+
+
+def _mul_matrix(rads, x) -> list[list[Fraction]]:
+    """Column T is x * alpha_T."""
+    deg = len(x)
+    cols = [dense_mul(rads, x, [Fraction(int(S == T)) for S in range(deg)]) for T in range(deg)]
+    return [[cols[T][S] for T in range(deg)] for S in range(deg)]
+
+
+def _eliminate(a: list[list[Fraction]]) -> tuple[Fraction, list[list[Fraction]]]:
+    """Gauss-Jordan on an augmented matrix; (determinant of the square part, rows)."""
+    a = [row[:] for row in a]
+    n = len(a)
+    det = Fraction(1)
+    for i in range(n):
+        piv = next((j for j in range(i, n) if a[j][i]), None)
+        if piv is None:
+            return Fraction(0), a
+        if piv != i:
+            a[i], a[piv] = a[piv], a[i]
+            det = -det
+        det *= a[i][i]
+        a[i] = [c / a[i][i] for c in a[i]]
+        for j in range(n):
+            if j != i and a[j][i]:
+                f = a[j][i]
+                a[j] = [c - f * d for c, d in zip(a[j], a[i])]
+    return det, a
+
+
+def dense_inverse(rads, x) -> list[Fraction]:
+    """The z with x * z = 1, from the linear system of multiplication by x."""
+    deg = len(x)
+    aug = [row + [Fraction(int(S == 0))] for S, row in enumerate(_mul_matrix(rads, x))]
+    _, rows = _eliminate(aug)
+    return [rows[S][deg] for S in range(deg)]
+
+
+def dense_norm(rads, x) -> Fraction:
+    """The norm down to Q: the determinant of multiplication by x."""
+    return _eliminate(_mul_matrix(rads, x))[0]
+
+
+def dense_canonical(rads, x) -> list[tuple[int, Fraction]]:
+    """Sorted (square class t, coefficient of sqrt(t)) pairs, nonzero only."""
+    out = []
+    for m, c in zip(dense_products(rads), x):
+        if c:
+            t, s = _squarefree_split(m)
+            out.append((t, c * s))
+    return sorted(out)
+
+
+def dense_express(rads, x, target_rads) -> list[Fraction]:
+    """x rewritten over the target tower; KeyError if it does not lie there."""
+    where = {}
+    for T, m in enumerate(dense_products(target_rads)):
+        t, s = _squarefree_split(m)
+        where[t] = (T, s)
+    out = [Fraction(0)] * (1 << len(target_rads))
+    for t, c in dense_canonical(rads, x):
+        T, s = where[t]
+        out[T] += c / s
+    return out
+
+
+def dense_interval(rads, x, mask: int, bits: int) -> tuple[Fraction, Fraction]:
+    """[lo, hi] around sigma_mask(x) from 2^-bits roundings of every sqrt(alpha_S^2)."""
+    lo = hi = Fraction(0)
+    for m, c in zip(dense_products(rads), dense_conjugate(x, mask)):
+        if c:
+            a = isqrt(m << (2 * bits))
+            t1, t2 = c * Fraction(a, 1 << bits), c * Fraction(a + 1, 1 << bits)
+            lo += min(t1, t2)
+            hi += max(t1, t2)
+    return lo, hi
+
+
+def dense_sign(rads, x, mask: int) -> int:
+    """Sign of sigma_mask(x), in 80-digit decimal arithmetic."""
+    if not any(x):
+        return 0
+    with localcontext() as ctx:
+        ctx.prec = 80
+        v = sum(Decimal(c.numerator) / Decimal(c.denominator) * Decimal(m).sqrt()
+                for m, c in zip(dense_products(rads), dense_conjugate(x, mask)))
+    return 1 if v > 0 else -1
+
+
+def dense_integral_rescale(x) -> list[Fraction]:
+    """x * q^2 with q rational, integer coefficients and squarefree content."""
+    den = 1
+    for c in x:
+        den = den * c.denominator // gcd(den, c.denominator)
+    ints = [int(c * den * den) for c in x]
+    g = 0
+    for n in ints:
+        g = gcd(g, n)
+    _, s = _squarefree_split(g)
+    return [Fraction(n, s * s) for n in ints]

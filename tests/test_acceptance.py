@@ -249,7 +249,7 @@ def test_criterion_6_structural_invariance(capsys):
         n_towers = 0
         for size in (1, 2, 3):
             for S in combinations((2, 3, 5, 6, 7, 10, 13, 15), size):
-                res = classify.basis_det_check(make_field(S))
+                res = oracles.basis_det_check(make_field(S))
                 assert res["det_B"] != 0
                 assert res["identity_holds"]
                 n_towers += 1

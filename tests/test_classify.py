@@ -11,7 +11,6 @@ from coxarith.classify import (
     PSEUDO_ARITHMETIC,
     QUASI_ARITHMETIC,
     UNDETERMINED,
-    basis_det_check,
     classify_diagram,
     descend_field,
     find_admissible_model,
@@ -19,6 +18,7 @@ from coxarith.classify import (
 )
 from coxarith.fields import make_field, parse_element
 from coxarith.forms import QuadraticForm
+from oracles import basis_det_check
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 

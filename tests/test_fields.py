@@ -1,18 +1,26 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from math import gcd
 
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coxarith import fields
 from coxarith.fields import (
     Embedding,
+    FieldElement,
     approx_interval,
     element_literal,
     embeddings,
     factorize,
     fixing_embeddings,
     intersect,
+    integral_rescale,
     is_algebraic_integer,
     is_square,
     make_field,
@@ -364,3 +372,123 @@ def test_literal_formatting():
     assert element_literal(t.zero()) == "0"
     assert element_literal(t.element([Fraction(-1, 2), 1])) == "-1/2+sqrt(2)"
     assert element_literal(t.element([0, -1])) == "-sqrt(2)"
+
+
+# -- integer numerators against the dense Fraction-vector oracle -------------
+
+SUPER = make_field([2, 3, 5, 7])
+
+
+def assert_matches(x, dense):
+    """x is normalised and has the oracle's coefficients."""
+    assert len(x.nums) == x.tower.degree
+    assert all(type(n) is int for n in x.nums) and type(x.den) is int
+    assert x.den > 0 and gcd(x.den, *x.nums) == 1
+    assert any(x.nums) or x.den == 1
+    assert list(x.coeffs) == list(dense)
+
+
+def test_field_ops_match_dense_fraction_oracle():
+    rng = random.Random(20261018)
+    dens = (1, 2, 3, 4, 5, 6, 9, 10)
+    for tower in TOWERS:
+        rads = tower.radicands
+        for _ in range(16):
+            x = rand_element(tower, rng, scale=7, dens=dens)
+            y = rand_nonzero(tower, rng, scale=7, dens=dens)
+            dx, dy = list(x.coeffs), list(y.coeffs)
+            assert_matches(FieldElement(tower, tuple(-3 * n for n in x.nums), -3 * x.den), dx)
+            assert_matches(x + y, [a + b for a, b in zip(dx, dy)])
+            assert_matches(x - y, [a - b for a, b in zip(dx, dy)])
+            assert_matches(x - x, [0] * tower.degree)
+            assert_matches(-x, [-a for a in dx])
+            assert_matches(x * y, oracles.dense_mul(rads, dx, dy))
+            assert_matches(x * Fraction(-4, 15), [a * Fraction(-4, 15) for a in dx])
+            assert_matches(3 - x, [3 - dx[0]] + [-a for a in dx[1:]])
+            assert_matches(y.inverse(), oracles.dense_inverse(rads, dy))
+            assert_matches(x / y, oracles.dense_mul(rads, dx, oracles.dense_inverse(rads, dy)))
+            assert y.rational_norm() == oracles.dense_norm(rads, dy)
+            assert_matches(integral_rescale(y), oracles.dense_integral_rescale(dy))
+            for sigma in tower.embeddings():
+                assert_matches(x.conjugate(sigma), oracles.dense_conjugate(dx, sigma.mask))
+                for bits in (4, 64):
+                    assert approx_interval(x, sigma, bits) == oracles.dense_interval(
+                        rads, dx, sigma.mask, bits)
+                for z, dz in ((x, dx), (y, dy), (x * y, oracles.dense_mul(rads, dx, dy))):
+                    assert sign_at(z, sigma) == oracles.dense_sign(rads, dz, sigma.mask)
+            # up to a supertower and back
+            up = x.express_in(SUPER)
+            assert_matches(up, oracles.dense_express(rads, dx, SUPER.radicands))
+            assert up.express_in(tower) == x and up == x and hash(up) == hash(x)
+            assert up.canonical_terms() == tuple(oracles.dense_canonical(rads, dx))
+            assert up + 1 != x
+            # down from the tower to a subtower and back
+            for sub in subfields_index2(tower):
+                z = rand_element(sub, rng, scale=7, dens=dens)
+                dz = list(z.coeffs)
+                zt = z.express_in(tower)
+                assert_matches(zt, oracles.dense_express(sub.radicands, dz, rads))
+                assert_matches(zt.express_in(sub), dz)
+                assert zt == z and hash(zt) == hash(z)
+                if any(c for t, c in oracles.dense_canonical(rads, dx)
+                       if t not in sub.subgroup_classes):
+                    with pytest.raises(ValueError):
+                        x.express_in(sub)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.tuples(*(st.fractions(max_denominator=12) for _ in range(4))),
+    st.tuples(*(st.fractions(max_denominator=12) for _ in range(4))),
+)
+def test_mul_and_inverse_match_dense_oracle_hypothesis(cx, cy):
+    t = make_field([2, 3])
+    x, y = t.element(cx), t.element(cy)
+    assert_matches(x * y, oracles.dense_mul(t.radicands, list(cx), list(cy)))
+    if y:
+        assert_matches(y.inverse(), oracles.dense_inverse(t.radicands, list(cy)))
+
+
+# -- checks that survive python -O --------------------------------------------
+
+_CHECKS_UNDER_O = """
+import sys
+from coxarith import diagrams, fields, lvalues
+
+if __debug__:
+    sys.exit("expected python -O")
+d = diagrams.parse_diagram("dim 2\\nvertices 3\\nedge 1 2 3\\nedge 2 3 3\\nedge 1 3 4\\n", "t334")
+try:
+    d.relabeled([1, 1, 2])
+except ValueError as exc:
+    print(exc)
+for bad in (lambda: lvalues.Ball(1, -1), lambda: fields.FieldTower((2, 8), fields._TOKEN)):
+    try:
+        bad()
+    except ValueError as exc:
+        print(exc)
+honest = fields._embed_up
+fields._embed_up = lambda x, tower, with_root: honest(x, tower, with_root) * 2
+t = fields.make_field([2])
+for q in (4, 2):  # a square of the prefix field, and one times sqrt(2)
+    try:
+        fields.is_square(t.rational(q))
+    except RuntimeError as exc:
+        print(q, exc)
+"""
+
+
+def test_checks_survive_python_O():
+    src = os.path.dirname(os.path.dirname(fields.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-O", "-c", _CHECKS_UNDER_O], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        "relabeling is not a permutation of the vertices",
+        "ball radius must be nonnegative",
+        "radicands not independent",
+        "4 square witness check failed",
+        "2 square witness check failed",
+    ]
