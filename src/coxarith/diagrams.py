@@ -16,9 +16,9 @@ with cospi(m) allowed as a term.  Supported labels are m in
 multiquadratic field.
 
 The trace field of a diagram is generated by the squared Gram entries
-and the products of entries around simple cycles.  The ambient form is
-the Gram matrix of a full-rank subset of the (rescaled) normal vectors,
-written over the trace field and diagonalized there.
+and the products of entries around simple cycles, or equally by the Gram
+matrix of the normals rescaled by path products from vertex 1.  The
+ambient form is that matrix, diagonalized once over the trace field.
 """
 
 from __future__ import annotations
@@ -305,58 +305,46 @@ def _cycle_product(diagram: CoxeterDiagram, cycle: tuple[int, ...]) -> FieldElem
     return out
 
 
+def _rescaled_gram(diagram: CoxeterDiagram) -> list[list[FieldElement]]:
+    """A[s][t] = c_s*c_t*G[s][t], c_v the product of Gram entries along a
+    breadth-first path from vertex 1 to v: each entry is a closed-walk product."""
+    c: dict[int, FieldElement] = {1: diagram.tower.one()}
+    order = [1]
+    for v in order:
+        for w in diagram.neighbors(v):
+            if w not in c:
+                c[w] = c[v] * diagram.entries[(min(v, w), max(v, w))]
+                order.append(w)
+    zero, r = diagram.tower.zero(), diagram.size
+    A = [[zero] * r for _ in range(r)]
+    for v, cv in c.items():
+        A[v - 1][v - 1] = cv * cv
+    for (i, j), a in diagram.entries.items():
+        A[i - 1][j - 1] = A[j - 1][i - 1] = c[i] * c[j] * a
+    return A
+
+
 def trace_field_of(diagram: CoxeterDiagram) -> FieldTower:
-    """Field generated by squared Gram entries and simple cycle products."""
-    gens = [a * a for a in diagram.entries.values()]
-    gens.extend(_cycle_product(diagram, c) for c in simple_cycles(diagram))
-    gens = [g for g in gens if g]
-    return fields.minimal_field_of(gens) if gens else make_field([])
+    """The field of the path-rescaled Gram entries, which is the trace field:
+    a cyclic product G[i1][i2]*...*G[ik][i1] is the product of the rescaled
+    entries along the cycle over the c_i^2 at its vertices."""
+    A = _rescaled_gram(diagram)
+    return fields.minimal_field_of(x for row in A for x in row)
 
 
 def ambient_form(diagram: CoxeterDiagram) -> QuadraticForm:
     """The form of signature (n,1) spanned by the facet normals, over the trace field.
 
-    Normals are rescaled by path products from the base vertex (vertex 1),
-    which drags every entry into the trace field.  Rows of the Gram matrix
-    G are selected greedily until they span its row space; for such a
-    basis S, G is congruent to G[S,S] + 0, so the signature is read off
-    the diagonalized G[S,S] at the identity embedding, and SignatureError
-    is raised unless S has n+1 rows and that signature is (n,1).
+    The path-rescaled Gram matrix A is diagonalized once over the trace
+    field K.  A is congruent to diag(D) + 0, so its rank and signature are
+    read off the nonzero entries of D at the identity embedding, and
+    SignatureError is raised unless there are n+1 of them, of signature (n,1).
     """
-    n, r = diagram.dim, diagram.size
-    G = diagram.gram_rows()
-    K = trace_field_of(diagram)
-    # path products from the base vertex
-    c: dict[int, FieldElement] = {1: diagram.tower.one()}
-    order = [1]
-    while order:
-        v = order.pop(0)
-        for w in diagram.neighbors(v):
-            if w not in c:
-                key = (min(v, w), max(v, w))
-                c[w] = c[v] * diagram.entries[key]
-                order.append(w)
-    # greedy row-rank selection: a basis of the row space of G
-    basis: list[list[FieldElement]] = []
-    pivots: list[int] = []
-    selected: list[int] = []
-    for v in range(1, r + 1):
-        row = [G[v - 1][t] for t in range(r)]
-        for brow, piv in zip(basis, pivots):
-            if row[piv]:
-                fac = row[piv] / brow[piv]
-                row = [x - fac * y for x, y in zip(row, brow)]
-        piv = next((t for t, x in enumerate(row) if x), None)
-        if piv is not None:
-            basis.append(row)
-            pivots.append(piv)
-            selected.append(v)
-    if len(selected) != n + 1:
+    n = diagram.dim
+    A = _rescaled_gram(diagram)
+    K = fields.minimal_field_of(x for row in A for x in row)
+    diag, _ = forms._sym_diagonalize(A, K)
+    form = QuadraticForm(K, [x for x in diag if x], diagram.name)
+    if form.rank != n + 1 or forms.signature_at(form, K.identity_embedding) != (n, 1):
         raise SignatureError(f"not a hyperbolic polytope of dimension {n}")
-    A = [[(c[s] * c[t] * G[s - 1][t - 1]).express_in(K) for t in selected]
-         for s in selected]
-    form, _ = forms.diagonalize(A, K)
-    if forms.signature_at(form, K.identity_embedding) != (n, 1):
-        raise SignatureError(f"not a hyperbolic polytope of dimension {n}")
-    form.label = diagram.name
     return form

@@ -80,7 +80,11 @@ class QuadraticForm:
 
 
 def _sym_diagonalize(rows: Sequence[Sequence], tower: FieldTower):
-    """Exact congruence diagonalization; zero rows allowed (left as zeros)."""
+    """Exact congruence diagonalization: (D, T) with T^t A T = diag(D).
+
+    A may be singular: D then ends in zeros, and its nonzero entries number
+    the rank of A.
+    """
     n = len(rows)
     A = [[tower.coerce(x) for x in row] for row in rows]
     for i in range(n):

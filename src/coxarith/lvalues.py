@@ -205,13 +205,18 @@ ZETA_COEFF = Fraction(73, 23040)
 L_COEFF = Fraction(1, 360)
 
 
+def _volume_terms(digits: int, zeta_coeff: Fraction,
+                  l_coeff: Fraction) -> tuple[Ball, Ball, Ball]:
+    """(volume, zeta(3), L(chi_8, 3)) as balls, each evaluated at digits + 4."""
+    work = digits + 4
+    z, l3 = zeta3(work), l_chi8(3, work)
+    return z.scale(zeta_coeff) + (sqrt_ball(2, work) * l3).scale(l_coeff), z, l3
+
+
 def volume_ball(digits: int, zeta_coeff: Fraction = ZETA_COEFF,
                 l_coeff: Fraction = L_COEFF) -> Ball:
     """zeta_coeff * zeta(3) + l_coeff * sqrt(2) * L(chi_8, 3), certified."""
-    work = digits + 4
-    z = zeta3(work).scale(zeta_coeff)
-    lterm = (sqrt_ball(2, work) * l_chi8(3, work)).scale(l_coeff)
-    return z + lterm
+    return _volume_terms(digits, zeta_coeff, l_coeff)[0]
 
 
 def delta5_volume_check(digits: int = 24) -> dict:
@@ -222,7 +227,7 @@ def delta5_volume_check(digits: int = 24) -> dict:
     """
     if not 5 <= digits <= 60:
         raise ValueError("digits out of range [5, 60]")
-    vol = volume_ball(digits)
+    vol, z3, l3 = _volume_terms(digits, ZETA_COEFF, L_COEFF)
     ref_err = Fraction(1, 2 * 10**26)  # half ulp of the printed reference
     diff = abs(vol.value - REFERENCE_VOLUME)
     total = diff + vol.err + ref_err
@@ -241,8 +246,8 @@ def delta5_volume_check(digits: int = 24) -> dict:
         "error_exponent": _exp10(vol.err),
         "match": bool(match),
         "certified_significant_digits": certified,
-        "zeta3": decimal_str(zeta3(digits).value, digits),
-        "l_chi8_3": decimal_str(l_chi8(3, digits).value, digits),
+        "zeta3": decimal_str(z3.value, digits),
+        "l_chi8_3": decimal_str(l3.value, digits),
         "zeta_coeff": str(ZETA_COEFF),
         "l_coeff": str(L_COEFF),
         "direct_route_consistent": bool(direct.agrees_with(vol)),

@@ -125,6 +125,12 @@ def test_simple_cycles():
     assert simple_cycles(path) == []
 
 
+def _cycle_trace_field(d):
+    gens = [a * a for a in d.entries.values()]
+    gens += [diagrams._cycle_product(d, c) for c in simple_cycles(d)]
+    return fields.minimal_field_of(gens)
+
+
 def test_trace_field_examples():
     d = parse_diagram(DELTA5, "delta5")
     assert trace_field_of(d) == make_field([2])
@@ -134,6 +140,16 @@ def test_trace_field_examples():
     # no cycles, so the trace field collapses to Q
     tree = parse_diagram("dim 2\nvertices 3\nedge 1 2 4\nedge 2 3 4\n")
     assert trace_field_of(tree) == make_field([])
+    # the rescaled-Gram field against its definition (squared entries and
+    # simple cycle products), on the corpus and seeded relabelings
+    rng = random.Random(11)
+    for p in sorted(glob.glob(os.path.join(CORPUS, "*.cox"))):
+        d = load_diagram(p)
+        for _ in range(4):
+            assert trace_field_of(d) == _cycle_trace_field(d), d.name
+            perm = list(range(1, d.size + 1))
+            rng.shuffle(perm)
+            d = d.relabeled(perm)
 
 
 def test_ambient_form_signature_and_field():
@@ -181,6 +197,16 @@ def test_relabeled_ambient_form_is_isometric():
     rotated = d.relabeled([4, 5, 6, 1, 2, 3])  # new base vertex
     g = ambient_form(rotated)
     assert forms.globally_isometric(f, g)
+    # orders on which the elimination meets a zero pivot among the first
+    # n+1 rows, so the diagonal differs; it must stay isometric
+    for name, perm in (("fig3a", [4, 8, 6, 7, 3, 5, 2, 1]),
+                       ("fig3b", [2, 1, 3, 4, 7, 5, 6, 8])):
+        d = load_diagram(os.path.join(CORPUS, f"{name}.cox"))
+        f, g = ambient_form(d), ambient_form(d.relabeled(perm))
+        assert g.tower == f.tower and g.rank == f.rank == d.dim + 1
+        assert forms.signature_at(g, g.tower.identity_embedding) == (d.dim, 1)
+        assert g.diagonal != f.diagonal
+        assert forms.globally_isometric(f, g), name
 
 
 def test_corpus_parses_and_is_hyperbolic():

@@ -95,6 +95,81 @@ def test_singular_gram_rejected():
         QuadraticForm(Q, [1, 0, 2])
 
 
+def singular_gram(tower, rng, blocks, n, isotropic):
+    """(X^t B X, m, the signatures of B at every embedding), X of size m x n.
+
+    B is block diagonal: "d" is a nonzero 1x1 entry, "h" a scaled
+    hyperbolic plane [[0, c], [c, 0]].  X has the m unit vectors among its
+    columns, so it has full row rank and X^t B X is congruent to B + 0: its
+    rank is m and its signatures are B's.  With isotropic=True every column
+    of X is a multiple of a unit vector of some plane (all blocks must be
+    "h"), so the Gram has zero diagonal; otherwise the first column is
+    isotropic whenever B has a plane.
+    """
+    entries, planes = [], []
+    for kind in blocks:
+        if kind == "d":
+            entries.append([len(entries), len(entries), rand_nonzero(tower, rng)])
+        else:
+            p, c = len(entries), rand_nonzero(tower, rng)
+            planes.append(p)
+            entries += [[p, p + 1, c], [p + 1, p, c]]
+    m = len(entries)  # one entry per coordinate
+    B = [[tower.zero()] * m for _ in range(m)]
+    for i, j, c in entries:
+        B[i][j] = c
+    unit = [[tower.rational(int(i == j)) for i in range(m)] for j in range(m)]
+    cols = list(unit)
+    while len(cols) < n:
+        if isotropic:
+            col = [tower.zero()] * m
+            col[rng.randrange(m)] = rand_nonzero(tower, rng)
+        else:
+            col = [tower.element([Fraction(rng.randint(-2, 2)) for _ in range(tower.degree)])
+                   for _ in range(m)]
+        cols.append(col)
+    rng.shuffle(cols)
+    if planes and not isotropic:
+        first = unit[planes[0]]
+        cols.remove(first)
+        cols.insert(0, first)
+    X = transpose(cols)
+    singles = [c for i, j, c in entries if i == j]
+    sigs = []
+    for sigma in tower.embeddings():
+        pos = sum(1 for c in singles if fields.sign_at(c, sigma) > 0)
+        sigs.append((pos + len(planes), len(singles) - pos + len(planes)))
+    return mat_mul(transpose(X), mat_mul(B, X)), m, sigs
+
+
+def test_sym_diagonalize_counts_the_rank_of_singular_grams():
+    rng = random.Random(113)
+    swaps = pairs = 0
+    for tower in (Q, Q2, Q23):
+        for blocks, extra in ((["d"], 2), (["d", "d"], 2), (["h"], 1), (["h"], 3),
+                              (["d", "h"], 2), (["h", "d", "d"], 1), (["h", "h"], 2),
+                              (["d", "d", "d"], 0)):
+            for isotropic in ((False, True) if "d" not in blocks else (False,)):
+                width = len(blocks) + blocks.count("h") + extra
+                A, m, sigs = singular_gram(tower, rng, blocks, width, isotropic)
+                n = len(A)
+                if all(not A[i][i] for i in range(n)):
+                    pairs += 1  # the hyperbolic-pair branch runs at step 0
+                elif not A[0][0]:
+                    swaps += 1  # the swap branch runs at step 0
+                diag, T = _sym_diagonalize(A, tower)
+                D = [c for c in diag if c]
+                assert len(D) == m, (tower, blocks, isotropic)
+                TAT = mat_mul(transpose(T), mat_mul(A, T))
+                for i in range(n):
+                    for j in range(n):
+                        assert TAT[i][j] == (diag[i] if i == j else tower.zero())
+                form = QuadraticForm(tower, D)
+                for sigma, sig in zip(tower.embeddings(), sigs):
+                    assert signature_at(form, sigma) == sig
+    assert swaps >= 6 and pairs >= 6
+
+
 # -- transfer ---------------------------------------------------------------
 
 

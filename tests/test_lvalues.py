@@ -157,6 +157,20 @@ def test_volume_digit_range():
             delta5_volume_check(bad)
 
 
+def test_volume_check_prints_correctly_rounded_constants():
+    # zeta(3) and L(chi_8, 3) at every allowed precision, against mpmath
+    # rounded half away from zero (the values are positive)
+    with mp.workdps(90):
+        want = {"zeta3": mp.zeta(3),
+                "l_chi8_3": mp.dirichlet(3, [0, 1, 0, -1, 0, -1, 0, 1])}
+        for digits in range(5, 61):
+            res = delta5_volume_check(digits)
+            for key, x in want.items():
+                n = int(mp.floor(x * 10**digits + mp.mpf(1) / 2))
+                whole, frac = divmod(n, 10**digits)
+                assert res[key] == f"{whole}.{frac:0{digits}d}", (digits, key)
+
+
 def test_zeta2_matches_pi_squared_over_six():
     mp.mp.dps = 45
     ball = hurwitz_zeta(2, Fraction(1), 30)
