@@ -343,7 +343,7 @@ def ambient_form(diagram: CoxeterDiagram) -> QuadraticForm:
     n = diagram.dim
     A = _rescaled_gram(diagram)
     K = fields.minimal_field_of(x for row in A for x in row)
-    diag, _ = forms._sym_diagonalize(A, K)
+    diag = forms._sym_diagonalize(A, K)
     form = QuadraticForm(K, [x for x in diag if x], diagram.name)
     if form.rank != n + 1 or forms.signature_at(form, K.identity_embedding) != (n, 1):
         raise SignatureError(f"not a hyperbolic polytope of dimension {n}")

@@ -1,8 +1,8 @@
 """Diagonal quadratic forms over real multiquadratic towers.
 
 A form is stored by its diagonal after exact congruence reduction of a
-symmetric Gram matrix; the transformation is returned so callers can
-re-check T^t G T = diag(D).  Isometry over the field is decided by the
+symmetric Gram matrix; only the diagonal is kept, not the transformation
+that reaches it.  Isometry over the field is decided by the
 local-global principle: rank, every real signature, the determinant
 square class, and Hasse symbols at the finitely many places where the
 (integrally rescaled) entries are non-units.
@@ -25,7 +25,6 @@ from .fields import Embedding, FieldElement, FieldTower, element_literal, sign_a
 
 __all__ = [
     "QuadraticForm",
-    "diagonalize",
     "signature_at",
     "transfer",
     "globally_isometric",
@@ -79,8 +78,8 @@ class QuadraticForm:
         return "<" + ", ".join(self.literals()) + f"> over {self.tower}"
 
 
-def _sym_diagonalize(rows: Sequence[Sequence], tower: FieldTower):
-    """Exact congruence diagonalization: (D, T) with T^t A T = diag(D).
+def _sym_diagonalize(rows: Sequence[Sequence], tower: FieldTower) -> list[FieldElement]:
+    """Exact congruence diagonalization: D with T^t A T = diag(D); T is not formed.
 
     A may be singular: D then ends in zeros, and its nonzero entries number
     the rank of A.
@@ -93,22 +92,17 @@ def _sym_diagonalize(rows: Sequence[Sequence], tower: FieldTower):
         for j in range(i):
             if A[i][j] != A[j][i]:
                 raise ValueError("gram matrix is not symmetric")
-    T = [[tower.rational(1 if i == j else 0) for j in range(n)] for i in range(n)]
 
     def swap(i, j):
         for t in range(n):
             A[t][i], A[t][j] = A[t][j], A[t][i]
         A[i], A[j] = A[j], A[i]
-        for t in range(n):
-            T[t][i], T[t][j] = T[t][j], T[t][i]
 
     def col_addmul(dst, src, fac):
         for t in range(n):
             A[t][dst] = A[t][dst] + fac * A[t][src]
         for t in range(n):
             A[dst][t] = A[dst][t] + fac * A[src][t]
-        for t in range(n):
-            T[t][dst] = T[t][dst] + fac * T[t][src]
 
     one = tower.one()
     for k in range(n):
@@ -129,15 +123,7 @@ def _sym_diagonalize(rows: Sequence[Sequence], tower: FieldTower):
         for j in range(k + 1, n):
             if A[k][j]:
                 col_addmul(j, k, -(A[k][j] / pivot))
-    return [A[i][i] for i in range(n)], T
-
-
-def diagonalize(gram: Sequence[Sequence], tower: FieldTower):
-    """(QuadraticForm, T) with T^t G T diagonal; raises on singular G."""
-    diag, T = _sym_diagonalize(gram, tower)
-    if not all(diag):
-        raise ValueError("degenerate form")
-    return QuadraticForm(tower, diag), T
+    return [A[i][i] for i in range(n)]
 
 
 def signature_at(form: QuadraticForm, sigma: Embedding) -> tuple[int, int]:

@@ -2,30 +2,29 @@
 
 For a tower K = Q(sqrt(d_1),...,sqrt(d_r)) and a rational prime p, the
 completions of K above p are classified by the images of the radicand
-square classes in Q_p* / (Q_p*)^2.  Each completion gets an integral
-model: elements are vectors over the local radicand basis with integer
-coordinates mod p^N, and every question (valuation, square class,
-Hilbert symbol) is answered inside that model.
-
-At p = 2 one quadratic defect loop (O'Meara, Introduction to Quadratic
-Forms, section 63) does all the work: it reduces a unit toward 1 by exact
-square corrections until what is left is a square or an obstruction, an
-odd-valuation defect or an unsolvable Artin-Schreier equation at the
-critical level 2e.  The model is built one local generator at a time,
-and the obstruction of each new generator over the subfield so far gives
-the next uniformizer or residue generator.  On the finished model the
-loop divides each obstruction out by the matching unit generator, which
-gives the square class vector.  Hilbert symbols are the F_2 pairing on
-the square class group; the pairing matrix is discovered by enumerating
-norms from each relevant quadratic extension and is validated (symmetry,
+square classes in Q_p* / (Q_p*)^2.  Elements of a completion are vectors
+over the local radicand basis, and Hilbert symbols are the F_2 pairing on
+the square class group.  Every pairing matrix is validated (symmetry,
 nondegeneracy, (x,-x)=1, and agreement with the closed formula over Q_p
 for rational arguments).
 
-Precision is an exponent N on p; every predicate either certifies from
-the stored digits or raises the internal retry signal.  There is one
-precision policy: a retry signal from building a model or from using it
-doubles the digits and rebuilds, and after a fixed number of attempts the
-call raises RuntimeError.  Nothing is ever decided by a float.  Internal
+At odd p the symbol is the tame symbol: the square class of an integral x
+is the parity of its valuation and the quadratic character of the norm of
+its unit residue to F_p, both read off its coordinates mod p^(t+1), where
+t is the p-adic valuation of the norm of x.
+
+At p = 2 an integral model with coordinates mod 2^N is built, and one
+quadratic defect loop (O'Meara, Introduction to Quadratic Forms, section
+63) reduces a unit toward 1 by exact square corrections until what is left
+is a square or an obstruction, an odd-valuation defect or an unsolvable
+Artin-Schreier equation at the critical level 2e.  The obstruction of each
+new local generator over the subfield so far gives the next uniformizer or
+residue generator; on the finished model the loop divides each obstruction
+out by the matching unit generator, which gives the square class vector.
+The pairing matrix is found by enumerating norms.  Only this model has a
+precision, and one policy: a retry signal from building or using it
+doubles N and rebuilds, and after a fixed number of attempts the call
+raises RuntimeError.  Nothing is ever decided by a float.  Internal
 consistency checks raise RuntimeError, so they also run under python -O.
 """
 
@@ -36,6 +35,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import prod as _prod
 from typing import Iterable, NamedTuple
 
 from . import fields
@@ -141,11 +141,13 @@ def _local_structure(tower: FieldTower, p: int) -> _Structure:
     def cls(n: int) -> tuple[int, int]:
         return _qp_class(Fraction(n), p)
 
+    # at odd p at most one generator is divisible by p, so that the local
+    # generators are one ramified and one unramified radicand at most
     chosen: list[int] = []
     span = {triv}
     for t in sorted(tower.subgroup_classes - {1}):
         c = cls(t)
-        if c not in span:
+        if c not in span and (p == 2 or t % p or all(g % p for g in chosen)):
             chosen.append(t)
             span |= {_class_mul(c, s, p) for s in span}
     m = len(chosen)
@@ -274,7 +276,88 @@ def _f4_sqrt(x: int) -> int:
     return _f4_mul(x, x)  # Frobenius is an involution on F_4
 
 
-# -- the local model ---------------------------------------------------------
+# -- what the dyadic model and the odd closed form share ----------------------
+
+
+class _Completion:
+    """The completion at p over beta_S = prod_{j in S} sqrt(gens[j]).  A subclass
+    sets e, f, M_rows, basis_names and basis_elts (the elements the names stand
+    for), and gives mrat, mneg, vec_int and embed on its own element type."""
+
+    def __init__(self, tower: FieldTower, p: int):
+        self.tower = tower
+        self.p = p
+        self.st = st = _local_structure(tower, p)
+        self.gens = st.gens
+        self.gen_masks = st.gen_masks
+        self.m = len(st.gens)
+        self.size = 1 << self.m
+        self.bprod = tuple(_prod(g for j, g in enumerate(self.gens) if (mask >> j) & 1)
+                           for mask in range(self.size))
+        self._vec_cache: dict[tuple[int, FieldElement], int] = {}
+
+    def _radicand_root(self, j: int, digits: int) -> tuple[int, int, int]:
+        """(M, k, r) with sqrt(d_j) = p^k * r / bprod[M] * beta_M and r the canonical
+        root mod p^digits, so a sign mask names the same place in every model."""
+        mask = self.gen_masks[j]
+        k, root = _hensel_sqrt(Fraction(self.tower.radicands[j] * self.bprod[mask]),
+                               self.p, digits)
+        return mask, k, root
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis_names)
+
+    def pair_bits(self, va: int, vb: int) -> int:
+        acc, x, i = 0, va, 0
+        while x:
+            if x & 1:
+                acc ^= (self.M_rows[i] & vb).bit_count() & 1
+            x >>= 1
+            i += 1
+        return acc
+
+    def _validate_matrix(self) -> None:
+        rows, dim = self.M_rows, self.dim
+        for i in range(dim):
+            for j in range(i):
+                if (rows[i] >> j) & 1 != (rows[j] >> i) & 1:
+                    raise RuntimeError("pairing not symmetric")
+        pivots: dict[int, int] = {}
+        for r in rows:
+            x = r
+            while x:
+                h = x.bit_length() - 1
+                if h not in pivots:
+                    pivots[h] = x
+                    break
+                x ^= pivots[h]
+        if len(pivots) != dim:
+            raise RuntimeError("pairing is degenerate")
+        # (x, -x) = 1 on every basis element
+        for b in self.basis_elts:
+            vb = self.vec_int(b)
+            vnb = self.vec_int(self.mneg(b))
+            if self.pair_bits(vb, vnb):
+                raise RuntimeError("(x,-x) != 1 in local pairing")
+        # rational arguments must agree with the closed formula over Q_p
+        deg = self.e * self.f
+        for a, b in ((-1, -1), (-1, 2), (2, 2), (2, 5), (3, 5), (2, 3), (3, 7)):
+            got = -1 if self.pair_bits(self.vec_int(self.mrat(a)),
+                                       self.vec_int(self.mrat(b))) else 1
+            if got != hilbert_symbol_Q(a, b, self.p) ** deg:
+                raise RuntimeError("local pairing disagrees with rational Hilbert symbol")
+
+    def vec_of_element(self, x: FieldElement, eps_mask: int) -> int:
+        key = (eps_mask, x)
+        got = self._vec_cache.get(key)
+        if got is None:
+            got = self.vec_int(self.embed(x, eps_mask))
+            self._vec_cache[key] = got
+        return got
+
+
+# -- the dyadic model ----------------------------------------------------------
 
 # An element is p^shift * sum coeffs[S] * beta_S with integer coeffs known
 # mod p^prec.  Since every error term is an integer multiple of p^prec, sums
@@ -284,43 +367,25 @@ def _f4_sqrt(x: int) -> int:
 _Elt = tuple[int, tuple[int, ...], int]  # (shift, coeffs, prec)
 
 
-class LocalModel:
-    """Integral model of the completion of a tower at one rational prime."""
+class LocalModel(_Completion):
+    """Integral model of the completion of a tower at the prime p = 2."""
 
     def __init__(self, tower: FieldTower, p: int, digits: int):
-        self.tower = tower
-        self.p = p
+        super().__init__(tower, p)
         self.N = digits
         self.mod = p**digits
         self._pow_cache: dict[int, int] = {}
-        st = _local_structure(tower, p)
-        self.gens = st.gens
-        self.m = len(st.gens)
-        self.size = 1 << self.m
-        bp = []
-        for mask in range(self.size):
-            prod = 1
-            for j in range(self.m):
-                if (mask >> j) & 1:
-                    prod *= self.gens[j]
-            bp.append(prod)
-        self.bprod = tuple(bp)
         self.one = self.mrat(1)
-        if p == 2:
-            self._build_dyadic()
-        else:
-            self._build_odd()
-        if self.e != st.e or self.f != st.f:
+        self._build_dyadic()
+        if self.e != self.st.e or self.f != self.st.f:
             raise RuntimeError("local model disagrees with the splitting type")
         if self.val(self.pi) != 1:
             raise RuntimeError("uniformizer does not have valuation 1")
         if self.val(self.mrat(p)) != self.e:
             raise RuntimeError("valuation of p is not the ramification index")
-        if p == 2:
-            self._delta_and_unit_gens()
+        self._delta_and_unit_gens()
         self._build_matrix()
-        self._build_embedding(st)
-        self._vec_cache: dict[tuple[int, FieldElement], int] = {}
+        self._build_embedding()
 
     # -- element arithmetic --------------------------------------------
 
@@ -592,41 +657,6 @@ class LocalModel:
             else:
                 raise RuntimeError("locally square radicand in the local basis")
 
-    def _build_odd(self) -> None:
-        st = _local_structure(self.tower, self.p)
-        if st.e == 2:
-            j = next(i for i, g in enumerate(self.gens) if g % self.p == 0)
-            pi = self.basis_elt(1 << j)
-        else:
-            pi = self.mrat(self.p)
-        self._stage(self.m, st.e, st.f, pi, None)
-        if self.f == 1:
-            n0 = next(n for n in range(2, self.p) if pow(n, (self.p - 1) // 2, self.p) != 1)
-            self.u0 = self.mrat(n0)
-        else:
-            self.u0 = next(x for x in self._unit_pool() if not self._unit_is_square(x))
-
-    def _unit_pool(self):
-        for j, g in enumerate(self.gens):
-            if g % self.p:
-                yield self.basis_elt(1 << j)
-        for j, g in enumerate(self.gens):
-            if g % self.p:
-                for k in range(1, self.p):
-                    yield self.madd(self.basis_elt(1 << j), self.mrat(k))
-        rnd = random.Random(48823)
-        for _ in range(256):
-            yield (0, tuple(rnd.randrange(self.p) for _ in range(self.size)), self.N)
-        raise RuntimeError("no unit non-square found")
-
-    def _unit_is_square(self, x: _Elt) -> bool:
-        y = self.npow(x, (self.p**self.f - 1) // 2)
-        if self.is_val_ge(self.msub(y, self.one), 1):
-            return True
-        if not self.is_val_ge(self.madd(y, self.one), 1):
-            raise RuntimeError("unit power not +-1 mod P")
-        return False
-
     # -- square class basis and vectors ---------------------------------
 
     def _delta_and_unit_gens(self) -> None:
@@ -655,25 +685,9 @@ class LocalModel:
         """Square class of x as a bitmask over [pi] + unit generators."""
         v = self.val(x)
         u = self.mmul(x, self.pi_pow(-v))
-        if self.p == 2:
-            return (v & 1) | (self._reduce(u)[0] << 1)
-        b = 0 if self._unit_is_square(u) else 1
-        return (v & 1) | (b << 1)
-
-    @property
-    def dim(self) -> int:
-        return 1 + len(self.unit_gens) if self.p == 2 else 2
+        return (v & 1) | (self._reduce(u)[0] << 1)
 
     # -- pairing matrix --------------------------------------------------
-
-    def pair_bits(self, va: int, vb: int) -> int:
-        acc, x, i = 0, va, 0
-        while x:
-            if x & 1:
-                acc ^= (self.M_rows[i] & vb).bit_count() & 1
-            x >>= 1
-            i += 1
-        return acc
 
     def _norm_pairs(self):
         base = [self.one, self.pi, self.madd(self.one, self.pi), self.pi_pow(2),
@@ -717,12 +731,8 @@ class LocalModel:
         return cands[0]
 
     def _build_matrix(self) -> None:
-        if self.p != 2:
-            m00 = 0 if self._unit_is_square(self.mrat(-1)) else 1
-            self.M_rows = [m00 | 2, 1]
-            self.basis_names = ["pi", "u"]
-            self._validate_matrix()
-            return
+        self.basis_names = ["pi"] + [name for name, _ in self.unit_gens]
+        self.basis_elts = [self.pi] + [g for _, g in self.unit_gens]
         dim = self.dim
         rows = [0] * dim
         rows[1] = 1  # the unramified unit pairs only with odd valuations
@@ -731,56 +741,16 @@ class LocalModel:
             if i > 0:
                 rows[1 + i] = self._char_row(g, dim)
         self.M_rows = rows
-        self.basis_names = ["pi"] + [name for name, _ in self.unit_gens]
         self._validate_matrix()
-
-    def _validate_matrix(self) -> None:
-        rows, dim = self.M_rows, self.dim
-        for i in range(dim):
-            for j in range(i):
-                if (rows[i] >> j) & 1 != (rows[j] >> i) & 1:
-                    raise RuntimeError("pairing not symmetric")
-        pivots: dict[int, int] = {}
-        for r in rows:
-            x = r
-            while x:
-                h = x.bit_length() - 1
-                if h not in pivots:
-                    pivots[h] = x
-                    break
-                x ^= pivots[h]
-        if len(pivots) != dim:
-            raise RuntimeError("pairing is degenerate")
-        # (x, -x) = 1 on every basis element
-        basis = [self.pi] + ([g for _, g in self.unit_gens] if self.p == 2 else [self.u0])
-        for b in basis:
-            vb = self.vec_int(b)
-            vnb = self.vec_int(self.mneg(b))
-            if self.pair_bits(vb, vnb):
-                raise RuntimeError("(x,-x) != 1 in local pairing")
-        # rational arguments must agree with the closed formula over Q_p
-        deg = self.e * self.f
-        for a, b in ((-1, -1), (-1, 2), (2, 2), (2, 5), (3, 5), (2, 3), (3, 7)):
-            got = -1 if self.pair_bits(self.vec_int(self.mrat(a)),
-                                       self.vec_int(self.mrat(b))) else 1
-            if got != hilbert_symbol_Q(a, b, self.p) ** deg:
-                raise RuntimeError("local pairing disagrees with rational Hilbert symbol")
 
     # -- embedding of the global field -----------------------------------
 
-    def _build_embedding(self, st: _Structure) -> None:
+    def _build_embedding(self) -> None:
         self.phi_rad: list[_Elt] = []
         for j, d in enumerate(self.tower.radicands):
-            mask = st.gen_masks[j]
-            qv = Fraction(d)
-            B = self.one
-            for g in range(self.m):
-                if (mask >> g) & 1:
-                    qv *= self.gens[g]
-                    B = self.mmul(B, self.basis_elt(1 << g))
-            k, root = _hensel_sqrt(qv, self.p, self.N)
+            mask, k, root = self._radicand_root(j, self.N)
             root_elt: _Elt = (k, (root,) + (0,) * (self.size - 1), self.N)
-            phi = self.mmul(root_elt, self.inv(B))
+            phi = self.mmul(root_elt, self.inv(self.basis_elt(mask)))
             diff = self.msub(self.mmul(phi, phi), self.mrat(d))
             if not self.is_val_ge(diff, max(4, self.N // 4)):
                 raise RuntimeError("radicand image check failed")
@@ -805,33 +775,95 @@ class LocalModel:
                 acc = self.madd(acc, term)
         return acc
 
-    def vec_of_element(self, x: FieldElement, eps_mask: int) -> int:
-        key = (eps_mask, x)
-        got = self._vec_cache.get(key)
-        if got is None:
-            got = self.vec_int(self.embed(x, eps_mask))
-            self._vec_cache[key] = got
-        return got
+
+# -- odd places: the tame closed form ------------------------------------------
+
+
+class _OddCompletion(_Completion):
+    """The completion at an odd p.  Its local generators are at most one
+    g = p*g' (e = 2, pi = sqrt(g), else pi = p) and at most one unit u that is
+    not a square mod p (f = 2), so beta_S is an integral basis.  Elements are
+    integer coordinate lists over beta_S, exact or mod p^n above their
+    valuation."""
+
+    def __init__(self, tower: FieldTower, p: int):
+        super().__init__(tower, p)
+        self.e, self.f = self.st.e, self.st.f
+        self._ram = sum(1 << j for j, g in enumerate(self.gens) if g % p == 0)
+        self._unr = sum(1 << j for j, g in enumerate(self.gens) if g % p)
+        self._g1 = self.bprod[self._ram] // p or 1  # g' (1 when e = 1)
+        self._digits, self._images = 0, []
+        pi = self.mrat(p) if self.e == 1 else [int(S == self._ram) for S in range(self.size)]
+        units = ([a] + [int(S == self._unr) for S in range(1, self.size)] for a in range(p))
+        self.basis_names = ["pi", "u"]
+        self.basis_elts = [pi, next(z for z in units if any(z) and self.vec_int(z) == 2)]
+        self.M_rows = [(p**self.f % 4 == 3) | 2, 1]
+        self._validate_matrix()
+
+    def mrat(self, q: int) -> list[int]:
+        return [q] + [0] * (self.size - 1)
+
+    def mneg(self, z: list[int]) -> list[int]:
+        return [-c for c in z]
+
+    def vec_int(self, z: list[int]) -> int:
+        """Bitmask over [pi, u] of an integral z: v_pi(z) is the least
+        e*v_p(z_S) + [g divides beta_S^2], and z/pi^v is a square exactly when
+        its residue has square norm to F_p (Serre, A Course in Arithmetic, III)."""
+        p, e = self.p, self.e
+        v = min(e * _split_val(Fraction(c), p)[0] + bool(S & self._ram)
+                for S, c in enumerate(z) if c)
+        # pi^v = (p*g')^s, times pi when v is odd; g'^-s has the class of g'^s
+        s, base = v // e, self._ram if v % e else 0
+        a, b = z[base] // p**s, z[base | self._unr] // p**s
+        norm = a * a - self.bprod[self._unr] * b * b if self._unr else a * self._g1**s
+        return (v & 1) | (pow(norm, (p - 1) // 2, p) == p - 1) << 1
+
+    def embed(self, x: FieldElement, eps_mask: int) -> list[int]:
+        """x * den^2, integral and in the class of x, over beta_S mod p^(t+1),
+        where t = v_p(norm) bounds its valuation."""
+        nums = [c * x.den for c in x.nums]
+        t = _split_val(FieldElement(self.tower, tuple(nums)).rational_norm(), self.p)[0]
+        if self._digits <= t:
+            # alpha_S = c * beta_M with c a unit mod p^digits, per global basis mask S
+            self._digits = digits = max(t + 1, 2 * self._digits)
+            mod = self.p**digits
+            roots = [(M, r * pow(self.bprod[M] // self.p**k, -1, mod))
+                     for M, k, r in (self._radicand_root(j, digits) for j in range(self.tower.r))]
+            self._images = [(0, 1)]
+            for S in range(1, self.tower.degree):
+                M, c = self._images[S & (S - 1)]
+                Mj, cj = roots[(S & -S).bit_length() - 1]
+                self._images.append((M ^ Mj, c * cj * self.bprod[M & Mj] % mod))
+        mod = self.p ** (t + 1)
+        z = [0] * self.size
+        for S, (c, (M, cS)) in enumerate(zip(nums, self._images)):
+            z[M] = (z[M] + (-c if (S & eps_mask).bit_count() & 1 else c) * cS) % mod
+        return z
 
 
 # -- model cache with precision retry ----------------------------------------
 
 _BASE_DIGITS = 256
-_ODD_DIGITS = 64
 _ATTEMPTS = 14  # digits up to 2^13 times the base
-_MODELS: dict[tuple[FieldTower, int], LocalModel] = {}
+_MODELS: dict[tuple[FieldTower, int], _Completion] = {}
 
 
 def _model(tower: FieldTower, p: int, use=lambda md: md):
     """use(md) for the cached local model md of the tower at p.
 
-    The one precision policy: a _Precision raised while building the model
-    or inside use discards the model and rebuilds it with twice the digits;
-    after _ATTEMPTS tries the call raises RuntimeError.
+    Odd primes get the exact _OddCompletion.  At p = 2 the one precision
+    policy holds: a _Precision raised while building the model or inside use
+    discards the model and rebuilds it with twice the digits; after
+    _ATTEMPTS tries the call raises RuntimeError.
     """
     key = (tower, p)
     md = _MODELS.get(key)
-    digits = md.N if md is not None else _BASE_DIGITS if p == 2 else _ODD_DIGITS
+    if p != 2:
+        if md is None:
+            md = _MODELS[key] = _OddCompletion(tower, p)
+        return use(md)
+    digits = md.N if md is not None else _BASE_DIGITS
     for _ in range(_ATTEMPTS):
         try:
             if md is None:
@@ -886,7 +918,7 @@ def hasse_invariant(form, place: Place) -> int:
         return -1 if (neg * (neg - 1) // 2) % 2 else 1
     rescaled = [integral_rescale(c) for c in entries]
 
-    def symbol_bit(md: LocalModel) -> int:
+    def symbol_bit(md: _Completion) -> int:
         bit, pre = 0, 0
         for c in rescaled:
             v = md.vec_of_element(c, place.eps_mask)

@@ -368,3 +368,47 @@ def dense_integral_rescale(x) -> list[Fraction]:
         g = gcd(g, n)
     _, s = _squarefree_split(g)
     return [Fraction(n, s * s) for n in ints]
+
+
+def congruence_diagonalize(rows, tower):
+    """(D, T) with T^t A T = diag(D), for symmetric A over a tower.
+
+    The same pivot order as `coxarith.forms._sym_diagonalize` (a nonzero
+    diagonal pivot if any, else the first off-diagonal pair folded onto the
+    diagonal), but every column operation is also applied to T, so the
+    library's diagonal can be checked against an explicit congruence.
+    """
+    n = len(rows)
+    A = [[tower.coerce(x) for x in row] for row in rows]
+    T = [[tower.rational(int(i == j)) for j in range(n)] for i in range(n)]
+
+    def swap(i, j):
+        for M in (A, T):
+            for row in M:
+                row[i], row[j] = row[j], row[i]
+        A[i], A[j] = A[j], A[i]
+
+    def col_addmul(dst, src, fac):
+        for M in (A, T):
+            for row in M:
+                row[dst] = row[dst] + fac * row[src]
+        A[dst] = [x + fac * y for x, y in zip(A[dst], A[src])]
+
+    for k in range(n):
+        if not A[k][k]:
+            piv = next((j for j in range(k + 1, n) if A[j][j]), None)
+            if piv is not None:
+                swap(k, piv)
+            else:
+                pair = next(((i, j) for i in range(k, n)
+                             for j in range(i + 1, n) if A[i][j]), None)
+                if pair is None:
+                    break
+                i, j = pair
+                col_addmul(i, j, tower.one())
+                if i != k:
+                    swap(k, i)
+        for j in range(k + 1, n):
+            if A[k][j]:
+                col_addmul(j, k, -(A[k][j] / A[k][k]))
+    return [A[i][i] for i in range(n)], T

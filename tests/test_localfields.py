@@ -32,8 +32,12 @@ Q2 = make_field([2])
 Q5 = make_field([5])
 Q23 = make_field([2, 3])
 Q235 = make_field([2, 3, 5])
+# two radicands divisible by 3 (resp. 5): one local generator is ramified,
+# the other is the unit quotient
+Q15_21 = make_field([15, 21])
+Q30_35 = make_field([30, 35])
 
-PRODUCT_TOWERS = [Q, Q2, Q5, Q23, Q235]
+PRODUCT_TOWERS = [Q, Q2, Q5, Q23, Q235, Q15_21, Q30_35]
 
 
 def rand_nonzero(tower, rng, scale=4):
@@ -161,8 +165,8 @@ def test_known_splitting_shapes():
 
 def test_square_class_vector_is_a_homomorphism():
     rng = random.Random(23)
-    for tower in (Q2, Q23):
-        for p in (2, 3, 5):
+    for tower, primes in ((Q2, (2, 3, 5)), (Q23, (2, 3, 5)), (Q15_21, (3, 5)), (Q30_35, (3, 5))):
+        for p in primes:
             for pl in splitting(tower, p):
                 x = rand_nonzero(tower, rng)
                 y = rand_nonzero(tower, rng)
@@ -232,6 +236,7 @@ def test_hyperbolic_examples():
     assert is_hyperbolic(forms.QuadraticForm(Q2, [r2, -r2]))
     # signature balanced at every embedding but the determinant class is wrong
     assert not is_hyperbolic(forms.QuadraticForm(Q2, [Q2.one(), -r2]))
+    assert is_hyperbolic(forms.QuadraticForm(Q15_21, [3, -3]))
 
 
 def test_odd_rank_never_hyperbolic():
@@ -355,6 +360,54 @@ def test_dyadic_tables_are_pinned(radicands, ef, basis, rows, vectors):
     assert " ".join("".join(map(str, v)) for v in got) == vectors
 
 
+# -- pinned odd tables ---------------------------------------------------------
+
+# (radicands, p, local class basis, (e, f, signs) per place, pairing rows,
+# square class vectors of 20 seeded elements at each place, drawn in turn).
+# Recorded from the 64-digit p-adic model that odd places used before the
+# tame closed form; the closed form must reproduce them.
+_ODD_TABLES = [
+    ((), 3, [], [(1, 1, '')], ['11', '10'],
+     ['11 00 00 01 00 01 11 01 10 10 00 11 01 01 10 00 10 01 00 10']),
+    ((), 7, [], [(1, 1, '')], ['11', '10'],
+     ['00 00 01 00 00 01 01 01 01 01 01 01 10 01 00 00 01 01 00 11']),
+    ((2,), 7, [], [(1, 1, '+'), (1, 1, '-')], ['11', '10'],
+     ['00 01 01 10 11 01 00 00 11 00 00 01 01 00 01 00 00 01 00 00',
+      '01 10 01 10 01 01 01 10 01 00 10 01 01 00 11 01 01 00 00 00']),
+    ((2,), 3, [2], [(1, 2, '+')], ['01', '10'],
+     ['10 01 01 10 11 10 00 00 00 10 00 01 00 01 10 00 10 10 10 00']),
+    ((5,), 5, [5], [(2, 1, '+')], ['01', '10'],
+     ['00 01 01 11 01 01 00 00 00 00 11 10 01 00 00 01 00 01 10 00']),
+    ((3, 5), 3, [3, 5], [(2, 2, '++')], ['01', '10'],
+     ['00 00 10 00 10 01 00 00 00 10 11 00 01 10 00 01 00 10 10 00']),
+    ((2, 3), 5, [2], [(1, 2, '++'), (1, 2, '-+')], ['01', '10'],
+     ['01 01 01 01 01 01 00 01 01 01 00 01 01 00 00 01 01 01 01 00',
+      '01 01 00 10 00 01 00 00 01 01 00 00 00 00 01 00 01 01 00 01']),
+    ((2, 3, 5), 7, [3], [(1, 2, '+++'), (1, 2, '-++'), (1, 2, '+-+'), (1, 2, '--+')],
+     ['01', '10'],
+     ['00 01 00 00 01 00 00 00 01 00 01 01 00 01 01 01 00 00 01 01',
+      '01 01 01 01 00 11 00 00 01 01 01 01 00 01 00 00 00 00 00 00',
+      '00 01 00 00 00 01 01 01 01 00 01 01 00 01 00 00 01 00 00 01',
+      '01 00 01 01 00 00 00 00 00 00 00 00 01 01 01 00 01 01 00 01']),
+]
+
+
+@pytest.mark.parametrize("radicands,p,gens,places,rows,vectors", _ODD_TABLES)
+def test_odd_tables_are_pinned(radicands, p, gens, places, rows, vectors):
+    K = make_field(radicands)
+    audit = localfields.local_audit(K, p)
+    assert audit["local_class_basis"] == gens
+    assert [(pl["e"], pl["f"], "".join("-" if s < 0 else "+" for s in pl["signs"]))
+            for pl in audit["places"]] == places
+    assert audit["square_class_basis"] == ["pi", "u"]
+    assert ["".join(map(str, r)) for r in audit["pairing_matrix"]] == rows
+    rng = random.Random(1030)
+    got = [" ".join("".join(map(str, square_class_vector(rand_nonzero(K, rng, scale=40), pl)))
+                    for _ in range(20))
+           for pl in splitting(K, p)]
+    assert got == vectors
+
+
 # -- the precision policy ------------------------------------------------------
 
 
@@ -374,13 +427,13 @@ def _fail(monkeypatch, owner, name, times):
     return calls
 
 
-@pytest.mark.parametrize("tower,p", [(Q, 2), (Q2, 2), (Q2, 7)])
+@pytest.mark.parametrize("tower,p", [(Q, 2), (Q2, 2), (Q23, 2)])
 @pytest.mark.parametrize("where", ["use", "build"])
 def test_precision_retry_rebuilds_at_double_digits(tower, p, where, monkeypatch):
     monkeypatch.setattr(localfields, "_MODELS", {})
     place = splitting(tower, p)[0]
     a, b = tower.rational(-1) - tower.sqrt(2 if tower.r else 4), tower.rational(3 * p)
-    base = localfields._BASE_DIGITS if p == 2 else localfields._ODD_DIGITS
+    base = localfields._BASE_DIGITS
     want = hilbert_symbol_local(a, b, place)
     assert localfields._MODELS[(tower, p)].N == base
     if where == "use":
@@ -396,16 +449,33 @@ def test_precision_retry_rebuilds_at_double_digits(tower, p, where, monkeypatch)
 
 def test_precision_exhaustion_is_a_runtime_error(monkeypatch):
     monkeypatch.setattr(localfields, "_MODELS", {})
-    place = splitting(Q, 3)[0]
+    place = splitting(Q, 2)[0]
     a, b = Q.rational(-1), Q.rational(3)
     hilbert_symbol_local(a, b, place)
     _fail(monkeypatch, localfields.LocalModel, "vec_of_element", 1)
     builds = _fail(monkeypatch, localfields, "LocalModel", float("inf"))
     with pytest.raises(RuntimeError, match="precision exhausted"):
         hilbert_symbol_local(a, b, place)
-    base = localfields._ODD_DIGITS
+    base = localfields._BASE_DIGITS
     assert [args[2] for args in builds] == [base << k for k in range(1, 14)]
-    assert (Q, 3) not in localfields._MODELS
+    assert (Q, 2) not in localfields._MODELS
+
+
+def test_odd_places_never_build_a_p_adic_model(monkeypatch):
+    # odd places are served by the tame closed form, which has no digits
+    monkeypatch.setattr(localfields, "_MODELS", {})
+    dyadic = localfields.LocalModel
+    builds = _fail(monkeypatch, localfields, "LocalModel", float("inf"))
+    rng = random.Random(211)
+    for tower, p in ((Q, 3), (Q2, 7), (Q5, 5), (Q23, 5), (Q15_21, 3), (Q235, 19997)):
+        localfields.local_audit(tower, p)
+        for pl in splitting(tower, p):
+            a, b = rand_nonzero(tower, rng), rand_nonzero(tower, rng)
+            hilbert_symbol_local(a, b, pl)
+            hasse_invariant([a, b, a * b], pl)
+            square_class_vector(a * p, pl)
+        assert not isinstance(localfields._MODELS[(tower, p)], dyadic)
+    assert builds == []
 
 
 _FLIPPED_RATIONAL_SYMBOL = """
