@@ -75,11 +75,34 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     if n > 1:
         if n < 10**8:  # no factor below 1e4, so n is prime
             out.append((n, 1))
+        elif (power := _prime_power(n)) is not None:
+            out.append(power)
         else:
             from sympy import factorint  # heavy import, only for large leftovers
 
             out.extend(sorted((int(p), int(e)) for p, e in factorint(n).items()))
     return tuple(out)
+
+
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1, by integer Newton steps from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _prime_power(n: int) -> tuple[int, int] | None:
+    """(q, e) with n = q^e and q < 1e8, for n with no factor below 1e4; q is
+    then prime, having no factor up to its square root.  Such a q exceeds
+    2^13, which bounds e."""
+    for e in range(2, n.bit_length() // 13 + 1):
+        q = _iroot(n, e)
+        if q < 10**8 and q**e == n:
+            return q, e
+    return None
 
 
 def squarefree_part(n: int) -> int:

@@ -5,7 +5,8 @@ symmetric Gram matrix; only the diagonal is kept, not the transformation
 that reaches it.  Isometry over the field is decided by the
 local-global principle: rank, every real signature, the determinant
 square class, and Hasse symbols at the finitely many places where the
-(integrally rescaled) entries are non-units.
+(integrally rescaled) entries are non-units, less the first place above 2,
+which Hilbert reciprocity settles.
 
 The transfer along a quadratic subextension K/F sends a rank-1 form <c>
 to the rank-2 F-form with Gram [[v, u], [u, a*v]] where c = u + v*sqrt(a)
@@ -169,7 +170,12 @@ def transfer(form: QuadraticForm, F: FieldTower) -> QuadraticForm:
 
 
 def globally_isometric(f: QuadraticForm, g: QuadraticForm) -> bool:
-    """K-isometry by rank, real signatures, det class, and local Hasse symbols."""
+    """K-isometry by rank, real signatures, det class, and local Hasse symbols.
+
+    The Hasse symbols are compared at localfields.places_to_compare, which
+    leaves out the first place above 2: once the rest agree, Hilbert
+    reciprocity settles it.
+    """
     if f.tower != g.tower:
         raise ValueError("forms live over different towers")
     K = f.tower
@@ -183,7 +189,7 @@ def globally_isometric(f: QuadraticForm, g: QuadraticForm) -> bool:
         return False
     cf = cleared_entries(f)
     cg = cleared_entries(g)
-    for place in localfields.relevant_finite_places(K, cf + cg):
+    for place in localfields.places_to_compare(K, cf + cg):
         if localfields.hasse_invariant(cf, place) != localfields.hasse_invariant(cg, place):
             return False
     return True

@@ -26,6 +26,13 @@ precision, and one policy: a retry signal from building or using it
 doubles N and rebuilds, and after a fixed number of attempts the call
 raises RuntimeError.  Nothing is ever decided by a float.  Internal
 consistency checks raise RuntimeError, so they also run under python -O.
+
+Isometry and hyperbolicity tests never build that model when 2 does not
+split: two forms of equal rank, determinant class and real signatures
+have equal Hasse invariants at the first place above 2 once they agree at
+every other place, by Hilbert reciprocity (places_to_compare).  Symbols,
+Hasse invariants, square class vectors and audits still compute every
+place directly.
 """
 
 from __future__ import annotations
@@ -50,6 +57,7 @@ __all__ = [
     "hasse_invariant",
     "is_hyperbolic",
     "relevant_finite_places",
+    "places_to_compare",
     "square_class_vector",
     "local_audit",
 ]
@@ -226,6 +234,26 @@ def splitting(tower: FieldTower, p: int) -> tuple[Place, ...]:
 # -- square roots in Z_p ----------------------------------------------------
 
 
+def _sqrt_mod_prime(a: int, p: int) -> int:
+    """A square root of the unit a mod the odd prime p (Tonelli-Shanks)."""
+    if pow(a, (p - 1) // 2, p) != 1:
+        raise RuntimeError("p-adic unit is not a square")
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    # invariant: r^2 = a*t and c has order 2^m, with t of order dividing 2^(m-1)
+    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 1, t * t % p
+        while t2 != 1:
+            i, t2 = i + 1, t2 * t2 % p
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return r
+
+
 def _hensel_sqrt(q: Fraction, p: int, digits: int) -> tuple[int, int]:
     """q = p^(2k) u with u a square unit; returns (k, canonical sqrt of u mod p^digits).
 
@@ -245,11 +273,7 @@ def _hensel_sqrt(q: Fraction, p: int, digits: int) -> tuple[int, int]:
             if (x * x - u_int) % (1 << (k + 1)):
                 x += 1 << (k - 1)
         return v // 2, x % mod
-    from sympy.ntheory.residue_ntheory import sqrt_mod
-
-    r0 = sqrt_mod(u_int % p, p)
-    if r0 is None:
-        raise RuntimeError("p-adic unit is not a square")
+    r0 = _sqrt_mod_prime(u_int % p, p)
     r0 = min(r0, p - r0)
     x, prec = r0, 1
     inv2 = pow(2, -1, mod)
@@ -930,7 +954,8 @@ def hasse_invariant(form, place: Place) -> int:
 
 
 def relevant_finite_places(tower: FieldTower, elements: Iterable) -> tuple[Place, ...]:
-    """Places above 2 and above every prime dividing a norm of an entry.
+    """Places above 2 and above every prime dividing a norm of an entry, in
+    increasing order of the prime, so the places above 2 come first.
 
     At all other finite places the entries are units, so Hasse symbols of
     diagonal forms in the entries are trivially +1 there.
@@ -950,8 +975,31 @@ def relevant_finite_places(tower: FieldTower, elements: Iterable) -> tuple[Place
     return tuple(out)
 
 
+def places_to_compare(tower: FieldTower, elements: Iterable) -> tuple[Place, ...]:
+    """The finite places at which two diagonal forms in these entries must
+    have equal Hasse invariants to be isometric: all relevant finite places
+    but the first place above 2.
+
+    Precondition: the two forms agree in rank, determinant square class and
+    signature at every real place, which both callers check first.  Their
+    Hasse invariants then agree at every real place, and both are +1 outside
+    the relevant places.  By Hilbert reciprocity (O'Meara, Introduction to
+    Quadratic Forms, section 71) the Hasse invariants of each form multiply
+    to +1 over all places, so agreement at every other place forces agreement
+    at the one left out.  When 2 does not split, that place is the only one
+    that needs the dyadic model; when it splits, the other places above 2
+    are still compared.
+    """
+    return relevant_finite_places(tower, elements)[1:]
+
+
 def is_hyperbolic(form) -> bool:
-    """Whether a nondegenerate diagonal form is a sum of hyperbolic planes."""
+    """Whether a nondegenerate diagonal form is a sum of hyperbolic planes.
+
+    Rank, real signatures and determinant class are checked first, so
+    Hasse invariants are compared at places_to_compare only: Hilbert
+    reciprocity settles the first place above 2.
+    """
     K = form.tower
     diag = list(form.diagonal)
     n = len(diag)
@@ -972,7 +1020,7 @@ def is_hyperbolic(form) -> bool:
         return False
     t = (m * (m - 1) // 2) % 2
     minus_one = K.rational(-1)
-    for place in relevant_finite_places(K, diag):
+    for place in places_to_compare(K, diag):
         want = hilbert_symbol_local(minus_one, minus_one, place) if t else 1
         if hasse_invariant(diag, place) != want:
             return False

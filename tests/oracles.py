@@ -11,6 +11,11 @@ k = 3 respectively k = 7).
 Two references for the field layer live here as well: the determinant
 identity of the multiquadratic basis (`basis_det_check`, criterion 6) and
 dense Fraction-vector arithmetic that `coxarith.fields` is compared with.
+
+The isometry and hyperbolicity references (`all_places_isometric`,
+`all_places_hyperbolic`) do use the library's per-place Hasse invariants,
+but compare them at every relevant finite place; the library leaves the
+first place above 2 to Hilbert reciprocity.
 """
 
 from decimal import Decimal, localcontext
@@ -18,7 +23,9 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 import numpy as np
+from coxarith import fields, localfields
 from coxarith.fields import element_literal
+from coxarith.forms import cleared_entries, signature_at
 
 
 def _strip_squares(n: int, p: int) -> int:
@@ -412,3 +419,59 @@ def congruence_diagonalize(rows, tower):
             if A[k][j]:
                 col_addmul(j, k, -(A[k][j] / A[k][k]))
     return [A[i][i] for i in range(n)], T
+
+
+# -- Hasse invariants compared at every relevant finite place ---------------
+
+
+def isometry_differences(f, g, places=None):
+    """The places, by default the relevant finite places (places above 2
+    first), at which the Hasse invariants of the cleared diagonals of f and g
+    differ."""
+    cf, cg = cleared_entries(f), cleared_entries(g)
+    if places is None:
+        places = localfields.relevant_finite_places(f.tower, cf + cg)
+    return [pl for pl in places
+            if localfields.hasse_invariant(cf, pl) != localfields.hasse_invariant(cg, pl)]
+
+
+def all_places_isometric(f, g) -> bool:
+    """K-isometry by rank, real signatures, det class, and Hasse symbols at
+    every relevant finite place."""
+    if f.rank != g.rank:
+        return False
+    if any(signature_at(f, s) != signature_at(g, s) for s in f.tower.embeddings()):
+        return False
+    if not fields.is_square(f.det() * g.det())[0]:
+        return False
+    return not isometry_differences(f, g)
+
+
+def hyperbolic_differences(form, places=None):
+    """The places, by default the relevant finite places, at which the Hasse
+    invariant of an even-rank form differs from that of the hyperbolic form
+    of the same rank."""
+    K, diag = form.tower, list(form.diagonal)
+    m = len(diag) // 2
+    minus_one = K.rational(-1)
+    odd = (m * (m - 1) // 2) % 2
+    if places is None:
+        places = localfields.relevant_finite_places(K, diag)
+    return [pl for pl in places
+            if localfields.hasse_invariant(diag, pl)
+            != (localfields.hilbert_symbol_local(minus_one, minus_one, pl) if odd else 1)]
+
+
+def all_places_hyperbolic(form) -> bool:
+    """Hyperbolicity by rank, real signatures, det class, and Hasse symbols
+    at every relevant finite place."""
+    diag = list(form.diagonal)
+    if len(diag) % 2:
+        return False
+    m = len(diag) // 2
+    for sigma in form.tower.embeddings():
+        if sum(1 for c in diag if fields.sign_at(c, sigma) < 0) != m:
+            return False
+    if not fields.is_square(form.det() * (-1) ** m)[0]:
+        return False
+    return not hyperbolic_differences(form)

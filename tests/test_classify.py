@@ -3,6 +3,8 @@
 import glob
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -184,6 +186,34 @@ def test_corpus_reports_match_recorded_json():
         d = diagrams.load_diagram(p)
         got = json.dumps(classify_diagram(d).to_json(), indent=2)
         assert got == json.dumps(recorded[d.name], indent=2), d.name
+
+
+_COLD_CORPUS = """
+import json, pathlib, sys
+from coxarith import localfields
+from coxarith.classify import classify_diagram
+from coxarith.diagrams import load_diagram
+
+for path in sorted(pathlib.Path(sys.argv[1]).glob("*.cox")):
+    classify_diagram(load_diagram(path))
+print(json.dumps({"sympy": "sympy" in sys.modules, "models": len(localfields._MODELS),
+                  "dyadic": sorted(str(t) for t, p in localfields._MODELS if p == 2)}))
+"""
+
+
+def test_cold_corpus_builds_no_dyadic_model_and_imports_no_sympy():
+    # Hilbert reciprocity settles the one place above 2 of every corpus field,
+    # and odd residue roots and prime-power norms need no sympy
+    src = os.path.dirname(os.path.dirname(classify.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", _COLD_CORPUS, CORPUS], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    got = json.loads(run.stdout)
+    assert got["models"] > 0
+    assert not got["sympy"]
+    assert got["dyadic"] == []
 
 
 def test_basis_det_check_small():

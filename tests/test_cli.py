@@ -5,7 +5,9 @@ values; stdout is captured with capsys.  One subprocess test checks the
 module is runnable as python -m coxarith.cli.
 """
 
+import glob
 import json
+import os
 import subprocess
 import sys
 
@@ -93,6 +95,21 @@ def test_classify_audit_local(capsys):
     for audit in j["local_audit"].values():
         assert audit["places"]
         assert audit["pairing_matrix"]
+
+
+def test_classify_audit_local_matches_recorded_tables(capsys):
+    # verdicts leave the place above 2 to Hilbert reciprocity, but the audit
+    # still builds its tables; recorded before that shortcut, for every corpus file
+    with open(os.path.join(os.path.dirname(__file__), "data", "corpus_audit_local.json")) as fh:
+        recorded = json.load(fh)
+    paths = sorted(glob.glob("corpus/*.cox"))
+    assert sorted(recorded) == [os.path.basename(p)[:-4] for p in paths]
+    for path in paths:
+        code, cap = run(capsys, "classify", path, "--audit-local")
+        assert code == cli.EXIT_OK
+        got = json.loads(cap.out)["local_audit"]
+        assert got["2"]["p"] == 2
+        assert json.dumps(got) == json.dumps(recorded[os.path.basename(path)[:-4]]), path
 
 
 def test_classify_undetermined_exit(tmp_path, capsys):

@@ -61,6 +61,43 @@ def test_factorize_and_squarefree():
         squarefree_part(0)
 
 
+@pytest.mark.parametrize("n", [
+    pytest.param(10007**2, id="10007^2"),
+    pytest.param(99999989**2, id="99999989^2"),
+    pytest.param(78721**70, id="78721^70"),
+    pytest.param(2**5 * 3 * 78721**70, id="96*78721^70"),
+    pytest.param(7 * 9973**2 * 10007**3, id="7*9973^2*10007^3"),
+    pytest.param(-(99991**11), id="-99991^11"),
+    pytest.param(100000007**2, id="100000007^2"),
+    pytest.param(10007 * 10009, id="10007*10009"),
+    pytest.param(10007**2 * 10009, id="10007^2*10009"),
+    pytest.param(6 * 10007 * 10009**3, id="6*10007*10009^3"),
+])
+def test_factorize_large_leftovers_match_sympy(n):
+    # prime powers q^e with 1e4 < q < 1e8 are taken by an exact e-th root (78721^70 is
+    # about 1e343, past float range); other leftovers, q > 1e8 included, go to sympy
+    from sympy import factorint
+
+    assert factorize(n) == tuple(sorted((int(p), int(e)) for p, e in factorint(abs(n)).items()))
+
+
+def test_prime_power_leftovers_skip_the_fallback():
+    assert fields._prime_power(78721**70) == (78721, 70)
+    assert fields._prime_power(99999989**3) == (99999989, 3)
+    for n in (10007 * 10009, 10007**2 * 10009, 100000007**2, 10007**2 * 10009**2):
+        assert fields._prime_power(n) is None
+
+
+def test_factorize_seeded_prime_powers_match_sympy():
+    from sympy import factorint, nextprime
+
+    rng = random.Random(1009)
+    for _ in range(40):
+        q = nextprime(rng.randrange(10**4, 10**8 - 100))
+        n = q ** rng.randint(2, 90) * rng.choice((1, 2, 15, 9973, 2**7 * 7**3))
+        assert factorize(n) == tuple(sorted((int(p), int(e)) for p, e in factorint(n).items()))
+
+
 def test_make_field_examples():
     t = make_field([2, 3])
     assert t.radicands == (2, 3)

@@ -1,6 +1,7 @@
 """Diagonalization, scaled trace transfer, global isometry, admissibility."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -319,6 +320,82 @@ def test_isometry_scaling_by_squares_of_the_field():
     f = QuadraticForm(Q2, [-1, 1, 1, 3])
     g = QuadraticForm(Q2, [c * r2 * r2 for c in f.diagonal])
     assert globally_isometric(f, g)
+
+
+# towers where 2 has one place, then towers where 2 splits (radicands 1 mod 8)
+RECIPROCITY_TOWERS = [make_field([2]), make_field([3]), Q235,
+                      make_field([17]), make_field([41]), make_field([2, 17])]
+
+
+def rand_small(tower, rng):
+    # integral coordinates in [-2, 2] keep norms small enough to factor fast
+    while True:
+        x = tower.element([rng.randint(-2, 2) for _ in range(tower.degree)])
+        if x:
+            return x
+
+
+def totally_positive(tower, rng):
+    t, u = rand_small(tower, rng), rand_small(tower, rng)
+    return t * t + u * u
+
+
+def product(xs):
+    out = xs[0]
+    for x in xs[1:]:
+        out = out * x
+    return out
+
+
+def reciprocity_case(tower, rng, kind, isometric):
+    """(shortcut, oracle, differences) for a drawn isometry pair or
+    hyperbolicity candidate that agrees with its partner in rank, det class
+    and real signatures; each entry is scaled by a totally positive element,
+    or by a square when isometric is set."""
+    n = rng.randint(2, 3)
+    a = [rand_small(tower, rng) for _ in range(n)]
+    if isometric:
+        s = [rand_small(tower, rng) ** 2 for _ in range(n)]
+    else:
+        s = [totally_positive(tower, rng) for _ in range(n - 1)]
+        s.append(product(s))  # the product of s is a square
+    if kind == "isometry":
+        f = QuadraticForm(tower, a)
+        g = QuadraticForm(tower, [x * y for x, y in zip(a, s)][::-1])
+        return (lambda: globally_isometric(f, g), lambda: oracles.all_places_isometric(f, g),
+                lambda places=None: oracles.isometry_differences(f, g, places))
+    f = QuadraticForm(tower, [c for x, y in zip(a, s) for c in (x, -x * y)])
+    return (lambda: localfields.is_hyperbolic(f), lambda: oracles.all_places_hyperbolic(f),
+            lambda places=None: oracles.hyperbolic_differences(f, places))
+
+
+@pytest.mark.parametrize("tower", RECIPROCITY_TOWERS, ids=str)
+def test_reciprocity_shortcut_matches_all_places_oracle(tower):
+    # only Hasse invariants can tell the drawn forms apart, at an even number
+    # of places; when the first place above 2, which the shortcut leaves to
+    # Hilbert reciprocity, is one of exactly two, the other must decide, and
+    # where 2 splits that other place is sometimes the second place above 2
+    rng = random.Random(4091 + sum(tower.radicands))
+    dyadic = localfields.splitting(tower, 2)
+    verdicts, caught = Counter(), Counter()
+    for k in range(400):
+        kind = ("isometry", "hyperbolic")[k % 2]
+        drawn_both = min(verdicts[kind, v] for v in (True, False)) >= 2
+        if drawn_both and caught[kind] and (caught["above 2"] or len(dyadic) == 1):
+            continue
+        shortcut, oracle, differences = reciprocity_case(tower, rng, kind, k % 6 < 2)
+        if drawn_both and not differences(dyadic[:1]):
+            continue  # only cases that differ at the first place above 2 are still wanted
+        diff = differences()
+        assert len(diff) % 2 == 0
+        assert shortcut() == oracle() == (not diff)
+        verdicts[kind, not diff] += 1
+        if len(diff) == 2 and diff[0] == dyadic[0]:
+            caught[kind] += 1
+            caught["above 2"] += diff[1] in dyadic
+    assert min(verdicts.values()) >= 2 and len(verdicts) == 4
+    assert caught["isometry"] and caught["hyperbolic"]
+    assert caught["above 2"] or len(dyadic) == 1
 
 
 def test_isometry_needs_same_tower():

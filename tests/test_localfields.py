@@ -408,6 +408,40 @@ def test_odd_tables_are_pinned(radicands, p, gens, places, rows, vectors):
     assert got == vectors
 
 
+# -- residue square roots ------------------------------------------------------
+
+
+def test_residue_roots_against_brute_force():
+    odd_primes = [p for p in range(3, 500, 2) if all(p % q for q in range(3, p, 2) if q * q <= p)]
+    for p in odd_primes:
+        roots: dict[int, int] = {}
+        for r in range(p - 1, 0, -1):
+            roots[r * r % p] = r  # ends at the smaller of r and p - r
+        for a in range(1, p):
+            if a in roots:
+                assert localfields._hensel_sqrt(Fraction(a), p, 1) == (0, roots[a])
+            else:
+                with pytest.raises(RuntimeError, match="not a square"):
+                    localfields._hensel_sqrt(Fraction(a), p, 1)
+
+
+@pytest.mark.parametrize("p", [65537, 998244353, 3221225473])
+def test_residue_roots_with_large_two_power_against_sympy(p):
+    # p - 1 = 2^16, 119 * 2^23 and 3 * 2^30: Tonelli-Shanks runs its longest loops
+    from sympy.ntheory.residue_ntheory import sqrt_mod
+
+    rng = random.Random(p)
+    for a in [1, p - 1, 2, 3] + [rng.randrange(1, p) for _ in range(60)]:
+        want = sqrt_mod(a, p)
+        if want is None:
+            with pytest.raises(RuntimeError, match="not a square"):
+                localfields._hensel_sqrt(Fraction(a), p, 3)
+            continue
+        k, root = localfields._hensel_sqrt(Fraction(a), p, 3)
+        assert (k, root % p) == (0, min(want, p - want))
+        assert (root * root - a) % p**3 == 0
+
+
 # -- the precision policy ------------------------------------------------------
 
 
