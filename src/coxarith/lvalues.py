@@ -1,8 +1,10 @@
 """Certified evaluation of the zeta and L-values in the volume identity.
 
-Everything here is exact rational arithmetic: a value is carried as a Ball,
-an exact Fraction center with an exact Fraction error radius, so every
-digit claimed is backed by an inequality rather than floating point.
+A value is carried as a Ball, an exact Fraction center with an exact
+Fraction error radius, so every digit claimed is backed by an inequality
+rather than floating point.  The long sums are integer fixed point (floor
+divisions at a fixed unit), and the rounding they make is counted into the
+exact error radius alongside the truncation bound.
 
 Two independent routes are provided for each constant.  The certified one
 is Euler-Maclaurin applied to the Hurwitz zeta function (the remainder has
@@ -14,6 +16,7 @@ dozen digits and exists to catch bugs in the fast route, not to certify.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, isqrt
@@ -114,33 +117,61 @@ def _pochhammer(s: int, m: int) -> int:
 
 
 _EM_TERMS = 14  # Euler-Maclaurin correction terms; remainder uses B_30
+_GUARD_DIGITS = 4  # fixed-point digits kept beyond the requested ones
+
+
+def _int_at_least(name: str, n, least: int) -> int:
+    """n as an int through operator.index (bool refused), at least `least`."""
+    if isinstance(n, bool):
+        raise TypeError(f"{name} must be an integer, not bool")
+    n = operator.index(n)
+    if n < least:
+        raise ValueError(f"need {name} >= {least}, got {n}")
+    return n
 
 
 def hurwitz_zeta(s: int, a: Fraction, digits: int) -> Ball:
     """zeta(s, a) = sum_{k>=0} (k+a)^-s with error below 10^-digits.
 
-    Integer s >= 2 and rational a in (0, 1].
+    Integer s >= 2, rational a in (0, 1] and integer digits >= 0.
+
+    N terms of the series and J Euler-Maclaurin corrections are summed in
+    integer fixed point, unit = 2 terms 10^(digits + _GUARD_DIGITS) with
+    terms = N + J + 2.  Each summand, negative corrections included, is one
+    floor division and falls short of its exact value by less than one ulp,
+    so the exact truncated sum lies in [acc, acc + terms] / unit.  The ball
+    is centred in that interval, and its exact Fraction radius is the
+    Euler-Maclaurin remainder bound plus the rounding radius terms / (2 unit),
+    for which the choice of N leaves room.
     """
-    if s < 2:
-        raise ValueError("need s >= 2")
+    s = _int_at_least("s", s, 2)
+    digits = _int_at_least("digits", digits, 0)
     a = Fraction(a)
     if not 0 < a <= 1:
         raise ValueError("need 0 < a <= 1")
     eps = Fraction(1, 10**digits)
     J = _EM_TERMS
+    # the rounding radius terms / (2 unit) does not depend on N
+    rounding = Fraction(1, 4 * 10 ** (digits + _GUARD_DIGITS))
     tail_coeff = abs(bernoulli(2 * J + 2)) * Fraction(
         _pochhammer(s, 2 * J + 1), 1) / _factorial(2 * J + 2)
     N = 8
-    while tail_coeff / (N + a) ** (s + 2 * J + 1) > eps / 2:
+    while (err := 2 * tail_coeff / (N + a) ** (s + 2 * J + 1)) > eps - rounding:
         N += max(4, N // 2)
-    x = N + a
-    value = sum(Fraction(1) / (k + a) ** s for k in range(N))
-    value += x ** (1 - s) / (s - 1) + Fraction(1, 2) / x**s
+    # a = p/q and x = N + a = X/q turn every summand into an integer ratio
+    p, q = a.numerator, a.denominator
+    X = N * q + p
+    terms = N + J + 2
+    unit = 2 * terms * 10 ** (digits + _GUARD_DIGITS)
+    top = unit * q**s
+    acc = sum(top // (k * q + p) ** s for k in range(N))
+    acc += unit * q ** (s - 1) // ((s - 1) * X ** (s - 1))  # x^(1-s) / (s-1)
+    acc += top // (2 * X**s)  # 1 / (2 x^s)
     for j in range(1, J + 1):
-        value += (bernoulli(2 * j) / _factorial(2 * j)
-                  * _pochhammer(s, 2 * j - 1) / x ** (s + 2 * j - 1))
-    err = 2 * tail_coeff / x ** (s + 2 * J + 1)
-    return Ball(value, err)
+        c = bernoulli(2 * j) / _factorial(2 * j) * _pochhammer(s, 2 * j - 1)
+        e = s + 2 * j - 1
+        acc += unit * c.numerator * q**e // (c.denominator * X**e)  # c / x^e
+    return Ball(Fraction(2 * acc + terms, 2 * unit), err + rounding)
 
 
 @lru_cache(maxsize=None)
@@ -164,8 +195,10 @@ def l_chi8(s: int, digits: int) -> Ball:
 
 
 def sqrt_ball(n: int, digits: int) -> Ball:
-    if n < 0:
+    """sqrt(n) for an integer n >= 0 with error below 10^-digits."""
+    if operator.index(n) < 0:
         raise ValueError("sqrt of a negative integer")
+    digits = _int_at_least("digits", digits, 0)
     m = digits + 2
     r = isqrt(n * 10 ** (2 * m))
     # true root lies in [r, r+1) / 10^m

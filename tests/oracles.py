@@ -16,6 +16,10 @@ The isometry and hyperbolicity references (`all_places_isometric`,
 `all_places_hyperbolic`) do use the library's per-place Hasse invariants,
 but compare them at every relevant finite place; the library leaves the
 first place above 2 to Hilbert reciprocity.
+
+`hurwitz_zeta_fraction` is the Euler-Maclaurin Hurwitz zeta summed in exact
+Fractions, the reference for the library's fixed-point sum: same N, same
+remainder bound, no rounding.
 """
 
 from decimal import Decimal, localcontext
@@ -26,6 +30,8 @@ import numpy as np
 from coxarith import fields, localfields
 from coxarith.fields import element_literal
 from coxarith.forms import cleared_entries, signature_at
+from coxarith.lvalues import (_EM_TERMS, Ball, _factorial, _pochhammer,
+                              bernoulli)
 
 
 def _strip_squares(n: int, p: int) -> int:
@@ -475,3 +481,30 @@ def all_places_hyperbolic(form) -> bool:
     if not fields.is_square(form.det() * (-1) ** m)[0]:
         return False
     return not hyperbolic_differences(form)
+
+
+def hurwitz_zeta_fraction(s: int, a: Fraction, digits: int) -> Ball:
+    """zeta(s, a) = sum_{k>=0} (k+a)^-s with error below 10^-digits.
+
+    Integer s >= 2 and rational a in (0, 1].
+    """
+    if s < 2:
+        raise ValueError("need s >= 2")
+    a = Fraction(a)
+    if not 0 < a <= 1:
+        raise ValueError("need 0 < a <= 1")
+    eps = Fraction(1, 10**digits)
+    J = _EM_TERMS
+    tail_coeff = abs(bernoulli(2 * J + 2)) * Fraction(
+        _pochhammer(s, 2 * J + 1), 1) / _factorial(2 * J + 2)
+    N = 8
+    while tail_coeff / (N + a) ** (s + 2 * J + 1) > eps / 2:
+        N += max(4, N // 2)
+    x = N + a
+    value = sum(Fraction(1) / (k + a) ** s for k in range(N))
+    value += x ** (1 - s) / (s - 1) + Fraction(1, 2) / x**s
+    for j in range(1, J + 1):
+        value += (bernoulli(2 * j) / _factorial(2 * j)
+                  * _pochhammer(s, 2 * j - 1) / x ** (s + 2 * j - 1))
+    err = 2 * tail_coeff / x ** (s + 2 * J + 1)
+    return Ball(value, err)

@@ -2,13 +2,18 @@
 
 mpmath is the independent oracle here (test-only dependency).  Frozen
 30-digit strings are asserted too, so a broken mpmath install would not
-silently weaken the suite.
+silently weaken the suite.  The fixed-point Hurwitz sum is also compared
+with the same sum in exact Fractions (`oracles.hurwitz_zeta_fraction`), and
+the volume check is pinned at every precision (`data/volume_checks.json`).
 """
 
+import json
+import os
 import random
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from coxarith.lvalues import (
@@ -26,6 +31,7 @@ from coxarith.lvalues import (
     zeta3,
     zeta3_direct,
 )
+from oracles import hurwitz_zeta_fraction
 
 # 30-digit references, computed once with mpmath at dps=50 and frozen
 ZETA3_30 = "1.202056903159594285399738161511"
@@ -97,6 +103,48 @@ def test_hurwitz_zeta_input_validation():
         hurwitz_zeta(3, Fraction(9, 8), 10)
     with pytest.raises(ValueError):
         hurwitz_zeta(3, Fraction(0), 10)
+    with pytest.raises(ValueError, match="s >= 2"):
+        hurwitz_zeta(-2, Fraction(1), 10)
+    with pytest.raises(ValueError, match="digits >= 0"):
+        hurwitz_zeta(3, Fraction(1), -3)
+    for s, digits in ((2.5, 10), (3, 10.0), (True, 10), (3, True), ("3", 10)):
+        with pytest.raises(TypeError):
+            hurwitz_zeta(s, Fraction(1), digits)
+    # anything with __index__ is taken as the int it stands for
+    same = hurwitz_zeta(np.int64(3), Fraction(3, 8), np.int64(20))
+    want = hurwitz_zeta(3, Fraction(3, 8), 20)
+    assert (same.value, same.err) == (want.value, want.err)
+
+
+def test_fixed_point_ball_encloses_fraction_oracle():
+    # the integer fixed-point sum against the same N-term Euler-Maclaurin sum
+    # in exact Fractions: (a) its ball holds the oracle's ball, which fails if
+    # the counted rounding radius is dropped or undercounted; (b) it meets the
+    # requested precision; (c) it holds mpmath's value; (d) it nests as the
+    # precision grows
+    rng = random.Random(20261018)
+    alphas = [Fraction(1), Fraction(1, 8), Fraction(3, 8), Fraction(5, 8),
+              Fraction(7, 8), Fraction(1, 3), Fraction(96, 97)]
+    for _ in range(9):
+        q = rng.randint(2, 97)
+        alphas.append(Fraction(rng.randint(1, q), q))
+    with mp.workdps(100):
+        for s in range(2, 7):
+            for a in alphas:
+                want = mp.zeta(s, mp.mpf(a.numerator) / a.denominator)
+                prev = None
+                for digits in sorted(rng.sample(range(5, 71), 3)):
+                    ball = hurwitz_zeta(s, a, digits)
+                    exact = hurwitz_zeta_fraction(s, a, digits)
+                    case = (s, a, digits)
+                    assert abs(ball.value - exact.value) + exact.err <= ball.err, case
+                    assert ball.err <= Fraction(1, 10**digits), case
+                    got = mp.mpf(ball.value.numerator) / ball.value.denominator
+                    err = mp.mpf(ball.err.numerator) / ball.err.denominator
+                    assert abs(got - want) <= err + mp.mpf(10) ** -95, case
+                    if prev is not None:
+                        assert abs(prev.value - ball.value) + ball.err <= prev.err, case
+                    prev = ball
 
 
 def test_zeta3_and_l3_against_frozen():
@@ -130,6 +178,11 @@ def test_sqrt_ball():
     assert b.err <= Fraction(1, 10**30)
     with pytest.raises(ValueError):
         sqrt_ball(-1, 10)
+    with pytest.raises(ValueError, match="digits >= 0"):
+        sqrt_ball(2, -5)
+    for digits in (2.5, True):
+        with pytest.raises(TypeError):
+            sqrt_ball(2, digits)
 
 
 def test_volume_identity_certified():
@@ -155,6 +208,18 @@ def test_volume_digit_range():
     for bad in (4, 61, 0, -3):
         with pytest.raises(ValueError):
             delta5_volume_check(bad)
+
+
+def test_volume_checks_match_recorded_json():
+    # the whole delta5_volume_check(d) dict at every allowed precision,
+    # recorded while the Hurwitz sums were exact Fractions; the fixed-point
+    # sums must reproduce every digit, error exponent and certified count
+    with open(os.path.join(os.path.dirname(__file__), "data", "volume_checks.json")) as fh:
+        recorded = json.load(fh)
+    assert list(recorded) == [str(d) for d in range(5, 61)]
+    for digits in range(5, 61):
+        got = json.dumps(delta5_volume_check(digits), indent=2)
+        assert got == json.dumps(recorded[str(digits)], indent=2), digits
 
 
 def test_volume_check_prints_correctly_rounded_constants():
