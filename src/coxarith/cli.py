@@ -8,7 +8,8 @@
 Exit codes: 0 definite verdict (or identity verified), 1 parse/input error,
 2 non-hyperbolic signature, 3 unsupported edge label, 4 undetermined (or
 identity not confirmed at the requested precision), 5 internal error: any
-other exception while classifying a file, e.g. exhausted p-adic precision.
+other exception while classifying a file, such as a failed internal
+consistency check.
 A batch turns such a file into an error row and goes on with the rest.
 """
 
@@ -133,6 +134,9 @@ def cmd_batch(args) -> int:
     if args.bound < 1:
         print("error: --bound must be at least 1", file=sys.stderr)
         return EXIT_PARSE
+    if args.jobs < 1:
+        print("error: --jobs must be at least 1", file=sys.stderr)
+        return EXIT_PARSE
     paths = _expand_paths(args.paths)
     if not paths:  # an empty corpus is a valid (empty) table
         print("[]" if args.json else _TSV_HEADER)
@@ -171,10 +175,7 @@ def cmd_audit(args) -> int:
     try:
         rads = [int(t) for t in args.field.split(",") if t.strip()] if args.field else []
         tower = fields.make_field(rads)
-        p = args.prime
-        if p < 2 or fields.factorize(p) != ((p, 1),):
-            raise ValueError(f"{p} is not prime")
-        audit = localfields.local_audit(tower, p)
+        audit = localfields.local_audit(tower, args.prime)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

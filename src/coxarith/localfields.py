@@ -10,25 +10,29 @@ for rational arguments).
 
 At odd p the symbol is the tame symbol: the square class of an integral x
 is the parity of its valuation and the quadratic character of the norm of
-its unit residue to F_p, both read off its coordinates mod p^(t+1), where
-t is the p-adic valuation of the norm of x.
+its unit residue to F_p.
 
-At p = 2 an integral model with coordinates mod 2^N is built, and one
-quadratic defect loop (O'Meara, Introduction to Quadratic Forms, section
-63) reduces a unit toward 1 by exact square corrections until what is left
-is a square or an obstruction, an odd-valuation defect or an unsolvable
-Artin-Schreier equation at the critical level 2e.  The obstruction of each
-new local generator over the subfield so far gives the next uniformizer or
-residue generator; on the finished model the loop divides each obstruction
-out by the matching unit generator, which gives the square class vector.
-The pairing matrix is found by enumerating norms.  Only this model has a
-precision, and one policy: a retry signal from building or using it
-doubles N and rebuilds, and after a fixed number of attempts the call
-raises RuntimeError.  Nothing is ever decided by a float.  Internal
+At p = 2 the completion is modelled on exact elements of the field L of
+the local generators, in which 2 has one place, so a valuation is v_2 of
+an exact norm divided by f.  One quadratic defect loop (O'Meara,
+Introduction to Quadratic Forms, section 63) reduces a unit toward 1 by
+square corrections until what is left is a square or an obstruction, an
+odd-valuation defect or an unsolvable Artin-Schreier equation at the
+critical level 2e.  The obstruction of each new local generator over the
+subfield so far gives the next uniformizer or residue generator; on the
+finished model the loop divides each obstruction out by the matching unit
+generator, which gives the square class vector.  The pairing matrix is
+found by enumerating norms.
+
+A tower element reaches either completion as integer coordinates over the
+local basis mod p^(t+c), where t = v_p of its norm bounds its valuation:
+c = 1 at odd p, where the class is read mod pi^(v+1), and c = 3 at p = 2,
+where the local square theorem (O'Meara 63:1) makes the class exact.
+Nothing is ever decided by a float or by truncated digits.  Internal
 consistency checks raise RuntimeError, so they also run under python -O.
 
-Isometry and hyperbolicity tests never build that model when 2 does not
-split: two forms of equal rank, determinant class and real signatures
+Isometry and hyperbolicity tests never build the dyadic model when 2 does
+not split: two forms of equal rank, determinant class and real signatures
 have equal Hasse invariants at the first place above 2 once they agree at
 every other place, by Hilbert reciprocity (places_to_compare).  Symbols,
 Hasse invariants, square class vectors and audits still compute every
@@ -63,10 +67,6 @@ __all__ = [
 ]
 
 
-class _Precision(Exception):
-    """Internal: the stored p-adic digits cannot certify the answer."""
-
-
 # -- rational Hilbert symbols ---------------------------------------------
 
 
@@ -91,14 +91,20 @@ def _legendre_unit(u: Fraction, p: int) -> int:
     return 1 if pow(n, (p - 1) // 2, p) == 1 else -1
 
 
+def _prime(p: int) -> int:
+    if not (p >= 2 and factorize(p) == ((p, 1),)):
+        raise ValueError(f"{p} is not prime")
+    return p
+
+
 def hilbert_symbol_Q(a, b, v="inf") -> int:
-    """Hilbert symbol (a,b)_v over Q; v is a prime or "inf"."""
+    """Hilbert symbol (a,b)_v over Q; v is "inf" or a prime (else ValueError)."""
     a, b = Fraction(a), Fraction(b)
     if not a or not b:
         raise ZeroDivisionError("Hilbert symbol of 0")
     if v in ("inf", "real", None):
         return -1 if (a < 0 and b < 0) else 1
-    p = int(v)
+    p = _prime(int(v))
     va, ua = _split_val(a, p)
     vb, ub = _split_val(b, p)
     if p == 2:
@@ -144,6 +150,7 @@ class _Structure(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _local_structure(tower: FieldTower, p: int) -> _Structure:
+    _prime(p)
     triv = _qp_class(Fraction(1), p)
 
     def cls(n: int) -> tuple[int, int]:
@@ -259,20 +266,23 @@ def _hensel_sqrt(q: Fraction, p: int, digits: int) -> tuple[int, int]:
 
     Canonical means stable under raising digits: for odd p the root with the
     smaller residue mod p, for p = 2 the digit-by-digit lift starting at 1.
+    The result is correct to all p^digits: at p = 2 a root of u mod 2^(k+1)
+    is fixed only mod 2^k, so that lift runs to u mod 2^(digits+1).
     """
     v, u = _split_val(q, p)
     if v % 2:
         raise RuntimeError("p-adic square root of odd valuation")
     mod = p**digits
-    u_int = u.numerator % mod * pow(u.denominator, -1, mod) % mod
     if p == 2:
-        if u_int % 8 != 1:
+        u_int = u.numerator * pow(u.denominator, -1, 2 * mod) % (2 * mod)
+        if _unit_mod8(u) != 1:
             raise RuntimeError("2-adic unit is not a square")
         x = 1
-        for k in range(3, digits):
-            if (x * x - u_int) % (1 << (k + 1)):
+        for k in range(3, digits + 1):
+            if (x * x - u_int) % (2 << k):
                 x += 1 << (k - 1)
         return v // 2, x % mod
+    u_int = u.numerator % mod * pow(u.denominator, -1, mod) % mod
     r0 = _sqrt_mod_prime(u_int % p, p)
     r0 = min(r0, p - r0)
     x, prec = r0, 1
@@ -306,27 +316,61 @@ def _f4_sqrt(x: int) -> int:
 class _Completion:
     """The completion at p over beta_S = prod_{j in S} sqrt(gens[j]).  A subclass
     sets e, f, M_rows, basis_names and basis_elts (the elements the names stand
-    for), and gives mrat, mneg, vec_int and embed on its own element type."""
+    for) and _extra, and gives mrat, mneg, vec_int and _from_coords on its own
+    element type."""
 
     def __init__(self, tower: FieldTower, p: int):
         self.tower = tower
         self.p = p
         self.st = st = _local_structure(tower, p)
         self.gens = st.gens
-        self.gen_masks = st.gen_masks
-        self.m = len(st.gens)
-        self.size = 1 << self.m
+        self.size = 1 << len(st.gens)
         self.bprod = tuple(_prod(g for j, g in enumerate(self.gens) if (mask >> j) & 1)
                            for mask in range(self.size))
         self._vec_cache: dict[tuple[int, FieldElement], int] = {}
+        self._digits, self._images = 1, self._radicand_images(1)
+        h = -min(s for _, s, _ in self._images)  # alpha_0 = 1 has s = 0
+        self._h = h + (h & 1)
 
-    def _radicand_root(self, j: int, digits: int) -> tuple[int, int, int]:
-        """(M, k, r) with sqrt(d_j) = p^k * r / bprod[M] * beta_M and r the canonical
-        root mod p^digits, so a sign mask names the same place in every model."""
-        mask = self.gen_masks[j]
-        k, root = _hensel_sqrt(Fraction(self.tower.radicands[j] * self.bprod[mask]),
-                               self.p, digits)
-        return mask, k, root
+    def _radicand_images(self, digits: int) -> list[tuple[int, int, int]]:
+        """(M, s, c) per global basis mask S, with alpha_S = p^s * c * beta_M and
+        c a unit known mod p^digits.  sqrt(d_j) * beta_M is the canonical root of
+        d_j * bprod[M], so a sign mask names the same place in every model."""
+        p, mod = self.p, self.p**digits
+        roots = []
+        for j, M in enumerate(self.st.gen_masks):
+            k, r = _hensel_sqrt(Fraction(self.tower.radicands[j] * self.bprod[M]), p, digits)
+            a, b = _split_val(Fraction(self.bprod[M]), p)
+            roots.append((M, k - a, r * pow(b.numerator, -1, mod) % mod))
+        images = [(0, 0, 1)]
+        for S in range(1, self.tower.degree):
+            M, s, c = images[S & (S - 1)]
+            Mj, sj, cj = roots[(S & -S).bit_length() - 1]
+            a, b = _split_val(Fraction(self.bprod[M & Mj]), p)
+            images.append((M ^ Mj, s + sj + a, c * cj * b.numerator % mod))
+        return images
+
+    def embed(self, x: FieldElement, eps_mask: int):
+        """x * den^2 * p^h, integral and in the class of x, from its integer
+        coordinates over beta_S mod p^(t+c+h), in the subclass's element type.
+        t = v_p(N(x * den^2)) bounds v_pi(x * den^2); the even h clears the
+        denominators of the images of alpha_S; c = _extra is 1 at odd p, where
+        the class is read mod pi^(v+1), and 3 at p = 2, where the truncation
+        is then x * den^2 * p^h times 1 + O(pi^(2e+1)), a square by the local
+        square theorem (O'Meara 63:1)."""
+        nums = [c * x.den for c in x.nums]
+        t = _split_val(FieldElement(self.tower, tuple(nums)).rational_norm(), self.p)[0]
+        need = t + self._extra + self._h
+        if self._digits < need:
+            self._digits = max(need, 2 * self._digits)
+            self._images = self._radicand_images(self._digits)
+        p, h, mod = self.p, self._h, self.p**need
+        z = [0] * self.size
+        for S, (n, (M, s, c)) in enumerate(zip(nums, self._images)):
+            if (S & eps_mask).bit_count() & 1:
+                n = -n
+            z[M] = (z[M] + n * c * p**(s + h)) % mod
+        return self._from_coords(z)
 
     @property
     def dim(self) -> int:
@@ -383,23 +427,23 @@ class _Completion:
 
 # -- the dyadic model ----------------------------------------------------------
 
-# An element is p^shift * sum coeffs[S] * beta_S with integer coeffs known
-# mod p^prec.  Since every error term is an integer multiple of p^prec, sums
-# and products of such elements are again exact mod the minimum prec; factoring
-# p^t out of all coordinates trades t digits of precision for a shift, which
-# keeps shifts (and coefficient sizes) bounded during nested constructions.
-_Elt = tuple[int, tuple[int, ...], int]  # (shift, coeffs, prec)
-
 
 class LocalModel(_Completion):
-    """Integral model of the completion of a tower at the prime p = 2."""
+    """The completion of a tower at p = 2, on exact elements of the field
+    L = Q(sqrt(gens[0]), ...) of its local generators.  The radicands of L are
+    the generators in order, so alpha_S of L is beta_S, and 2 has one place in
+    L.  While the model is built, a stage is the subfield generated by the
+    first nbits generators, and v(x) = v_2(N(x)) / f with the norm taken over
+    the stage's generators."""
 
-    def __init__(self, tower: FieldTower, p: int, digits: int):
+    _extra = 3
+
+    def __init__(self, tower: FieldTower, p: int):
         super().__init__(tower, p)
-        self.N = digits
-        self.mod = p**digits
-        self._pow_cache: dict[int, int] = {}
-        self.one = self.mrat(1)
+        self.L = fields.make_field(self.gens)
+        if self.L.radicands != self.gens:
+            raise RuntimeError("local generators are not the radicands of their field")
+        self.one = self.L.one()
         self._build_dyadic()
         if self.e != self.st.e or self.f != self.st.f:
             raise RuntimeError("local model disagrees with the splitting type")
@@ -409,199 +453,76 @@ class LocalModel(_Completion):
             raise RuntimeError("valuation of p is not the ramification index")
         self._delta_and_unit_gens()
         self._build_matrix()
-        self._build_embedding()
 
-    # -- element arithmetic --------------------------------------------
+    def mrat(self, q) -> FieldElement:
+        return self.L.rational(q)
 
-    def _pp(self, k: int) -> int:
-        got = self._pow_cache.get(k)
-        if got is None:
-            got = self.p**k
-            self._pow_cache[k] = got
-        return got
+    def mneg(self, x: FieldElement) -> FieldElement:
+        return -x
 
-    def _extract(self, s: int, cs: list[int], prec: int) -> _Elt:
-        if prec < 16:
-            raise _Precision("element precision exhausted")
-        p = self.p
-        if any(c % p for c in cs):
-            return (s, tuple(cs), prec)
-        if not any(cs):
-            return (s, tuple(cs), prec)
-        t = prec
-        for c in cs:
-            if c:
-                w = 0
-                while c % p == 0:
-                    c //= p
-                    w += 1
-                t = min(t, w)
-        if t >= prec:
-            # indistinguishable from zero at this precision: keep as stored zero
-            return (s, tuple(0 for _ in cs), prec)
-        mod = self._pp(prec - t)
-        return (s + t, tuple((c // self._pp(t)) % mod for c in cs), prec - t)
+    def _from_coords(self, z: list[int]) -> FieldElement:
+        return FieldElement(self.L, tuple(z))
 
-    def mrat(self, q) -> _Elt:
-        q = Fraction(q)
-        zeros = (0,) * (self.size - 1)
-        if not q:
-            return (0, (0,) + zeros, self.N)
-        v, u = _split_val(q, self.p)
-        c = u.numerator % self.mod * pow(u.denominator, -1, self.mod) % self.mod
-        return (v, (c,) + zeros, self.N)
-
-    def basis_elt(self, mask: int) -> _Elt:
-        return (0, tuple(1 if S == mask else 0 for S in range(self.size)), self.N)
-
-    def madd(self, x: _Elt, y: _Elt) -> _Elt:
-        sx, cx, px = x
-        sy, cy, py = y
-        s = min(sx, sy)
-        prec = min(px, py)
-        mod = self._pp(prec)
-        mx = self._pp(sx - s)
-        my = self._pp(sy - s)
-        return self._extract(s, [(a * mx + b * my) % mod for a, b in zip(cx, cy)], prec)
-
-    def mneg(self, x: _Elt) -> _Elt:
-        mod = self._pp(x[2])
-        return (x[0], tuple(-c % mod for c in x[1]), x[2])
-
-    def msub(self, x: _Elt, y: _Elt) -> _Elt:
-        return self.madd(x, self.mneg(y))
-
-    def mmul(self, x: _Elt, y: _Elt) -> _Elt:
-        sx, cx, px = x
-        sy, cy, py = y
-        prec = min(px, py)
-        mod = self._pp(prec)
-        out = [0] * self.size
-        for S, a in enumerate(cx):
-            if a:
-                for T, b in enumerate(cy):
-                    if b:
-                        out[S ^ T] = (out[S ^ T] + a * b * self.bprod[S & T]) % mod
-        return self._extract(sx + sy, out, prec)
-
-    def conj(self, x: _Elt, mask: int) -> _Elt:
-        s, cs, prec = x
-        mod = self._pp(prec)
-        return (s, tuple(c if (S & mask).bit_count() % 2 == 0 else -c % mod
-                         for S, c in enumerate(cs)), prec)
-
-    def npow(self, x: _Elt, n: int) -> _Elt:
-        out, base = self.one, x
-        while n:
-            if n & 1:
-                out = self.mmul(out, base)
-            base = self.mmul(base, base)
-            n >>= 1
-        return out
-
-    def inv(self, x: _Elt) -> _Elt:
-        prod = None
-        for mask in range(1, self.size):
-            c = self.conj(x, mask)
-            prod = c if prod is None else self.mmul(prod, c)
-        n = x if prod is None else self.mmul(x, prod)
-        sn, cn, pn = n
-        guard = self._pp(pn // 2)
-        if any(c % guard for c in cn[1:]):
-            raise _Precision("inverse: norm has irrational residue")
-        c0 = cn[0]
-        if c0 % guard == 0:
-            raise _Precision("inverse of a (nearly) zero element")
-        w = 0
-        while c0 % self.p == 0:
-            c0 //= self.p
-            w += 1
-        scale: _Elt = (-sn - w, ((pow(c0, -1, self._pp(pn - w))),) + (0,) * (self.size - 1),
-                       pn - w)
-        return scale if prod is None else self.mmul(prod, scale)
-
-    def pi_pow(self, k: int) -> _Elt:
+    def pi_pow(self, k: int) -> FieldElement:
         got = self._pi_pows.get(k)
         if got is None:
-            got = self.npow(self.pi, k) if k >= 0 else self.npow(self._pi_pows[-1], -k)
+            got = self.pi**k if k >= 0 else self._pi_pows[-1] ** -k
             self._pi_pows[k] = got
         return got
 
-    def _stage(self, nbits: int, e: int, f: int, pi: _Elt, omega: _Elt | None) -> None:
+    def _stage(self, nbits: int, e: int, f: int, pi: FieldElement,
+               omega: FieldElement | None) -> None:
         """Answer from now on for the subfield generated by the first nbits
         local generators, with ramification e, residue degree f, uniformizer
         pi and residue generator omega (w^2 = w + 1 when f = 2)."""
         self._nbits, self.e, self.f, self.pi, self.omega = nbits, e, f, pi, omega
-        self._pi_pows: dict[int, _Elt] = {0: self.one, 1: pi, -1: self.inv(pi)}
+        self._pi_pows = {0: self.one, 1: pi, -1: pi.inverse()}
         self._c2: int | None = None
 
     # -- valuations ----------------------------------------------------
 
-    def _norm_fold(self, x: _Elt) -> tuple[int, int, int]:
-        cur = x
+    def val(self, x: FieldElement) -> int:
+        if not x:
+            raise ZeroDivisionError("valuation of 0")
         for k in range(self._nbits):
-            cur = self.mmul(cur, self.conj(cur, 1 << k))
-        s, cs, prec = cur
-        guard = self._pp(prec // 2)
-        if any(c % guard for c in cs[1:]):
-            raise _Precision("norm has irrational residue")
-        return s, cs[0], prec
-
-    def val(self, x: _Elt) -> int:
-        s, c0, prec = self._norm_fold(x)
-        if c0 == 0:
-            raise _Precision("valuation of a (nearly) zero element")
-        w = 0
-        while c0 % self.p == 0:
-            c0 //= self.p
-            w += 1
-        if w > prec // 2:
-            raise _Precision("valuation beyond certified digits")
-        total = s + w  # the fold already accumulated the shifts of all conjugates
-        if total % self.f:
+            x = x * x.conjugate(self.L.embeddings()[1 << k])
+        if not x.is_rational:
+            raise RuntimeError("element lies outside the current stage")
+        w = _split_val(x.rational_value(), self.p)[0]
+        if w % self.f:
             raise RuntimeError("norm valuation not divisible by residue degree")
-        return total // self.f
+        return w // self.f
 
-    def is_val_ge(self, x: _Elt, t: int) -> bool:
-        # the p-shift alone certifies v_pi(x) >= e*shift >= shift; this also
-        # covers near-cancelled elements whose relative precision is too low
-        # to norm-fold (exact cancellations leave a single junk top digit)
-        if x[0] >= t:
-            return True
-        s, c0, prec = self._norm_fold(x)
-        need = t * self.f - s
-        if need <= 0:
-            return True
-        if need > prec:
-            raise _Precision("threshold beyond certified digits")
-        return c0 % self._pp(need) == 0
+    def is_val_ge(self, x: FieldElement, t: int) -> bool:
+        return not x or self.val(x) >= t
 
     # -- residue field -------------------------------------------------
 
-    def _rep(self, sym: int) -> _Elt:
+    def _rep(self, sym: int) -> FieldElement:
         out = self.mrat(sym & 1)
         if sym >> 1:
             if self.omega is None:
                 raise RuntimeError("residue symbol needs the residue generator")
-            out = self.madd(out, self.omega)
+            out = out + self.omega
         return out
 
-    def _residue(self, x: _Elt) -> int:
+    def _residue(self, x: FieldElement) -> int:
         for sym in range(1, 1 << self.f):
-            if self.is_val_ge(self.msub(x, self._rep(sym)), 1):
+            if self.is_val_ge(x - self._rep(sym), 1):
                 return sym
-        raise _Precision("unit residue unresolved")
+        raise RuntimeError("residue of a non-unit")
 
     def _c2_residue(self) -> int:
         """Residue of 2/pi^e, the linear coefficient of the Artin-Schreier
         equation s^2 + c2*s = ebar at the critical level 2e."""
         if self._c2 is None:
-            self._c2 = self._residue(self.mmul(self.mrat(2), self.pi_pow(-self.e)))
+            self._c2 = self._residue(self.mrat(2) * self.pi_pow(-self.e))
         return self._c2
 
     # -- the quadratic defect loop ----------------------------------------
 
-    def _reduce(self, u: _Elt, build: bool = False) -> tuple[int, str, int | None, _Elt]:
+    def _reduce(self, u: FieldElement, build: bool = False
+                ) -> tuple[int, str, int | None, FieldElement]:
         """Multiply the unit u by squares toward 1.
 
         Each step writes u = 1 + pi^w*eps and raises w with a square factor:
@@ -621,37 +542,37 @@ class LocalModel(_Completion):
         corr = self._rep(_f4_sqrt(r)) if r != 1 else None
         for _ in range(4 * e + 16):
             if corr is not None:
-                ci = self.inv(corr)
+                ci = corr.inverse()
                 if build:
-                    y = self.mmul(y, ci)
-                u = self.mmul(u, self.mmul(ci, ci))
+                    y = y * ci
+                u = u * (ci * ci)
                 corr = None
-            d = self.msub(u, one)
-            if self.is_val_ge(d, 2 * e + 1):
+            d = u - one
+            w = self.val(d) if d else 2 * e + 1
+            if w > 2 * e:
                 return bits, "square", None, y
-            w = self.val(d)
             if build and w & 1:
                 return bits, "odd", w, y
-            ebar = self._residue(self.mmul(d, self.pi_pow(-w)))
+            ebar = self._residue(d * self.pi_pow(-w))
             if w & 1:
                 for sym in (1, 2):
                     if ebar & sym:
                         idx = self._gen_index[(w, sym)]
                         bits ^= 1 << idx
-                        u = self.mmul(u, self._gen_inv[idx])
+                        u = u * self._gen_inv[idx]
             elif w < 2 * e:
-                corr = self.madd(one, self.mmul(self.pi_pow(w // 2), self._rep(_f4_sqrt(ebar))))
+                corr = one + self.pi_pow(w // 2) * self._rep(_f4_sqrt(ebar))
             else:
                 c2 = self._c2_residue()
                 sols = [s for s in range(1, 1 << self.f) if _f4_mul(s, s) ^ _f4_mul(c2, s) == ebar]
                 if sols:
-                    corr = self.madd(one, self.mmul(self.pi_pow(e), self._rep(sols[0])))
+                    corr = one + self.pi_pow(e) * self._rep(sols[0])
                 elif build:
                     return bits, "unram", w, y
                 else:
                     bits ^= 1
-                    u = self.mmul(u, self._gen_inv[0])
-        raise _Precision("defect loop did not settle")
+                    u = u * self._gen_inv[0]
+        raise RuntimeError("defect loop did not settle")
 
     # -- construction ----------------------------------------------------
 
@@ -660,23 +581,22 @@ class LocalModel(_Completion):
         # next radicand over the subfield so far gives its new uniformizer
         # (odd defect) or residue generator (unramified defect)
         self._stage(0, 1, 1, self.mrat(2), None)
+        one = self.one
         for j, c in enumerate(self.gens):
             e, f, pi, omega = self.e, self.f, self.pi, self.omega
             t = e if c % 2 == 0 else 0
-            beta = self.basis_elt(1 << j)
+            beta = self.L.sqrt(c)
             if t & 1:
-                self._stage(j + 1, 2 * e, f, self.mmul(beta, self.pi_pow(-((t - 1) // 2))), omega)
+                self._stage(j + 1, 2 * e, f, beta * self.pi_pow(-((t - 1) // 2)), omega)
                 continue
-            _, kind, w, y = self._reduce(self.mmul(self.mrat(c), self.pi_pow(-t)), build=True)
-            eta = self.mmul(y, self.mmul(beta, self.pi_pow(-(t // 2))))
+            _, kind, w, y = self._reduce(self.mrat(c) * self.pi_pow(-t), build=True)
+            eta = y * beta * self.pi_pow(-(t // 2))
             if kind == "odd":
-                pi = self.mmul(self.msub(eta, self.one), self.pi_pow(-((w - 1) // 2)))
-                self._stage(j + 1, 2 * e, f, pi, omega)
+                self._stage(j + 1, 2 * e, f, (eta - one) * self.pi_pow(-((w - 1) // 2)), omega)
             elif kind == "unram":
-                omega = self.mmul(self.msub(eta, self.one), self.pi_pow(-e))
+                omega = (eta - one) * self.pi_pow(-e)
                 self._stage(j + 1, e, 2 * f, pi, omega)
-                rel = self.msub(self.mmul(omega, omega), self.madd(omega, self.one))
-                if not self.is_val_ge(rel, 1):
+                if not self.is_val_ge(omega * omega - (omega + one), 1):
                     raise RuntimeError("residue generator does not satisfy w^2 = w + 1")
             else:
                 raise RuntimeError("locally square radicand in the local basis")
@@ -688,53 +608,51 @@ class LocalModel(_Completion):
         c2 = self._c2_residue()
         image = {_f4_mul(s, s) ^ _f4_mul(c2, s) for s in range(1 << f)}
         rho = min(s for s in range(1, 1 << f) if s not in image)
-        delta = self.madd(self.one, self.mmul(self.mrat(4), self._rep(rho)))
+        delta = self.one + self.mrat(4) * self._rep(rho)
         _, kind, w, _ = self._reduce(delta, build=True)
         if kind != "unram" or w != 2 * e:
             raise RuntimeError("unramified unit candidate failed")
-        gens: list[tuple[str, _Elt]] = [("D", delta)]
+        gens: list[tuple[str, FieldElement]] = [("D", delta)]
         index: dict[tuple[int, int], int] = {}
         for w in range(1, 2 * e, 2):
             for sym in (1,) if f == 1 else (1, 2):
-                elt = self.madd(self.one, self.mmul(self.pi_pow(w), self._rep(sym)))
+                elt = self.one + self.pi_pow(w) * self._rep(sym)
                 index[(w, sym)] = len(gens)
                 gens.append((f"1+pi^{w}" + ("" if sym == 1 else "*w"), elt))
         if len(gens) != e * f + 1:
             raise RuntimeError("unit generator count is not e*f + 1")
         self.unit_gens = gens
         self._gen_index = index
-        self._gen_inv = [self.inv(g) for _, g in gens]
+        self._gen_inv = [g.inverse() for _, g in gens]
 
-    def vec_int(self, x: _Elt) -> int:
+    def vec_int(self, x: FieldElement) -> int:
         """Square class of x as a bitmask over [pi] + unit generators."""
         v = self.val(x)
-        u = self.mmul(x, self.pi_pow(-v))
-        return (v & 1) | (self._reduce(u)[0] << 1)
+        return (v & 1) | (self._reduce(x * self.pi_pow(-v))[0] << 1)
 
     # -- pairing matrix --------------------------------------------------
 
     def _norm_pairs(self):
-        base = [self.one, self.pi, self.madd(self.one, self.pi), self.pi_pow(2),
+        one, L = self.one, self.L
+        base = [one, self.pi, one + self.pi, self.pi_pow(2),
                 self.mrat(3), self.mrat(5), self.mrat(7), self.mrat(-1)]
-        for j in range(self.m):
-            base.append(self.basis_elt(1 << j))
+        base.extend(L.sqrt(g) for g in self.gens)
         if self.omega is not None:
-            base.append(self.omega)
-            base.append(self.madd(self.one, self.omega))
+            base += [self.omega, one + self.omega]
         yield from itertools.product(base, repeat=2)
         rnd = random.Random(770231)
         while True:
-            s = (0, tuple(rnd.randrange(64) for _ in range(self.size)), self.N)
-            t = (0, tuple(rnd.randrange(64) for _ in range(self.size)), self.N)
+            s = FieldElement(L, tuple(rnd.randrange(64) for _ in range(self.size)))
+            t = FieldElement(L, tuple(rnd.randrange(64) for _ in range(self.size)))
             yield s, t
 
-    def _char_row(self, b: _Elt, dim: int) -> int:
+    def _char_row(self, b: FieldElement, dim: int) -> int:
         """The character annihilating the norms of the extension by sqrt(b)."""
         pivots: dict[int, int] = {}
         needed = dim - 1
         for s, t in itertools.islice(self._norm_pairs(), 1200):
-            n = self.msub(self.mmul(s, s), self.mmul(b, self.mmul(t, t)))
-            if not any(n[1]):
+            n = s * s - b * (t * t)
+            if not n:
                 continue
             x = self.vec_int(n)
             while x:
@@ -767,38 +685,6 @@ class LocalModel(_Completion):
         self.M_rows = rows
         self._validate_matrix()
 
-    # -- embedding of the global field -----------------------------------
-
-    def _build_embedding(self) -> None:
-        self.phi_rad: list[_Elt] = []
-        for j, d in enumerate(self.tower.radicands):
-            mask, k, root = self._radicand_root(j, self.N)
-            root_elt: _Elt = (k, (root,) + (0,) * (self.size - 1), self.N)
-            phi = self.mmul(root_elt, self.inv(self.basis_elt(mask)))
-            diff = self.msub(self.mmul(phi, phi), self.mrat(d))
-            if not self.is_val_ge(diff, max(4, self.N // 4)):
-                raise RuntimeError("radicand image check failed")
-            self.phi_rad.append(phi)
-        self._phi_alpha: dict[int, _Elt] = {0: self.one}
-
-    def _phi(self, S: int) -> _Elt:
-        got = self._phi_alpha.get(S)
-        if got is None:
-            j = (S & -S).bit_length() - 1
-            got = self.mmul(self._phi(S & (S - 1)), self.phi_rad[j])
-            self._phi_alpha[S] = got
-        return got
-
-    def embed(self, x: FieldElement, eps_mask: int) -> _Elt:
-        acc = self.mrat(0)
-        for S, n in enumerate(x.nums):
-            if n:
-                term = self.mmul(self.mrat(Fraction(n, x.den)), self._phi(S))
-                if (S & eps_mask).bit_count() & 1:
-                    term = self.mneg(term)
-                acc = self.madd(acc, term)
-        return acc
-
 
 # -- odd places: the tame closed form ------------------------------------------
 
@@ -810,13 +696,14 @@ class _OddCompletion(_Completion):
     integer coordinate lists over beta_S, exact or mod p^n above their
     valuation."""
 
+    _extra = 1
+
     def __init__(self, tower: FieldTower, p: int):
         super().__init__(tower, p)
         self.e, self.f = self.st.e, self.st.f
         self._ram = sum(1 << j for j, g in enumerate(self.gens) if g % p == 0)
         self._unr = sum(1 << j for j, g in enumerate(self.gens) if g % p)
         self._g1 = self.bprod[self._ram] // p or 1  # g' (1 when e = 1)
-        self._digits, self._images = 0, []
         pi = self.mrat(p) if self.e == 1 else [int(S == self._ram) for S in range(self.size)]
         units = ([a] + [int(S == self._unr) for S in range(1, self.size)] for a in range(p))
         self.basis_names = ["pi", "u"]
@@ -829,6 +716,9 @@ class _OddCompletion(_Completion):
 
     def mneg(self, z: list[int]) -> list[int]:
         return [-c for c in z]
+
+    def _from_coords(self, z: list[int]) -> list[int]:
+        return z
 
     def vec_int(self, z: list[int]) -> int:
         """Bitmask over [pi, u] of an integral z: v_pi(z) is the least
@@ -843,60 +733,20 @@ class _OddCompletion(_Completion):
         norm = a * a - self.bprod[self._unr] * b * b if self._unr else a * self._g1**s
         return (v & 1) | (pow(norm, (p - 1) // 2, p) == p - 1) << 1
 
-    def embed(self, x: FieldElement, eps_mask: int) -> list[int]:
-        """x * den^2, integral and in the class of x, over beta_S mod p^(t+1),
-        where t = v_p(norm) bounds its valuation."""
-        nums = [c * x.den for c in x.nums]
-        t = _split_val(FieldElement(self.tower, tuple(nums)).rational_norm(), self.p)[0]
-        if self._digits <= t:
-            # alpha_S = c * beta_M with c a unit mod p^digits, per global basis mask S
-            self._digits = digits = max(t + 1, 2 * self._digits)
-            mod = self.p**digits
-            roots = [(M, r * pow(self.bprod[M] // self.p**k, -1, mod))
-                     for M, k, r in (self._radicand_root(j, digits) for j in range(self.tower.r))]
-            self._images = [(0, 1)]
-            for S in range(1, self.tower.degree):
-                M, c = self._images[S & (S - 1)]
-                Mj, cj = roots[(S & -S).bit_length() - 1]
-                self._images.append((M ^ Mj, c * cj * self.bprod[M & Mj] % mod))
-        mod = self.p ** (t + 1)
-        z = [0] * self.size
-        for S, (c, (M, cS)) in enumerate(zip(nums, self._images)):
-            z[M] = (z[M] + (-c if (S & eps_mask).bit_count() & 1 else c) * cS) % mod
-        return z
 
+# -- model cache ---------------------------------------------------------------
 
-# -- model cache with precision retry ----------------------------------------
-
-_BASE_DIGITS = 256
-_ATTEMPTS = 14  # digits up to 2^13 times the base
 _MODELS: dict[tuple[FieldTower, int], _Completion] = {}
 
 
-def _model(tower: FieldTower, p: int, use=lambda md: md):
-    """use(md) for the cached local model md of the tower at p.
-
-    Odd primes get the exact _OddCompletion.  At p = 2 the one precision
-    policy holds: a _Precision raised while building the model or inside use
-    discards the model and rebuilds it with twice the digits; after
-    _ATTEMPTS tries the call raises RuntimeError.
-    """
+def _model(tower: FieldTower, p: int) -> _Completion:
+    """The cached completion of the tower at p: the exact dyadic LocalModel at
+    p = 2, the tame _OddCompletion at odd p."""
     key = (tower, p)
     md = _MODELS.get(key)
-    if p != 2:
-        if md is None:
-            md = _MODELS[key] = _OddCompletion(tower, p)
-        return use(md)
-    digits = md.N if md is not None else _BASE_DIGITS
-    for _ in range(_ATTEMPTS):
-        try:
-            if md is None:
-                md = _MODELS[key] = LocalModel(tower, p, digits)
-            return use(md)
-        except _Precision:
-            _MODELS.pop(key, None)
-            md, digits = None, 2 * digits
-    raise RuntimeError(f"p-adic precision exhausted for {tower} at {p}")
+    if md is None:
+        md = _MODELS[key] = LocalModel(tower, p) if p == 2 else _OddCompletion(tower, p)
+    return md
 
 
 def square_class_vector(x: FieldElement, place: Place) -> tuple[int, ...]:
@@ -906,9 +756,9 @@ def square_class_vector(x: FieldElement, place: Place) -> tuple[int, ...]:
     x = place.tower.coerce(x)
     if not x:
         raise ZeroDivisionError("square class of 0")
-    bits, dim = _model(place.tower, place.p,
-                       lambda md: (md.vec_of_element(x, place.eps_mask), md.dim))
-    return tuple((bits >> i) & 1 for i in range(dim))
+    md = _model(place.tower, place.p)
+    bits = md.vec_of_element(x, place.eps_mask)
+    return tuple((bits >> i) & 1 for i in range(md.dim))
 
 
 def hilbert_symbol_local(a, b, place: Place) -> int:
@@ -922,8 +772,9 @@ def hilbert_symbol_local(a, b, place: Place) -> int:
         sigma = K.embeddings()[place.eps_mask]
         return -1 if (sign_at(a, sigma) < 0 and sign_at(b, sigma) < 0) else 1
     ra, rb = integral_rescale(a), integral_rescale(b)
-    out = -1 if _model(K, place.p, lambda md: md.pair_bits(
-        md.vec_of_element(ra, place.eps_mask), md.vec_of_element(rb, place.eps_mask))) else 1
+    md = _model(K, place.p)
+    out = -1 if md.pair_bits(md.vec_of_element(ra, place.eps_mask),
+                             md.vec_of_element(rb, place.eps_mask)) else 1
     if a.is_rational and b.is_rational:
         expect = hilbert_symbol_Q(a.rational_value(), b.rational_value(),
                                   place.p) ** place.degree
@@ -940,17 +791,13 @@ def hasse_invariant(form, place: Place) -> int:
     if place.kind == "real":
         neg = sum(1 for c in entries if sign_at(c, K.embeddings()[place.eps_mask]) < 0)
         return -1 if (neg * (neg - 1) // 2) % 2 else 1
-    rescaled = [integral_rescale(c) for c in entries]
-
-    def symbol_bit(md: _Completion) -> int:
-        bit, pre = 0, 0
-        for c in rescaled:
-            v = md.vec_of_element(c, place.eps_mask)
-            bit ^= md.pair_bits(pre, v)
-            pre ^= v
-        return bit
-
-    return -1 if _model(K, place.p, symbol_bit) else 1
+    md = _model(K, place.p)
+    bit, pre = 0, 0
+    for c in entries:
+        v = md.vec_of_element(integral_rescale(c), place.eps_mask)
+        bit ^= md.pair_bits(pre, v)
+        pre ^= v
+    return -1 if bit else 1
 
 
 def relevant_finite_places(tower: FieldTower, elements: Iterable) -> tuple[Place, ...]:

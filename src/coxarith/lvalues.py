@@ -196,8 +196,7 @@ def l_chi8(s: int, digits: int) -> Ball:
 
 def sqrt_ball(n: int, digits: int) -> Ball:
     """sqrt(n) for an integer n >= 0 with error below 10^-digits."""
-    if operator.index(n) < 0:
-        raise ValueError("sqrt of a negative integer")
+    n = _int_at_least("n", n, 0)
     digits = _int_at_least("digits", digits, 0)
     m = digits + 2
     r = isqrt(n * 10 ** (2 * m))

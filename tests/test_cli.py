@@ -223,6 +223,14 @@ def test_bound_must_be_positive(capsys):
         assert "--bound" in cap.err
 
 
+def test_jobs_must_be_positive(capsys):
+    for bad in ("0", "-1"):
+        code, cap = run(capsys, "batch", DELTA5, "--jobs", bad)
+        assert code == cli.EXIT_PARSE
+        assert cap.err == "error: --jobs must be at least 1\n"
+        assert cap.out == ""
+
+
 def test_report_json_round_trips(tmp_path, capsys):
     stuck = tmp_path / "stuck.cox"
     stuck.write_text(STUCK)
@@ -264,10 +272,11 @@ def test_audit(capsys):
 
 
 def test_audit_rejects_composite_prime(capsys):
-    for bad in ("6", "1"):
+    for bad in ("6", "1", "0", "-3", "4", "9"):
         code, cap = run(capsys, "audit", "--prime", bad)
         assert code == cli.EXIT_PARSE
-        assert "not prime" in cap.err
+        assert cap.err == f"error: {bad} is not prime\n"
+        assert cap.out == ""
 
 
 def test_module_is_runnable():

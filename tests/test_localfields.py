@@ -360,6 +360,72 @@ def test_dyadic_tables_are_pinned(radicands, ef, basis, rows, vectors):
     assert " ".join("".join(map(str, v)) for v in got) == vectors
 
 
+# Towers in which 2 splits: (radicands, local class basis, (e, f, signs) per
+# place, square class basis, pairing rows, square class vectors of 20 seeded
+# elements times 2^k, k < 4, at each place, drawn in turn).  Recorded with the
+# model that worked mod 2^N with a precision retry.
+_SPLIT_DYADIC_TABLES = [
+    ((17,), [], [(1, 1, '+'), (1, 1, '-')], ['pi', 'D', '1+pi^1'], ['011', '100', '101'],
+     ['011 110 000 101 101 111 000 110 101 110 010 010 110 000 010 101 111 001 111 001',
+      '010 010 101 100 111 001 001 101 001 110 110 111 110 111 101 011 101 010 000 010']),
+    ((2, 17), [2], [(2, 1, '++'), (2, 1, '+-')], ['pi', 'D', '1+pi^1', '1+pi^3'],
+     ['1110', '1000', '1011', '0010'],
+     ['0010 0001 0100 0010 1100 1010 0000 0000 0000 0100 0011 1100 0011 0011 0111 0100 0110 '
+      '0000 0111 1111',
+      '1110 0101 1100 1110 0100 0010 1110 0101 0001 1000 1101 1111 0110 1110 0011 0100 1000 '
+      '1001 0001 0100']),
+    ((5, 13), [5], [(1, 2, '++'), (1, 2, '-+')], ['pi', 'D', '1+pi^1', '1+pi^1*w'],
+     ['0101', '1000', '0001', '1011'],
+     ['1000 0110 0000 1010 1010 1010 0100 0101 1101 0101 0010 1011 0010 0100 0000 0000 0001 '
+      '0001 1010 1001',
+      '1110 0010 1100 0100 1100 1101 1001 0001 0010 1111 1110 0101 1011 0110 1001 1111 1010 '
+      '0010 1011 1100']),
+    ((17, 41), [], [(1, 1, '++'), (1, 1, '-+'), (1, 1, '+-'), (1, 1, '--')],
+     ['pi', 'D', '1+pi^1'], ['011', '100', '101'],
+     ['100 011 000 001 111 111 010 000 110 100 011 101 010 101 010 001 011 000 101 110',
+      '111 001 110 001 111 111 001 000 011 100 000 010 011 011 010 111 101 011 000 100',
+      '001 101 011 101 100 101 100 111 011 001 111 110 111 100 001 110 111 110 010 001',
+      '010 110 101 010 100 001 010 110 011 110 110 100 011 001 101 001 101 101 100 110']),
+    # local generators 10 and 14: sqrt(19) = 2r/140 * sqrt(10)*sqrt(14) with r a
+    # 2-adic unit, so the embedding multiplies by 2^2 to keep coordinates integral
+    ((10, 14, 19), [10, 14], [(4, 1, '+++'), (4, 1, '-++')],
+     ['pi', 'D', '1+pi^1', '1+pi^3', '1+pi^5', '1+pi^7'],
+     ['110000', '100000', '000111', '001010', '001100', '001000'],
+     ['010101 000000 000000 010101 010100 001010 100001 011010 001111 010100 000011 001110 '
+      '111101 011101 010100 000001 000110 011111 000101 010000',
+      '010011 000110 000100 100001 000000 010101 111000 000100 100111 011110 011000 101110 '
+      '010111 001011 010010 000010 101110 001000 010101 011100']),
+]
+
+
+@pytest.mark.parametrize("radicands,gens,places,basis,rows,vectors", _SPLIT_DYADIC_TABLES)
+def test_split_dyadic_tables_are_pinned(radicands, gens, places, basis, rows, vectors):
+    K = make_field(radicands)
+    audit = localfields.local_audit(K, 2)
+    assert audit["local_class_basis"] == gens
+    assert [(pl["e"], pl["f"], "".join("-" if s < 0 else "+" for s in pl["signs"]))
+            for pl in audit["places"]] == places
+    assert audit["square_class_basis"] == basis
+    assert ["".join(map(str, r)) for r in audit["pairing_matrix"]] == rows
+    rng = random.Random(1030)
+    got = [" ".join("".join(map(str, square_class_vector(
+                rand_nonzero(K, rng, scale=40) * 2 ** rng.randrange(4), pl)))
+                    for _ in range(20))
+           for pl in splitting(K, 2)]
+    assert got == vectors
+
+
+@pytest.mark.parametrize("p", [1, 0, -3, 4, 9])
+def test_numbers_that_are_not_prime_are_refused(p):
+    with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+        hilbert_symbol_Q(2, 3, p)
+    for tower in (Q, Q2):
+        with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+            splitting(tower, p)
+        with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+            localfields.local_audit(tower, p)
+
+
 # -- pinned odd tables ---------------------------------------------------------
 
 # (radicands, p, local class basis, (e, f, signs) per place, pairing rows,
@@ -425,6 +491,21 @@ def test_residue_roots_against_brute_force():
                     localfields._hensel_sqrt(Fraction(a), p, 1)
 
 
+def test_dyadic_roots_are_correct_to_every_digit():
+    # a root of u mod 2^(d+1) is fixed only mod 2^d, so the lift must run past d
+    rng = random.Random(8)
+    units = [Fraction(u) for u in (1, 9, 17, 33, 41, -7, -15)] + [Fraction(17, 9), Fraction(1, 33)]
+    units += [Fraction(8 * rng.randrange(1, 10**6) + 1, 8 * rng.randrange(10**6) + 1)
+              for _ in range(30)]
+    for u in units:
+        _, deep = localfields._hensel_sqrt(u, 2, 80)
+        for d in range(1, 40):
+            for j in (0, 1, 3):
+                k, r = localfields._hensel_sqrt(u * 4**j, 2, d)
+                assert (k, r) == (j, deep % 2**d)
+                assert (r * r * u.denominator - u.numerator) % 2 ** (d + 1) == 0
+
+
 @pytest.mark.parametrize("p", [65537, 998244353, 3221225473])
 def test_residue_roots_with_large_two_power_against_sympy(p):
     # p - 1 = 2^16, 119 * 2^23 and 3 * 2^30: Tonelli-Shanks runs its longest loops
@@ -442,64 +523,20 @@ def test_residue_roots_with_large_two_power_against_sympy(p):
         assert (root * root - a) % p**3 == 0
 
 
-# -- the precision policy ------------------------------------------------------
-
-
-def _fail(monkeypatch, owner, name, times):
-    """Make owner.name raise the internal precision signal on its first
-    `times` calls; returns the list of positional arguments of every call."""
-    real = getattr(owner, name)
-    calls = []
-
-    def flaky(*args, **kwargs):
-        calls.append(args)
-        if len(calls) <= times:
-            raise localfields._Precision("forced")
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, flaky)
-    return calls
-
-
-@pytest.mark.parametrize("tower,p", [(Q, 2), (Q2, 2), (Q23, 2)])
-@pytest.mark.parametrize("where", ["use", "build"])
-def test_precision_retry_rebuilds_at_double_digits(tower, p, where, monkeypatch):
-    monkeypatch.setattr(localfields, "_MODELS", {})
-    place = splitting(tower, p)[0]
-    a, b = tower.rational(-1) - tower.sqrt(2 if tower.r else 4), tower.rational(3 * p)
-    base = localfields._BASE_DIGITS
-    want = hilbert_symbol_local(a, b, place)
-    assert localfields._MODELS[(tower, p)].N == base
-    if where == "use":
-        _fail(monkeypatch, localfields.LocalModel, "vec_of_element", 1)
-    else:
-        localfields._MODELS.clear()
-        builds = _fail(monkeypatch, localfields, "LocalModel", 1)
-    assert hilbert_symbol_local(a, b, place) == want
-    assert localfields._MODELS[(tower, p)].N == 2 * base
-    if where == "build":
-        assert [args[2] for args in builds] == [base, 2 * base]
-
-
-def test_precision_exhaustion_is_a_runtime_error(monkeypatch):
-    monkeypatch.setattr(localfields, "_MODELS", {})
-    place = splitting(Q, 2)[0]
-    a, b = Q.rational(-1), Q.rational(3)
-    hilbert_symbol_local(a, b, place)
-    _fail(monkeypatch, localfields.LocalModel, "vec_of_element", 1)
-    builds = _fail(monkeypatch, localfields, "LocalModel", float("inf"))
-    with pytest.raises(RuntimeError, match="precision exhausted"):
-        hilbert_symbol_local(a, b, place)
-    base = localfields._BASE_DIGITS
-    assert [args[2] for args in builds] == [base << k for k in range(1, 14)]
-    assert (Q, 2) not in localfields._MODELS
+# -- the dyadic model is built only at p = 2 ------------------------------------
 
 
 def test_odd_places_never_build_a_p_adic_model(monkeypatch):
     # odd places are served by the tame closed form, which has no digits
     monkeypatch.setattr(localfields, "_MODELS", {})
     dyadic = localfields.LocalModel
-    builds = _fail(monkeypatch, localfields, "LocalModel", float("inf"))
+    builds = []
+
+    def counting(*args):
+        builds.append(args)
+        return dyadic(*args)
+
+    monkeypatch.setattr(localfields, "LocalModel", counting)
     rng = random.Random(211)
     for tower, p in ((Q, 3), (Q2, 7), (Q5, 5), (Q23, 5), (Q15_21, 3), (Q235, 19997)):
         localfields.local_audit(tower, p)

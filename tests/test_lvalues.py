@@ -183,6 +183,9 @@ def test_sqrt_ball():
     for digits in (2.5, True):
         with pytest.raises(TypeError):
             sqrt_ball(2, digits)
+    for n in (True, False, 2.0, 2.5):
+        with pytest.raises(TypeError):
+            sqrt_ball(n, 10)
 
 
 def test_volume_identity_certified():
