@@ -21,7 +21,6 @@ so only squarefree candidates are tried.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 
 from . import diagrams, fields, forms, localfields
@@ -137,23 +136,31 @@ def subordinated_forms(model: QuadraticForm, K: FieldTower) -> list[QuadraticFor
     return out
 
 
-@dataclass
 class ClassificationReport:
-    name: str
-    dim: int
-    vertices: int
-    trace_field: FieldTower
-    ambient: QuadraticForm
-    quasi: bool
-    arithmetic: bool
-    verdict: str
-    base_field: FieldTower | None = None
-    transfers: list[tuple[FieldTower, bool]] = field(default_factory=list)
-    model: QuadraticForm | None = None
-    model_a: int | None = None
-    subordinated: list[QuadraticForm] | None = None
-    witnesses: dict = field(default_factory=dict)
-    notes: list[str] = field(default_factory=list)
+    """One diagram's rung on the ladder, its forms and its witnesses."""
+
+    def __init__(self, name: str, dim: int, vertices: int, trace_field: FieldTower,
+                 ambient: QuadraticForm, quasi: bool, arithmetic: bool, verdict: str,
+                 base_field: FieldTower | None = None,
+                 transfers: list[tuple[FieldTower, bool]] | None = None,
+                 model: QuadraticForm | None = None, model_a: int | None = None,
+                 subordinated: list[QuadraticForm] | None = None,
+                 witnesses: dict | None = None, notes: list[str] | None = None):
+        self.name = name
+        self.dim = dim
+        self.vertices = vertices
+        self.trace_field = trace_field
+        self.ambient = ambient
+        self.quasi = quasi
+        self.arithmetic = arithmetic
+        self.verdict = verdict
+        self.base_field = base_field
+        self.transfers = [] if transfers is None else transfers
+        self.model = model
+        self.model_a = model_a
+        self.subordinated = subordinated
+        self.witnesses = {} if witnesses is None else witnesses
+        self.notes = [] if notes is None else notes
 
     def to_json(self) -> dict:
         def tower_json(t: FieldTower) -> dict:

@@ -661,21 +661,6 @@ def minimal_field_of(elements: Iterable[FieldElement]) -> FieldTower:
     return make_field(sorted(gens - {1}))
 
 
-def fixing_embeddings(tower: FieldTower, sub: FieldTower) -> list[Embedding]:
-    """Embeddings of the tower that restrict to the identity on the subfield."""
-    subclasses = sub.subgroup_classes
-    fixed = []
-    for sigma in tower.embeddings():
-        ok = True
-        for S in range(tower.degree):
-            if tower.basis_class[S] in subclasses and (S & sigma.mask).bit_count() & 1:
-                ok = False
-                break
-        if ok:
-            fixed.append(sigma)
-    return fixed
-
-
 # -- integrality ---------------------------------------------------------
 
 

@@ -11,14 +11,18 @@ which Hilbert reciprocity settles.
 The transfer along a quadratic subextension K/F sends a rank-1 form <c>
 to the rank-2 F-form with Gram [[v, u], [u, a*v]] where c = u + v*sqrt(a)
 and a is the smallest squarefree generator of K over F; its determinant
-is -Norm_{K/F}(c), so blocks never degenerate.  Each block is diagonalized
-in closed form, to <v, -Norm(c)/v> when v != 0 and to the hyperbolic
-plane <2u, -u/2> when v = 0; no generic elimination runs.
+is -Norm_{K/F}(c), so blocks never degenerate.  u and v are read straight
+from the numerators of c: each basis element of K lies in F or in
+F*sqrt(a), so each numerator moves to u or to v with an integer
+multiplier, and no conjugate or change of tower is formed.  Each block is
+diagonalized in closed form, to <v, -Norm(c)/v> when v != 0 and to the
+hyperbolic plane <2u, -u/2> when v = 0; no generic elimination runs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from . import fields, localfields
@@ -82,6 +86,15 @@ class QuadraticForm:
 def _sym_diagonalize(rows: Sequence[Sequence], tower: FieldTower) -> list[FieldElement]:
     """Exact congruence diagonalization: D with T^t A T = diag(D); T is not formed.
 
+    Step k takes a nonzero diagonal pivot, swapping one in if A[k][k] is
+    zero, or else folds the first nonzero off-diagonal pair onto the
+    diagonal.  Then, with one inverse of the pivot, the trailing block
+    becomes its Schur complement, A[i][j] -= A[k][i] * A[k][j] / A[k][k]
+    for k < i <= j (mirrored into A[j][i]), and row and column k are
+    cleared; this is the congruence that the column operations
+    col_j -= (A[k][j] / A[k][k]) * col_k would perform, without sweeping
+    the whole matrix.
+
     A may be singular: D then ends in zeros, and its nonzero entries number
     the rank of A.
     """
@@ -105,7 +118,7 @@ def _sym_diagonalize(rows: Sequence[Sequence], tower: FieldTower) -> list[FieldE
         for t in range(n):
             A[dst][t] = A[dst][t] + fac * A[src][t]
 
-    one = tower.one()
+    one, zero = tower.one(), tower.zero()
     for k in range(n):
         if not A[k][k]:
             piv = next((j for j in range(k + 1, n) if A[j][j]), None)
@@ -120,10 +133,16 @@ def _sym_diagonalize(rows: Sequence[Sequence], tower: FieldTower) -> list[FieldE
                 col_addmul(i, j, one)  # picks up 2*A[i][j] on the diagonal
                 if i != k:
                     swap(k, i)
-        pivot = A[k][k]
-        for j in range(k + 1, n):
-            if A[k][j]:
-                col_addmul(j, k, -(A[k][j] / pivot))
+        row = A[k]
+        inv = row[k].inverse()
+        for i in range(k + 1, n):
+            if row[i]:
+                fac = row[i] * inv
+                Ai = A[i]
+                for j in range(i, n):
+                    if row[j]:
+                        Ai[j] = A[j][i] = Ai[j] - fac * row[j]
+                row[i] = Ai[k] = zero
     return [A[i][i] for i in range(n)]
 
 
@@ -148,20 +167,41 @@ def transfer(form: QuadraticForm, F: FieldTower) -> QuadraticForm:
     Entry c = u + v*sqrt(a) contributes <v, (a*v^2 - u^2)/v> when v != 0,
     the diagonal the generic elimination of its block would give, and
     <2u, -u/2> when v = 0 (c lies in F).
+
+    u and v come from the numerators of c.  K's basis element
+    alpha_S = scale_S * sqrt(t_S) goes to u when t_S is a class of F;
+    otherwise t_S * a = g^2 * t' with g = gcd(t_S, a) and t' a class of F,
+    so alpha_S = (scale_S * g / a) * sqrt(t') * sqrt(a) goes to v.  Every
+    multiplier is brought to one common denominator per call.
     """
     K = form.tower
     if F == K or not (F.subgroup_classes <= K.subgroup_classes) \
             or F.degree * 2 != K.degree:
         raise ValueError("transfer target is not an index-2 subtower")
     a = min(K.subgroup_classes - F.subgroup_classes)
-    root = K.sqrt(a)
-    sigma = next(s for s in fields.fixing_embeddings(K, F) if not s.is_identity)
+    u_parts, v_parts = [], []  # (S, index in F, multiplier of alpha_S as num, den)
+    for S, t in enumerate(K.basis_class):
+        T = F.class_to_mask.get(t)
+        if T is not None:
+            u_parts.append((S, T, K.basis_scale[S], F.basis_scale[T]))
+        else:
+            g = gcd(t, a)
+            T = F.class_to_mask[(t // g) * (a // g)]
+            v_parts.append((S, T, K.basis_scale[S] * g, a * F.basis_scale[T]))
+    m = lcm(*(d for *_, d in u_parts + v_parts))
+    u_parts = [(S, T, num * (m // d)) for S, T, num, d in u_parts]
+    v_parts = [(S, T, num * (m // d)) for S, T, num, d in v_parts]
     half = Fraction(1, 2)
     diag = []
     for c in form.diagonal:
-        cs = c.conjugate(sigma)
-        u = ((c + cs) * half).express_in(F)
-        v = ((c - cs) * half * root * Fraction(1, a)).express_in(F)
+        un = [0] * F.degree
+        vn = [0] * F.degree
+        for S, T, mult in u_parts:
+            un[T] += c.nums[S] * mult
+        for S, T, mult in v_parts:
+            vn[T] += c.nums[S] * mult
+        u = FieldElement(F, tuple(un), c.den * m)
+        v = FieldElement(F, tuple(vn), c.den * m)
         if v:
             diag += [v, (v * v * a - u * u) / v]
         else:

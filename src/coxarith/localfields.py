@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import prod as _prod
@@ -206,8 +205,7 @@ def _local_structure(tower: FieldTower, p: int) -> _Structure:
     return _Structure(tuple(chosen), gen_masks, e, f, g, tuple(reps))
 
 
-@dataclass(frozen=True)
-class Place:
+class Place(NamedTuple):
     """A place of a tower: a real embedding or a prime of the ring of integers."""
 
     tower: FieldTower

@@ -17,6 +17,10 @@ The isometry and hyperbolicity references (`all_places_isometric`,
 but compare them at every relevant finite place; the library leaves the
 first place above 2 to Hilbert reciprocity.
 
+`conjugate_transfer` is the Scharlau transfer through the Galois conjugate
+that fixes the subfield (`fixing_embeddings`) and two changes of tower, the
+reference for the library's numerator split.
+
 `hurwitz_zeta_fraction` is the Euler-Maclaurin Hurwitz zeta summed in exact
 Fractions, the reference for the library's fixed-point sum: same N, same
 remainder bound, no rounding.
@@ -425,6 +429,47 @@ def congruence_diagonalize(rows, tower):
             if A[k][j]:
                 col_addmul(j, k, -(A[k][j] / A[k][k]))
     return [A[i][i] for i in range(n)], T
+
+
+def fixing_embeddings(tower, sub):
+    """Embeddings of the tower that restrict to the identity on the subfield."""
+    subclasses = sub.subgroup_classes
+    fixed = []
+    for sigma in tower.embeddings():
+        ok = True
+        for S in range(tower.degree):
+            if tower.basis_class[S] in subclasses and (S & sigma.mask).bit_count() & 1:
+                ok = False
+                break
+        if ok:
+            fixed.append(sigma)
+    return fixed
+
+
+def conjugate_transfer(form, F):
+    """(diagonal, label) of the transfer of a K-form to an index-2 subtower F.
+
+    c = u + v*sqrt(a) is split by the conjugation sigma fixing F:
+    u = (c + sigma(c))/2 and v = (c - sigma(c))/(2 sqrt(a)), each rewritten
+    over F.  The blocks get the same closed forms as
+    `coxarith.forms.transfer`: <v, (a*v^2 - u^2)/v>, or <2u, -u/2> when
+    v = 0.
+    """
+    K = form.tower
+    a = min(K.subgroup_classes - F.subgroup_classes)
+    root = K.sqrt(a)
+    sigma = next(s for s in fixing_embeddings(K, F) if not s.is_identity)
+    half = Fraction(1, 2)
+    diag = []
+    for c in form.diagonal:
+        cs = c.conjugate(sigma)
+        u = ((c + cs) * half).express_in(F)
+        v = ((c - cs) * half * root * Fraction(1, a)).express_in(F)
+        if v:
+            diag += [v, (v * v * a - u * u) / v]
+        else:
+            diag += [u * 2, -u * half]
+    return diag, f"transfer[sqrt({a})]"
 
 
 # -- Hasse invariants compared at every relevant finite place ---------------

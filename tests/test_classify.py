@@ -15,6 +15,7 @@ from coxarith.classify import (
     PSEUDO_ARITHMETIC,
     QUASI_ARITHMETIC,
     UNDETERMINED,
+    ClassificationReport,
     classify_diagram,
     descend_field,
     find_admissible_model,
@@ -186,6 +187,52 @@ def test_corpus_reports_match_recorded_json():
         d = diagrams.load_diagram(p)
         got = json.dumps(classify_diagram(d).to_json(), indent=2)
         assert got == json.dumps(recorded[d.name], indent=2), d.name
+
+
+def test_census_sample_reports_match_recorded_json():
+    # 48 diagrams of the generated census pool (seed 20181030, 480 slots),
+    # 12 of each verdict, drawn with random.Random(20181111); each is stored
+    # with its .cox text and report.to_json(), recorded before the
+    # Schur-complement elimination and the numerator-split transfer.
+    # Re-record only for a deliberate change.
+    with open(os.path.join(os.path.dirname(__file__), "data",
+                           "census_sample_reports.json")) as fh:
+        recorded = json.load(fh)
+    assert len(recorded) == 48
+    assert {e["report"]["verdict"] for e in recorded.values()} == {
+        ARITHMETIC, QUASI_ARITHMETIC, PSEUDO_ARITHMETIC, UNDETERMINED}
+    for name, entry in sorted(recorded.items()):
+        got = classify_diagram(diagrams.parse_diagram(entry["cox"], name)).to_json()
+        assert json.dumps(got, sort_keys=True) == json.dumps(entry["report"],
+                                                            sort_keys=True), name
+
+
+def test_report_defaults_are_fresh_per_instance():
+    kwargs = dict(name="t", dim=2, vertices=3, trace_field=Q,
+                  ambient=QuadraticForm(Q, [1, 1, -1]), quasi=False,
+                  arithmetic=False, verdict=UNDETERMINED)
+    first, second = ClassificationReport(**kwargs), ClassificationReport(**kwargs)
+    first.transfers.append((Q, True))
+    first.witnesses["nonintegral"] = {}
+    first.notes.append("note")
+    assert second.transfers == [] and second.witnesses == {} and second.notes == []
+    for attr in ("base_field", "model", "model_a", "subordinated"):
+        assert getattr(second, attr) is None
+    assert (second.name, second.dim, second.vertices, second.verdict) == ("t", 2, 3, UNDETERMINED)
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # dataclasses pulls in inspect, ast and dis: about 1 MB of RSS in every
+    # fresh process
+    code = ("import sys, coxarith.cli; "
+            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    src = os.path.dirname(os.path.dirname(classify.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
 
 
 _COLD_CORPUS = """

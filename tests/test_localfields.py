@@ -257,6 +257,21 @@ def test_hasse_invariant_against_symbol_definition():
                 assert hasse_invariant(form, pl) == want
 
 
+def test_place_equality_hash_and_repr():
+    K = make_field([2, 3])
+    place = localfields.splitting(K, 5)[0]
+    same = localfields.Place(K, "finite", 5, place.eps_mask, place.e, place.f)
+    assert place == same and hash(place) == hash(same) and {place: 1}[same] == 1
+    assert place != localfields.Place(K, "finite", 7, place.eps_mask, place.e, place.f)
+    assert place.degree == place.e * place.f == 2
+    assert repr(place) == (f"Place(5, Q(sqrt(2),sqrt(3)), e={place.e}, f={place.f}, "
+                           f"signs={place.eps_mask:b})")
+    real = localfields.real_places(K)[2]
+    assert (real.kind, real.p, real.e, real.f) == ("real", None, 1, 1)
+    assert repr(real) == "Place(real, Q(sqrt(2),sqrt(3)), signs=10)"
+    assert real != localfields.real_places(K)[1]
+
+
 def test_real_place_symbols_track_signs():
     t = Q2
     r2 = t.sqrt(2)
