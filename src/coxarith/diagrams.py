@@ -77,6 +77,13 @@ def _acc_add(acc: dict[int, Fraction], cls: int, q: Fraction) -> None:
     acc[cls] = acc.get(cls, Fraction(0)) + q
 
 
+def _weight_rational(tok: str, expr: str) -> Fraction:
+    try:
+        return Fraction(tok)
+    except ZeroDivisionError:
+        raise DiagramError(f"zero denominator in weight expression: {expr!r}") from None
+
+
 def _parse_weight(expr: str) -> dict[int, Fraction]:
     """Weight expression -> {squarefree class: coefficient}."""
     s = expr.replace(" ", "")
@@ -98,9 +105,9 @@ def _parse_weight(expr: str) -> dict[int, Fraction]:
         pos = m.end()
         first = False
         if m["rat"] is not None:
-            _acc_add(acc, 1, sign * Fraction(m["rat"]))
+            _acc_add(acc, 1, sign * _weight_rational(m["rat"], expr))
             continue
-        coef = sign * Fraction(m["coef"]) if m["coef"] else Fraction(sign)
+        coef = sign * _weight_rational(m["coef"], expr) if m["coef"] else Fraction(sign)
         if m["root"] is not None:
             n = int(m["root"])
             if n <= 0:

@@ -736,7 +736,10 @@ def parse_element(text: str, tower: FieldTower | None = None) -> FieldElement:
             raise ValueError(f"bad element literal at {s[pos:]!r}")
         if pos > 0 and m.group("sign") == "":
             raise ValueError(f"missing +/- between terms in {text!r}")
-        q = Fraction(m.group("rat")) if m.group("rat") else _ONE
+        try:
+            q = Fraction(m.group("rat")) if m.group("rat") else _ONE
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in element literal {text!r}") from None
         if m.group("sign") == "-":
             q = -q
         rad = m.group("rad1") or m.group("rad2")

@@ -21,8 +21,12 @@ odd-valuation defect or an unsolvable Artin-Schreier equation at the
 critical level 2e.  The obstruction of each new local generator over the
 subfield so far gives the next uniformizer or residue generator; on the
 finished model the loop divides each obstruction out by the matching unit
-generator, which gives the square class vector.  The pairing matrix is
-found by enumerating norms.
+generator, which gives the square class vector.  The pairing row of a
+basis element b is the character that kills the norms from L(sqrt(b)):
+every norm is x^2 - b up to a square, and the x^2 - b for x = 0, pi^k*r
+and 1 + pi^k*r (k <= 2e, r a nonzero residue representative) reach the
+rank of the norm group, one less than that of the square class group as
+the index is 2, so they span it.
 
 A tower element reaches either completion as integer coordinates over the
 local basis mod p^(t+c), where t = v_p of its norm bounds its valuation:
@@ -41,8 +45,6 @@ place directly.
 
 from __future__ import annotations
 
-import itertools
-import random
 from fractions import Fraction
 from functools import lru_cache
 from math import prod as _prod
@@ -630,29 +632,19 @@ class LocalModel(_Completion):
 
     # -- pairing matrix --------------------------------------------------
 
-    def _norm_pairs(self):
-        one, L = self.one, self.L
-        base = [one, self.pi, one + self.pi, self.pi_pow(2),
-                self.mrat(3), self.mrat(5), self.mrat(7), self.mrat(-1)]
-        base.extend(L.sqrt(g) for g in self.gens)
-        if self.omega is not None:
-            base += [self.omega, one + self.omega]
-        yield from itertools.product(base, repeat=2)
-        rnd = random.Random(770231)
-        while True:
-            s = FieldElement(L, tuple(rnd.randrange(64) for _ in range(self.size)))
-            t = FieldElement(L, tuple(rnd.randrange(64) for _ in range(self.size)))
-            yield s, t
+    def _char_row(self, b: FieldElement, squares: list[FieldElement]) -> int:
+        """The character annihilating the norms of the extension by sqrt(b).
 
-    def _char_row(self, b: FieldElement, dim: int) -> int:
-        """The character annihilating the norms of the extension by sqrt(b)."""
+        Every norm s^2 - b*t^2 is a square (t = 0) or t^2 * (x^2 - b) with
+        x = s/t, so the classes of x^2 - b, x = 0 included, span the norm
+        group mod squares.  The group has index 2 (local class field theory),
+        so any dim - 1 independent classes among them span it; squares are
+        the x^2 of the fixed x of _build_matrix, tried in order.
+        """
         pivots: dict[int, int] = {}
-        needed = dim - 1
-        for s, t in itertools.islice(self._norm_pairs(), 1200):
-            n = s * s - b * (t * t)
-            if not n:
-                continue
-            x = self.vec_int(n)
+        needed = self.dim - 1
+        for sq in squares:
+            x = self.vec_int(sq - b)
             while x:
                 h = x.bit_length() - 1
                 if h not in pivots:
@@ -664,7 +656,7 @@ class LocalModel(_Completion):
                     break
         if len(pivots) != needed:
             raise RuntimeError("norm group rank not reached")
-        cands = [c for c in range(1, 1 << dim)
+        cands = [c for c in range(1, 1 << self.dim)
                  if all((c & r).bit_count() % 2 == 0 for r in pivots.values())]
         if len(cands) != 1:
             raise RuntimeError("norm group annihilator not unique")
@@ -673,13 +665,17 @@ class LocalModel(_Completion):
     def _build_matrix(self) -> None:
         self.basis_names = ["pi"] + [name for name, _ in self.unit_gens]
         self.basis_elts = [self.pi] + [g for _, g in self.unit_gens]
-        dim = self.dim
-        rows = [0] * dim
+        # x = 0, pi^k*r and 1 + pi^k*r: every level up to the critical one 2e
+        zero = self.mrat(0)
+        xs = [zero] + [c + self.pi_pow(k) * self._rep(s) for k in range(2 * self.e + 1)
+                       for s in range(1, 1 << self.f) for c in (zero, self.one)]
+        squares = [x * x for x in xs]
+        rows = [0] * self.dim
         rows[1] = 1  # the unramified unit pairs only with odd valuations
-        rows[0] = self._char_row(self.pi, dim)
+        rows[0] = self._char_row(self.pi, squares)
         for i, (_, g) in enumerate(self.unit_gens):
             if i > 0:
-                rows[1 + i] = self._char_row(g, dim)
+                rows[1 + i] = self._char_row(g, squares)
         self.M_rows = rows
         self._validate_matrix()
 

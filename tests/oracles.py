@@ -24,15 +24,22 @@ reference for the library's numerator split.
 `hurwitz_zeta_fraction` is the Euler-Maclaurin Hurwitz zeta summed in exact
 Fractions, the reference for the library's fixed-point sum: same N, same
 remainder bound, no rounding.
+
+`sampled_rows` is the seeded norm sampler that once found the dyadic pairing
+rows: up to 1,200 norms s^2 - b*t^2 per row, from a fixed base list and then
+random s, t, until the norm classes reach rank dim - 1.  It is the reference
+for the library's fixed norm family, and it can fail where the family does not.
 """
 
+import itertools
+import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import gcd, isqrt
 
 import numpy as np
 from coxarith import fields, localfields
-from coxarith.fields import element_literal
+from coxarith.fields import FieldElement, element_literal
 from coxarith.forms import cleared_entries, signature_at
 from coxarith.lvalues import (_EM_TERMS, Ball, _factorial, _pochhammer,
                               bernoulli)
@@ -553,3 +560,60 @@ def hurwitz_zeta_fraction(s: int, a: Fraction, digits: int) -> Ball:
                   * _pochhammer(s, 2 * j - 1) / x ** (s + 2 * j - 1))
     err = 2 * tail_coeff / x ** (s + 2 * J + 1)
     return Ball(value, err)
+
+
+# -- the seeded dyadic norm sampler ----------------------------------------------
+
+
+def _norm_pairs(md):
+    one, L = md.one, md.L
+    base = [one, md.pi, one + md.pi, md.pi_pow(2),
+            md.mrat(3), md.mrat(5), md.mrat(7), md.mrat(-1)]
+    base.extend(L.sqrt(g) for g in md.gens)
+    if md.omega is not None:
+        base += [md.omega, one + md.omega]
+    yield from itertools.product(base, repeat=2)
+    rnd = random.Random(770231)
+    while True:
+        s = FieldElement(L, tuple(rnd.randrange(64) for _ in range(md.size)))
+        t = FieldElement(L, tuple(rnd.randrange(64) for _ in range(md.size)))
+        yield s, t
+
+
+def _char_row(md, b: FieldElement, dim: int) -> int:
+    """The character annihilating the norms of the extension by sqrt(b)."""
+    pivots: dict[int, int] = {}
+    needed = dim - 1
+    for s, t in itertools.islice(_norm_pairs(md), 1200):
+        n = s * s - b * (t * t)
+        if not n:
+            continue
+        x = md.vec_int(n)
+        while x:
+            h = x.bit_length() - 1
+            if h not in pivots:
+                break
+            x ^= pivots[h]
+        if x:
+            pivots[x.bit_length() - 1] = x
+            if len(pivots) == needed:
+                break
+    if len(pivots) != needed:
+        raise RuntimeError("norm group rank not reached")
+    cands = [c for c in range(1, 1 << dim)
+             if all((c & r).bit_count() % 2 == 0 for r in pivots.values())]
+    if len(cands) != 1:
+        raise RuntimeError("norm group annihilator not unique")
+    return cands[0]
+
+
+def sampled_rows(md) -> list[int]:
+    """Pairing rows of a built dyadic LocalModel, found by the seeded sampler."""
+    dim = md.dim
+    rows = [0] * dim
+    rows[1] = 1  # the unramified unit pairs only with odd valuations
+    rows[0] = _char_row(md, md.pi, dim)
+    for i, (_, g) in enumerate(md.unit_gens):
+        if i > 0:
+            rows[1 + i] = _char_row(md, g, dim)
+    return rows

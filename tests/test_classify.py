@@ -290,6 +290,9 @@ def test_report_round_trips_through_json():
         rep = classify_diagram(diagrams.parse_diagram(text, name))
         j = rep.to_json()
         assert classify.report_from_json(j).to_json() == j
+    j["ambient_diagonal"][0] = "1/0"
+    with pytest.raises(ValueError, match="zero denominator"):
+        classify.report_from_json(j)
 
 
 def test_report_json_shape():

@@ -33,6 +33,14 @@ edge 1 2 3
 edge 2 3 3
 """
 
+ZERO_DENOMINATOR = """
+dim 2
+vertices 3
+edge 1 2 3
+edge 2 3 3
+edge 1 3 w 3/0
+"""
+
 BAD_LABEL = """
 dim 2
 vertices 3
@@ -126,6 +134,7 @@ def test_classify_error_codes(tmp_path, capsys):
         (BAD_LABEL, cli.EXIT_UNSUPPORTED),
         (SPHERICAL, cli.EXIT_SIGNATURE),
         ("not a diagram\n", cli.EXIT_PARSE),
+        (ZERO_DENOMINATOR, cli.EXIT_PARSE),
     ]
     for i, (text, expected) in enumerate(cases):
         p = tmp_path / f"case{i}.cox"
@@ -170,6 +179,16 @@ def test_batch_error_rows_and_first_error_exit(tmp_path, capsys):
     assert len(lines) == 4
     assert "error:" in lines[1] and "error:" in lines[2]
     assert lines[3].split("\t")[4] == "undetermined"
+
+
+def test_batch_reports_a_zero_denominator_as_a_parse_error(tmp_path, capsys):
+    (tmp_path / "stuck.cox").write_text(STUCK)
+    (tmp_path / "zero.cox").write_text(ZERO_DENOMINATOR)
+    code, cap = run(capsys, "batch", str(tmp_path))
+    assert code == cli.EXIT_PARSE
+    assert cap.out.splitlines()[2].split("\t") == [
+        "zero", "", "", "", "error: zero denominator in weight expression: '3/0'", ""]
+    assert "Traceback" not in cap.err
 
 
 def test_batch_survives_an_internal_error(tmp_path, capsys, monkeypatch):
@@ -269,6 +288,15 @@ def test_audit(capsys):
     j = json.loads(cap.out)
     assert j["p"] == 2
     assert j["places"] and j["pairing_matrix"]
+
+
+def test_audit_where_the_norm_sampler_failed(capsys):
+    # a random norm sampler once stopped short of the norm group's rank here
+    code, cap = run(capsys, "audit", "--field", "7,34,38", "--prime", "2")
+    assert code == 0
+    j = json.loads(cap.out)
+    assert j["local_class_basis"] == [7, 34, 38]
+    assert len(j["pairing_matrix"]) == len(j["square_class_basis"]) == 10
 
 
 def test_audit_rejects_composite_prime(capsys):

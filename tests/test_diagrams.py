@@ -113,6 +113,9 @@ def test_parse_errors():
         parse_diagram("dim 2\nvertices 3\nedge 1 2 w 1/2\nedge 2 3 3\nedge 1 3 3\n")
     with pytest.raises(DiagramError, match="weight"):
         parse_diagram("dim 2\nvertices 3\nedge 1 2 w sqrt(2)*\nedge 2 3 3\nedge 1 3 3\n")
+    for weight in ("3/0", "1/00*sqrt(2)", "2+1/0*cospi(5)"):
+        with pytest.raises(DiagramError, match="zero denominator"):
+            parse_diagram(f"dim 2\nvertices 3\nedge 1 2 3\nedge 2 3 3\nedge 1 3 w {weight}\n")
 
 
 def test_simple_cycles():

@@ -390,7 +390,8 @@ def test_parse_element_into_given_tower():
 
 
 def test_parse_element_errors():
-    for bad in ["", "sqrt(0)", "1 + + 2", "sqrt(2)sqrt(3)", "2^3", "sqrt(-2)"]:
+    for bad in ["", "sqrt(0)", "1 + + 2", "sqrt(2)sqrt(3)", "2^3", "sqrt(-2)", "1/0",
+                "1 + 3/00*sqrt(2)"]:
         with pytest.raises(ValueError):
             parse_element(bad)
 

@@ -5,7 +5,9 @@ and are checked first against textbook values, then the library is checked
 against the oracles.
 """
 
+import ast
 import os
+import pathlib
 import random
 import subprocess
 import sys
@@ -329,7 +331,9 @@ def test_pairing_matrix_check_raises_on_any_flipped_bit(tower, p):
 # -- pinned dyadic tables ------------------------------------------------------
 
 # (radicands, (e, f), square class basis, pairing rows, square class vectors of
-# 20 seeded elements).  Recorded when construction and square class vectors
+# 20 seeded elements), one tower with g = 1 for each of the 15 nontrivial
+# multiquadratic extensions of Q_2 (Q_2*/Q_2*^2 has order 8), and Q itself.
+# The first six were recorded when construction and square class vectors
 # still ran separate defect loops; the shared loop must reproduce them.
 _DYADIC_TABLES = [
     ((), (1, 1), ['pi', 'D', '1+pi^1'],
@@ -359,6 +363,48 @@ _DYADIC_TABLES = [
      '0010011110 0100000001 0100101010 0100000010 1010101011 0000100010 0110100010 1101011101 '
      '0100101010 0110101010 0000111011 0100000011 1111111001 0010000100 0010000000 0010001001 '
      '1010001011 1111101010 0010001000 0000100010'),
+    # the other ten nontrivial multiquadratic extensions of Q_2, recorded with
+    # the seeded norm sampler (oracles.sampled_rows)
+    ((3,), (2, 1), ['pi', 'D', '1+pi^1', '1+pi^3'],
+     ['1100', '1000', '0001', '0010'],
+     '0111 0101 0111 0101 0110 1101 0110 0011 0010 1011 0101 0011 0111 0010 0111 1001 1110 0111 '
+     '0011 1101'),
+    ((6,), (2, 1), ['pi', 'D', '1+pi^1', '1+pi^3'],
+     ['0110', '1000', '1011', '0010'],
+     '0100 1100 0101 1001 0100 0110 0101 1011 0100 0010 1100 1110 0100 0000 1011 0010 0011 1110 '
+     '0000 0011'),
+    ((7,), (2, 1), ['pi', 'D', '1+pi^1', '1+pi^3'],
+     ['0100', '1000', '0001', '0010'],
+     '0110 0100 0010 0100 0111 1101 0011 0011 0011 1010 0000 0111 0110 0011 0011 1001 1011 0111 '
+     '0010 1001'),
+    ((10,), (2, 1), ['pi', 'D', '1+pi^1', '1+pi^3'],
+     ['1110', '1000', '1011', '0010'],
+     '0001 1100 0100 1001 0101 0110 0000 1010 0101 0111 1000 1011 0001 0001 1110 0011 0011 1111 '
+     '0101 0111'),
+    ((14,), (2, 1), ['pi', 'D', '1+pi^1', '1+pi^3'],
+     ['0110', '1000', '1011', '0010'],
+     '0000 1000 0001 1101 0000 0010 0001 1011 0000 0010 1000 1110 0000 0100 1011 0010 0111 1110 '
+     '0100 0111'),
+    ((2, 7), (4, 1), ['pi', 'D', '1+pi^1', '1+pi^3', '1+pi^5', '1+pi^7'],
+     ['010000', '100000', '000111', '001010', '001100', '001000'],
+     '000110 000000 000000 010000 010001 001000 000000 000011 011010 101000 000101 000110 '
+     '000010 011001 010011 000111 010101 000011 001000 011000'),
+    ((3, 5), (2, 2), ['pi', 'D', '1+pi^1', '1+pi^1*w', '1+pi^3', '1+pi^3*w'],
+     ['010001', '100000', '000001', '000011', '000100', '101100'],
+     '110101 001010 001000 001000 001010 010010 001010 000011 001010 000011 001010 101100 '
+     '011011 001010 000001 111101 100010 000011 010000 010010'),
+    ((3, 10), (4, 1), ['pi', 'D', '1+pi^1', '1+pi^3', '1+pi^5', '1+pi^7'],
+     ['110000', '100000', '000111', '001010', '001100', '001000'],
+     '000110 000000 010001 010001 010001 000001 001111 010011 001101 000011 010100 000111 '
+     '000010 011111 010011 010111 001010 101011 001011 000001'),
+    ((5, 6), (2, 2), ['pi', 'D', '1+pi^1', '1+pi^1*w', '1+pi^3', '1+pi^3*w'],
+     ['010000', '100000', '000001', '000111', '000100', '001100'],
+     '011001 000010 010000 010010 010000 010001 110000 000000 100000 000001 001000 001010 '
+     '010000 110011 000000 001001 111101 111100 111011 010001'),
+    ((6, 7), (4, 1), ['pi', 'D', '1+pi^1', '1+pi^3', '1+pi^5', '1+pi^7'],
+     ['010000', '100000', '000111', '001010', '001100', '001000'],
+     '000100 010000 000000 010000 010001 001011 010000 010011 011001 111100 010101 010100 '
+     '000010 011010 010011 000101 000111 000011 011011 001011'),
 ]
 
 
@@ -428,6 +474,49 @@ def test_split_dyadic_tables_are_pinned(radicands, gens, places, basis, rows, ve
                     for _ in range(20))
            for pl in splitting(K, 2)]
     assert got == vectors
+
+
+@pytest.mark.parametrize("radicands,ef,g", [((6, 10, 14), (4, 2), 1), ((6, 7, 10), (4, 1), 2),
+                                             ((3, 5, 7), (2, 2), 2)])
+def test_pairing_rows_match_the_seeded_sampler(radicands, ef, g):
+    md = localfields._model(make_field(radicands), 2)
+    assert ((md.e, md.f), len(splitting(md.tower, 2))) == (ef, g)
+    assert md.M_rows == oracles.sampled_rows(md)
+
+
+# generator sets on which the seeded sampler stopped short of the rank of the
+# norm group ("norm group rank not reached")
+_SAMPLER_FAILURES = [(7, 34, 38), (15, 26, 46), (11, 38, 42), (23, 34, 38)]
+
+
+@pytest.mark.parametrize("radicands", _SAMPLER_FAILURES)
+def test_product_formula_where_the_sampler_failed(radicands):
+    # relevant_finite_places starts with the place above 2, so the dyadic
+    # symbol is computed, not inferred by reciprocity
+    K = make_field(radicands)
+    place = splitting(K, 2)[0]
+    assert localfields._local_structure(K, 2).gens == radicands
+    assert (place.e, place.f, len(splitting(K, 2))) == (4, 2, 1)
+    rng = random.Random(sum(radicands))
+    for _ in range(20):
+        a, b = rand_nonzero(K, rng, scale=1), rand_nonzero(K, rng, scale=1)
+        assert relevant_finite_places(K, [a, b])[0] == place
+        assert global_symbol_product(K, a, b) == 1
+
+
+def test_src_imports_no_random():
+    # read the source: importing coxarith.cli loads random via concurrent.futures
+    offenders = []
+    for path in sorted(pathlib.Path(localfields.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            offenders += [path.name for n in names if n.split(".")[0] == "random"]
+    assert offenders == []
 
 
 @pytest.mark.parametrize("p", [1, 0, -3, 4, 9])
