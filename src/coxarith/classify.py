@@ -14,18 +14,17 @@ A reflection group with ambient form f over its trace field K is
 The subfield is located by scaled trace transfers: f descends in the Witt
 ring to k exactly when its transfer to every index-2 subfield containing k
 is hyperbolic, so k is the meet of the index-2 subfields with hyperbolic
-transfer.  The admissible model over Q is searched in the one-parameter
-family <-1, 1, ..., 1, a>; the determinant pins a up to rational squares,
-so only squarefree candidates are tried.
+transfer.  The admissible model over Q is sought in the one-parameter
+family <-1, 1, ..., 1, a>.  The determinant fixes a up to the rational
+classes that are squares in K, so the candidates are the 2^r squarefree
+members of one coset, read off det(f) by `fields.rational_square_classes`.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from . import diagrams, fields, forms, localfields
 from .diagrams import CoxeterDiagram
-from .fields import FieldTower, element_literal, factorize, make_field, squarefree_part
+from .fields import FieldTower, element_literal, make_field, squarefree_part
 from .forms import QuadraticForm
 
 __all__ = [
@@ -85,40 +84,21 @@ def descend_field(f: QuadraticForm) -> tuple[FieldTower, list[tuple[FieldTower, 
     return k, table, None
 
 
-def find_admissible_model(f: QuadraticForm, k: FieldTower,
-                          bound: int = 30) -> tuple[QuadraticForm | None, int | None]:
+def find_admissible_model(f: QuadraticForm, k: FieldTower) -> tuple[QuadraticForm | None, int | None]:
     """Admissible form over k isometric to f over the trace field.
 
-    Searches <-1, 1, ..., 1, a> for squarefree a >= 1: candidates from the
-    prime support of det(f) and of the tower radicands, then 1..bound.
-    Only the rational base field is searched; over a larger k this shape is
-    never definite at the conjugate embeddings.
+    Tries <-1, 1, ..., 1, a> for each squarefree a >= 1 with -a*det(f) a
+    square in K, in ascending order.  No other a can work: isometric forms
+    have equal determinants up to squares, so a lies in the class of
+    -det(f) modulo the rationals that are squares in K, a coset with 2^r
+    squarefree members.  Only the rational base field is searched; over a
+    larger k this shape is never definite at the conjugate embeddings.
     """
     if k.r != 0:
         return None, None
-    K = f.tower
-    detf = f.det()
-    n = abs(fields.integral_rescale(detf).rational_norm().numerator)
-    ps = {2} | {p for p, _ in factorize(n)}
-    for d in K.radicands:
-        ps |= {p for p, _ in factorize(d)}
-    cands: set[int] = set()
-    if len(ps) <= 12:
-        plist = sorted(ps)
-        for size in range(len(plist) + 1):
-            for sub in combinations(plist, size):
-                prod = 1
-                for p in sub:
-                    prod *= p
-                cands.add(prod)
-    cands.update(a for a in range(1, max(bound, 1) + 1) if squarefree_part(a) == a)
     base = [-1] + [1] * (f.rank - 2)
-    for a in sorted(cands):
-        ok, _ = fields.is_square(K.rational(-a) * detf)
-        if not ok:
-            continue
-        gK = QuadraticForm(K, base + [a])
-        if forms.globally_isometric(gK, f):
+    for a in sorted(q for q in fields.rational_square_classes(-f.det()) if q > 0):
+        if forms.globally_isometric(QuadraticForm(f.tower, base + [a]), f):
             return QuadraticForm(k, base + [a], label=f"model[a={a}]"), a
     return None, None
 
@@ -220,7 +200,7 @@ def report_from_json(data: dict) -> ClassificationReport:
     )
 
 
-def classify_diagram(diagram: CoxeterDiagram, bound: int = 30) -> ClassificationReport:
+def classify_diagram(diagram: CoxeterDiagram) -> ClassificationReport:
     f = diagrams.ambient_form(diagram)
     K = f.tower
     report = ClassificationReport(
@@ -257,15 +237,13 @@ def classify_diagram(diagram: CoxeterDiagram, bound: int = 30) -> Classification
         report.notes.append("no proper subfield receives the form in the Witt ring")
         return report
     report.base_field = k
-    model, a = find_admissible_model(f, k, bound)
+    model, a = find_admissible_model(f, k)
     if model is None:
-        if k.r != 0:
-            report.notes.append(
-                "descends to a proper irrational subfield; model search covers "
-                "the rational base field only")
-        else:
-            report.notes.append(
-                f"no admissible rational model <-1,1,...,1,a> with a up to {bound}")
+        report.notes.append(
+            "descends to a proper irrational subfield; model search covers "
+            "the rational base field only" if k.r else
+            "no admissible rational model <-1,1,...,1,a>: no a allowed by the "
+            "determinant gives an isometric form")
         return report
     report.model = model
     report.model_a = a

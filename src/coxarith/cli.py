@@ -5,11 +5,11 @@
     coxarith volume --digits 24
     coxarith audit --field 2,3 --prime 2
 
-Exit codes: 0 definite verdict (or identity verified), 1 parse/input error,
-2 non-hyperbolic signature, 3 unsupported edge label, 4 undetermined (or
-identity not confirmed at the requested precision), 5 internal error: any
-other exception while classifying a file, such as a failed internal
-consistency check.
+Exit codes: 0 definite verdict (or identity verified), 1 parse, input or
+usage error, 2 non-hyperbolic signature, 3 unsupported edge label, 4
+undetermined (or identity not confirmed at the requested precision), 5
+internal error: any other exception while classifying a file, such as a
+failed internal consistency check.
 A batch turns such a file into an error row and goes on with the rest.
 """
 
@@ -75,11 +75,11 @@ def _pretty(j: dict, out) -> None:
         print(f"  note: {note}", file=out)
 
 
-def _classify_json(path: str, bound: int) -> dict:
+def _classify_json(path: str) -> dict:
     name = os.path.splitext(os.path.basename(path))[0]
     try:
         diagram = diagrams.load_diagram(path)
-        report = classify.classify_diagram(diagram, bound=bound)
+        report = classify.classify_diagram(diagram)
     except (ValueError, OSError) as exc:
         return {"diagram": name, "error": str(exc),
                 "exit_code": _code_for_exception(exc)}
@@ -90,16 +90,9 @@ def _classify_json(path: str, bound: int) -> dict:
     return report.to_json()
 
 
-def _batch_entry(item: tuple[str, int]) -> dict:
-    return _classify_json(*item)
-
-
 def cmd_classify(args) -> int:
-    if args.bound < 1:
-        print("error: --bound must be at least 1", file=sys.stderr)
-        return EXIT_PARSE
     t0 = time.monotonic()
-    j = _classify_json(args.path, args.bound)
+    j = _classify_json(args.path)
     if "error" in j:
         print(f"error: {j['error']}", file=sys.stderr)
         return j["exit_code"]
@@ -131,9 +124,6 @@ def _expand_paths(paths: list[str]) -> list[str]:
 
 
 def cmd_batch(args) -> int:
-    if args.bound < 1:
-        print("error: --bound must be at least 1", file=sys.stderr)
-        return EXIT_PARSE
     if args.jobs < 1:
         print("error: --jobs must be at least 1", file=sys.stderr)
         return EXIT_PARSE
@@ -141,12 +131,11 @@ def cmd_batch(args) -> int:
     if not paths:  # an empty corpus is a valid (empty) table
         print("[]" if args.json else _TSV_HEADER)
         return EXIT_OK
-    items = [(p, args.bound) for p in paths]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_batch_entry, items))
+            results = list(pool.map(_classify_json, paths))
     else:
-        results = [_batch_entry(it) for it in items]
+        results = [_classify_json(p) for p in paths]
     if args.json:
         print(json.dumps(results, indent=2))
     else:
@@ -183,15 +172,21 @@ def cmd_audit(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, not argparse's 2; subcommand parsers inherit it."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="coxarith",
+    ap = _Parser(prog="coxarith",
                                  description="arithmeticity of hyperbolic Coxeter groups")
     sub = ap.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("classify", help="classify a single diagram file")
     c.add_argument("path")
-    c.add_argument("--bound", type=int, default=30,
-                   help="search bound for the rational model parameter a")
     c.add_argument("--audit-local", action="store_true",
                    help="attach local splitting and symbol tables")
     fmt = c.add_mutually_exclusive_group()
@@ -202,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("batch", help="classify many files, TSV summary")
     b.add_argument("paths", nargs="+", help="diagram files or directories")
-    b.add_argument("--bound", type=int, default=30)
     b.add_argument("--jobs", type=int, default=1)
     b.add_argument("--json", action="store_true", help="full reports instead of TSV")
     b.set_defaults(func=cmd_batch)

@@ -29,6 +29,7 @@ __all__ = [
     "sign_at",
     "approx_interval",
     "is_square",
+    "rational_square_classes",
     "subfields_index2",
     "intersect",
     "minimal_field_of",
@@ -631,6 +632,32 @@ def is_square(x) -> tuple[bool, FieldElement | None]:
             if w * w == x:
                 return True, w
     return False, None
+
+
+def rational_square_classes(x: FieldElement) -> frozenset[int]:
+    """Squarefree q, sign kept, with q*x a square in x's tower: empty, or a
+    coset of the 2^r rational classes that are squares there.  As in
+    is_square, x = u + v*sqrt(d) with v != 0 needs u^2 - d*v^2 = s^2 in F;
+    the branches (u +- s)/2 multiply to d*v^2/4, so they differ by the class
+    d, and q*x is a square iff q or q*d times (u + s)/2 is one in F.
+
+    >>> two = make_field([2])
+    >>> [sorted(rational_square_classes(x))
+    ...  for x in (two.element([3, 2]), two.rational(6), two.element([2, 1]))]
+    [[1, 2], [3, 6], []]
+    """
+    if not x:
+        raise ValueError("rational_square_classes(0)")
+    if x.tower.r == 0:
+        return frozenset({squarefree_part(x.nums[0] * x.den)})
+    u, v, d, _ = _split_top(x)
+    if v:
+        ok, s = is_square(u * u - v * v * d)
+        if not ok:
+            return frozenset()
+        u = (u + s) * Fraction(1, 2)
+    below = rational_square_classes(u)
+    return below | {_sqfree_mul(abs(q), d) * (1 if q > 0 else -1) for q in below}
 
 
 # -- subfield lattice ----------------------------------------------------

@@ -25,6 +25,11 @@ reference for the library's numerator split.
 Fractions, the reference for the library's fixed-point sum: same N, same
 remainder bound, no rounding.
 
+`bounded_model_search` is the rational model search that once stood in
+`classify.find_admissible_model`: squarefree a from the prime support of
+N(det f) and of the radicands (at most 12 primes), then 1..bound.  It is the
+reference for the library's reading of a off the determinant's square class.
+
 `sampled_rows` is the seeded norm sampler that once found the dyadic pairing
 rows: up to 1,200 norms s^2 - b*t^2 per row, from a fixed base list and then
 random s, t, until the norm classes reach rank dim - 1.  It is the reference
@@ -38,9 +43,9 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 import numpy as np
-from coxarith import fields, localfields
-from coxarith.fields import FieldElement, element_literal
-from coxarith.forms import cleared_entries, signature_at
+from coxarith import fields, forms, localfields
+from coxarith.fields import FieldElement, element_literal, factorize, squarefree_part
+from coxarith.forms import QuadraticForm, cleared_entries, signature_at
 from coxarith.lvalues import (_EM_TERMS, Ball, _factorial, _pochhammer,
                               bernoulli)
 
@@ -617,3 +622,38 @@ def sampled_rows(md) -> list[int]:
         if i > 0:
             rows[1 + i] = _char_row(md, g, dim)
     return rows
+
+
+# -- the bounded rational model search -------------------------------------------
+
+
+def bounded_model_search(f, k, bound=30):
+    """<-1, 1, ..., 1, a> over k isometric to f: the first squarefree a >= 1
+    with -a*det f a square, from the prime-support subsets and 1..bound."""
+    if k.r != 0:
+        return None, None
+    K = f.tower
+    detf = f.det()
+    n = abs(fields.integral_rescale(detf).rational_norm().numerator)
+    ps = {2} | {p for p, _ in factorize(n)}
+    for d in K.radicands:
+        ps |= {p for p, _ in factorize(d)}
+    cands: set[int] = set()
+    if len(ps) <= 12:
+        plist = sorted(ps)
+        for size in range(len(plist) + 1):
+            for sub in itertools.combinations(plist, size):
+                prod = 1
+                for p in sub:
+                    prod *= p
+                cands.add(prod)
+    cands.update(a for a in range(1, max(bound, 1) + 1) if squarefree_part(a) == a)
+    base = [-1] + [1] * (f.rank - 2)
+    for a in sorted(cands):
+        ok, _ = fields.is_square(K.rational(-a) * detf)
+        if not ok:
+            continue
+        gK = QuadraticForm(K, base + [a])
+        if forms.globally_isometric(gK, f):
+            return QuadraticForm(k, base + [a], label=f"model[a={a}]"), a
+    return None, None

@@ -21,9 +21,9 @@ from coxarith.classify import (
     find_admissible_model,
     subordinated_forms,
 )
-from coxarith.fields import make_field, parse_element
+from coxarith.fields import element_literal, make_field, parse_element
 from coxarith.forms import QuadraticForm
-from oracles import basis_det_check
+from oracles import basis_det_check, bounded_model_search
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 
@@ -58,6 +58,22 @@ edge 1 2 4
 edge 2 3 4
 edge 1 3 w sqrt(2)
 """
+
+# trace field Q(sqrt2), descends to Q; found by a wider diagram generator
+# (seed 11) than the census
+G11_112 = """
+dim 2
+vertices 3
+edge 1 2 w 3/2
+edge 1 3 w 7/4
+edge 2 3 4
+"""
+
+
+def _census_sample() -> dict:
+    with open(os.path.join(os.path.dirname(__file__), "data",
+                           "census_sample_reports.json")) as fh:
+        return json.load(fh)
 
 
 def test_arithmetic_triangle():
@@ -144,6 +160,63 @@ def test_find_admissible_model_respects_determinant():
     assert a == 5
 
 
+def test_no_model_where_the_determinant_allows_none():
+    # only a in {7, 14} match the determinant, and both <-1,1,a> differ from
+    # the ambient form at the two places above 7, so no search bound finds one
+    d = diagrams.parse_diagram(G11_112, "g11-112")
+    f = diagrams.ambient_form(d)
+    assert fields.rational_square_classes(-f.det()) == {7, 14}
+    rep = classify_diagram(d)
+    assert rep.verdict == UNDETERMINED
+    assert rep.trace_field == Q2 and rep.base_field == Q
+    assert rep.model is None and rep.to_json()["model"] is None
+    assert rep.notes == ["no admissible rational model <-1,1,...,1,a>: no a allowed "
+                         "by the determinant gives an isometric form"]
+
+
+def test_model_search_has_no_prime_cap():
+    # 14 primes divide N(det) here: a search over subsets of the prime
+    # support capped at 12 primes, then a <= 30, finds no model
+    a = 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43
+    f = QuadraticForm(Q2, [-1, 1, 1, a])
+    assert bounded_model_search(f, Q) == (None, None)
+    g, found = find_admissible_model(f, Q)
+    assert found == a
+    assert [c.rational_value() for c in g.diagonal] == [-1, 1, 1, a]
+
+
+def _model_facts(found):
+    g, a = found
+    return None if g is None else ([element_literal(c) for c in g.diagonal], a)
+
+
+def test_model_search_matches_the_bounded_search(monkeypatch):
+    # every rational-k search the corpus and the census sample reach, and
+    # constructed forms, against the prime-support-and-bound search
+    searches = []
+    real = classify.find_admissible_model
+
+    def recording(f, k):
+        searches.append((f, k))
+        return real(f, k)
+
+    monkeypatch.setattr(classify, "find_admissible_model", recording)
+    for p in sorted(glob.glob(os.path.join(CORPUS, "*.cox"))):
+        classify_diagram(diagrams.load_diagram(p))
+    for name, entry in sorted(_census_sample().items()):
+        classify_diagram(diagrams.parse_diagram(entry["cox"], name))
+    rational = [(f, k) for f, k in searches if k.r == 0]
+    assert len(rational) == 20
+    constructed = [(QuadraticForm(Q2, [-2, 2, 2, 6]), Q),
+                   (QuadraticForm(Q2, [-1, 1, 1, 5]), Q),
+                   (QuadraticForm(Q2, [Q2.rational(-1), Q2.one(), Q2.sqrt(2)]), Q),
+                   (diagrams.ambient_form(diagrams.parse_diagram(G11_112, "g")), Q),
+                   (QuadraticForm(Q23, [-1, 1, 1, 1]), Q2)]
+    for f, k in rational + constructed:
+        assert _model_facts(find_admissible_model(f, k)) == \
+            _model_facts(bounded_model_search(f, k))
+
+
 def test_find_admissible_model_refuses_irrational_base():
     f = QuadraticForm(Q23, [-1, 1, 1, 1])
     g, a = find_admissible_model(f, Q2)
@@ -195,9 +268,7 @@ def test_census_sample_reports_match_recorded_json():
     # with its .cox text and report.to_json(), recorded before the
     # Schur-complement elimination and the numerator-split transfer.
     # Re-record only for a deliberate change.
-    with open(os.path.join(os.path.dirname(__file__), "data",
-                           "census_sample_reports.json")) as fh:
-        recorded = json.load(fh)
+    recorded = _census_sample()
     assert len(recorded) == 48
     assert {e["report"]["verdict"] for e in recorded.values()} == {
         ARITHMETIC, QUASI_ARITHMETIC, PSEUDO_ARITHMETIC, UNDETERMINED}

@@ -197,10 +197,10 @@ def test_batch_survives_an_internal_error(tmp_path, capsys, monkeypatch):
         (tmp_path / f"{name}.cox").write_text(triangle)
     real = classify.classify_diagram
 
-    def flaky(diagram, bound=30):
+    def flaky(diagram):
         if diagram.name == "b_boom":
             raise RuntimeError("p-adic precision exhausted")
-        return real(diagram, bound)
+        return real(diagram)
 
     # worker processes are forked, so they inherit the patch
     monkeypatch.setattr(classify, "classify_diagram", flaky)
@@ -235,11 +235,35 @@ def test_batch_empty_dir_is_empty_table(tmp_path, capsys):
     assert json.loads(cap.out) == []
 
 
-def test_bound_must_be_positive(capsys):
+def run_to_exit(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    return exc.value.code, capsys.readouterr()
+
+
+def test_bound_is_a_usage_error(capsys):
+    # the model search reads a off the determinant; no option bounds it
     for sub in ("classify", "batch"):
-        code, cap = run(capsys, sub, DELTA5, "--bound", "0")
+        code, cap = run_to_exit(capsys, sub, DELTA5, "--bound", "5")
         assert code == cli.EXIT_PARSE
         assert "--bound" in cap.err
+
+
+def test_usage_errors_exit_1(capsys):
+    # argparse would exit 2, which means a non-hyperbolic signature here
+    for argv, message in ((("classify", DELTA5, "--nosuch"), "unrecognized arguments"),
+                          (("batch", "corpus", "--jobs", "x"), "invalid int value: 'x'"),
+                          (("audit", "--prime", "2x"), "invalid int value: '2x'"),
+                          ((), "required")):
+        code, cap = run_to_exit(capsys, *argv)
+        assert code == cli.EXIT_PARSE
+        assert cap.out == ""
+        assert cap.err.startswith("usage: coxarith")
+        assert message in cap.err
+    for argv in (("--help",), ("classify", "--help")):
+        code, cap = run_to_exit(capsys, *argv)
+        assert code == 0
+        assert cap.out.startswith("usage: coxarith") and cap.err == ""
 
 
 def test_jobs_must_be_positive(capsys):
@@ -313,3 +337,7 @@ def test_module_is_runnable():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["match"] is True
+    proc = subprocess.run([sys.executable, "-m", "coxarith.cli", "volume", "--digits"],
+                          capture_output=True, text=True)
+    assert proc.returncode == cli.EXIT_PARSE
+    assert "expected one argument" in proc.stderr

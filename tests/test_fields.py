@@ -7,7 +7,7 @@ from math import gcd
 
 import oracles
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from coxarith import fields
@@ -26,6 +26,7 @@ from coxarith.fields import (
     minimal_field_of,
     minimal_polynomial,
     parse_element,
+    rational_square_classes,
     sign_at,
     squarefree_part,
     subfields_index2,
@@ -223,6 +224,35 @@ def test_is_square_witness_property_200_random():
         ok, w = is_square(y * y)
         assert ok
         assert w * w == y * y
+
+
+_CLASS_TOWERS = [make_field(rads) for rads in
+                 ((), (2,), (5,), (3, 5), (2, 7), (2, 3, 5), (6, 10, 14))]
+_SQUAREFREE_60 = [q for n in range(1, 61) if squarefree_part(n) == n for q in (n, -n)]
+
+
+@seed(20181030)
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_rational_square_classes_match_brute_force(data):
+    # half the cases are q0 * y^2, which have a nonempty set; the others are
+    # generic elements, mostly in no rational class at all
+    tower = data.draw(st.sampled_from(_CLASS_TOWERS))
+    y = tower.element(data.draw(st.tuples(*(st.fractions(max_denominator=6)
+                                            for _ in range(tower.degree)))))
+    assume(y)
+    if data.draw(st.booleans()):
+        y = y * y * data.draw(st.sampled_from(_SQUAREFREE_60))
+    got = rational_square_classes(y)
+    assert {q for q in _SQUAREFREE_60 if q in got} == \
+        {q for q in _SQUAREFREE_60 if is_square(y * q)[0]}
+    assert len(got) in (0, tower.degree)
+
+
+def test_rational_square_classes_of_zero_raise():
+    for tower in _CLASS_TOWERS:
+        with pytest.raises(ValueError):
+            rational_square_classes(tower.zero())
 
 
 def test_is_square_edge_cases():
