@@ -235,6 +235,8 @@ def parse_diagram(text: str, name: str = "diagram") -> CoxeterDiagram:
         raise DiagramError("missing dim/vertices headers")
     if dim < 1:
         raise DiagramError("dim must be positive")
+    if size < 1:
+        raise DiagramError("vertices must be positive")
 
     classes = sorted({cls for _, _, acc, _ in raw_edges for cls, q in acc.items()
                       if q and cls != 1})

@@ -2,11 +2,10 @@
 
 A form is stored by its diagonal after exact congruence reduction of a
 symmetric Gram matrix; only the diagonal is kept, not the transformation
-that reaches it.  Isometry over the field is decided by the
-local-global principle: rank, every real signature, the determinant
-square class, and Hasse symbols at the finitely many places where the
-(integrally rescaled) entries are non-units, less the first place above 2,
-which Hilbert reciprocity settles.
+that reaches it.  Isometry over the field is decided by Witt cancellation:
+f and g are isometric exactly when they have equal rank and f + (-g) is
+hyperbolic, which localfields.is_hyperbolic decides by the local-global
+principle.
 
 The transfer along a quadratic subextension K/F sends a rank-1 form <c>
 to the rank-2 F-form with Gram [[v, u], [u, a*v]] where c = u + v*sqrt(a)
@@ -15,13 +14,13 @@ is -Norm_{K/F}(c), so blocks never degenerate.  u and v are read straight
 from the numerators of c: each basis element of K lies in F or in
 F*sqrt(a), so each numerator moves to u or to v with an integer
 multiplier, and no conjugate or change of tower is formed.  Each block is
-diagonalized in closed form, to <v, -Norm(c)/v> when v != 0 and to the
-hyperbolic plane <2u, -u/2> when v = 0; no generic elimination runs.
+diagonalized in closed form, up to squares and with no division: to
+<v, -v*Norm(c)> when v != 0, and to the hyperbolic plane <1, -1> when
+v = 0; no generic elimination runs.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
@@ -164,9 +163,10 @@ def cleared_entries(form: QuadraticForm) -> list[FieldElement]:
 def transfer(form: QuadraticForm, F: FieldTower) -> QuadraticForm:
     """Scharlau transfer of a K-form to the index-2 subtower F.
 
-    Entry c = u + v*sqrt(a) contributes <v, (a*v^2 - u^2)/v> when v != 0,
-    the diagonal the generic elimination of its block would give, and
-    <2u, -u/2> when v = 0 (c lies in F).
+    Entry c = u + v*sqrt(a) contributes <v, v*(a*v^2 - u^2)> when v != 0,
+    whose second entry is the generic elimination's (a*v^2 - u^2)/v times
+    the square v^2, and the hyperbolic plane <1, -1> when v = 0 (c lies in
+    F), so no entry is divided.
 
     u and v come from the numerators of c.  K's basis element
     alpha_S = scale_S * sqrt(t_S) goes to u when t_S is a class of F;
@@ -191,7 +191,7 @@ def transfer(form: QuadraticForm, F: FieldTower) -> QuadraticForm:
     m = lcm(*(d for *_, d in u_parts + v_parts))
     u_parts = [(S, T, num * (m // d)) for S, T, num, d in u_parts]
     v_parts = [(S, T, num * (m // d)) for S, T, num, d in v_parts]
-    half = Fraction(1, 2)
+    one = F.one()
     diag = []
     for c in form.diagonal:
         un = [0] * F.degree
@@ -203,36 +203,23 @@ def transfer(form: QuadraticForm, F: FieldTower) -> QuadraticForm:
         u = FieldElement(F, tuple(un), c.den * m)
         v = FieldElement(F, tuple(vn), c.den * m)
         if v:
-            diag += [v, (v * v * a - u * u) / v]
+            diag += [v, v * (v * v * a - u * u)]
         else:
-            diag += [u * 2, -u * half]
+            diag += [one, -one]
     return QuadraticForm(F, diag, label=f"transfer[sqrt({a})]")
 
 
 def globally_isometric(f: QuadraticForm, g: QuadraticForm) -> bool:
-    """K-isometry by rank, real signatures, det class, and local Hasse symbols.
+    """K-isometry: f and g have equal rank and f + (-g) is hyperbolic.
 
-    The Hasse symbols are compared at localfields.places_to_compare, which
-    leaves out the first place above 2: once the rest agree, Hilbert
-    reciprocity settles it.
+    By Witt cancellation f = g exactly when f + (-g) is a sum of hyperbolic
+    planes; localfields.is_hyperbolic decides that by real signatures,
+    determinant class and Hasse invariants.
     """
     if f.tower != g.tower:
         raise ValueError("forms live over different towers")
-    K = f.tower
-    if f.rank != g.rank:
-        return False
-    for sigma in K.embeddings():
-        if signature_at(f, sigma) != signature_at(g, sigma):
-            return False
-    ok, _ = fields.is_square(f.det() * g.det())
-    if not ok:
-        return False
-    cf = cleared_entries(f)
-    cg = cleared_entries(g)
-    for place in localfields.places_to_compare(K, cf + cg):
-        if localfields.hasse_invariant(cf, place) != localfields.hasse_invariant(cg, place):
-            return False
-    return True
+    return f.rank == g.rank and localfields.is_hyperbolic(
+        QuadraticForm(f.tower, f.diagonal + tuple(-c for c in g.diagonal)))
 
 
 def is_admissible(form: QuadraticForm) -> bool:

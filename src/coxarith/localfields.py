@@ -35,12 +35,13 @@ where the local square theorem (O'Meara 63:1) makes the class exact.
 Nothing is ever decided by a float or by truncated digits.  Internal
 consistency checks raise RuntimeError, so they also run under python -O.
 
-Isometry and hyperbolicity tests never build the dyadic model when 2 does
-not split: two forms of equal rank, determinant class and real signatures
-have equal Hasse invariants at the first place above 2 once they agree at
-every other place, by Hilbert reciprocity (places_to_compare).  Symbols,
-Hasse invariants, square class vectors and audits still compute every
-place directly.
+Every local-global question goes through is_hyperbolic: isometry of f and
+g is hyperbolicity of f + (-g) (forms.globally_isometric), and a Hilbert
+symbol (a,b) is the Hasse invariant of <a, b>.  is_hyperbolic never builds
+the dyadic model when 2 does not split, because Hilbert reciprocity
+settles the first place above 2 once rank, real signatures, determinant
+class and every other place agree.  Symbols, Hasse invariants, square
+class vectors and audits still compute every place directly.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ __all__ = [
     "hasse_invariant",
     "is_hyperbolic",
     "relevant_finite_places",
-    "places_to_compare",
     "square_class_vector",
     "local_audit",
 ]
@@ -756,19 +756,13 @@ def square_class_vector(x: FieldElement, place: Place) -> tuple[int, ...]:
 
 
 def hilbert_symbol_local(a, b, place: Place) -> int:
-    """Hilbert symbol (a,b) at a place of the tower."""
+    """Hilbert symbol (a,b) at a place of the tower: the Hasse invariant of <a, b>."""
     K = place.tower
     a = K.coerce(a)
     b = K.coerce(b)
     if not a or not b:
         raise ZeroDivisionError("Hilbert symbol of 0")
-    if place.kind == "real":
-        sigma = K.embeddings()[place.eps_mask]
-        return -1 if (sign_at(a, sigma) < 0 and sign_at(b, sigma) < 0) else 1
-    ra, rb = integral_rescale(a), integral_rescale(b)
-    md = _model(K, place.p)
-    out = -1 if md.pair_bits(md.vec_of_element(ra, place.eps_mask),
-                             md.vec_of_element(rb, place.eps_mask)) else 1
+    out = hasse_invariant([a, b], place)
     if a.is_rational and b.is_rational:
         expect = hilbert_symbol_Q(a.rational_value(), b.rational_value(),
                                   place.p) ** place.degree
@@ -816,30 +810,20 @@ def relevant_finite_places(tower: FieldTower, elements: Iterable) -> tuple[Place
     return tuple(out)
 
 
-def places_to_compare(tower: FieldTower, elements: Iterable) -> tuple[Place, ...]:
-    """The finite places at which two diagonal forms in these entries must
-    have equal Hasse invariants to be isometric: all relevant finite places
-    but the first place above 2.
-
-    Precondition: the two forms agree in rank, determinant square class and
-    signature at every real place, which both callers check first.  Their
-    Hasse invariants then agree at every real place, and both are +1 outside
-    the relevant places.  By Hilbert reciprocity (O'Meara, Introduction to
-    Quadratic Forms, section 71) the Hasse invariants of each form multiply
-    to +1 over all places, so agreement at every other place forces agreement
-    at the one left out.  When 2 does not split, that place is the only one
-    that needs the dyadic model; when it splits, the other places above 2
-    are still compared.
-    """
-    return relevant_finite_places(tower, elements)[1:]
-
-
 def is_hyperbolic(form) -> bool:
     """Whether a nondegenerate diagonal form is a sum of hyperbolic planes.
 
-    Rank, real signatures and determinant class are checked first, so
-    Hasse invariants are compared at places_to_compare only: Hilbert
-    reciprocity settles the first place above 2.
+    A form of rank 2m is hyperbolic exactly when it has m negative entries
+    at every real place, determinant class (-1)^m, and at every finite
+    place the Hasse invariant (-1,-1)^(m(m-1)/2) of m hyperbolic planes.
+    Once the first two hold, the Hasse invariants agree at every real place
+    and are +1 for both outside relevant_finite_places.  By Hilbert
+    reciprocity (O'Meara, Introduction to Quadratic Forms, section 71) the
+    Hasse invariants of each form multiply to +1 over all places, so
+    agreement at every other place forces agreement at the first relevant
+    place, which lies above 2 and is skipped.  When 2 does not split it is
+    the only place that needs the dyadic model; when 2 splits, the other
+    places above 2 are still compared.
     """
     K = form.tower
     diag = list(form.diagonal)
@@ -861,7 +845,7 @@ def is_hyperbolic(form) -> bool:
         return False
     t = (m * (m - 1) // 2) % 2
     minus_one = K.rational(-1)
-    for place in places_to_compare(K, diag):
+    for place in relevant_finite_places(K, diag)[1:]:
         want = hilbert_symbol_local(minus_one, minus_one, place) if t else 1
         if hasse_invariant(diag, place) != want:
             return False

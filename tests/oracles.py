@@ -463,9 +463,9 @@ def conjugate_transfer(form, F):
 
     c = u + v*sqrt(a) is split by the conjugation sigma fixing F:
     u = (c + sigma(c))/2 and v = (c - sigma(c))/(2 sqrt(a)), each rewritten
-    over F.  The blocks get the same closed forms as
-    `coxarith.forms.transfer`: <v, (a*v^2 - u^2)/v>, or <2u, -u/2> when
-    v = 0.
+    over F.  The blocks are the generic elimination's <v, (a*v^2 - u^2)/v>,
+    or <2u, -u/2> when v = 0; `coxarith.forms.transfer` emits the same
+    blocks up to squares, <v, v*(a*v^2 - u^2)> and <1, -1>.
     """
     K = form.tower
     a = min(K.subgroup_classes - F.subgroup_classes)

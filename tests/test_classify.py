@@ -23,7 +23,7 @@ from coxarith.classify import (
 )
 from coxarith.fields import element_literal, make_field, parse_element
 from coxarith.forms import QuadraticForm
-from oracles import basis_det_check, bounded_model_search
+from oracles import all_places_hyperbolic, basis_det_check, bounded_model_search
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 
@@ -143,6 +143,20 @@ def test_descend_field_cases():
     got = {F.radicands: hyp for F, hyp in table}
     assert got[(2,)] is True
     assert got[(3,)] is False and got[(6,)] is False
+
+
+def test_descend_field_withdraws_a_non_interval_pattern():
+    # <3 +- sqrt3> over Q(sqrt2, sqrt3) has hyperbolic transfers to Q(sqrt3)
+    # and Q(sqrt6), which meet in Q, but not to Q(sqrt2), which contains Q:
+    # no subfield receives the form, so the descent claim is withdrawn
+    for c in (3 + Q23.sqrt(3), 3 - Q23.sqrt(3)):
+        f = QuadraticForm(Q23, [c])
+        k, table, note = descend_field(f)
+        assert k == Q23
+        assert [(F.radicands, h) for F, h in table] == [((3,), True), ((2,), False), ((6,), True)]
+        assert note == "transfer pattern is not an interval: no descent field"
+        for F, h in table:
+            assert all_places_hyperbolic(forms.transfer(f, F)) is h, (c, F)
 
 
 def test_find_admissible_model_nontrivial_a():

@@ -103,6 +103,8 @@ def test_parse_errors():
         parse_diagram("dim 2\nvertices 3\nedge 1 4 3\n")
     with pytest.raises(DiagramError, match="not connected"):
         parse_diagram("dim 3\nvertices 4\nedge 1 2 3\nedge 3 4 3\n")
+    with pytest.raises(DiagramError, match="vertices must be positive"):
+        parse_diagram("dim 2\nvertices 0\n")
     with pytest.raises(UnsupportedLabelError, match="non-multiquadratic"):
         parse_diagram("dim 2\nvertices 3\nedge 1 2 7\nedge 2 3 3\nedge 1 3 3\n")
     with pytest.raises(UnsupportedLabelError):

@@ -252,8 +252,8 @@ def test_transfer_of_unit_form_is_hyperbolic():
     s = transfer(QuadraticForm(Q2, [1]), Q)
     assert s.tower == Q and s.rank == 2
     assert localfields.is_hyperbolic(s)
-    # the standard basis {1, sqrt2} gives the trace form <2, -1/2> here
-    assert [c.rational_value() for c in s.diagonal] == [2, Fraction(-1, 2)]
+    # 1 lies in Q, so its block is the hyperbolic plane itself
+    assert [c.rational_value() for c in s.diagonal] == [1, -1]
 
 
 def test_transfer_of_sqrt2_form_is_one_two():
@@ -312,6 +312,22 @@ def block_transfer_diagonal(form, F):
     return _sym_diagonalize(G, F), reordered
 
 
+def division_free_blocks(form, F, ref):
+    """A reference transfer diagonal in the blocks <v, (a*v^2 - u^2)/v> and
+    <2u, -u/2> (the entry lies in F), rewritten block by block to the ones
+    `transfer` emits: [v, w] becomes [v, w*v^2], [2u, -u/2] becomes [1, -1]."""
+    out = []
+    for c, v, w in zip(form.diagonal, ref[0::2], ref[1::2]):
+        try:
+            u = c.express_in(F)
+        except ValueError:
+            out += [v, w * v * v]
+        else:
+            assert [v, w] == [u * 2, u * Fraction(-1, 2)]
+            out += [F.one(), -F.one()]
+    return out
+
+
 def test_closed_form_transfer_matches_generic_elimination():
     rng = random.Random(109)
     reorders = 0
@@ -333,7 +349,8 @@ def test_closed_form_transfer_matches_generic_elimination():
                     reorders += 1
                     assert globally_isometric(got, QuadraticForm(F, want)), (K, F, entries)
                 else:
-                    assert list(got.diagonal) == want, (K, F, entries)
+                    assert list(got.diagonal) == division_free_blocks(form, F, want), \
+                        (K, F, entries)
     assert reorders >= 4
 
 
@@ -357,7 +374,8 @@ def test_transfer_matches_conjugate_oracle():
                 got = transfer(form, F)
                 want, label = oracles.conjugate_transfer(form, F)
                 assert got.tower is F and got.label == label
-                assert list(got.diagonal) == want, (K, F, entries)
+                assert list(got.diagonal) == division_free_blocks(form, F, want), \
+                    (K, F, entries)
     assert rescaled > 0
 
 
@@ -485,6 +503,54 @@ def test_reciprocity_shortcut_matches_all_places_oracle(tower):
     assert caught["isometry"] and caught["hyperbolic"]
     assert caught["above 2"] or len(dyadic) == 1
 
+
+def one_place_negative(tower, sigma, rng):
+    """A drawn element negative at the embedding sigma only."""
+    while True:
+        t = rand_small(tower, rng)
+        if all((fields.sign_at(t, tau) < 0) == (tau == sigma) for tau in tower.embeddings()):
+            return t
+
+
+def invariant_gap_pair(tower, rng, kind):
+    """A drawn pair (f, g) that differs only in rank, only in the signature
+    at one non-identity embedding, or only in determinant class; or, for
+    kind "isometric", g is f reversed with entries scaled by squares."""
+    a = [rand_small(tower, rng) for _ in range(rng.randint(2, 3))]
+    if kind == "rank":
+        return a, a + [rand_small(tower, rng) ** 2]
+    if kind == "isometric":
+        return a, [x * rand_small(tower, rng) ** 2 for x in a][::-1]
+    if kind == "signature":
+        sigma = rng.choice(tower.embeddings()[1:])
+        while fields.sign_at(a[1], sigma) != fields.sign_at(a[0], sigma):
+            a[1] = rand_small(tower, rng)
+        t = one_place_negative(tower, sigma, rng)  # t^2 keeps the det class
+        return a, [a[0] * t, a[1] * t] + a[2:]
+    t = totally_positive(tower, rng)
+    while is_square(t)[0]:
+        t = totally_positive(tower, rng)
+    return a, [a[0] * t] + a[1:]
+
+
+@pytest.mark.parametrize("tower", [Q2, make_field([17]), Q235], ids=str)
+def test_isometry_where_rank_signature_or_determinant_differ(tower):
+    # pairs that the reciprocity test never draws: the verdict must rest on
+    # is_hyperbolic's rank, signature and determinant checks of f + (-g),
+    # and unequal ranks must return False before any form is built
+    rng = random.Random(5003 + sum(tower.radicands))
+    for kind in ("rank", "signature", "determinant", "isometric"):
+        for _ in range(2):
+            a, b = invariant_gap_pair(tower, rng, kind)
+            f, g = QuadraticForm(tower, a), QuadraticForm(tower, b)
+            sigs = [signature_at(f, s) != signature_at(g, s) for s in tower.embeddings()]
+            assert (f.rank != g.rank) == (kind == "rank")
+            if kind != "rank":
+                assert (sum(sigs) == 1 and not sigs[0]) == (kind == "signature")
+                assert (not is_square(f.det() * g.det())[0]) == (kind == "determinant")
+            want = kind == "isometric"
+            assert globally_isometric(f, g) is globally_isometric(g, f) is want, (kind, a, b)
+            assert oracles.all_places_isometric(f, g) == oracles.all_places_isometric(g, f) == want
 
 def test_isometry_needs_same_tower():
     with pytest.raises(ValueError):
