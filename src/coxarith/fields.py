@@ -8,8 +8,11 @@ the 2^r basis
     alpha_S = sqrt(prod_{j in S} d_j),    S a bitmask over the radicands,
 
 so every operation is exact and runs on plain integers.  Real embeddings
-are sign vectors on the radicands; signs of elements are certified by
-interval refinement, never floating point.
+are sign vectors on the radicands.  Signs of elements are certified by
+integer fixed-point bounds: each tower keeps, per precision of `bits`
+bits, a root table of isqrt(alpha_S^2 * 4^bits), and sign_at compares the
+integer bounds of sigma(x) * den * 2^bits with 0, doubling `bits` until
+they exclude it.  The sign path uses no floating point and no Fraction.
 """
 
 from __future__ import annotations
@@ -162,6 +165,7 @@ class FieldTower:
         "basis_scale",
         "class_to_mask",
         "_embeddings",
+        "_roots",
         "_hash",
     )
 
@@ -190,6 +194,7 @@ class FieldTower:
         if len(self.class_to_mask) != self.degree:
             raise ValueError("radicands not independent")
         self._embeddings = tuple(Embedding(self, e) for e in range(self.degree))
+        self._roots: dict[int, tuple[int, ...]] = {}  # bits -> root table, see _fixed_bounds
         self._hash = hash(radicands)
 
     # -- constructors -------------------------------------------------
@@ -517,34 +522,63 @@ def embeddings(tower: FieldTower) -> tuple[Embedding, ...]:
     return tower.embeddings()
 
 
-def approx_interval(x: FieldElement, sigma: Embedding, bits: int) -> tuple[Fraction, Fraction]:
-    """Exact rational interval [lo, hi] containing sigma(x), width <= terms/2^bits."""
+def _fixed_bounds(x: FieldElement, mask: int, bits: int) -> tuple[int, int]:
+    """Integers lo <= sigma(x) * den * 2^bits <= hi, sigma the embedding of `mask`.
+
+    Each alpha_S is bounded through the tower's root table for `bits`,
+    a_S = isqrt(alpha_S^2 * 4^bits) with a_S <= |alpha_S| * 2^bits < a_S + 1,
+    built once per (tower, bits); a term n * a_S widens by |n| on the side
+    away from 0, so hi - lo is the sum of |nums|.
+    """
+    tower = x.tower
+    roots = tower._roots.get(bits)
+    if roots is None:
+        roots = tower._roots[bits] = tuple(isqrt(m << (2 * bits)) for m in tower.basis_radicand)
     lo = hi = 0
-    scale2 = 1 << (2 * bits)
-    rad = x.tower.basis_radicand
     for S, n in enumerate(x.nums):
-        if not n:
-            continue
-        if (S & sigma.mask).bit_count() & 1:
-            n = -n
-        a = isqrt(rad[S] * scale2)  # a <= sqrt(m)*2^bits < a+1
-        if n > 0:
-            lo += n * a
-            hi += n * (a + 1)
-        else:
-            lo += n * (a + 1)
-            hi += n * a
+        if n:
+            if (S & mask).bit_count() & 1:
+                n = -n
+            t = n * roots[S]
+            if n > 0:
+                lo += t
+                hi += t + n
+            else:
+                lo += t + n
+                hi += t
+    return lo, hi
+
+
+def approx_interval(x: FieldElement, sigma: Embedding, bits: int) -> tuple[Fraction, Fraction]:
+    """Exact rational interval [lo, hi] containing sigma(x), width <= terms/2^bits.
+
+    The endpoints are _fixed_bounds over den * 2^bits, the same integers
+    that sign_at compares with 0.
+    """
+    if sigma.tower is not x.tower:
+        raise ValueError("embedding belongs to a different tower")
+    lo, hi = _fixed_bounds(x, sigma.mask, bits)
     den = x.den << bits
     return Fraction(lo, den), Fraction(hi, den)
 
 
 def sign_at(x: FieldElement, sigma: Embedding) -> int:
-    """Certified sign of sigma(x): exact zero test, then interval refinement."""
+    """Certified sign of sigma(x): exact zero test, then integer bounds.
+
+    The fixed-point bounds of sigma(x) * den * 2^bits (see _fixed_bounds)
+    are compared with 0 at 64, 128, 256, ... bits until they exclude it,
+    which they do once 2^-bits * sum|nums| / den < |sigma(x)|.  Since
+    den * 2^bits > 0, the signs of the bounds are those of approx_interval's
+    endpoints.  No floating point and no Fraction is used.
+    """
+    if sigma.tower is not x.tower:
+        raise ValueError("embedding belongs to a different tower")
     if not x:
         return 0
+    mask = sigma.mask
     bits = 64
     while True:
-        lo, hi = approx_interval(x, sigma, bits)
+        lo, hi = _fixed_bounds(x, mask, bits)
         if lo > 0:
             return 1
         if hi < 0:

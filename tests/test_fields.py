@@ -300,13 +300,72 @@ def test_sign_at_square_is_nonnegative():
             assert sign_at(x * x, sigma) in (0, 1)
 
 
+def pell_convergent(min_q: int) -> tuple[int, int]:
+    """The first p/q with p^2 - 2q^2 = +-1 and q >= min_q: |p/q - sqrt2| < 1/(2q^2)."""
+    p, q = 1, 1
+    while q < min_q:
+        p, q = p + 2 * q, p + q
+    return p, q
+
+
+def assert_refines_to_256_bits(x, sigma, expected):
+    """sign_at(x, sigma) is `expected`, agrees with the dense oracle, and is
+    reached only at the third step: the bounds hold 0 at 64 and 128 bits."""
+    for bits in (64, 128):
+        lo, hi = approx_interval(x, sigma, bits)
+        assert lo < 0 < hi, bits
+    lo, hi = approx_interval(x, sigma, 256)
+    assert (lo > 0) if expected > 0 else (hi < 0)
+    assert sign_at(x, sigma) == expected
+    assert sign_at(x, sigma) == oracles.dense_sign(x.tower.radicands, list(x.coeffs), sigma.mask)
+
+
 def test_sign_at_tight_cancellation():
-    # 3363/2378 is a continued-fraction convergent of sqrt(2): forces refinement
+    # |p/q - sqrt2| < 2^-141 with q >= 2^70, and the bounds are about 2.4 * 2^-bits wide
+    p, q = pell_convergent(1 << 70)
+    above = 1 if p * p - 2 * q * q > 0 else -1  # sign of p/q - sqrt2
     t = make_field([2])
-    x = t.element([Fraction(3363, 2378), -1])
-    assert sign_at(x, t.identity_embedding) == 1
-    y = t.element([Fraction(-3363, 2378), 1])
-    assert sign_at(y, t.identity_embedding) == -1
+    ident, conj = t.embeddings()
+    x = t.element([Fraction(p, q), -1])  # p/q - sqrt2
+    y = t.element([Fraction(p, q), 1])  # p/q + sqrt2, tight where sqrt2 -> -sqrt2
+    for z, sigma, expected in ((x, ident, above), (-x, ident, -above),
+                               (y, conj, above), (-y, conj, -above)):
+        assert_refines_to_256_bits(z, sigma, expected)
+    # degree 8, at sqrt3 -> -sqrt3: sigma(p/q*sqrt15 - sqrt30) = -sqrt15 * (p/q - sqrt2)
+    t235 = make_field([2, 3, 5])
+    z = t235.sqrt(15) * Fraction(p, q) - t235.sqrt(30)
+    sigma = Embedding(t235, 0b010)
+    assert sigma.signs == (1, -1, 1)
+    assert_refines_to_256_bits(z, sigma, -above)
+
+
+def test_sign_at_runs_on_integers_once_its_tables_exist(monkeypatch):
+    p, q = pell_convergent(1 << 70)
+    t235 = make_field([2, 3, 5])
+    cases = [(t235.sqrt(15) * Fraction(p, q) - t235.sqrt(30), Embedding(t235, 0b010)),
+             (t235.element([Fraction(1, 3), -2, 5, 0, 1, 0, -1, 7]), Embedding(t235, 0b101))]
+    expected = [sign_at(x, sigma) for x, sigma in cases]  # builds the 64-, 128-, 256-bit tables
+
+    def refuse(*args):
+        raise AssertionError("sign_at left integer fixed point")
+
+    monkeypatch.setattr(fields, "Fraction", refuse)
+    monkeypatch.setattr(fields, "isqrt", refuse)
+    assert [sign_at(x, sigma) for x, sigma in cases] == expected
+
+
+def test_sign_at_rejects_an_embedding_of_another_tower():
+    # sqrt3 in Q(sqrt2, sqrt3) read at Q(sqrt3)'s sqrt3 -> -sqrt3 used to give +1
+    t23, t3 = make_field([2, 3]), make_field([3])
+    foreign = t3.embeddings()[1]
+    for x in (t23.sqrt(3), t23.zero()):
+        for call in (lambda: sign_at(x, foreign), lambda: approx_interval(x, foreign, 64),
+                     lambda: x.conjugate(foreign)):
+            with pytest.raises(ValueError, match="embedding belongs to a different tower"):
+                call()
+    x = t23.sqrt(3)
+    assert sign_at(x, Embedding(t23, 0b10)) == -1
+    assert sign_at(t3.sqrt(3), foreign) == -1
 
 
 def test_interval_consistency_with_products():
@@ -478,7 +537,7 @@ def test_field_ops_match_dense_fraction_oracle():
             assert_matches(integral_rescale(y), oracles.dense_integral_rescale(dy))
             for sigma in tower.embeddings():
                 assert_matches(x.conjugate(sigma), oracles.dense_conjugate(dx, sigma.mask))
-                for bits in (4, 64):
+                for bits in (4, 64, 128, 256):
                     assert approx_interval(x, sigma, bits) == oracles.dense_interval(
                         rads, dx, sigma.mask, bits)
                 for z, dz in ((x, dx), (y, dy), (x * y, oracles.dense_mul(rads, dx, dy))):
@@ -542,6 +601,12 @@ for q in (4, 2):  # a square of the prefix field, and one times sqrt(2)
         fields.is_square(t.rational(q))
     except RuntimeError as exc:
         print(q, exc)
+foreign = fields.make_field([3]).embeddings()[1]
+for call in (fields.sign_at, lambda x, s: fields.approx_interval(x, s, 64)):
+    try:
+        call(fields.make_field([2, 3]).sqrt(3), foreign)
+    except ValueError as exc:
+        print(exc)
 """
 
 
@@ -558,4 +623,6 @@ def test_checks_survive_python_O():
         "radicands not independent",
         "4 square witness check failed",
         "2 square witness check failed",
+        "embedding belongs to a different tower",
+        "embedding belongs to a different tower",
     ]
