@@ -14,10 +14,12 @@ A reflection group with ambient form f over its trace field K is
 The subfield is located by scaled trace transfers: f descends in the Witt
 ring to k exactly when its transfer to every index-2 subfield containing k
 is hyperbolic, so k is the meet of the index-2 subfields with hyperbolic
-transfer.  The admissible model over Q is sought in the one-parameter
-family <-1, 1, ..., 1, a>.  The determinant fixes a up to the rational
-classes that are squares in K, so the candidates are the 2^r squarefree
-members of one coset, read off det(f) by `fields.rational_square_classes`.
+transfer; a transfer is built only where f's table of negatives passes
+descend_field's fibre test.  The admissible model over Q is sought in the
+one-parameter family <-1, 1, ..., 1, a>.  The determinant fixes a up to
+the rational classes that are squares in K, so the candidates are the 2^r
+squarefree members of one coset, read off det(f) by
+`fields.rational_square_classes`.
 """
 
 from __future__ import annotations
@@ -65,13 +67,25 @@ def descend_field(f: QuadraticForm) -> tuple[FieldTower, list[tuple[FieldTower, 
     Returns (k, [(subfield, transfer hyperbolic?)], note).  k equals the
     trace field itself when no descent exists; a non-None note flags an
     inconsistent transfer pattern (descent claim withdrawn).
+
+    Fibre test: the e-th index-2 subfield F is fixed by the embedding of
+    mask e, so the embeddings sigma+- of K above a real place tau of F are
+    the masks s and s ^ e.  At tau, the transfer block of c = u + v*sqrt(a),
+    <v, v*(a*v^2 - u^2)> or <1, -1> if v = 0, has signature
+    sign(sigma+(c)) - sign(sigma-(c)), as a*v^2 - u^2 = -N(c) and
+    2*sqrt(a)*v = sigma+(c) - sigma-(c).  So the transfer has rank(f)
+    negatives at tau, the real check of is_hyperbolic, iff f has as many at
+    s as at s ^ e (Scharlau's transfer; Lam, Introduction to Quadratic
+    Forms over Fields, ch. VII); if not, F is refused with no transfer.
     """
     K = f.tower
     if K.r == 0:
         return K, [], None
+    neg = f.negatives()
     table = []
-    for F in fields.subfields_index2(K):
-        table.append((F, localfields.is_hyperbolic(forms.transfer(f, F))))
+    for e, F in enumerate(fields.subfields_index2(K), 1):
+        table.append((F, all(neg[s] == neg[s ^ e] for s in range(K.degree))
+                      and localfields.is_hyperbolic(forms.transfer(f, F))))
     hyper = [F for F, h in table if h]
     if not hyper:
         return K, table, None
@@ -223,12 +237,10 @@ def classify_diagram(diagram: CoxeterDiagram) -> ClassificationReport:
         return report
 
     # not quasi-arithmetic: record where admissibility failed, then descend
-    for idx, sigma in enumerate(K.embeddings()):
-        pos, neg = forms.signature_at(f, sigma)
-        if (idx == 0 and neg != 1) or (idx > 0 and pos and neg):
-            report.witnesses["inadmissible_at"] = {"embedding": idx,
-                                                   "signature": [pos, neg]}
-            break
+    neg = f.negatives()
+    idx = next(i for i, k in enumerate(neg) if (k != 1 if i == 0 else 0 < k < f.rank))
+    report.witnesses["inadmissible_at"] = {"embedding": idx,
+                                           "signature": [f.rank - neg[idx], neg[idx]]}
     k, table, note = descend_field(f)
     report.transfers = table
     if note:

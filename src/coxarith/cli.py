@@ -131,8 +131,9 @@ def cmd_batch(args) -> int:
     if not paths:  # an empty corpus is a valid (empty) table
         print("[]" if args.json else _TSV_HEADER)
         return EXIT_OK
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(paths))  # the pool forks all its workers at once
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_classify_json, paths))
     else:
         results = [_classify_json(p) for p in paths]

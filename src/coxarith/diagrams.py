@@ -39,7 +39,6 @@ __all__ = [
     "parse_diagram",
     "load_diagram",
     "simple_cycles",
-    "trace_field_of",
     "ambient_form",
 ]
 
@@ -136,16 +135,6 @@ class CoxeterDiagram:
         self.size = size
         self.tower = tower
         self.entries = entries
-
-    def gram_rows(self) -> list[list[FieldElement]]:
-        one, zero = self.tower.one(), self.tower.zero()
-        G = [[zero] * self.size for _ in range(self.size)]
-        for i in range(self.size):
-            G[i][i] = one
-        for (i, j), a in self.entries.items():
-            G[i - 1][j - 1] = a
-            G[j - 1][i - 1] = a
-        return G
 
     def neighbors(self, v: int) -> list[int]:
         out = []
@@ -333,20 +322,14 @@ def _rescaled_gram(diagram: CoxeterDiagram) -> list[list[FieldElement]]:
     return A
 
 
-def trace_field_of(diagram: CoxeterDiagram) -> FieldTower:
-    """The field of the path-rescaled Gram entries, which is the trace field:
-    a cyclic product G[i1][i2]*...*G[ik][i1] is the product of the rescaled
-    entries along the cycle over the c_i^2 at its vertices."""
-    A = _rescaled_gram(diagram)
-    return fields.minimal_field_of(x for row in A for x in row)
-
-
 def ambient_form(diagram: CoxeterDiagram) -> QuadraticForm:
     """The form of signature (n,1) spanned by the facet normals, over the trace field.
 
-    The path-rescaled Gram matrix A is diagonalized once over the trace
-    field K.  A is congruent to diag(D) + 0, so its rank and signature are
-    read off the nonzero entries of D at the identity embedding, and
+    The path-rescaled Gram matrix A is diagonalized once over the field K
+    of its entries, the trace field: a cyclic product G[i1][i2]...G[ik][i1]
+    is the product of A's entries along the cycle over the c_i^2.  A is
+    congruent to diag(D) + 0, so its rank and signature are read off the
+    nonzero entries of D at the identity embedding, and
     SignatureError is raised unless there are n+1 of them, of signature (n,1).
     """
     n = diagram.dim

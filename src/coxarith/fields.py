@@ -28,7 +28,6 @@ __all__ = [
     "FieldElement",
     "Embedding",
     "make_field",
-    "embeddings",
     "sign_at",
     "approx_interval",
     "is_square",
@@ -38,7 +37,6 @@ __all__ = [
     "minimal_field_of",
     "is_algebraic_integer",
     "integral_rescale",
-    "minimal_polynomial",
     "parse_element",
     "element_literal",
     "factorize",
@@ -518,10 +516,6 @@ class FieldElement:
 # -- embeddings and certified signs -------------------------------------
 
 
-def embeddings(tower: FieldTower) -> tuple[Embedding, ...]:
-    return tower.embeddings()
-
-
 def _fixed_bounds(x: FieldElement, mask: int, bits: int) -> tuple[int, int]:
     """Integers lo <= sigma(x) * den * 2^bits <= hi, sigma the embedding of `mask`.
 
@@ -725,33 +719,13 @@ def minimal_field_of(elements: Iterable[FieldElement]) -> FieldTower:
 # -- integrality ---------------------------------------------------------
 
 
-def minimal_polynomial(x: FieldElement) -> list[Fraction]:
-    """Monic minimal polynomial over Q, coefficients low-to-high degree."""
-    orbit: list[FieldElement] = []
-    seen = set()
-    for sigma in x.tower.embeddings():
-        y = x.conjugate(sigma)
-        key = (y.den, y.nums)
-        if key not in seen:
-            seen.add(key)
-            orbit.append(y)
-    poly = [x.tower.one()]
-    for y in orbit:
-        nxt = [x.tower.zero() for _ in range(len(poly) + 1)]
-        for i, c in enumerate(poly):
-            nxt[i + 1] = nxt[i + 1] + c
-            nxt[i] = nxt[i] - c * y
-        poly = nxt
-    out = []
-    for c in poly:
-        if not c.is_rational:
-            raise RuntimeError("minimal polynomial must have rational coefficients")
-        out.append(c.rational_value())
-    return out
-
-
 def is_algebraic_integer(x: FieldElement) -> bool:
-    """True iff the minimal polynomial of x is monic with integer coefficients.
+    """True iff x is a root of a monic polynomial with integer coefficients.
+
+    By descent: x = u + v*sqrt(d) over the prefix tower F has
+    characteristic polynomial t^2 - 2u*t + (u^2 - d*v^2) over F, which is
+    its minimal one if v != 0 and (t - u)^2 if v = 0, so x is integral iff
+    2u and u^2 - d*v^2 are; over Q, iff x is an integer.
 
     >>> t = make_field([5])
     >>> is_algebraic_integer(t.element([Fraction(1, 2), Fraction(1, 2)]))
@@ -759,7 +733,10 @@ def is_algebraic_integer(x: FieldElement) -> bool:
     >>> is_algebraic_integer(t.rational(Fraction(1, 2)))
     False
     """
-    return all(c.denominator == 1 for c in minimal_polynomial(x))
+    if x.tower.r == 0:
+        return x.den == 1
+    u, v, d, _ = _split_top(x)
+    return is_algebraic_integer(u * 2) and is_algebraic_integer(u * u - v * v * d)
 
 
 def integral_rescale(x: FieldElement) -> FieldElement:

@@ -7,6 +7,11 @@ f and g are isometric exactly when they have equal rank and f + (-g) is
 hyperbolic, which localfields.is_hyperbolic decides by the local-global
 principle.
 
+Every real-place question is read off one table per form, negatives():
+its negative entries at each embedding, indexed by mask, each sign
+certified once.  signature_at, is_admissible, is_hyperbolic and
+classify's witness and transfer fibre test all read it.
+
 The transfer along a quadratic subextension K/F sends a rank-1 form <c>
 to the rank-2 F-form with Gram [[v, u], [u, a*v]] where c = u + v*sqrt(a)
 and a is the smallest squarefree generator of K over F; its determinant
@@ -24,7 +29,7 @@ from __future__ import annotations
 from math import gcd, lcm
 from typing import Sequence
 
-from . import fields, localfields
+from . import localfields
 from .fields import Embedding, FieldElement, FieldTower, element_literal, sign_at
 
 __all__ = [
@@ -33,14 +38,13 @@ __all__ = [
     "transfer",
     "globally_isometric",
     "is_admissible",
-    "cleared_entries",
 ]
 
 
 class QuadraticForm:
     """A nondegenerate diagonal quadratic form <a_1,...,a_n> over a tower."""
 
-    __slots__ = ("tower", "diagonal", "label")
+    __slots__ = ("tower", "diagonal", "label", "_negatives")
 
     def __init__(self, tower: FieldTower, diagonal, label: str = ""):
         diag = tuple(tower.coerce(c) for c in diagonal)
@@ -49,6 +53,7 @@ class QuadraticForm:
         self.tower = tower
         self.diagonal = diag
         self.label = label
+        self._negatives = None
 
     @property
     def rank(self) -> int:
@@ -59,6 +64,14 @@ class QuadraticForm:
         for c in self.diagonal:
             out = out * c
         return out
+
+    def negatives(self) -> tuple[int, ...]:
+        """Negative entries at each real embedding, indexed by its mask;
+        sign_at runs once per (entry, embedding), and the table is kept."""
+        if self._negatives is None:
+            self._negatives = tuple(sum(1 for c in self.diagonal if sign_at(c, sigma) < 0)
+                                    for sigma in self.tower.embeddings())
+        return self._negatives
 
     def scaled(self, c) -> "QuadraticForm":
         c = self.tower.coerce(c)
@@ -146,18 +159,11 @@ def _sym_diagonalize(rows: Sequence[Sequence], tower: FieldTower) -> list[FieldE
 
 
 def signature_at(form: QuadraticForm, sigma: Embedding) -> tuple[int, int]:
-    pos = neg = 0
-    for c in form.diagonal:
-        if sign_at(c, sigma) > 0:
-            pos += 1
-        else:
-            neg += 1
-    return pos, neg
-
-
-def cleared_entries(form: QuadraticForm) -> list[FieldElement]:
-    """Entries rescaled by rational squares to integral, squarefree-content vectors."""
-    return [fields.integral_rescale(c) for c in form.diagonal]
+    """(positive, negative) entries at sigma, read off form.negatives()."""
+    if sigma.tower is not form.tower:
+        raise ValueError("embedding belongs to a different tower")
+    neg = form.negatives()[sigma.mask]
+    return form.rank - neg, neg
 
 
 def transfer(form: QuadraticForm, F: FieldTower) -> QuadraticForm:
@@ -224,11 +230,5 @@ def globally_isometric(f: QuadraticForm, g: QuadraticForm) -> bool:
 
 def is_admissible(form: QuadraticForm) -> bool:
     """Signature (n,1) at the identity embedding, definite at all others."""
-    for sigma in form.tower.embeddings():
-        pos, neg = signature_at(form, sigma)
-        if sigma.is_identity:
-            if neg != 1:
-                return False
-        elif pos and neg:
-            return False
-    return True
+    neg = form.negatives()
+    return neg[0] == 1 and all(k in (0, form.rank) for k in neg[1:])

@@ -816,6 +816,7 @@ def is_hyperbolic(form) -> bool:
     A form of rank 2m is hyperbolic exactly when it has m negative entries
     at every real place, determinant class (-1)^m, and at every finite
     place the Hasse invariant (-1,-1)^(m(m-1)/2) of m hyperbolic planes.
+    The real check reads the form's table of negatives (negatives()).
     Once the first two hold, the Hasse invariants agree at every real place
     and are +1 for both outside relevant_finite_places.  By Hilbert
     reciprocity (O'Meara, Introduction to Quadratic Forms, section 71) the
@@ -833,14 +834,9 @@ def is_hyperbolic(form) -> bool:
     if n == 0:
         return True
     m = n // 2
-    for sigma in K.embeddings():
-        neg = sum(1 for c in diag if sign_at(c, sigma) < 0)
-        if neg != m:
-            return False
-    det = K.one()
-    for c in diag:
-        det = det * c
-    ok, _ = fields.is_square(det * ((-1) ** m))
+    if any(neg != m for neg in form.negatives()):
+        return False
+    ok, _ = fields.is_square(form.det() * ((-1) ** m))
     if not ok:
         return False
     t = (m * (m - 1) // 2) % 2

@@ -21,6 +21,10 @@ first place above 2 to Hilbert reciprocity.
 that fixes the subfield (`fixing_embeddings`) and two changes of tower, the
 reference for the library's numerator split.
 
+`minimal_polynomial` is the monic minimal polynomial over Q, formed from
+the distinct Galois conjugates; it is the reference for the library's
+integrality test by descent down the tower.
+
 `hurwitz_zeta_fraction` is the Euler-Maclaurin Hurwitz zeta summed in exact
 Fractions, the reference for the library's fixed-point sum: same N, same
 remainder bound, no rounding.
@@ -45,7 +49,7 @@ from math import gcd, isqrt
 import numpy as np
 from coxarith import fields, forms, localfields
 from coxarith.fields import FieldElement, element_literal, factorize, squarefree_part
-from coxarith.forms import QuadraticForm, cleared_entries, signature_at
+from coxarith.forms import QuadraticForm, signature_at
 from coxarith.lvalues import (_EM_TERMS, Ball, _factorial, _pochhammer,
                               bernoulli)
 
@@ -491,7 +495,8 @@ def isometry_differences(f, g, places=None):
     """The places, by default the relevant finite places (places above 2
     first), at which the Hasse invariants of the cleared diagonals of f and g
     differ."""
-    cf, cg = cleared_entries(f), cleared_entries(g)
+    cf = [fields.integral_rescale(c) for c in f.diagonal]
+    cg = [fields.integral_rescale(c) for c in g.diagonal]
     if places is None:
         places = localfields.relevant_finite_places(f.tower, cf + cg)
     return [pl for pl in places
@@ -538,6 +543,31 @@ def all_places_hyperbolic(form) -> bool:
     if not fields.is_square(form.det() * (-1) ** m)[0]:
         return False
     return not hyperbolic_differences(form)
+
+
+def minimal_polynomial(x: FieldElement) -> list[Fraction]:
+    """Monic minimal polynomial over Q, coefficients low-to-high degree."""
+    orbit: list[FieldElement] = []
+    seen = set()
+    for sigma in x.tower.embeddings():
+        y = x.conjugate(sigma)
+        key = (y.den, y.nums)
+        if key not in seen:
+            seen.add(key)
+            orbit.append(y)
+    poly = [x.tower.one()]
+    for y in orbit:
+        nxt = [x.tower.zero() for _ in range(len(poly) + 1)]
+        for i, c in enumerate(poly):
+            nxt[i + 1] = nxt[i + 1] + c
+            nxt[i] = nxt[i] - c * y
+        poly = nxt
+    out = []
+    for c in poly:
+        if not c.is_rational:
+            raise RuntimeError("minimal polynomial must have rational coefficients")
+        out.append(c.rational_value())
+    return out
 
 
 def hurwitz_zeta_fraction(s: int, a: Fraction, digits: int) -> Ball:

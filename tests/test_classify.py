@@ -3,13 +3,14 @@
 import glob
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
-from coxarith import classify, diagrams, fields, forms
+from coxarith import classify, diagrams, fields, forms, localfields
 from coxarith.classify import (
     ARITHMETIC,
     PSEUDO_ARITHMETIC,
@@ -157,6 +158,60 @@ def test_descend_field_withdraws_a_non_interval_pattern():
         assert note == "transfer pattern is not an interval: no descent field"
         for F, h in table:
             assert all_places_hyperbolic(forms.transfer(f, F)) is h, (c, F)
+
+
+def _fibre_test_cases():
+    rng = random.Random(131)
+    cases = [diagrams.ambient_form(diagrams.parse_diagram(entry["cox"], name))
+             for name, entry in sorted(_census_sample().items())]
+    for tower in (Q2, Q23, make_field([2, 3, 5]), make_field([5, 13])):
+        for _ in range(12):
+            cases.append(QuadraticForm(tower, [
+                tower.element([Fraction(rng.randint(-4, 4), rng.choice((1, 2)))
+                               for _ in range(tower.degree)]) or tower.one()
+                for _ in range(rng.randint(1, 4))]))
+    return cases
+
+
+def test_transfer_signatures_are_read_off_the_fibres():
+    # the e-th index-2 subfield is fixed by the embedding of mask e; the
+    # transfer has rank(f) negatives at every real place exactly when f
+    # has as many negatives at s as at s ^ e for every mask s
+    outcomes = set()
+    for f in _fibre_test_cases():
+        neg = f.negatives()
+        for e, F in enumerate(fields.subfields_index2(f.tower), 1):
+            fibre = all(neg[s] == neg[s ^ e] for s in range(f.tower.degree))
+            t = forms.transfer(f, F)
+            assert fibre == all(k == t.rank // 2 for k in t.negatives()), (f, F)
+            outcomes.add(fibre)
+    assert outcomes == {True, False}
+
+
+def test_descend_field_builds_transfers_only_past_the_fibre_test(monkeypatch):
+    built = []
+    real = forms.transfer
+
+    def recording(f, F):
+        built.append(F)
+        return real(f, F)
+
+    skipped = 0
+    for f in _fibre_test_cases():
+        if f.tower.r == 0:
+            continue
+        want = [(F, localfields.is_hyperbolic(real(f, F)))
+                for F in fields.subfields_index2(f.tower)]
+        neg = f.negatives()
+        passing = [F for e, F in enumerate(fields.subfields_index2(f.tower), 1)
+                   if all(neg[s] == neg[s ^ e] for s in range(f.tower.degree))]
+        built.clear()
+        monkeypatch.setattr(forms, "transfer", recording)
+        assert descend_field(f)[1] == want
+        monkeypatch.setattr(forms, "transfer", real)
+        assert built == passing
+        skipped += len(want) - len(passing)
+    assert skipped >= 50
 
 
 def test_find_admissible_model_nontrivial_a():

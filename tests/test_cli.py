@@ -169,6 +169,33 @@ def test_batch_is_deterministic_and_parallel_agrees(capsys):
     assert cap3.out == cap1.out
 
 
+def test_batch_workers_never_outnumber_files(monkeypatch, capsys):
+    # a fake pool that maps in-process and records its width: no process starts
+    widths = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            widths.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    _, serial = run(capsys, "batch", "corpus")
+    code, cap = run(capsys, "batch", "corpus", "--jobs", "5000")
+    assert code == 0 and cap.out == serial.out
+    assert widths == [8]
+    code, cap = run(capsys, "batch", DELTA5, "--jobs", "4")
+    assert code == 0 and len(cap.out.splitlines()) == 2
+    assert widths == [8]  # one file runs serially, with no pool
+
+
 def test_batch_error_rows_and_first_error_exit(tmp_path, capsys):
     (tmp_path / "a_badlabel.cox").write_text(BAD_LABEL)
     (tmp_path / "b_spherical.cox").write_text(SPHERICAL)

@@ -16,7 +16,6 @@ from coxarith.diagrams import (
     load_diagram,
     parse_diagram,
     simple_cycles,
-    trace_field_of,
 )
 from coxarith.fields import make_field
 
@@ -45,12 +44,12 @@ edge 1 3 4
 def test_parse_gram_entries():
     d = parse_diagram(DELTA5, "delta5")
     assert (d.dim, d.size) == (5, 6)
-    G = d.gram_rows()
-    assert G[0][0] == d.tower.one()
-    assert G[0][1].rational_value() == Fraction(-1, 2)
-    assert G[1][2] == -d.tower.sqrt(2) * Fraction(1, 2)
-    assert G[0][2] == d.tower.zero()  # absent pair is a right angle
-    assert G[2][1] == G[1][2]
+    G = d.entries
+    assert diagrams._rescaled_gram(d)[0][0] == d.tower.one()
+    assert G[(1, 2)].rational_value() == Fraction(-1, 2)
+    assert G[(2, 3)] == -d.tower.sqrt(2) * Fraction(1, 2)
+    assert (1, 3) not in G  # absent pair is a right angle
+    assert all(i < j for i, j in G)  # each pair once: the Gram matrix is symmetric
 
 
 def test_label_values():
@@ -136,22 +135,26 @@ def _cycle_trace_field(d):
     return fields.minimal_field_of(gens)
 
 
+def _rescaled_field(d):
+    return fields.minimal_field_of(x for row in diagrams._rescaled_gram(d) for x in row)
+
+
 def test_trace_field_examples():
     d = parse_diagram(DELTA5, "delta5")
-    assert trace_field_of(d) == make_field([2])
+    assert ambient_form(d).tower == _rescaled_field(d) == make_field([2])
     t = parse_diagram(TRIANGLE_334)
-    assert trace_field_of(t) == make_field([2])
+    assert ambient_form(t).tower == _rescaled_field(t) == make_field([2])
     # a tree with label 4 edges only: squared entries are rational,
     # no cycles, so the trace field collapses to Q
     tree = parse_diagram("dim 2\nvertices 3\nedge 1 2 4\nedge 2 3 4\n")
-    assert trace_field_of(tree) == make_field([])
+    assert _rescaled_field(tree) == make_field([])
     # the rescaled-Gram field against its definition (squared entries and
     # simple cycle products), on the corpus and seeded relabelings
     rng = random.Random(11)
     for p in sorted(glob.glob(os.path.join(CORPUS, "*.cox"))):
         d = load_diagram(p)
         for _ in range(4):
-            assert trace_field_of(d) == _cycle_trace_field(d), d.name
+            assert ambient_form(d).tower == _cycle_trace_field(d), d.name
             perm = list(range(1, d.size + 1))
             rng.shuffle(perm)
             d = d.relabeled(perm)
@@ -160,7 +163,7 @@ def test_trace_field_examples():
 def test_ambient_form_signature_and_field():
     d = parse_diagram(DELTA5, "delta5")
     f = ambient_form(d)
-    K = trace_field_of(d)
+    K = _cycle_trace_field(d)
     assert f.tower == K and f.rank == 6
     assert forms.signature_at(f, K.identity_embedding) == (5, 1)
     assert f.det()

@@ -1,4 +1,5 @@
-"""The examples in the library's docstrings run and pass."""
+"""The examples in the library's docstrings run and pass, and every name in a
+module's __all__ exists."""
 
 import doctest
 import importlib
@@ -13,6 +14,8 @@ def test_module_doctests_pass():
     attempted = 0
     for name in names:
         module = importlib.import_module(f"coxarith.{name}")
+        stale = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert not stale, (name, stale)
         failed, tried = doctest.testmod(module)
         assert failed == 0, name
         attempted += tried

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -16,7 +17,6 @@ from coxarith.fields import (
     FieldElement,
     approx_interval,
     element_literal,
-    embeddings,
     factorize,
     intersect,
     integral_rescale,
@@ -24,7 +24,6 @@ from coxarith.fields import (
     is_square,
     make_field,
     minimal_field_of,
-    minimal_polynomial,
     parse_element,
     rational_square_classes,
     sign_at,
@@ -273,7 +272,7 @@ def test_is_square_edge_cases():
 
 def test_embeddings_form_group():
     t = make_field([2, 3])
-    embs = embeddings(t)
+    embs = t.embeddings()
     assert len(embs) == 4
     assert embs[0].is_identity
     assert len({e.mask for e in embs}) == 4
@@ -426,6 +425,10 @@ def test_fixing_embeddings():
 # -- integrality -----------------------------------------------------------
 
 
+def _integral_by_oracle(x):
+    return all(c.denominator == 1 for c in oracles.minimal_polynomial(x))
+
+
 def test_is_algebraic_integer_examples():
     t = make_field([2])
     assert is_algebraic_integer(t.sqrt(2))
@@ -433,7 +436,43 @@ def test_is_algebraic_integer_examples():
     t5 = make_field([5])
     golden = t5.element([Fraction(1, 2), Fraction(1, 2)])
     assert is_algebraic_integer(golden)
-    assert minimal_polynomial(golden) == [Fraction(-1), Fraction(-1), Fraction(1)]
+    assert oracles.minimal_polynomial(golden) == [Fraction(-1), Fraction(-1), Fraction(1)]
+    for x in (t.sqrt(2), t.rational(Fraction(1, 2)), golden):
+        assert is_algebraic_integer(x) == _integral_by_oracle(x)
+
+
+def test_is_algebraic_integer_matches_minimal_polynomial():
+    # descent down the tower against the minimal polynomial over Q, on
+    # seeded towers of degree 2..16: integer combinations of integral
+    # generators ((1+sqrt(t))/2 for classes t = 1 mod 4, and sqrt(t)),
+    # some shifted by a half or a quarter of a basis element
+    t513 = make_field([5, 13])
+    h5, h13 = (1 + t513.sqrt(5)) / 2, (1 + t513.sqrt(13)) / 2
+    cases = [(h5, True), (h13, True), (h5 * h13, True), ((t513.sqrt(5) + t513.sqrt(13)) / 2, True),
+             ((1 + t513.sqrt(65)) / 2, True), ((1 + t513.sqrt(5)) / 4, False),
+             ((t513.sqrt(5) + 1) / 2 + t513.sqrt(13) / 2, False), (h5 / 2, False)]
+    for x, want in cases:
+        assert is_algebraic_integer(x) is want, x
+        assert _integral_by_oracle(x) is want, x
+    rng = random.Random(20181030)
+    towers = [make_field(r) for r in ([5], [3], [13], [2, 5], [5, 13], [3, 7], [2, 3, 5],
+                                      [5, 13, 17], [3, 5, 7, 13], [2, 5, 13, 17])]
+    verdicts = Counter()
+    for tower in towers:
+        gens = [tower.sqrt(t) for t in sorted(tower.subgroup_classes)]
+        gens += [(1 + tower.sqrt(t)) / 2 for t in sorted(tower.subgroup_classes) if t % 4 == 1]
+        for _ in range(30):
+            x = tower.rational(rng.randint(-3, 3))
+            for _ in range(rng.randint(1, 3)):
+                x = x + rng.choice(gens) * rng.choice(gens) * rng.randint(-2, 2)
+            if rng.random() < 0.5:
+                x = x + tower.sqrt(rng.choice(sorted(tower.subgroup_classes))) * \
+                    Fraction(1, rng.choice((2, 4)))
+            got = is_algebraic_integer(x)
+            assert got == _integral_by_oracle(x), (tower, x)
+            verdicts[got, x.den > 1] += 1
+    # integral elements with and without denominators, and non-integral ones
+    assert min(verdicts[True, True], verdicts[True, False], verdicts[False, True]) >= 20
 
 
 def test_algebraic_integers_closed_under_ring_ops():
@@ -453,7 +492,9 @@ def test_algebraic_integers_closed_under_ring_ops():
 
 
 def test_minimal_polynomial_of_rational():
-    assert minimal_polynomial(Q.rational(7)) == [Fraction(-7), Fraction(1)]
+    assert oracles.minimal_polynomial(Q.rational(7)) == [Fraction(-7), Fraction(1)]
+    assert is_algebraic_integer(Q.rational(7))
+    assert not is_algebraic_integer(Q.rational(Fraction(7, 2)))
 
 
 # -- literals --------------------------------------------------------------

@@ -8,12 +8,11 @@ from math import gcd
 import pytest
 
 import oracles
-from coxarith import fields, localfields
+from coxarith import fields, forms, localfields
 from coxarith.fields import is_square, make_field
 from coxarith.forms import (
     QuadraticForm,
     _sym_diagonalize,
-    cleared_entries,
     globally_isometric,
     is_admissible,
     signature_at,
@@ -583,10 +582,40 @@ def test_cleared_entries_square_class_and_integrality():
         for _ in range(10):
             x = rand_nonzero(tower, rng)
             f = QuadraticForm(tower, [x])
-            (y,) = cleared_entries(f)
+            (y,) = [fields.integral_rescale(c) for c in f.diagonal]
             ok, _ = is_square(x * y)
             assert ok
             assert fields.is_algebraic_integer(y)
+
+
+def test_signature_at_rejects_another_towers_embedding():
+    f = QuadraticForm(Q23, [Q23.sqrt(2), -1, Q23.sqrt(3)])
+    assert [signature_at(f, s) for s in Q23.embeddings()] == [(2, 1), (1, 2), (1, 2), (0, 3)]
+    # same masks, another tower: an unchecked table lookup would answer
+    for foreign in (make_field([2, 5]).embeddings()[1], Q2.embeddings()[1]):
+        with pytest.raises(ValueError, match="different tower"):
+            signature_at(f, foreign)
+
+
+def test_each_sign_is_certified_once_per_form(monkeypatch):
+    calls = Counter()
+    real = fields.sign_at
+
+    def counting(x, sigma):
+        calls[x, sigma.mask] += 1
+        return real(x, sigma)
+
+    monkeypatch.setattr(forms, "sign_at", counting)
+    rng = random.Random(127)
+    f = QuadraticForm(Q235, [rand_nonzero(Q235, rng) for _ in range(4)])
+    for _ in range(2):
+        is_admissible(f)
+        for sigma in Q235.embeddings():
+            signature_at(f, sigma)
+        localfields.is_hyperbolic(f)
+    assert sum(calls.values()) == f.rank * Q235.degree
+    assert f.negatives() == tuple(sum(1 for c in f.diagonal if real(c, s) < 0)
+                                  for s in Q235.embeddings())
 
 
 def test_square_class_oracle_agreement_quadratic():
