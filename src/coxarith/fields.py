@@ -143,10 +143,6 @@ class Embedding(NamedTuple):
     def signs(self) -> tuple[int, ...]:
         return tuple(-1 if (self.mask >> j) & 1 else 1 for j in range(self.tower.r))
 
-    @property
-    def is_identity(self) -> bool:
-        return self.mask == 0
-
     def __repr__(self) -> str:
         return f"Embedding({self.tower!r}, signs={self.signs})"
 

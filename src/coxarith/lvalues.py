@@ -12,6 +12,10 @@ the sign of the first omitted term because the derivatives of x^-s are of
 one sign, so the first omitted term bounds it).  The plain one is direct
 summation of the Dirichlet series with integral tail bounds; it reaches a
 dozen digits and exists to catch bugs in the fast route, not to certify.
+The terms of L(chi_8, 3) are the odd terms of zeta(3), so one shared pass
+of floor divisions serves both direct sums.  Nothing is cached across
+calls but the per-s Euler-Maclaurin coefficients and the Bernoulli numbers
+and factorials they are built from.
 """
 
 from __future__ import annotations
@@ -120,14 +124,37 @@ _EM_TERMS = 14  # Euler-Maclaurin correction terms; remainder uses B_30
 _GUARD_DIGITS = 4  # fixed-point digits kept beyond the requested ones
 
 
+def _as_int(name: str, n) -> int:
+    """n as an int through operator.index; bool and non-integers are refused."""
+    if isinstance(n, bool) or not hasattr(type(n), "__index__"):
+        raise TypeError(f"{name} must be an integer, not {type(n).__name__}")
+    return operator.index(n)
+
+
 def _int_at_least(name: str, n, least: int) -> int:
-    """n as an int through operator.index (bool refused), at least `least`."""
-    if isinstance(n, bool):
-        raise TypeError(f"{name} must be an integer, not bool")
-    n = operator.index(n)
+    """n as an int (see _as_int), at least `least`."""
+    n = _as_int(name, n)
     if n < least:
         raise ValueError(f"need {name} >= {least}, got {n}")
     return n
+
+
+@lru_cache(maxsize=None)
+def _em_coefficients(s: int) -> tuple[int, int, tuple[tuple[int, int, int], ...]]:
+    """The Euler-Maclaurin data of zeta(s, .) as integers, built once per s.
+
+    (tail_num, tail_den, corrections): the remainder coefficient
+    |B_{2J+2}| (s)_{2J+1} / (2J+2)! = tail_num / tail_den, and for j = 1..J
+    the coefficient B_2j / (2j)! (s)_{2j-1} of x^-e, e = s + 2j - 1, as
+    (numerator, denominator, e).
+    """
+    J = _EM_TERMS
+    tail = abs(bernoulli(2 * J + 2)) * _pochhammer(s, 2 * J + 1) / _factorial(2 * J + 2)
+    corrections = []
+    for j in range(1, J + 1):
+        c = bernoulli(2 * j) / _factorial(2 * j) * _pochhammer(s, 2 * j - 1)
+        corrections.append((c.numerator, c.denominator, s + 2 * j - 1))
+    return tail.numerator, tail.denominator, tuple(corrections)
 
 
 def hurwitz_zeta(s: int, a: Fraction, digits: int) -> Ball:
@@ -149,29 +176,31 @@ def hurwitz_zeta(s: int, a: Fraction, digits: int) -> Ball:
     a = Fraction(a)
     if not 0 < a <= 1:
         raise ValueError("need 0 < a <= 1")
-    eps = Fraction(1, 10**digits)
-    J = _EM_TERMS
-    # the rounding radius terms / (2 unit) does not depend on N
-    rounding = Fraction(1, 4 * 10 ** (digits + _GUARD_DIGITS))
-    tail_coeff = abs(bernoulli(2 * J + 2)) * Fraction(
-        _pochhammer(s, 2 * J + 1), 1) / _factorial(2 * J + 2)
-    N = 8
-    while (err := 2 * tail_coeff / (N + a) ** (s + 2 * J + 1)) > eps - rounding:
-        N += max(4, N // 2)
-    # a = p/q and x = N + a = X/q turn every summand into an integer ratio
+    tail_num, tail_den, corrections = _em_coefficients(s)
+    # a = p/q and x = N + a = X/q turn every quantity into an integer ratio
     p, q = a.numerator, a.denominator
+    E = s + 2 * _EM_TERMS + 1
+    ulp = 10 ** (digits + _GUARD_DIGITS)
+    # the remainder bound 2 tail x^-E plus the rounding radius 1 / (4 ulp)
+    # (it does not depend on N) must stay within 10^-digits: times
+    # 4 ulp tail_den X^E, that is bound <= slack X^E
+    bound = 8 * tail_num * q**E * ulp
+    slack = (4 * 10**_GUARD_DIGITS - 1) * tail_den
+    N = 8
+    while bound > slack * (N * q + p) ** E:
+        N += max(4, N // 2)
     X = N * q + p
-    terms = N + J + 2
-    unit = 2 * terms * 10 ** (digits + _GUARD_DIGITS)
+    XE = X**E
+    err = Fraction(bound + tail_den * XE, 4 * ulp * tail_den * XE)
+    terms = N + _EM_TERMS + 2
+    unit = 2 * terms * ulp
     top = unit * q**s
-    acc = sum(top // (k * q + p) ** s for k in range(N))
+    acc = sum(top // m**s for m in range(p, X, q))
     acc += unit * q ** (s - 1) // ((s - 1) * X ** (s - 1))  # x^(1-s) / (s-1)
     acc += top // (2 * X**s)  # 1 / (2 x^s)
-    for j in range(1, J + 1):
-        c = bernoulli(2 * j) / _factorial(2 * j) * _pochhammer(s, 2 * j - 1)
-        e = s + 2 * j - 1
-        acc += unit * c.numerator * q**e // (c.denominator * X**e)  # c / x^e
-    return Ball(Fraction(2 * acc + terms, 2 * unit), err + rounding)
+    for num, den, e in corrections:
+        acc += unit * num * q**e // (den * X**e)  # c / x^e
+    return Ball(Fraction(2 * acc + terms, 2 * unit), err)
 
 
 @lru_cache(maxsize=None)
@@ -207,27 +236,49 @@ def sqrt_ball(n: int, digits: int) -> Ball:
 # -- slow independent routes ----------------------------------------------
 
 
-def zeta3_direct(terms: int = 20000) -> Ball:
-    """Partial sum with the integral bounds on the tail; ~9 digits at default."""
-    scale = 10**40
-    acc = sum(scale // n**3 for n in range(1, terms + 1))
-    partial = Ball(Fraction(acc, scale), Fraction(terms, scale))
+_DIRECT_SCALE = 10**40  # fixed-point unit of the direct sums
+_DIRECT_BLOCKS = 2500  # default blocks of 8 terms; zeta3_direct's default is 8 * 2500
+
+
+def _cube_sums(n_max: int) -> tuple[int, int]:
+    """(zeta_acc, chi_acc): the sums of 10^40 // n^3 over 1 <= n <= n_max,
+    plain and weighted by chi8(n).
+
+    Three lazy passes, over even n, n = +-1 and n = +-3 (mod 8), so each
+    floor division is made once for both sums.
+    """
+    def part(step, *starts):
+        return sum(_DIRECT_SCALE // n**3
+                   for r in starts for n in range(r, n_max + 1, step))
+
+    even, plus, minus = part(2, 2), part(8, 1, 7), part(8, 3, 5)
+    return even + plus + minus, plus - minus
+
+
+def _zeta3_direct_ball(terms: int, acc: int) -> Ball:
+    partial = Ball(Fraction(acc, _DIRECT_SCALE), Fraction(terms, _DIRECT_SCALE))
     lo = Fraction(1, 2 * (terms + 1) ** 2)
     hi = Fraction(1, 2 * terms**2)
     return partial + Ball((lo + hi) / 2, (hi - lo) / 2)
 
 
-def l_chi8_direct(blocks: int = 2500) -> Ball:
-    """Sum over blocks of 8; paired differences bound the alternating tail."""
-    scale = 10**40
-    acc = 0
-    for k in range(blocks):
-        for rem, sign in _CHI8.items():
-            n = 8 * k + rem
-            acc += sign * (scale // n**3)
+def _l_chi8_direct_ball(blocks: int, acc: int) -> Ball:
     # |f(a) - f(a+2)| <= 2 |f'(a)| for f = x^-3, summed over k >= blocks
     tail = Fraction(1, 4 * (8 * blocks - 7) ** 3)
-    return Ball(Fraction(acc, scale), Fraction(8 * blocks, scale) + tail)
+    return Ball(Fraction(acc, _DIRECT_SCALE),
+                Fraction(8 * blocks, _DIRECT_SCALE) + tail)
+
+
+def zeta3_direct(terms: int = 8 * _DIRECT_BLOCKS) -> Ball:
+    """Partial sum with the integral bounds on the tail; ~9 digits at default."""
+    terms = _int_at_least("terms", terms, 1)
+    return _zeta3_direct_ball(terms, _cube_sums(terms)[0])
+
+
+def l_chi8_direct(blocks: int = _DIRECT_BLOCKS) -> Ball:
+    """Sum over blocks of 8; paired differences bound the alternating tail."""
+    blocks = _int_at_least("blocks", blocks, 1)
+    return _l_chi8_direct_ball(blocks, _cube_sums(8 * blocks)[1])
 
 
 # -- the volume identity ---------------------------------------------------
@@ -257,6 +308,7 @@ def delta5_volume_check(digits: int = 24) -> dict:
     Returns the certified ball, the agreement verdict at the requested
     precision, and how many significant digits are certified to match.
     """
+    digits = _as_int("digits", digits)
     if not 5 <= digits <= 60:
         raise ValueError("digits out of range [5, 60]")
     vol, z3, l3 = _volume_terms(digits, ZETA_COEFF, L_COEFF)
@@ -264,13 +316,14 @@ def delta5_volume_check(digits: int = 24) -> dict:
     diff = abs(vol.value - REFERENCE_VOLUME)
     total = diff + vol.err + ref_err
     match = diff <= vol.err + ref_err + Fraction(1, 10 ** (digits + 2))
-    certified = 0
-    while (certified < 26
-           and total <= Fraction(1, 10 ** (certified + 3))):
-        certified += 1
-    # the value is ~7.6e-3, so m decimal places carry m-2 significant digits
-    direct = (zeta3_direct().scale(ZETA_COEFF)
-              + (sqrt_ball(2, 12) * l_chi8_direct()).scale(L_COEFF))
+    # total <= 10^-(c + 3) exactly for c <= -_exp10(total) - 3; the value is
+    # ~7.6e-3, so m decimal places carry m-2 significant digits
+    certified = min(26, max(0, -_exp10(total) - 2))
+    # the default direct routes, from one shared pass
+    zeta_acc, chi_acc = _cube_sums(8 * _DIRECT_BLOCKS)
+    l_direct = _l_chi8_direct_ball(_DIRECT_BLOCKS, chi_acc)
+    direct = (_zeta3_direct_ball(8 * _DIRECT_BLOCKS, zeta_acc).scale(ZETA_COEFF)
+              + (sqrt_ball(2, 12) * l_direct).scale(L_COEFF))
     return {
         "digits": digits,
         "value": decimal_str(vol.value, digits + 2),
@@ -290,9 +343,15 @@ def _exp10(q: Fraction) -> int:
     """Smallest e with q <= 10^e (q positive)."""
     if q <= 0:
         return -10**9
-    e = 0
-    while Fraction(10) ** e < q:
+    n, d = q.numerator, q.denominator
+
+    def within(e: int) -> bool:  # q <= 10^e
+        return n <= d * 10**e if e >= 0 else n * 10**-e <= d
+
+    # from the bit lengths, within a step or two of e; the loops settle it
+    e = (n.bit_length() - d.bit_length()) * 30103 // 100000
+    while not within(e):
         e += 1
-    while Fraction(10) ** (e - 1) >= q:
+    while within(e - 1):
         e -= 1
     return e

@@ -27,7 +27,13 @@ integrality test by descent down the tower.
 
 `hurwitz_zeta_fraction` is the Euler-Maclaurin Hurwitz zeta summed in exact
 Fractions, the reference for the library's fixed-point sum: same N, same
-remainder bound, no rounding.
+remainder bound, no rounding.  `hurwitz_radius_fraction` is the library's
+stop rule and ball radius in Fractions, the reference for its integer
+comparison.
+
+`zeta3_direct_loop` and `l_chi8_direct_loop` are the direct Dirichlet sums
+term by term (one floor division of 10^40 by n^3 per term, the character
+sum in blocks of 8), the references for the library's shared pass.
 
 `bounded_model_search` is the rational model search that once stood in
 `classify.find_admissible_model`: squarefree a from the prime support of
@@ -50,8 +56,8 @@ import numpy as np
 from coxarith import fields, forms, localfields
 from coxarith.fields import FieldElement, element_literal, factorize, squarefree_part
 from coxarith.forms import QuadraticForm, signature_at
-from coxarith.lvalues import (_EM_TERMS, Ball, _factorial, _pochhammer,
-                              bernoulli)
+from coxarith.lvalues import (_CHI8, _EM_TERMS, _GUARD_DIGITS, Ball,
+                              _factorial, _pochhammer, bernoulli)
 
 
 def _strip_squares(n: int, p: int) -> int:
@@ -474,7 +480,7 @@ def conjugate_transfer(form, F):
     K = form.tower
     a = min(K.subgroup_classes - F.subgroup_classes)
     root = K.sqrt(a)
-    sigma = next(s for s in fixing_embeddings(K, F) if not s.is_identity)
+    sigma = next(s for s in fixing_embeddings(K, F) if s.mask != 0)
     half = Fraction(1, 2)
     diag = []
     for c in form.diagonal:
@@ -570,6 +576,13 @@ def minimal_polynomial(x: FieldElement) -> list[Fraction]:
     return out
 
 
+def hurwitz_remainder_coeff(s: int) -> Fraction:
+    """|B_{2J+2}| (s)_{2J+1} / (2J+2)!, so the remainder is below 2 coeff x^-(s+2J+1)."""
+    J = _EM_TERMS
+    return abs(bernoulli(2 * J + 2)) * Fraction(
+        _pochhammer(s, 2 * J + 1), 1) / _factorial(2 * J + 2)
+
+
 def hurwitz_zeta_fraction(s: int, a: Fraction, digits: int) -> Ball:
     """zeta(s, a) = sum_{k>=0} (k+a)^-s with error below 10^-digits.
 
@@ -582,8 +595,7 @@ def hurwitz_zeta_fraction(s: int, a: Fraction, digits: int) -> Ball:
         raise ValueError("need 0 < a <= 1")
     eps = Fraction(1, 10**digits)
     J = _EM_TERMS
-    tail_coeff = abs(bernoulli(2 * J + 2)) * Fraction(
-        _pochhammer(s, 2 * J + 1), 1) / _factorial(2 * J + 2)
+    tail_coeff = hurwitz_remainder_coeff(s)
     N = 8
     while tail_coeff / (N + a) ** (s + 2 * J + 1) > eps / 2:
         N += max(4, N // 2)
@@ -595,6 +607,45 @@ def hurwitz_zeta_fraction(s: int, a: Fraction, digits: int) -> Ball:
                   * _pochhammer(s, 2 * j - 1) / x ** (s + 2 * j - 1))
     err = 2 * tail_coeff / x ** (s + 2 * J + 1)
     return Ball(value, err)
+
+
+def hurwitz_radius_fraction(s: int, a: Fraction, digits: int) -> Fraction:
+    """The radius of hurwitz_zeta(s, a, digits), from its stop rule in Fractions.
+
+    N runs 8, 12, 18, ... until the remainder bound 2 coeff (N + a)^-E with
+    E = s + 2J + 1 is at most 10^-digits less the rounding radius
+    1 / (4 10^(digits + _GUARD_DIGITS)); the radius is their sum.
+    """
+    eps = Fraction(1, 10**digits)
+    rounding = Fraction(1, 4 * 10 ** (digits + _GUARD_DIGITS))
+    coeff = hurwitz_remainder_coeff(s)
+    E = s + 2 * _EM_TERMS + 1
+    N = 8
+    while (err := 2 * coeff / (N + a) ** E) > eps - rounding:
+        N += max(4, N // 2)
+    return err + rounding
+
+
+def zeta3_direct_loop(terms: int) -> Ball:
+    """sum_{n <= terms} n^-3 in 10^40 fixed point, plus the integral tail bounds."""
+    scale = 10**40
+    acc = sum(scale // n**3 for n in range(1, terms + 1))
+    partial = Ball(Fraction(acc, scale), Fraction(terms, scale))
+    lo = Fraction(1, 2 * (terms + 1) ** 2)
+    hi = Fraction(1, 2 * terms**2)
+    return partial + Ball((lo + hi) / 2, (hi - lo) / 2)
+
+
+def l_chi8_direct_loop(blocks: int) -> Ball:
+    """sum chi8(n) n^-3 over n < 8 blocks in 10^40 fixed point, plus the tail."""
+    scale = 10**40
+    acc = 0
+    for k in range(blocks):
+        for rem, sign in _CHI8.items():
+            n = 8 * k + rem
+            acc += sign * (scale // n**3)
+    tail = Fraction(1, 4 * (8 * blocks - 7) ** 3)
+    return Ball(Fraction(acc, scale), Fraction(8 * blocks, scale) + tail)
 
 
 # -- the seeded dyadic norm sampler ----------------------------------------------

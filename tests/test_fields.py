@@ -274,7 +274,7 @@ def test_embeddings_form_group():
     t = make_field([2, 3])
     embs = t.embeddings()
     assert len(embs) == 4
-    assert embs[0].is_identity
+    assert embs[0].mask == 0
     assert len({e.mask for e in embs}) == 4
 
 

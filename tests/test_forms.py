@@ -294,7 +294,7 @@ def block_transfer_diagonal(form, F):
     K = form.tower
     a = min(K.subgroup_classes - F.subgroup_classes)
     root = K.sqrt(a)
-    sigma = next(t for t in oracles.fixing_embeddings(K, F) if not t.is_identity)
+    sigma = next(t for t in oracles.fixing_embeddings(K, F) if t.mask != 0)
 
     def s(x):
         return ((x - x.conjugate(sigma)) / (root * 2)).express_in(F)

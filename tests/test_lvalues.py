@@ -5,8 +5,11 @@ mpmath is the independent oracle here (test-only dependency).  Frozen
 silently weaken the suite.  The fixed-point Hurwitz sum is also compared
 with the same sum in exact Fractions (`oracles.hurwitz_zeta_fraction`), and
 the volume check is pinned at every precision (`data/volume_checks.json`).
+The shared pass of the direct routes is compared with the term-by-term
+loops (`oracles.zeta3_direct_loop`, `oracles.l_chi8_direct_loop`).
 """
 
+import hashlib
 import json
 import os
 import random
@@ -19,6 +22,7 @@ import pytest
 from coxarith.lvalues import (
     Ball,
     REFERENCE_VOLUME,
+    _exp10,
     bernoulli,
     chi8,
     decimal_str,
@@ -31,7 +35,13 @@ from coxarith.lvalues import (
     zeta3,
     zeta3_direct,
 )
-from oracles import hurwitz_zeta_fraction
+from oracles import (
+    hurwitz_radius_fraction,
+    hurwitz_remainder_coeff,
+    hurwitz_zeta_fraction,
+    l_chi8_direct_loop,
+    zeta3_direct_loop,
+)
 
 # 30-digit references, computed once with mpmath at dps=50 and frozen
 ZETA3_30 = "1.202056903159594285399738161511"
@@ -147,6 +157,38 @@ def test_fixed_point_ball_encloses_fraction_oracle():
                     prev = ball
 
 
+def test_integer_stop_rule_matches_fraction_rule():
+    # the radius is a strictly decreasing function of N, so equal radii
+    # mean the integer comparison chose the Fraction rule's N
+    rng = random.Random(20261019)
+    for _ in range(60):
+        s, q = rng.randint(2, 7), rng.randint(1, 200)
+        a, digits = Fraction(rng.randint(1, q), q), rng.randint(0, 80)
+        got = hurwitz_zeta(s, a, digits).err
+        assert got == hurwitz_radius_fraction(s, a, digits), (s, a, digits)
+    # a boundary case: with a = p / 10^7 the remainder bound at N = 8 lies
+    # between 10^-19 less the rounding radius and 10^-19, so the rounding
+    # radius alone moves N on to 12
+    s, digits, q = 2, 19, 10**7
+    eps = Fraction(1, 10**digits)
+    rounding = Fraction(1, 4 * 10 ** (digits + 4))  # 4 guard digits
+    coeff, E = hurwitz_remainder_coeff(s), s + 29
+
+    def bound(n, p):
+        return 2 * coeff / (n + Fraction(p, q)) ** E
+
+    lo, hi = 1, q
+    assert bound(8, lo) > eps - rounding >= bound(8, hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if bound(8, mid) > eps - rounding else (lo, mid)
+    assert eps - rounding < bound(8, lo) <= eps
+    ball = hurwitz_zeta(s, Fraction(lo, q), digits)
+    assert ball.err == bound(12, lo) + rounding
+    assert ball.err == hurwitz_radius_fraction(s, Fraction(lo, q), digits)
+    assert ball.err <= eps
+
+
 def test_zeta3_and_l3_against_frozen():
     for ball, ref in ((zeta3(34), ZETA3_30), (l_chi8(3, 34), L3_30)):
         want = _frac(ref, 30)
@@ -169,6 +211,53 @@ def test_direct_routes_agree():
     assert zeta3_direct().agrees_with(zeta3(20))
     assert l_chi8_direct().agrees_with(l_chi8(3, 20))
     assert zeta3_direct().err < Fraction(1, 10**8)
+
+
+def test_direct_routes_match_term_loops():
+    # the shared pass of floor divisions against one division per term:
+    # the same integers, so the same exact value and radius
+    for terms in (1, 2, 7, 8, 9, 100, 2000, 20000):
+        got, want = zeta3_direct(terms), zeta3_direct_loop(terms)
+        assert (got.value, got.err) == (want.value, want.err), terms
+    for blocks in (1, 2, 3, 250, 2500):
+        got, want = l_chi8_direct(blocks), l_chi8_direct_loop(blocks)
+        assert (got.value, got.err) == (want.value, want.err), blocks
+    default = zeta3_direct(), l_chi8_direct()
+    assert [(b.value, b.err) for b in default] == [
+        (b.value, b.err) for b in (zeta3_direct(20000), l_chi8_direct(2500))]
+
+
+def test_direct_route_and_volume_argument_errors():
+    for fn, name in ((zeta3_direct, "terms"), (l_chi8_direct, "blocks")):
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match=f"need {name} >= 1"):
+                fn(bad)
+        for bad in (True, 2.5, 8.0, "8"):
+            with pytest.raises(TypeError, match=name):
+                fn(bad)
+    for bad in (True, False, 24.5, 24.0, "24"):
+        with pytest.raises(TypeError, match="digits"):
+            delta5_volume_check(bad)
+    for bad in (4, 61, 0, -3):
+        with pytest.raises(ValueError, match=r"digits out of range \[5, 60\]"):
+            delta5_volume_check(bad)
+    assert delta5_volume_check(np.int64(5)) == delta5_volume_check(5)
+
+
+# sha256 over str(value) and str(err), one line each, of hurwitz_zeta(s, a,
+# digits) for the grid below, recorded before the per-s integer set-up
+HURWITZ_GRID_SHA256 = "ba7dd17bd1848594c11edd8cda1fd865b4f5c470c1ba70ac1eb6e411c5f833c8"
+
+
+def test_hurwitz_zeta_matches_recorded_digest():
+    h = hashlib.sha256()
+    for s in (2, 3, 4, 5):
+        for a in (Fraction(1), Fraction(1, 3), Fraction(2, 3), Fraction(1, 8),
+                  Fraction(3, 8), Fraction(5, 8), Fraction(7, 8)):
+            for digits in (0, 5, 24, 60):
+                ball = hurwitz_zeta(s, a, digits)
+                h.update(f"{ball.value}\n{ball.err}\n".encode())
+    assert h.hexdigest() == HURWITZ_GRID_SHA256
 
 
 def test_sqrt_ball():
@@ -324,6 +413,19 @@ def test_random_expression_trees_nest_across_precision():
         coarse, fine = ev(t, 12), ev(t, 24)
         assert coarse.contains(fine.value)
         assert coarse.agrees_with(fine)
+
+
+def test_exp10_is_the_least_power_of_ten_above():
+    rng = random.Random(20261019)
+    cases = [Fraction(10) ** e for e in range(-70, 71, 7)]
+    cases += [Fraction(10) ** e + d for e in range(-40, 41, 8)
+              for d in (Fraction(1, 10**90), -Fraction(1, 10**90))]
+    cases += [Fraction(rng.randint(1, 10**rng.randint(1, 60)),
+                       rng.randint(1, 10**rng.randint(1, 60))) for _ in range(200)]
+    for q in cases:
+        e = _exp10(q)
+        assert q <= Fraction(10) ** e and Fraction(10) ** (e - 1) < q, q
+    assert _exp10(Fraction(0)) == _exp10(Fraction(-1)) == -10**9
 
 
 def test_decimal_str_rounding():
