@@ -113,7 +113,7 @@ def find_admissible_model(f: QuadraticForm, k: FieldTower) -> tuple[QuadraticFor
     base = [-1] + [1] * (f.rank - 2)
     for a in sorted(q for q in fields.rational_square_classes(-f.det()) if q > 0):
         if forms.globally_isometric(QuadraticForm(f.tower, base + [a]), f):
-            return QuadraticForm(k, base + [a], label=f"model[a={a}]"), a
+            return QuadraticForm(k, base + [a]), a
     return None, None
 
 
@@ -126,7 +126,7 @@ def subordinated_forms(model: QuadraticForm, K: FieldTower) -> list[QuadraticFor
     out = []
     for t in reps:
         diag = list(model.diagonal[:-1]) + [model.diagonal[-1] * t]
-        out.append(QuadraticForm(k, diag, label=f"subordinated[{t}]"))
+        out.append(QuadraticForm(k, diag))
     return out
 
 
@@ -160,24 +160,21 @@ class ClassificationReport:
         def tower_json(t: FieldTower) -> dict:
             return {"radicands": list(t.radicands), "degree": t.degree}
 
-        def diag_json(g: QuadraticForm) -> list[str]:
-            return [element_literal(c) for c in g.diagonal]
-
         return {
             "diagram": self.name,
             "dim": self.dim,
             "vertices": self.vertices,
             "trace_field": tower_json(self.trace_field),
-            "ambient_diagonal": diag_json(self.ambient),
+            "ambient_diagonal": self.ambient.literals(),
             "quasi_arithmetic": self.quasi,
             "arithmetic": self.arithmetic,
             "verdict": self.verdict,
             "base_field": tower_json(self.base_field) if self.base_field else None,
             "transfers": [{"subfield": list(F.radicands), "hyperbolic": h}
                           for F, h in self.transfers],
-            "model": ({"diagonal": diag_json(self.model), "a": self.model_a}
+            "model": ({"diagonal": self.model.literals(), "a": self.model_a}
                       if self.model is not None else None),
-            "subordinated": ([diag_json(g) for g in self.subordinated]
+            "subordinated": ([g.literals() for g in self.subordinated]
                              if self.subordinated is not None else None),
             "witnesses": self.witnesses,
             "notes": self.notes,
@@ -185,7 +182,7 @@ class ClassificationReport:
 
 
 def report_from_json(data: dict) -> ClassificationReport:
-    """Rebuild a report from its to_json dict (inverse up to form labels)."""
+    """Rebuild a report from its to_json dict (its exact inverse)."""
     K = make_field(data["trace_field"]["radicands"])
     ambient = QuadraticForm(K, [fields.parse_element(s, K)
                                 for s in data["ambient_diagonal"]])

@@ -124,9 +124,12 @@ def _parse_weight(expr: str) -> dict[int, Fraction]:
 
 
 class CoxeterDiagram:
-    """Parsed diagram: vertices 1..size, Gram entries over a common tower."""
+    """Parsed diagram: vertices 1..size, Gram entries over a common tower.
 
-    __slots__ = ("name", "dim", "size", "tower", "entries")
+    The sorted adjacency of every vertex is built once, from entries, when
+    the diagram is constructed."""
+
+    __slots__ = ("name", "dim", "size", "tower", "entries", "_adj")
 
     def __init__(self, name: str, dim: int, size: int, tower: FieldTower,
                  entries: dict[tuple[int, int], FieldElement]):
@@ -135,15 +138,14 @@ class CoxeterDiagram:
         self.size = size
         self.tower = tower
         self.entries = entries
+        adj: dict[int, list[int]] = {v: [] for v in range(1, size + 1)}
+        for (i, j) in entries:
+            adj[i].append(j)
+            adj[j].append(i)
+        self._adj = {v: tuple(sorted(ws)) for v, ws in adj.items()}
 
-    def neighbors(self, v: int) -> list[int]:
-        out = []
-        for (i, j) in self.entries:
-            if i == v:
-                out.append(j)
-            elif j == v:
-                out.append(i)
-        return sorted(out)
+    def neighbors(self, v: int) -> tuple[int, ...]:
+        return self._adj[v]
 
     def relabeled(self, perm: dict[int, int] | list[int]) -> "CoxeterDiagram":
         """New diagram with vertex v renamed to perm[v]; same geometry."""
@@ -273,17 +275,11 @@ def load_diagram(path) -> CoxeterDiagram:
 
 def simple_cycles(diagram: CoxeterDiagram) -> list[tuple[int, ...]]:
     """Simple cycles (length >= 3), each listed once, smallest vertex first."""
-    adj: dict[int, list[int]] = {v: [] for v in range(1, diagram.size + 1)}
-    for (i, j) in diagram.entries:
-        adj[i].append(j)
-        adj[j].append(i)
-    for v in adj:
-        adj[v].sort()
     cycles = []
 
     def dfs(start: int, path: list[int]):
         v = path[-1]
-        for w in adj[v]:
+        for w in diagram.neighbors(v):
             if w == start and len(path) >= 3:
                 if path[1] < path[-1]:  # one orientation per cycle
                     cycles.append(tuple(path))
@@ -336,7 +332,7 @@ def ambient_form(diagram: CoxeterDiagram) -> QuadraticForm:
     A = _rescaled_gram(diagram)
     K = fields.minimal_field_of(x for row in A for x in row)
     diag = forms._sym_diagonalize(A, K)
-    form = QuadraticForm(K, [x for x in diag if x], diagram.name)
+    form = QuadraticForm(K, [x for x in diag if x])
     if form.rank != n + 1 or forms.signature_at(form, K.identity_embedding) != (n, 1):
         raise SignatureError(f"not a hyperbolic polytope of dimension {n}")
     return form

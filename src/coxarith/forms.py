@@ -9,8 +9,9 @@ principle.
 
 Every real-place question is read off one table per form, negatives():
 its negative entries at each embedding, indexed by mask, each sign
-certified once.  signature_at, is_admissible, is_hyperbolic and
-classify's witness and transfer fibre test all read it.
+certified once.  signature_at, is_admissible, is_hyperbolic, real-place
+Hasse invariants and classify's witness and transfer fibre test all read
+it.
 
 The transfer along a quadratic subextension K/F sends a rank-1 form <c>
 to the rank-2 F-form with Gram [[v, u], [u, a*v]] where c = u + v*sqrt(a)
@@ -44,15 +45,14 @@ __all__ = [
 class QuadraticForm:
     """A nondegenerate diagonal quadratic form <a_1,...,a_n> over a tower."""
 
-    __slots__ = ("tower", "diagonal", "label", "_negatives")
+    __slots__ = ("tower", "diagonal", "_negatives")
 
-    def __init__(self, tower: FieldTower, diagonal, label: str = ""):
+    def __init__(self, tower: FieldTower, diagonal):
         diag = tuple(tower.coerce(c) for c in diagonal)
         if not all(diag):
             raise ValueError("degenerate form")
         self.tower = tower
         self.diagonal = diag
-        self.label = label
         self._negatives = None
 
     @property
@@ -72,14 +72,6 @@ class QuadraticForm:
             self._negatives = tuple(sum(1 for c in self.diagonal if sign_at(c, sigma) < 0)
                                     for sigma in self.tower.embeddings())
         return self._negatives
-
-    def scaled(self, c) -> "QuadraticForm":
-        c = self.tower.coerce(c)
-        return QuadraticForm(self.tower, [c * d for d in self.diagonal], self.label)
-
-    def over(self, K: FieldTower) -> "QuadraticForm":
-        """The same diagonal read over a larger tower."""
-        return QuadraticForm(K, [K.coerce(c) for c in self.diagonal], self.label)
 
     def literals(self) -> list[str]:
         return [element_literal(c) for c in self.diagonal]
@@ -212,7 +204,7 @@ def transfer(form: QuadraticForm, F: FieldTower) -> QuadraticForm:
             diag += [v, v * (v * v * a - u * u)]
         else:
             diag += [one, -one]
-    return QuadraticForm(F, diag, label=f"transfer[sqrt({a})]")
+    return QuadraticForm(F, diag)
 
 
 def globally_isometric(f: QuadraticForm, g: QuadraticForm) -> bool:

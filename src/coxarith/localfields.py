@@ -51,8 +51,8 @@ from functools import lru_cache
 from math import prod as _prod
 from typing import Iterable, NamedTuple
 
-from . import fields
-from .fields import FieldElement, FieldTower, factorize, integral_rescale, sign_at
+from . import fields, forms
+from .fields import FieldElement, FieldTower, factorize, integral_rescale
 
 __all__ = [
     "Place",
@@ -313,6 +313,18 @@ def _f4_sqrt(x: int) -> int:
 # -- what the dyadic model and the odd closed form share ----------------------
 
 
+def _f2_insert(pivots: dict[int, int], x: int) -> bool:
+    """Reduce the F_2 vector x by pivots (keyed by leading bit) and keep what
+    is left as a new pivot; False when x lies in their span."""
+    while x:
+        h = x.bit_length() - 1
+        if h not in pivots:
+            pivots[h] = x
+            return True
+        x ^= pivots[h]
+    return False
+
+
 class _Completion:
     """The completion at p over beta_S = prod_{j in S} sqrt(gens[j]).  A subclass
     sets e, f, M_rows, basis_names and basis_elts (the elements the names stand
@@ -393,13 +405,7 @@ class _Completion:
                     raise RuntimeError("pairing not symmetric")
         pivots: dict[int, int] = {}
         for r in rows:
-            x = r
-            while x:
-                h = x.bit_length() - 1
-                if h not in pivots:
-                    pivots[h] = x
-                    break
-                x ^= pivots[h]
+            _f2_insert(pivots, r)
         if len(pivots) != dim:
             raise RuntimeError("pairing is degenerate")
         # (x, -x) = 1 on every basis element
@@ -644,16 +650,8 @@ class LocalModel(_Completion):
         pivots: dict[int, int] = {}
         needed = self.dim - 1
         for sq in squares:
-            x = self.vec_int(sq - b)
-            while x:
-                h = x.bit_length() - 1
-                if h not in pivots:
-                    break
-                x ^= pivots[h]
-            if x:
-                pivots[x.bit_length() - 1] = x
-                if len(pivots) == needed:
-                    break
+            if _f2_insert(pivots, self.vec_int(sq - b)) and len(pivots) == needed:
+                break
         if len(pivots) != needed:
             raise RuntimeError("norm group rank not reached")
         cands = [c for c in range(1, 1 << self.dim)
@@ -746,7 +744,7 @@ def _model(tower: FieldTower, p: int) -> _Completion:
 def square_class_vector(x: FieldElement, place: Place) -> tuple[int, ...]:
     """Coordinates of x over the local square class basis at a finite place."""
     if place.kind != "finite":
-        raise RuntimeError("square class vector at a place that is not finite")
+        raise ValueError("square class vector at a place that is not finite")
     x = place.tower.coerce(x)
     if not x:
         raise ZeroDivisionError("square class of 0")
@@ -772,17 +770,26 @@ def hilbert_symbol_local(a, b, place: Place) -> int:
 
 
 def hasse_invariant(form, place: Place) -> int:
-    """Hasse symbol prod_{i<j} (a_i, a_j) of a diagonal form at a place."""
-    entries = list(form.diagonal) if hasattr(form, "diagonal") else list(form)
-    K = place.tower
-    entries = [K.coerce(c) for c in entries]
+    """Hasse symbol prod_{i<j} (a_i, a_j) of a diagonal form at a place.
+
+    form is a QuadraticForm or a sequence of entries; either is read once as
+    a QuadraticForm over the place's tower, so a zero entry raises
+    ValueError at every place.  At a real place the symbol is (-1)^(k(k-1)/2)
+    with k the form's negatives at the place's embedding (negatives()).  At
+    a finite place each entry goes to the completion as it is: embedding
+    multiplies it by den^2, a square, so its class needs no rescaling.
+    """
+    if not isinstance(form, forms.QuadraticForm):
+        form = forms.QuadraticForm(place.tower, form)
+    elif form.tower is not place.tower:
+        form = forms.QuadraticForm(place.tower, form.diagonal)
     if place.kind == "real":
-        neg = sum(1 for c in entries if sign_at(c, K.embeddings()[place.eps_mask]) < 0)
+        neg = form.negatives()[place.eps_mask]
         return -1 if (neg * (neg - 1) // 2) % 2 else 1
-    md = _model(K, place.p)
+    md = _model(place.tower, place.p)
     bit, pre = 0, 0
-    for c in entries:
-        v = md.vec_of_element(integral_rescale(c), place.eps_mask)
+    for c in form.diagonal:
+        v = md.vec_of_element(c, place.eps_mask)
         bit ^= md.pair_bits(pre, v)
         pre ^= v
     return -1 if bit else 1
@@ -816,7 +823,11 @@ def is_hyperbolic(form) -> bool:
     A form of rank 2m is hyperbolic exactly when it has m negative entries
     at every real place, determinant class (-1)^m, and at every finite
     place the Hasse invariant (-1,-1)^(m(m-1)/2) of m hyperbolic planes.
-    The real check reads the form's table of negatives (negatives()).
+    The real check reads the form's table of negatives (negatives()).  At
+    a place P above p, (-1,-1)_P = (-1,-1)_p^deg(P) for rational arguments,
+    so the target is hilbert_symbol_Q(-1, -1, p) ** (t * deg(P)) with
+    t = m(m-1)/2 mod 2: +1 at every odd place, and no local model is built
+    for it.
     Once the first two hold, the Hasse invariants agree at every real place
     and are +1 for both outside relevant_finite_places.  By Hilbert
     reciprocity (O'Meara, Introduction to Quadratic Forms, section 71) the
@@ -826,9 +837,7 @@ def is_hyperbolic(form) -> bool:
     the only place that needs the dyadic model; when 2 splits, the other
     places above 2 are still compared.
     """
-    K = form.tower
-    diag = list(form.diagonal)
-    n = len(diag)
+    n = form.rank
     if n % 2:
         return False
     if n == 0:
@@ -840,10 +849,9 @@ def is_hyperbolic(form) -> bool:
     if not ok:
         return False
     t = (m * (m - 1) // 2) % 2
-    minus_one = K.rational(-1)
-    for place in relevant_finite_places(K, diag)[1:]:
-        want = hilbert_symbol_local(minus_one, minus_one, place) if t else 1
-        if hasse_invariant(diag, place) != want:
+    for place in relevant_finite_places(form.tower, form.diagonal)[1:]:
+        want = hilbert_symbol_Q(-1, -1, place.p) ** (t * place.degree)
+        if hasse_invariant(form, place) != want:
             return False
     return True
 

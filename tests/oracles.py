@@ -469,7 +469,7 @@ def fixing_embeddings(tower, sub):
 
 
 def conjugate_transfer(form, F):
-    """(diagonal, label) of the transfer of a K-form to an index-2 subtower F.
+    """Diagonal of the transfer of a K-form to an index-2 subtower F.
 
     c = u + v*sqrt(a) is split by the conjugation sigma fixing F:
     u = (c + sigma(c))/2 and v = (c - sigma(c))/(2 sqrt(a)), each rewritten
@@ -491,7 +491,7 @@ def conjugate_transfer(form, F):
             diag += [v, (v * v * a - u * u) / v]
         else:
             diag += [u * 2, -u * half]
-    return diag, f"transfer[sqrt({a})]"
+    return diag
 
 
 # -- Hasse invariants compared at every relevant finite place ---------------
@@ -736,5 +736,5 @@ def bounded_model_search(f, k, bound=30):
             continue
         gK = QuadraticForm(K, base + [a])
         if forms.globally_isometric(gK, f):
-            return QuadraticForm(k, base + [a], label=f"model[a={a}]"), a
+            return QuadraticForm(k, base + [a]), a
     return None, None

@@ -199,6 +199,21 @@ def test_relabeling_permutes_entries():
             assert r.entries[(min(x, y), max(x, y))] == a
 
 
+def test_adjacency_matches_the_entries():
+    # the adjacency is built once per diagram, relabeled ones included
+    def scan(d, v):
+        return tuple(sorted(j if i == v else i for (i, j) in d.entries if v in (i, j)))
+
+    rng = random.Random(5)
+    for path in sorted(glob.glob(os.path.join(CORPUS, "*.cox"))):
+        d = load_diagram(path)
+        perm = list(range(1, d.size + 1))
+        rng.shuffle(perm)
+        for g in (d, d.relabeled(perm)):
+            assert [g.neighbors(v) for v in range(1, g.size + 1)] == \
+                [scan(g, v) for v in range(1, g.size + 1)]
+
+
 def test_relabeled_ambient_form_is_isometric():
     d = parse_diagram(DELTA5, "delta5")
     f = ambient_form(d)

@@ -246,17 +246,46 @@ def test_odd_rank_never_hyperbolic():
 
 
 def test_hasse_invariant_against_symbol_definition():
+    # a form and its entry list, and a form over a subfield read at a place
+    # of a larger tower, at real, odd and dyadic places; at a real place the
+    # symbol (a, b) is -1 exactly when a and b are both negative there
+    def want(entries, tower, pl):
+        out = 1
+        for i, a in enumerate(entries):
+            for b in entries[i + 1:]:
+                if pl.kind == "real":
+                    sigma = tower.embeddings()[pl.eps_mask]
+                    both = all(fields.sign_at(tower.coerce(c), sigma) < 0 for c in (a, b))
+                    out *= -1 if both else 1
+                else:
+                    out *= hilbert_symbol_local(a, b, pl)
+        return out
+
     rng = random.Random(61)
-    for tower in (Q, Q2):
-        for p in (2, 3):
-            for pl in splitting(tower, p):
-                entries = [rand_nonzero(tower, rng) for _ in range(4)]
-                form = forms.QuadraticForm(tower, entries)
-                want = 1
-                for i in range(4):
-                    for j in range(i + 1, 4):
-                        want *= hilbert_symbol_local(entries[i], entries[j], pl)
-                assert hasse_invariant(form, pl) == want
+    for tower, sub in ((Q, Q), (Q2, Q), (Q23, Q2), (Q235, Q5)):
+        for pl in real_places(tower) + splitting(tower, 2) + splitting(tower, 3):
+            entries = [rand_nonzero(tower, rng) for _ in range(4)]
+            expect = want(entries, tower, pl)
+            assert hasse_invariant(forms.QuadraticForm(tower, entries), pl) == expect
+            assert hasse_invariant(entries, pl) == expect
+            small = forms.QuadraticForm(sub, [rand_nonzero(sub, rng) for _ in range(3)])
+            assert hasse_invariant(small, pl) == want(small.diagonal, tower, pl)
+            assert hasse_invariant(list(small.diagonal), pl) == want(small.diagonal, tower, pl)
+
+
+def test_degenerate_forms_are_refused_at_every_place():
+    # a zero entry used to count as positive at a real place
+    for pl in (real_places(Q2)[0], splitting(Q2, 3)[0], splitting(Q2, 2)[0]):
+        with pytest.raises(ValueError, match="degenerate"):
+            hasse_invariant([0, -1], pl)
+        with pytest.raises(ZeroDivisionError):
+            hilbert_symbol_local(0, -1, pl)
+
+
+def test_square_class_vector_refuses_a_real_place():
+    # a caller's error, not an internal consistency failure (RuntimeError)
+    with pytest.raises(ValueError, match="not finite"):
+        square_class_vector(Q2.sqrt(2), real_places(Q2)[0])
 
 
 def test_place_equality_hash_and_repr():
@@ -476,6 +505,24 @@ def test_split_dyadic_tables_are_pinned(radicands, gens, places, basis, rows, ve
     assert got == vectors
 
 
+@pytest.mark.parametrize("radicands", [row[0] for row in _SPLIT_DYADIC_TABLES])
+def test_hyperbolic_target_is_the_rational_symbol(radicands, monkeypatch):
+    # is_hyperbolic's target at P above 2 is (-1,-1)_2^deg(P), built with no model
+    K = make_field(radicands)
+    minus_one = K.rational(-1)
+    for P in splitting(K, 2):
+        assert hilbert_symbol_local(minus_one, minus_one, P) == \
+            hilbert_symbol_Q(-1, -1, 2) ** P.degree
+
+    def refuse(*args):
+        raise AssertionError("is_hyperbolic computed a symbol for its target")
+
+    monkeypatch.setattr(localfields, "hilbert_symbol_local", refuse)
+    a, b = K.rational(3) + K.sqrt(radicands[0]), K.rational(5)
+    f = forms.QuadraticForm(K, [a, -a, b, -b])  # rank 4: the target is (-1,-1)
+    assert is_hyperbolic(f)
+
+
 @pytest.mark.parametrize("radicands,ef,g", [((6, 10, 14), (4, 2), 1), ((6, 7, 10), (4, 1), 2),
                                              ((3, 5, 7), (2, 2), 2)])
 def test_pairing_rows_match_the_seeded_sampler(radicands, ef, g):
@@ -517,6 +564,38 @@ def test_src_imports_no_random():
                 continue
             offenders += [path.name for n in names if n.split(".")[0] == "random"]
     assert offenders == []
+
+
+def test_localfields_reads_signs_from_forms():
+    # real-place Hasse invariants read QuadraticForm.negatives(), not sign_at
+    tree = ast.parse(pathlib.Path(localfields.__file__).read_text())
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names]
+    used = [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+    assert "sign_at" not in imported + used
+
+
+_IMPORT_FIRST = """
+import coxarith.{first}
+from coxarith import forms, localfields
+from coxarith.fields import make_field
+
+K = make_field([2])
+print(localfields.is_hyperbolic(forms.QuadraticForm(K, [K.sqrt(2), -K.sqrt(2)])),
+      localfields.hasse_invariant([-1, -1], localfields.real_places(K)[0]))
+"""
+
+
+@pytest.mark.parametrize("first", ["localfields", "forms"])
+def test_forms_and_localfields_import_in_either_order(first):
+    # localfields imports forms as a module and forms imports localfields
+    src = os.path.dirname(os.path.dirname(localfields.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", _IMPORT_FIRST.format(first=first)], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["True", "-1"]
 
 
 @pytest.mark.parametrize("p", [1, 0, -3, 4, 9])
