@@ -13,9 +13,10 @@ one sign, so the first omitted term bounds it).  The plain one is direct
 summation of the Dirichlet series with integral tail bounds; it reaches a
 dozen digits and exists to catch bugs in the fast route, not to certify.
 The terms of L(chi_8, 3) are the odd terms of zeta(3), so one shared pass
-of floor divisions serves both direct sums.  Nothing is cached across
-calls but the per-s Euler-Maclaurin coefficients and the Bernoulli numbers
-and factorials they are built from.
+serves both direct sums; it divides only at odd n, and each even term
+2^j m is the odd term at m shifted right by 3j bits.  Nothing is cached
+across calls but the per-s Euler-Maclaurin coefficients and the Bernoulli
+numbers and factorials they are built from.
 """
 
 from __future__ import annotations
@@ -173,6 +174,8 @@ def hurwitz_zeta(s: int, a: Fraction, digits: int) -> Ball:
     """
     s = _int_at_least("s", s, 2)
     digits = _int_at_least("digits", digits, 0)
+    if isinstance(a, bool):
+        raise TypeError("a must be a rational number, not bool")
     a = Fraction(a)
     if not 0 < a <= 1:
         raise ValueError("need 0 < a <= 1")
@@ -212,11 +215,12 @@ def _factorial(n: int) -> int:
 
 
 def zeta3(digits: int) -> Ball:
-    return hurwitz_zeta(3, Fraction(1), digits)
+    return hurwitz_zeta(3, Fraction(1), _int_at_least("digits", digits, 0))
 
 
 def l_chi8(s: int, digits: int) -> Ball:
     """L(chi_8, s) through Hurwitz zeta at the four odd residues mod 8."""
+    digits = _int_at_least("digits", digits, 0)
     acc = Ball(0)
     for rem, sign in _CHI8.items():
         acc = acc + hurwitz_zeta(s, Fraction(rem, 8), digits + 2).scale(sign)
@@ -244,15 +248,29 @@ def _cube_sums(n_max: int) -> tuple[int, int]:
     """(zeta_acc, chi_acc): the sums of 10^40 // n^3 over 1 <= n <= n_max,
     plain and weighted by chi8(n).
 
-    Three lazy passes, over even n, n = +-1 and n = +-3 (mod 8), so each
-    floor division is made once for both sums.
+    Only odd m is divided, as q_m = (10^40 // m) // (m m): two divisions by
+    one machine word while m m < 2^30, that is m <= 32767.  An even term
+    n = 2^j m is then q_m >> 3j, since floor(floor(x) / b) = floor(x / b)
+    for an integer b >= 1.  The odd m in the band (n_max >> (k+1),
+    n_max >> k] have exactly k even multiples up to n_max, so each band is
+    one list per residue mod 8, shifted k times.  chi8 weights q_m by its
+    residue; the even terms go into the plain sum only.
     """
-    def part(step, *starts):
-        return sum(_DIRECT_SCALE // n**3
-                   for r in starts for n in range(r, n_max + 1, step))
-
-    even, plus, minus = part(2, 2), part(8, 1, 7), part(8, 3, 5)
-    return even + plus + minus, plus - minus
+    zeta = chi = 0
+    hi, k = n_max, 0
+    while hi:
+        lo = hi >> 1
+        for r, sign in _CHI8.items():
+            qs = [_DIRECT_SCALE // m // (m * m)
+                  for m in range(lo + 1 + (r - lo - 1) % 8, hi + 1, 8)]
+            band = sum(qs)
+            chi += sign * band
+            for _ in range(k):
+                qs = [q >> 3 for q in qs]
+                band += sum(qs)
+            zeta += band
+        hi, k = lo, k + 1
+    return zeta, chi
 
 
 def _zeta3_direct_ball(terms: int, acc: int) -> Ball:
@@ -299,6 +317,7 @@ def _volume_terms(digits: int, zeta_coeff: Fraction,
 def volume_ball(digits: int, zeta_coeff: Fraction = ZETA_COEFF,
                 l_coeff: Fraction = L_COEFF) -> Ball:
     """zeta_coeff * zeta(3) + l_coeff * sqrt(2) * L(chi_8, 3), certified."""
+    digits = _int_at_least("digits", digits, 0)
     return _volume_terms(digits, zeta_coeff, l_coeff)[0]
 
 

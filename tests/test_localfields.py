@@ -551,9 +551,8 @@ def test_product_formula_where_the_sampler_failed(radicands):
         assert global_symbol_product(K, a, b) == 1
 
 
-def test_src_imports_no_random():
-    # read the source: importing coxarith.cli loads random via concurrent.futures
-    offenders = []
+def _src_absolute_imports():
+    """(file name, top-level module) of every absolute import in the package."""
     for path in sorted(pathlib.Path(localfields.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
@@ -562,8 +561,19 @@ def test_src_imports_no_random():
                 names = [node.module]
             else:
                 continue
-            offenders += [path.name for n in names if n.split(".")[0] == "random"]
-    assert offenders == []
+            yield from ((path.name, n.split(".")[0]) for n in names)
+
+
+def test_src_imports_no_random():
+    # read the source: importing coxarith.cli loads random via concurrent.futures
+    assert [f for f, top in _src_absolute_imports() if top == "random"] == []
+
+
+def test_src_runtime_imports_are_stdlib_or_sympy():
+    # the one runtime dependency is sympy; the rest is the standard library
+    # or the package itself (relative imports)
+    allowed = sys.stdlib_module_names | {"sympy"}
+    assert [(f, top) for f, top in _src_absolute_imports() if top not in allowed] == []
 
 
 def test_localfields_reads_signs_from_forms():

@@ -120,6 +120,9 @@ def test_hurwitz_zeta_input_validation():
     for s, digits in ((2.5, 10), (3, 10.0), (True, 10), (3, True), ("3", 10)):
         with pytest.raises(TypeError):
             hurwitz_zeta(s, Fraction(1), digits)
+    for a in (True, False):
+        with pytest.raises(TypeError, match="^a "):
+            hurwitz_zeta(3, a, 5)
     # anything with __index__ is taken as the int it stands for
     same = hurwitz_zeta(np.int64(3), Fraction(3, 8), np.int64(20))
     want = hurwitz_zeta(3, Fraction(3, 8), 20)
@@ -214,12 +217,16 @@ def test_direct_routes_agree():
 
 
 def test_direct_routes_match_term_loops():
-    # the shared pass of floor divisions against one division per term:
-    # the same integers, so the same exact value and radius
-    for terms in (1, 2, 7, 8, 9, 100, 2000, 20000):
+    # the shared pass against one division per term: the same integers, so
+    # the same exact value and radius.  The pass divides only odd m and
+    # shifts each band's quotients, so every small n_max and every one on a
+    # band edge (2^k - 1, 2^k, 2^k + 1) is checked
+    edges = {2**k + d for k in range(15) for d in (-1, 0, 1)} - {0}
+    for terms in sorted(set(range(1, 601)) | edges | {2000, 19999, 20000, 20001}):
         got, want = zeta3_direct(terms), zeta3_direct_loop(terms)
         assert (got.value, got.err) == (want.value, want.err), terms
-    for blocks in (1, 2, 3, 250, 2500):
+    edges = {2**k + d for k in range(12) for d in (-1, 1)} - {0}
+    for blocks in sorted(set(range(1, 81)) | edges | {250, 2500}):
         got, want = l_chi8_direct(blocks), l_chi8_direct_loop(blocks)
         assert (got.value, got.err) == (want.value, want.err), blocks
     default = zeta3_direct(), l_chi8_direct()
@@ -242,6 +249,17 @@ def test_direct_route_and_volume_argument_errors():
         with pytest.raises(ValueError, match=r"digits out of range \[5, 60\]"):
             delta5_volume_check(bad)
     assert delta5_volume_check(np.int64(5)) == delta5_volume_check(5)
+    # the certified entry points name the caller's digits, not the working
+    # precision they pass on
+    for fn in (volume_ball, zeta3, lambda d: l_chi8(3, d)):
+        for bad in (-1, -3, -10):
+            with pytest.raises(ValueError, match=f"need digits >= 0, got {bad}$"):
+                fn(bad)
+        for bad in (True, False, 2.5, 8.0, "8"):
+            with pytest.raises(TypeError, match="digits"):
+                fn(bad)
+        same, want = fn(np.int64(7)), fn(7)
+        assert (same.value, same.err) == (want.value, want.err)
 
 
 # sha256 over str(value) and str(err), one line each, of hurwitz_zeta(s, a,
