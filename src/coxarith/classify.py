@@ -14,8 +14,19 @@ A reflection group with ambient form f over its trace field K is
 The subfield is located by scaled trace transfers: f descends in the Witt
 ring to k exactly when its transfer to every index-2 subfield containing k
 is hyperbolic, so k is the meet of the index-2 subfields with hyperbolic
-transfer; a transfer is built only where f's table of negatives passes
-descend_field's fibre test.  The admissible model over Q is sought in the
+transfer.  Each subfield F is decided in three stages, the first two read
+off f without building the transfer (derivations in descend_field):
+
+  1. fibre test: f has as many negatives at each embedding s as at its
+     conjugate over F, so the transfer has rank(f) negatives at every real
+     place of F;
+  2. determinant norm: N_{K/F}(det f) is a square in F, which is the
+     transfer's determinant check, as (-1)^rank(f) * det of the transfer
+     is that norm up to squares;
+  3. finite Hasse invariants of the transfer, built only now, with its
+     table of negatives read off f's in closed form.
+
+The admissible model over Q is sought in the
 one-parameter family <-1, 1, ..., 1, a>.  The determinant fixes a up to
 the rational classes that are squares in K, so the candidates are the 2^r
 squarefree members of one coset, read off det(f) by
@@ -68,23 +79,41 @@ def descend_field(f: QuadraticForm) -> tuple[FieldTower, list[tuple[FieldTower, 
     trace field itself when no descent exists; a non-None note flags an
     inconsistent transfer pattern (descent claim withdrawn).
 
-    Fibre test: the e-th index-2 subfield F is fixed by the embedding of
-    mask e, so the embeddings sigma+- of K above a real place tau of F are
-    the masks s and s ^ e.  At tau, the transfer block of c = u + v*sqrt(a),
-    <v, v*(a*v^2 - u^2)> or <1, -1> if v = 0, has signature
-    sign(sigma+(c)) - sign(sigma-(c)), as a*v^2 - u^2 = -N(c) and
-    2*sqrt(a)*v = sigma+(c) - sigma-(c).  So the transfer has rank(f)
-    negatives at tau, the real check of is_hyperbolic, iff f has as many at
-    s as at s ^ e (Scharlau's transfer; Lam, Introduction to Quadratic
-    Forms over Fields, ch. VII); if not, F is refused with no transfer.
+    The transfer of f to the index-2 subfield F is hyperbolic exactly when
+    it passes the three checks of localfields.is_hyperbolic; the first two
+    are read off f, and the transfer is built only for the third.
+
+    1. Fibre test.  F is fixed by the embedding of mask e, so the
+       embeddings sigma+- of K above a real place tau of F are the masks s
+       and s ^ e.  At tau, the transfer block of c = u + v*sqrt(a),
+       <v, v*(a*v^2 - u^2)> or <1, -1> if v = 0, has signature
+       sign(sigma+(c)) - sign(sigma-(c)), as a*v^2 - u^2 = -N(c) and
+       2*sqrt(a)*v = sigma+(c) - sigma-(c).  So the transfer has rank(f)
+       negatives at tau, the real check of is_hyperbolic, iff f has as
+       many at s as at s ^ e (Scharlau's transfer; Lam, Introduction to
+       Quadratic Forms over Fields, ch. VII).
+    2. Determinant norm.  Each block has determinant -N_{K/F}(c) up to
+       squares: v^2 * (a*v^2 - u^2) when v != 0, and -1 = -c^2 / c^2 when
+       c lies in F.  N_{K/F} is multiplicative, so with m = rank(f) the
+       transfer's (-1)^m * det is N_{K/F}(det f) = det f * sigma_e(det f)
+       up to squares, and is_hyperbolic's determinant check is whether
+       that norm is a square in F.
+    3. Finite Hasse invariants: the transfer is built, carrying the table
+       of negatives that forms.transfer reads off f's (rank(f) at every
+       place once the fibre test holds), and is_hyperbolic decides it.
+
+    A subfield that fails check 1 or 2 is refused with no transfer.
     """
     K = f.tower
     if K.r == 0:
         return K, [], None
     neg = f.negatives()
+    det = f.det()
     table = []
     for e, F in enumerate(fields.subfields_index2(K), 1):
         table.append((F, all(neg[s] == neg[s ^ e] for s in range(K.degree))
+                      and fields.is_square((det * det.conjugate(K.embeddings()[e]))
+                                           .express_in(F))[0]
                       and localfields.is_hyperbolic(forms.transfer(f, F))))
     hyper = [F for F, h in table if h]
     if not hyper:

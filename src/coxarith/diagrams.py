@@ -72,6 +72,24 @@ _WTERM = re.compile(
 )
 
 
+# (tower, label) -> the label's Gram entry over that tower, -cos(pi/m) or -1
+_LABEL_ENTRIES: dict[tuple[FieldTower, int | str], FieldElement] = {}
+
+
+def _label_entry(tower: FieldTower, label: int | str) -> FieldElement:
+    """The Gram entry of an edge label over `tower`, built once per (tower, label)."""
+    x = _LABEL_ENTRIES.get((tower, label))
+    if x is None:
+        if label == "inf":
+            x = -tower.one()
+        else:
+            x = tower.zero()
+            for cls, q in _COS_PAIRS[label].items():
+                x = x - (tower.rational(q) if cls == 1 else tower.sqrt(cls) * q)
+        _LABEL_ENTRIES[(tower, label)] = x
+    return x
+
+
 def _acc_add(acc: dict[int, Fraction], cls: int, q: Fraction) -> None:
     acc[cls] = acc.get(cls, Fraction(0)) + q
 
@@ -167,7 +185,9 @@ class CoxeterDiagram:
 
 def parse_diagram(text: str, name: str = "diagram") -> CoxeterDiagram:
     dim = size = None
-    raw_edges: list[tuple[int, int, dict[int, Fraction], bool]] = []
+    # (i, j, weight as {class: coefficient}, None) or (i, j, classes of the
+    # label's cosine, label); a label's entry is built once per tower
+    raw_edges: list[tuple[int, int, dict[int, Fraction], int | str | None]] = []
     seen: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -203,9 +223,9 @@ def parse_diagram(text: str, name: str = "diagram") -> CoxeterDiagram:
                 if len(parts) < 5:
                     raise DiagramError(f"line {lineno}: weighted edge needs an expression")
                 acc = _parse_weight("".join(parts[4:]))
-                raw_edges.append((key[0], key[1], acc, True))
+                raw_edges.append((key[0], key[1], acc, None))
             elif label == "inf":
-                raw_edges.append((key[0], key[1], {1: Fraction(-1)}, False))
+                raw_edges.append((key[0], key[1], {}, "inf"))
             else:
                 if not label.isdigit():
                     raise DiagramError(f"line {lineno}: bad edge label {label!r}")
@@ -216,8 +236,7 @@ def parse_diagram(text: str, name: str = "diagram") -> CoxeterDiagram:
                 if pairs is None:
                     raise UnsupportedLabelError("unsupported label: non-multiquadratic cosine")
                 if pairs:  # m = 2 is a right angle: no entry
-                    acc = {cls: -q for cls, q in pairs.items()}
-                    raw_edges.append((key[0], key[1], acc, False))
+                    raw_edges.append((key[0], key[1], pairs, m))
             if len(parts) > 4 and label != "w":
                 raise DiagramError(f"line {lineno}: trailing tokens after label")
         else:
@@ -233,22 +252,21 @@ def parse_diagram(text: str, name: str = "diagram") -> CoxeterDiagram:
                       if q and cls != 1})
     tower = make_field(classes)
     entries: dict[tuple[int, int], FieldElement] = {}
-    for i, j, acc, is_weight in raw_edges:
+    for i, j, acc, label in raw_edges:
+        if label is not None:
+            entries[(i, j)] = _label_entry(tower, label)
+            continue
         x = tower.zero()
         for cls, q in acc.items():
             if not q:
                 continue
             x = x + (tower.rational(q) if cls == 1 else tower.sqrt(cls) * q)
-        if is_weight:
-            s = fields.sign_at(x - tower.one(), tower.identity_embedding)
-            if s == 0:
-                raise DiagramError(f"edge ({i},{j}): weight 1 is a parallel pair, use inf")
-            if s < 0:
-                raise DiagramError(f"edge ({i},{j}): weight must exceed 1")
-            x = -x
-        if not x:
-            continue
-        entries[(i, j)] = x
+        s = fields.sign_at(x - tower.one(), tower.identity_embedding)
+        if s == 0:
+            raise DiagramError(f"edge ({i},{j}): weight 1 is a parallel pair, use inf")
+        if s < 0:
+            raise DiagramError(f"edge ({i},{j}): weight must exceed 1")
+        entries[(i, j)] = -x
 
     diagram = CoxeterDiagram(name, dim, size, tower, entries)
     # connectivity

@@ -160,6 +160,9 @@ class FieldTower:
         "class_to_mask",
         "_embeddings",
         "_roots",
+        "_subfields",
+        "_zero",
+        "_one",
         "_hash",
     )
 
@@ -189,6 +192,9 @@ class FieldTower:
             raise ValueError("radicands not independent")
         self._embeddings = tuple(Embedding(self, e) for e in range(self.degree))
         self._roots: dict[int, tuple[int, ...]] = {}  # bits -> root table, see _fixed_bounds
+        self._subfields: tuple[FieldTower, ...] | None = None  # see subfields_index2
+        self._zero = FieldElement(self, (0,) * self.degree)
+        self._one = FieldElement(self, (1,) + (0,) * (self.degree - 1))
         self._hash = hash(radicands)
 
     # -- constructors -------------------------------------------------
@@ -201,14 +207,16 @@ class FieldTower:
         return FieldElement(self, tuple(c.numerator * (den // c.denominator) for c in cs), den)
 
     def zero(self) -> "FieldElement":
-        return FieldElement(self, (0,) * self.degree)
+        return self._zero
 
     def one(self) -> "FieldElement":
-        return self.rational(1)
+        return self._one
 
     def rational(self, q) -> "FieldElement":
-        q = Fraction(q)
-        return FieldElement(self, (q.numerator,) + (0,) * (self.degree - 1), q.denominator)
+        if type(q) is not int:
+            q = Fraction(q)
+            return FieldElement(self, (q.numerator,) + self._zero.nums[1:], q.denominator)
+        return FieldElement(self, (q,) + self._zero.nums[1:])
 
     def sqrt(self, q) -> "FieldElement":
         """sqrt(q) for positive rational q whose square class lies in the tower."""
@@ -261,7 +269,8 @@ class FieldTower:
 
 
 _TOKEN = object()
-_TOWER_CACHE: dict[tuple[int, ...], FieldTower] = {}
+_TOWER_CACHE: dict[tuple[int, ...], FieldTower] = {}  # canonical radicands -> tower
+_RAW_CACHE: dict[tuple[int, ...], FieldTower] = {}  # make_field's input as ints -> tower
 
 
 def make_field(raw_radicands: Iterable[int]) -> FieldTower:
@@ -270,6 +279,13 @@ def make_field(raw_radicands: Iterable[int]) -> FieldTower:
     Radicands are reduced to squarefree parts, closed under products, and
     the canonical basis is the ascending greedy independent set drawn from
     the whole square-class subgroup (so equal fields get equal tuples).
+
+    One tower exists per canonical tuple, and the answer for each input,
+    read as a tuple of ints, is kept (a refused input is not), so a repeated
+    request factors and closes nothing.  A tower keeps every table it builds
+    for itself: its basis classes and scales, its embeddings, zero and one,
+    the root tables of sign_at and the list of subfields_index2; a subfield
+    is another tower and inherits none of them.
 
     >>> make_field([2, 3]).radicands
     (2, 3)
@@ -280,9 +296,12 @@ def make_field(raw_radicands: Iterable[int]) -> FieldTower:
     >>> make_field([6, 10, 15]).radicands == make_field([10, 15]).radicands
     True
     """
+    raw = tuple(int(d) for d in raw_radicands)
+    tower = _RAW_CACHE.get(raw)
+    if tower is not None:
+        return tower
     gens = set()
-    for d in raw_radicands:
-        d = int(d)
+    for d in raw:
         if d <= 0:
             raise ValueError("field not totally real / unsupported: radicand %d" % d)
         t = squarefree_part(d)
@@ -300,6 +319,7 @@ def make_field(raw_radicands: Iterable[int]) -> FieldTower:
     if tower is None:
         tower = FieldTower(key, _TOKEN)
         _TOWER_CACHE[key] = tower
+    _RAW_CACHE[raw] = tower
     return tower
 
 
@@ -378,7 +398,10 @@ class FieldElement:
             return self.express_in(other.tower), other
 
     def __add__(self, other, sign: int = 1):
-        a, b = self._pair(other)
+        if type(other) is FieldElement and other.tower is self.tower:
+            a, b = self, other
+        else:
+            a, b = self._pair(other)
         if a.den == b.den:
             return FieldElement(a.tower, tuple(x + sign * y for x, y in zip(a.nums, b.nums)),
                                 a.den)
@@ -399,10 +422,15 @@ class FieldElement:
         return (-self) + other
 
     def __mul__(self, other):
-        if not isinstance(other, FieldElement) and isinstance(other, (int, Fraction)):
+        if type(other) is FieldElement and other.tower is self.tower:
+            a, b = self, other
+        elif isinstance(other, (int, Fraction)):
             return FieldElement(self.tower, tuple(n * other.numerator for n in self.nums),
                                 self.den * other.denominator)
-        a, b = self._pair(other)
+        else:
+            a, b = self._pair(other)
+        if a.tower.degree == 1:
+            return FieldElement(a.tower, (a.nums[0] * b.nums[0],), a.den * b.den)
         rad = a.tower.basis_radicand
         out = [0] * a.tower.degree
         nzb = [(T, y) for T, y in enumerate(b.nums) if y]
@@ -431,7 +459,8 @@ class FieldElement:
                 y = y * c
         if not y.is_rational:
             raise RuntimeError("conjugate product must be rational")
-        return acc * Fraction(y.den, y.nums[0])
+        # acc / y with y = nums[0] / den rational, in integers
+        return FieldElement(acc.tower, tuple(n * y.den for n in acc.nums), acc.den * y.nums[0])
 
     def __truediv__(self, other):
         a, b = self._pair(other)
@@ -688,16 +717,16 @@ def rational_square_classes(x: FieldElement) -> frozenset[int]:
 
 
 def subfields_index2(tower: FieldTower) -> list[FieldTower]:
-    """The 2^r - 1 index-2 subfields (fixed fields of the order-2 subgroups)."""
-    out = []
-    for e in range(1, tower.degree):
-        gens = [
-            tower.basis_class[S]
-            for S in range(tower.degree)
-            if (S & e).bit_count() % 2 == 0 and tower.basis_class[S] > 1
-        ]
-        out.append(make_field(gens))
-    return out
+    """The 2^r - 1 index-2 subfields (fixed fields of the order-2 subgroups).
+
+    The e-th one is fixed by the embedding of mask e.  The list is built
+    once per tower and kept on it; each call returns a fresh copy."""
+    if tower._subfields is None:
+        tower._subfields = tuple(
+            make_field([tower.basis_class[S] for S in range(tower.degree)
+                        if (S & e).bit_count() % 2 == 0 and tower.basis_class[S] > 1])
+            for e in range(1, tower.degree))
+    return list(tower._subfields)
 
 
 def intersect(f1: FieldTower, f2: FieldTower) -> FieldTower:

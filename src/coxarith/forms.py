@@ -11,7 +11,9 @@ Every real-place question is read off one table per form, negatives():
 its negative entries at each embedding, indexed by mask, each sign
 certified once.  signature_at, is_admissible, is_hyperbolic, real-place
 Hasse invariants and classify's witness and transfer fibre test all read
-it.
+it.  Two forms get their table in closed form, with no sign certified: a
+transfer reads it off its source form's, and the sum f + (-g) that
+globally_isometric tests reads it off f's and g's.
 
 The transfer along a quadratic subextension K/F sends a rank-1 form <c>
 to the rank-2 F-form with Gram [[v, u], [u, a*v]] where c = u + v*sqrt(a)
@@ -150,6 +152,14 @@ def _sym_diagonalize(rows: Sequence[Sequence], tower: FieldTower) -> list[FieldE
     return [A[i][i] for i in range(n)]
 
 
+def _with_negatives(tower: FieldTower, diagonal, negatives) -> QuadraticForm:
+    """A form whose table of negatives is known in closed form, so that
+    negatives() certifies no sign for it."""
+    form = QuadraticForm(tower, diagonal)
+    form._negatives = tuple(negatives)
+    return form
+
+
 def signature_at(form: QuadraticForm, sigma: Embedding) -> tuple[int, int]:
     """(positive, negative) entries at sigma, read off form.negatives()."""
     if sigma.tower is not form.tower:
@@ -171,6 +181,15 @@ def transfer(form: QuadraticForm, F: FieldTower) -> QuadraticForm:
     otherwise t_S * a = g^2 * t' with g = gcd(t_S, a) and t' a class of F,
     so alpha_S = (scale_S * g / a) * sqrt(t') * sqrt(a) goes to v.  Every
     multiplier is brought to one common denominator per call.
+
+    The result's table of negatives is read off the form's, with no sign
+    certified: over a real place tau of F lie the embeddings s+ and s- of K
+    that send sqrt(a) to +sqrt(a) and -sqrt(a), and the block of c has
+    1 + [s+(c) < 0] - [s-(c) < 0] negatives at tau (as a*v^2 - u^2 =
+    -s+(c)*s-(c) and 2*v*sqrt(a) = s+(c) - s-(c) there), so the transfer
+    has rank(f) + neg[s+] - neg[s-].  The transfer thus inherits its table
+    of negatives from the form (whose table is built if it was not) and
+    keeps it; it inherits nothing else, and F's own tables stay with F.
     """
     K = form.tower
     if F == K or not (F.subgroup_classes <= K.subgroup_classes) \
@@ -204,7 +223,15 @@ def transfer(form: QuadraticForm, F: FieldTower) -> QuadraticForm:
             diag += [v, v * (v * v * a - u * u)]
         else:
             diag += [one, -one]
-    return QuadraticForm(F, diag)
+    # K's mask s restricts to F's mask tau, bit j the sign of sqrt(F's
+    # radicand j) under s; a_row gives the sign of sqrt(a) under s
+    rows = [K.class_to_mask[t] for t in F.radicands]
+    a_row = K.class_to_mask[a]
+    neg = [form.rank] * F.degree
+    for s, k in enumerate(form.negatives()):
+        tau = sum(((S & s).bit_count() & 1) << j for j, S in enumerate(rows))
+        neg[tau] += -k if (a_row & s).bit_count() & 1 else k
+    return _with_negatives(F, diag, neg)
 
 
 def globally_isometric(f: QuadraticForm, g: QuadraticForm) -> bool:
@@ -216,8 +243,13 @@ def globally_isometric(f: QuadraticForm, g: QuadraticForm) -> bool:
     """
     if f.tower != g.tower:
         raise ValueError("forms live over different towers")
-    return f.rank == g.rank and localfields.is_hyperbolic(
-        QuadraticForm(f.tower, f.diagonal + tuple(-c for c in g.diagonal)))
+    if f.rank != g.rank:
+        return False
+    # -c is negative exactly where c is positive, so f + (-g) has
+    # neg_f[s] + rank(g) - neg_g[s] negatives at s and no sign is certified
+    neg = [k + g.rank - kg for k, kg in zip(f.negatives(), g.negatives())]
+    return localfields.is_hyperbolic(
+        _with_negatives(f.tower, f.diagonal + tuple(-c for c in g.diagonal), neg))
 
 
 def is_admissible(form: QuadraticForm) -> bool:

@@ -25,6 +25,7 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, isqrt
+from numbers import Rational
 
 __all__ = [
     "Ball",
@@ -161,7 +162,9 @@ def _em_coefficients(s: int) -> tuple[int, int, tuple[tuple[int, int, int], ...]
 def hurwitz_zeta(s: int, a: Fraction, digits: int) -> Ball:
     """zeta(s, a) = sum_{k>=0} (k+a)^-s with error below 10^-digits.
 
-    Integer s >= 2, rational a in (0, 1] and integer digits >= 0.
+    Integer s >= 2, rational a in (0, 1] and integer digits >= 0.  A float
+    or str a raises TypeError: it would be read at a value the caller may
+    not have meant (a float at its binary value).
 
     N terms of the series and J Euler-Maclaurin corrections are summed in
     integer fixed point, unit = 2 terms 10^(digits + _GUARD_DIGITS) with
@@ -174,8 +177,8 @@ def hurwitz_zeta(s: int, a: Fraction, digits: int) -> Ball:
     """
     s = _int_at_least("s", s, 2)
     digits = _int_at_least("digits", digits, 0)
-    if isinstance(a, bool):
-        raise TypeError("a must be a rational number, not bool")
+    if isinstance(a, bool) or not isinstance(a, Rational):
+        raise TypeError(f"a must be a rational number, not {type(a).__name__}")
     a = Fraction(a)
     if not 0 < a <= 1:
         raise ValueError("need 0 < a <= 1")

@@ -188,7 +188,16 @@ def test_transfer_signatures_are_read_off_the_fibres():
     assert outcomes == {True, False}
 
 
+def _norm_of_det(f, e, F):
+    """N_{K/F}(det f) = det f * sigma_e(det f), F the fixed field of mask e."""
+    d = f.det()
+    return (d * d.conjugate(f.tower.embeddings()[e])).express_in(F)
+
+
 def test_descend_field_builds_transfers_only_past_the_fibre_test(monkeypatch):
+    # a transfer is built exactly where f passes the fibre test and
+    # N_{K/F}(det f) is a square in F; the verdicts still come from real
+    # transfers
     built = []
     real = forms.transfer
 
@@ -196,22 +205,51 @@ def test_descend_field_builds_transfers_only_past_the_fibre_test(monkeypatch):
         built.append(F)
         return real(f, F)
 
-    skipped = 0
+    skipped_fibre = skipped_norm = 0
     for f in _fibre_test_cases():
         if f.tower.r == 0:
             continue
         want = [(F, localfields.is_hyperbolic(real(f, F)))
                 for F in fields.subfields_index2(f.tower)]
         neg = f.negatives()
-        passing = [F for e, F in enumerate(fields.subfields_index2(f.tower), 1)
-                   if all(neg[s] == neg[s ^ e] for s in range(f.tower.degree))]
+        fibre = [(e, F) for e, F in enumerate(fields.subfields_index2(f.tower), 1)
+                 if all(neg[s] == neg[s ^ e] for s in range(f.tower.degree))]
+        passing = [F for e, F in fibre if fields.is_square(_norm_of_det(f, e, F))[0]]
         built.clear()
         monkeypatch.setattr(forms, "transfer", recording)
         assert descend_field(f)[1] == want
         monkeypatch.setattr(forms, "transfer", real)
         assert built == passing
-        skipped += len(want) - len(passing)
-    assert skipped >= 50
+        skipped_fibre += len(want) - len(fibre)
+        skipped_norm += len(fibre) - len(passing)
+    assert skipped_fibre >= 50 and skipped_norm >= 30
+
+
+def test_determinant_norm_and_transfer_table_identities():
+    # at the index-2 subfield F fixed by mask e, with m = rank(f):
+    # (-1)^m * det transfer(f, F) is N_{K/F}(det f) up to squares, and the
+    # transfer's table of negatives, read off f's, is the one sign_at
+    # certifies for its entries
+    rng = random.Random(137)
+    cases = _fibre_test_cases()
+    for tower in (Q2, Q23, make_field([3, 5, 7]), make_field([2, 3, 5])):
+        for _ in range(24):
+            g = QuadraticForm(tower, [
+                tower.element([Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3)))
+                               for _ in range(tower.degree)]) or tower.one()
+                for _ in range(rng.randint(1, 3))])
+            # g + g has a square determinant, so its norms are squares too
+            cases += [g, QuadraticForm(tower, g.diagonal * 2)]
+    checked = squares = 0
+    for f in cases:
+        for e, F in enumerate(fields.subfields_index2(f.tower), 1):
+            t = forms.transfer(f, F)
+            square = fields.is_square(_norm_of_det(f, e, F))[0]
+            assert square == fields.is_square(t.det() * (-1) ** f.rank)[0], (f, F)
+            assert t.negatives() == QuadraticForm(F, t.diagonal).negatives(), (f, F)
+            checked += 1
+            squares += square
+    assert checked >= 1000 and 300 <= squares <= checked - 300
 
 
 def test_find_admissible_model_nontrivial_a():

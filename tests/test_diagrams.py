@@ -66,6 +66,19 @@ def test_label_values():
     assert d.entries[(1, 2)] == d.tower.rational(-1)
 
 
+def test_label_entries_are_built_once_per_tower():
+    # a label's entry is built once per (tower, label) and always lies over
+    # the diagram's own tower, whatever towers the label was seen in before
+    text = "dim 2\nvertices 3\nedge 1 2 3\nedge 2 3 {}\nedge 1 3 {}\n"
+    first = {}
+    for labels in ((3, 3), (4, 3), (5, 3), (4, 6), (12, 5), ("inf", 4)):
+        for _ in range(2):
+            d = parse_diagram(text.format(*labels))
+            assert all(x.tower is d.tower for x in d.entries.values()), labels
+            assert d.entries[(1, 2)] is first.setdefault(d.tower, d.entries[(1, 2)])
+    assert len(first) == 5
+
+
 def test_explicit_label_two_means_no_edge():
     d = parse_diagram("dim 2\nvertices 3\nedge 1 2 2\nedge 1 2 3\nedge 2 3 3\nedge 1 3 3\n"
                       .replace("edge 1 2 2\nedge 1 2 3", "edge 1 2 3"))

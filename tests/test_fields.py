@@ -392,6 +392,23 @@ def test_subfields_index2_examples():
     assert intersect(make_field([2]), make_field([3])) is Q
 
 
+def test_tower_tables_are_kept_and_refusals_are_not():
+    # make_field keeps its answer per input tuple, never a refusal; a tower
+    # keeps its subfield list and hands each caller a copy
+    for raw in ([0], [-3], [2, -5]):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="radicand"):
+                make_field(raw)
+        assert tuple(raw) not in fields._RAW_CACHE
+    assert make_field((6, 10, 15)) is make_field([10, 15]) is make_field(iter([15, 10]))
+    t = make_field([2, 3, 5])
+    subs = subfields_index2(t)
+    subs.clear()
+    again = subfields_index2(t)
+    assert len(again) == 7 and all(a is b for a, b in zip(again, subfields_index2(t)))
+    assert t.one() is t.one() and t.one() == t.rational(1) == t.rational(Fraction(2, 2))
+
+
 def test_subfield_lattice_r3():
     t = make_field([2, 3, 5])
     subs = subfields_index2(t)

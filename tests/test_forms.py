@@ -616,6 +616,23 @@ def test_each_sign_is_certified_once_per_form(monkeypatch):
     assert sum(calls.values()) == f.rank * Q235.degree
     assert f.negatives() == tuple(sum(1 for c in f.diagonal if real(c, s) < 0)
                                   for s in Q235.embeddings())
+    # globally_isometric gives f + (-g) the table neg_f + rank(g) - neg_g:
+    # g's signs are certified once and the sum's never, and the verdict is
+    # that of the sum with every sign certified
+    two = Q235.rational(2)
+    verdicts = []
+    for g in (QuadraticForm(Q235, [c * two * two for c in reversed(f.diagonal)]),
+              QuadraticForm(Q235, [rand_nonzero(Q235, rng) for _ in range(4)])):
+        calls.clear()
+        got = [globally_isometric(f, g) for _ in range(2)]
+        assert set(calls) == {(c, s) for c in g.diagonal for s in range(Q235.degree)}
+        assert sum(calls.values()) == g.rank * Q235.degree
+        monkeypatch.setattr(forms, "sign_at", real)
+        total = QuadraticForm(Q235, f.diagonal + tuple(-c for c in g.diagonal))
+        assert got == [localfields.is_hyperbolic(total)] * 2
+        monkeypatch.setattr(forms, "sign_at", counting)
+        verdicts.append(got[0])
+    assert verdicts == [True, False]
 
 
 def test_square_class_oracle_agreement_quadratic():

@@ -120,9 +120,11 @@ def test_hurwitz_zeta_input_validation():
     for s, digits in ((2.5, 10), (3, 10.0), (True, 10), (3, True), ("3", 10)):
         with pytest.raises(TypeError):
             hurwitz_zeta(s, Fraction(1), digits)
-    for a in (True, False):
+    # a float would be certified at its binary value, a str parsed: both refused
+    for a in (True, False, 0.1, 1.0, "1/10", "1"):
         with pytest.raises(TypeError, match="^a "):
             hurwitz_zeta(3, a, 5)
+    assert hurwitz_zeta(3, 1, 5).value == hurwitz_zeta(3, Fraction(1), 5).value
     # anything with __index__ is taken as the int it stands for
     same = hurwitz_zeta(np.int64(3), Fraction(3, 8), np.int64(20))
     want = hurwitz_zeta(3, Fraction(3, 8), 20)
