@@ -25,10 +25,11 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import isqrt
+from itertools import chain
+from math import gcd, isqrt, lcm
 
 from . import fields, forms
-from .fields import FieldElement, FieldTower, make_field, squarefree_part
+from .fields import FieldElement, FieldTower, _mul_nums, make_field, squarefree_part
 from .forms import QuadraticForm
 
 __all__ = [
@@ -38,7 +39,6 @@ __all__ = [
     "SignatureError",
     "parse_diagram",
     "load_diagram",
-    "simple_cycles",
     "ambient_form",
 ]
 
@@ -291,49 +291,61 @@ def load_diagram(path) -> CoxeterDiagram:
     return parse_diagram(text, name)
 
 
-def simple_cycles(diagram: CoxeterDiagram) -> list[tuple[int, ...]]:
-    """Simple cycles (length >= 3), each listed once, smallest vertex first."""
-    cycles = []
+def _rescaled_gram(diagram: CoxeterDiagram) -> tuple[list[list[tuple[int, ...]]], int, FieldTower]:
+    """(M, den, K) with A = M / den over the trace field K: each entry as
+    integer numerators over K's basis, all over one denominator den > 0.
 
-    def dfs(start: int, path: list[int]):
-        v = path[-1]
-        for w in diagram.neighbors(v):
-            if w == start and len(path) >= 3:
-                if path[1] < path[-1]:  # one orientation per cycle
-                    cycles.append(tuple(path))
-            elif w > start and w not in path:
-                dfs(start, path + [w])
-
-    for s in range(1, diagram.size + 1):
-        dfs(s, [s])
-    return cycles
-
-
-def _cycle_product(diagram: CoxeterDiagram, cycle: tuple[int, ...]) -> FieldElement:
-    out = diagram.tower.one()
-    for t in range(len(cycle)):
-        i, j = cycle[t], cycle[(t + 1) % len(cycle)]
-        out = out * diagram.entries[(min(i, j), max(i, j))]
-    return out
-
-
-def _rescaled_gram(diagram: CoxeterDiagram) -> list[list[FieldElement]]:
-    """A[s][t] = c_s*c_t*G[s][t], c_v the product of Gram entries along a
-    breadth-first path from vertex 1 to v: each entry is a closed-walk product."""
-    c: dict[int, FieldElement] = {1: diagram.tower.one()}
+    A[s][t] = c_s*c_t*G[s][t], c_v the product of Gram entries along a
+    breadth-first path from vertex 1 to v: each entry is a closed-walk
+    product.  On the edge that reached v, c_u*G[u][v] = c_v, so that entry
+    is A[v][v] = c_v^2.  The entries are built as integer numerators over
+    the diagram's tower, with no content divided out.  K is generated by
+    the square classes of the union of the basis masks that they use, and
+    each entry is rewritten over K's basis through one table per call: the
+    tower's alpha_S = scale_S * sqrt(t_S) is (scale_S / scale'_T) * alpha'_T
+    for the mask T of t_S in K.  The content of the whole matrix is divided
+    out once at the end.
+    """
+    tower = diagram.tower
+    rad = tower.basis_radicand
+    one = ([1] + [0] * (tower.degree - 1), 1)
+    c = {1: one}  # vertex -> c_v as (numerators, denominator)
+    cells = {(1, 1): one}  # (s, t) -> A[s][t] as (numerators, denominator)
     order = [1]
     for v in order:
+        cv, dv = c[v]
         for w in diagram.neighbors(v):
             if w not in c:
-                c[w] = c[v] * diagram.entries[(min(v, w), max(v, w))]
+                a = diagram.entries[(min(v, w), max(v, w))]
+                cw, dw = c[w] = (_mul_nums(cv, a.nums, rad), dv * a.den)
+                cells[(w, w)] = cells[(min(v, w), max(v, w))] = \
+                    (_mul_nums(cw, cw, rad), dw * dw)
                 order.append(w)
-    zero, r = diagram.tower.zero(), diagram.size
-    A = [[zero] * r for _ in range(r)]
-    for v, cv in c.items():
-        A[v - 1][v - 1] = cv * cv
     for (i, j), a in diagram.entries.items():
-        A[i - 1][j - 1] = A[j - 1][i - 1] = c[i] * c[j] * a
-    return A
+        if (i, j) not in cells:
+            (ci, di), (cj, dj) = c[i], c[j]
+            cells[(i, j)] = (_mul_nums(_mul_nums(ci, cj, rad), a.nums, rad), di * dj * a.den)
+    masks = [S for S, col in enumerate(zip(*(nums for nums, _ in cells.values()))) if any(col)]
+    K = make_field(sorted(tower.basis_class[S] for S in masks if S))
+    # alpha_S is u_S / m times alpha'_T, T the mask of its class in K
+    to = [(S, K.class_to_mask[tower.basis_class[S]]) for S in masks]
+    m = lcm(*(K.basis_scale[T] for _, T in to))
+    to = [(S, T, tower.basis_scale[S] * (m // K.basis_scale[T])) for S, T in to]
+    den = lcm(*(d for _, d in cells.values()))
+    outs = {}
+    for key, (nums, d) in cells.items():
+        f = den // d
+        out = [0] * K.degree
+        for S, T, u in to:
+            out[T] = nums[S] * u * f
+        outs[key] = out
+    g = gcd(den * m, *chain.from_iterable(outs.values()))
+    den = den * m // g
+    zero = (0,) * K.degree
+    M = [[zero] * diagram.size for _ in range(diagram.size)]
+    for (i, j), out in outs.items():
+        M[i - 1][j - 1] = M[j - 1][i - 1] = tuple(x // g for x in out)
+    return M, den, K
 
 
 def ambient_form(diagram: CoxeterDiagram) -> QuadraticForm:
@@ -345,11 +357,16 @@ def ambient_form(diagram: CoxeterDiagram) -> QuadraticForm:
     congruent to diag(D) + 0, so its rank and signature are read off the
     nonzero entries of D at the identity embedding, and
     SignatureError is raised unless there are n+1 of them, of signature (n,1).
+
+    A goes from the diagram's entries to D as integer numerator vectors
+    over one common denominator (_rescaled_gram, then the fraction-free
+    forms._sym_diagonalize), and FieldElements are built only for D.  As
+    each step is exact and an entry is zero exactly when its numerators
+    are, D is the diagonal that the same pivots give over FieldElement.
     """
     n = diagram.dim
-    A = _rescaled_gram(diagram)
-    K = fields.minimal_field_of(x for row in A for x in row)
-    diag = forms._sym_diagonalize(A, K)
+    M, den, K = _rescaled_gram(diagram)
+    diag = forms._sym_diagonalize(M, den, K)
     form = QuadraticForm(K, [x for x in diag if x])
     if form.rank != n + 1 or forms.signature_at(form, K.identity_embedding) != (n, 1):
         raise SignatureError(f"not a hyperbolic polytope of dimension {n}")

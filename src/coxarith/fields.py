@@ -323,6 +323,48 @@ def make_field(raw_radicands: Iterable[int]) -> FieldTower:
     return tower
 
 
+def _mul_nums(a, b, rad: tuple[int, ...], acc: list[int] | None = None) -> list[int]:
+    """Numerators of the product of two numerator vectors over one tower,
+    rad its basis_radicand table: alpha_S * alpha_T = rad[S & T] * alpha_{S ^ T}.
+    With acc, the product is added into that list, which is returned.  No
+    denominator is formed and no content is divided out."""
+    out = [0] * len(a) if acc is None else acc
+    nzb = [(T, y) for T, y in enumerate(b) if y]
+    for S, x in enumerate(a):
+        if x:
+            for T, y in nzb:
+                out[S ^ T] += x * y * rad[S & T]
+    return out
+
+
+def _adjugate(nums, tower: FieldTower) -> tuple[tuple[int, ...], int]:
+    """(Q, e): integer numerators Q and a nonzero integer e with
+    nums * Q = e, for a nonzero numerator vector over the tower, with no
+    common factor left in Q and e.
+
+    Q is a product of conjugates, found by descending the tower one
+    radicand at a time: with y fixed by sigma_k for every k > j,
+    y * sigma_j(y) is fixed by sigma_j as well, so after the last radicand
+    y = nums * Q is rational.
+    """
+    rad = tower.basis_radicand
+    Q = None
+    y = nums
+    for j in reversed(range(tower.r)):
+        h = 1 << j
+        if any(y[h:]):  # y moves under sigma_j
+            c = [-n if S & h else n for S, n in enumerate(y)]
+            Q = c if Q is None else _mul_nums(Q, c, rad)
+            y = _mul_nums(y, c, rad)
+    if Q is None:
+        Q = [1] + [0] * (tower.degree - 1)
+    e = y[0]
+    if not e or any(y[1:]):
+        raise RuntimeError("conjugate product must be a nonzero rational")
+    g = gcd(e, *Q)
+    return tuple(q // g for q in Q), e // g
+
+
 class FieldElement:
     """Element of a FieldTower as integer numerators over one common denominator.
 
@@ -431,36 +473,17 @@ class FieldElement:
             a, b = self._pair(other)
         if a.tower.degree == 1:
             return FieldElement(a.tower, (a.nums[0] * b.nums[0],), a.den * b.den)
-        rad = a.tower.basis_radicand
-        out = [0] * a.tower.degree
-        nzb = [(T, y) for T, y in enumerate(b.nums) if y]
-        for S, x in enumerate(a.nums):
-            if x:
-                for T, y in nzb:
-                    out[S ^ T] += x * y * rad[S & T]
-        return FieldElement(a.tower, tuple(out), a.den * b.den)
+        return FieldElement(a.tower, tuple(_mul_nums(a.nums, b.nums, a.tower.basis_radicand)),
+                            a.den * b.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
-        """1/x by descending the tower one radicand at a time.
-
-        With y fixed by sigma_k for every k > j, y * sigma_j(y) is fixed by
-        sigma_j as well, so after the last radicand y = x * acc is rational.
-        """
+        """1/x = den * Q / e, with (Q, e) the integer adjugate of x's numerators."""
         if not self:
             raise ZeroDivisionError("division by zero element")
-        acc = self.tower.one()
-        y = self
-        for j in reversed(range(self.tower.r)):
-            if any(y.nums[1 << j:]):  # y moves under sigma_j
-                c = y.conjugate(self.tower.embeddings()[1 << j])
-                acc = acc * c
-                y = y * c
-        if not y.is_rational:
-            raise RuntimeError("conjugate product must be rational")
-        # acc / y with y = nums[0] / den rational, in integers
-        return FieldElement(acc.tower, tuple(n * y.den for n in acc.nums), acc.den * y.nums[0])
+        Q, e = _adjugate(self.nums, self.tower)
+        return FieldElement(self.tower, tuple(q * self.den for q in Q), e)
 
     def __truediv__(self, other):
         a, b = self._pair(other)

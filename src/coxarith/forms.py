@@ -2,10 +2,16 @@
 
 A form is stored by its diagonal after exact congruence reduction of a
 symmetric Gram matrix; only the diagonal is kept, not the transformation
-that reaches it.  Isometry over the field is decided by Witt cancellation:
-f and g are isometric exactly when they have equal rank and f + (-g) is
-hyperbolic, which localfields.is_hyperbolic decides by the local-global
-principle.
+that reaches it.  The reduction (_sym_diagonalize) runs on integer
+numerator vectors over one common denominator, fraction-free in the
+manner of Bareiss: each pivot is cleared with its integer adjugate, the
+trailing block is divided by its content once per pivot, and a
+FieldElement is built only for each diagonal entry.  Scaling numerators
+and denominator together changes no element and no zero test, so the
+diagonal is the one an elimination over FieldElement gives.  Isometry
+over the field is decided by Witt cancellation: f and g are isometric
+exactly when they have equal rank and f + (-g) is hyperbolic, which
+localfields.is_hyperbolic decides by the local-global principle.
 
 Every real-place question is read off one table per form, negatives():
 its negative entries at each embedding, indexed by mask, each sign
@@ -29,11 +35,13 @@ v = 0; no generic elimination runs.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import gcd, lcm
 from typing import Sequence
 
 from . import localfields
-from .fields import Embedding, FieldElement, FieldTower, element_literal, sign_at
+from .fields import (Embedding, FieldElement, FieldTower, _adjugate, _mul_nums, element_literal,
+                     sign_at)
 
 __all__ = [
     "QuadraticForm",
@@ -89,23 +97,63 @@ class QuadraticForm:
         return "<" + ", ".join(self.literals()) + f"> over {self.tower}"
 
 
-def _sym_diagonalize(rows: Sequence[Sequence], tower: FieldTower) -> list[FieldElement]:
-    """Exact congruence diagonalization: D with T^t A T = diag(D); T is not formed.
+def _sym_diagonalize(M: Sequence[Sequence[Sequence[int]]], den: int,
+                     tower: FieldTower) -> list[FieldElement]:
+    """Exact congruence diagonalization of the symmetric A = M / den: D with
+    T^t A T = diag(D); T is not formed.  Each entry M[i][j] is a tuple of
+    integer numerators over the tower's basis, all over the one nonzero den.
 
     Step k takes a nonzero diagonal pivot, swapping one in if A[k][k] is
     zero, or else folds the first nonzero off-diagonal pair onto the
-    diagonal.  Then, with one inverse of the pivot, the trailing block
-    becomes its Schur complement, A[i][j] -= A[k][i] * A[k][j] / A[k][k]
-    for k < i <= j (mirrored into A[j][i]), and row and column k are
-    cleared; this is the congruence that the column operations
-    col_j -= (A[k][j] / A[k][k]) * col_k would perform, without sweeping
-    the whole matrix.
+    diagonal (col_i += col_j and row_i += row_j, which puts
+    A[i][i] + 2*A[i][j] + A[j][j] there).  Then the trailing block becomes
+    its Schur complement A[i][j] - A[k][i] * A[k][j] / A[k][k] for
+    k < i <= j (mirrored into A[j][i]), the congruence that the column
+    operations col_j -= (A[k][j] / A[k][k]) * col_k would perform.
+
+    The complement is taken fraction-free, in the manner of Bareiss's
+    elimination (Math. Comp. 22, 1968): with the integer adjugate (Q, e) of
+    the pivot, M[k][k] * Q = e (fields._adjugate: conjugate products, as in
+    FieldElement.inverse),
+
+        A[i][j] - A[k][i] * A[k][j] / A[k][k]
+            = (e * M[i][j] - (M[k][i] * Q) * M[k][j]) / (den * e),
+
+    so the block keeps one common denominator, den * e, and is divided by
+    its content (the gcd of that denominator and all its numerators) once
+    per pivot, not once per product.  On a degree-1 tower the entries are
+    plain ints, Q = 1 and e = M[k][k].  The denominator may turn negative;
+    FieldElement gives each D[k] a positive one.
+
+    The diagonal is the one an elimination over FieldElement gives, element
+    for element: every block is the same exact matrix, only written over
+    another denominator; an entry is zero exactly when its numerators are,
+    so the pivots, swaps and folds are the same; and D[k] = M[k][k] / den,
+    read at step k, is brought to lowest terms by FieldElement.
 
     A may be singular: D then ends in zeros, and its nonzero entries number
     the rank of A.
     """
-    n = len(rows)
-    A = [[tower.coerce(x) for x in row] for row in rows]
+    n = len(M)
+    flat = tower.degree == 1
+    if flat:
+        A = [[x[0] for x in row] for row in M]
+        nonzero = bool
+
+        def add(x, y):
+            return x + y
+
+        def div(x, g):
+            return x // g
+    else:
+        A = [[tuple(x) for x in row] for row in M]
+        nonzero = any
+
+        def add(x, y):
+            return [s + t for s, t in zip(x, y)]
+
+        def div(x, g):
+            return [s // g for s in x]
     for i in range(n):
         if len(A[i]) != n:
             raise ValueError("gram matrix is not square")
@@ -113,43 +161,64 @@ def _sym_diagonalize(rows: Sequence[Sequence], tower: FieldTower) -> list[FieldE
             if A[i][j] != A[j][i]:
                 raise ValueError("gram matrix is not symmetric")
 
-    def swap(i, j):
-        for t in range(n):
-            A[t][i], A[t][j] = A[t][j], A[t][i]
-        A[i], A[j] = A[j], A[i]
-
-    def col_addmul(dst, src, fac):
-        for t in range(n):
-            A[t][dst] = A[t][dst] + fac * A[t][src]
-        for t in range(n):
-            A[dst][t] = A[dst][t] + fac * A[src][t]
-
-    one, zero = tower.one(), tower.zero()
+    rad = tower.basis_radicand
+    D: list[FieldElement] = []
     for k in range(n):
-        if not A[k][k]:
-            piv = next((j for j in range(k + 1, n) if A[j][j]), None)
+        if not nonzero(A[k][k]):
+            piv = next((j for j in range(k + 1, n) if nonzero(A[j][j])), None)
             if piv is not None:
-                swap(k, piv)
+                i, j = k, piv
             else:
                 pair = next(((i, j) for i in range(k, n)
-                             for j in range(i + 1, n) if A[i][j]), None)
+                             for j in range(i + 1, n) if nonzero(A[i][j])), None)
                 if pair is None:
                     break  # remaining block is identically zero
                 i, j = pair
-                col_addmul(i, j, one)  # picks up 2*A[i][j] on the diagonal
-                if i != k:
-                    swap(k, i)
+                for t in range(k, n):
+                    A[t][i] = add(A[t][i], A[t][j])
+                A[i] = [add(x, y) for x, y in zip(A[i], A[j])]
+                j = k
+            if i != j:  # swap indices i and j of the trailing block
+                for t in range(k, n):
+                    A[t][i], A[t][j] = A[t][j], A[t][i]
+                A[i], A[j] = A[j], A[i]
         row = A[k]
-        inv = row[k].inverse()
-        for i in range(k + 1, n):
-            if row[i]:
-                fac = row[i] * inv
+        p = row[k]
+        D.append(FieldElement(tower, (p,) if flat else tuple(p), den))
+        if k == n - 1:
+            break
+        if flat:
+            e = p
+            for i in range(k + 1, n):
+                Ai, f = A[i], row[i]
+                for j in range(i, n):
+                    Ai[j] = A[j][i] = e * Ai[j] - f * row[j]
+            cells = (x for i in range(k + 1, n) for x in A[i][i:])
+        else:
+            Q, e = _adjugate(p, tower)
+            Q = [-q for q in Q]  # f = -(M[k][i] * Q) is added into e * M[i][j]
+            live = [any(x) for x in row]
+            for i in range(k + 1, n):
+                Ai = A[i]
+                f = _mul_nums(row[i], Q, rad) if live[i] else None
+                for j in range(i, n):
+                    if f is not None and live[j]:
+                        x = _mul_nums(f, row[j], rad, [e * s for s in Ai[j]])
+                    elif e != 1:
+                        x = [e * s for s in Ai[j]]
+                    else:
+                        continue
+                    Ai[j] = A[j][i] = x
+            cells = chain.from_iterable(x for i in range(k + 1, n) for x in A[i][i:])
+        den *= e
+        g = gcd(den, *cells)
+        if g != 1:
+            den //= g
+            for i in range(k + 1, n):
                 Ai = A[i]
                 for j in range(i, n):
-                    if row[j]:
-                        Ai[j] = A[j][i] = Ai[j] - fac * row[j]
-                row[i] = Ai[k] = zero
-    return [A[i][i] for i in range(n)]
+                    Ai[j] = A[j][i] = div(Ai[j], g)
+    return D + [tower.zero()] * (n - len(D))
 
 
 def _with_negatives(tower: FieldTower, diagonal, negatives) -> QuadraticForm:

@@ -37,11 +37,13 @@ consistency checks raise RuntimeError, so they also run under python -O.
 
 Every local-global question goes through is_hyperbolic: isometry of f and
 g is hyperbolicity of f + (-g) (forms.globally_isometric), and a Hilbert
-symbol (a,b) is the Hasse invariant of <a, b>.  is_hyperbolic never builds
-the dyadic model when 2 does not split, because Hilbert reciprocity
-settles the first place above 2 once rank, real signatures, determinant
-class and every other place agree.  Symbols, Hasse invariants, square
-class vectors and audits still compute every place directly.
+symbol (a,b) is the Hasse invariant of <a, b>.  classify.descend_field
+reads a transfer's real and determinant checks off its source form and
+runs only the finite-place part, finite_hasse_hyperbolic.  is_hyperbolic
+never builds the dyadic model when 2 does not split, because Hilbert
+reciprocity settles the first place above 2 once rank, real signatures,
+determinant class and every other place agree.  Symbols, Hasse invariants,
+square class vectors and audits still compute every place directly.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ __all__ = [
     "hilbert_symbol_local",
     "hasse_invariant",
     "is_hyperbolic",
+    "finite_hasse_hyperbolic",
     "relevant_finite_places",
     "square_class_vector",
     "local_audit",
@@ -846,8 +849,19 @@ def is_hyperbolic(form) -> bool:
     if any(neg != m for neg in form.negatives()):
         return False
     ok, _ = fields.is_square(form.det() * ((-1) ** m))
-    if not ok:
-        return False
+    return ok and finite_hasse_hyperbolic(form)
+
+
+def finite_hasse_hyperbolic(form) -> bool:
+    """is_hyperbolic's last check alone: the Hasse invariant of a form of
+    even rank 2m at every relevant finite place but the first is that of m
+    hyperbolic planes, (-1,-1)_p^(m(m-1)/2 * deg(P)).
+
+    It decides hyperbolicity only for a form already known to have m
+    negatives at every real place and determinant class (-1)^m, as the
+    skipped place is settled by reciprocity from those two (is_hyperbolic).
+    """
+    m = form.rank // 2
     t = (m * (m - 1) // 2) % 2
     for place in relevant_finite_places(form.tower, form.diagonal)[1:]:
         want = hilbert_symbol_Q(-1, -1, place.p) ** (t * place.degree)

@@ -40,6 +40,15 @@ sum in blocks of 8), the references for the library's shared pass.
 N(det f) and of the radicands (at most 12 primes), then 1..bound.  It is the
 reference for the library's reading of a off the determinant's square class.
 
+`sym_diagonalize` and `rescaled_gram` are the library's integer-vector
+elimination and rescaled Gram matrix on `FieldElement` matrices: the first
+writes its input over one common denominator, the second reads its output
+back as elements.  `rescaled_gram_by_elements` is the same matrix built
+with one `FieldElement` product per step, and its field by
+`fields.minimal_field_of`: the reference for the integer construction.
+`simple_cycles` and `cycle_product` once stood in `coxarith.diagrams`;
+they are the cycle-product reference for the trace field.
+
 `sampled_rows` is the seeded norm sampler that once found the dyadic pairing
 rows: up to 1,200 norms s^2 - b*t^2 per row, from a fixed base list and then
 random s, t, until the norm classes reach rank dim - 1.  It is the reference
@@ -50,10 +59,10 @@ import itertools
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 import numpy as np
-from coxarith import fields, forms, localfields
+from coxarith import diagrams, fields, forms, localfields
 from coxarith.fields import FieldElement, element_literal, factorize, squarefree_part
 from coxarith.forms import QuadraticForm, signature_at
 from coxarith.lvalues import (_CHI8, _EM_TERMS, _GUARD_DIGITS, Ball,
@@ -407,6 +416,66 @@ def dense_integral_rescale(x) -> list[Fraction]:
         g = gcd(g, n)
     _, s = _squarefree_split(g)
     return [Fraction(n, s * s) for n in ints]
+
+
+def sym_diagonalize(rows, tower):
+    """`forms._sym_diagonalize` on a matrix of elements (or rationals),
+    written over the tower as numerators over one common denominator."""
+    A = [[tower.coerce(x) for x in row] for row in rows]
+    den = lcm(*(x.den for row in A for x in row))
+    M = [[tuple(n * (den // x.den) for n in x.nums) for x in row] for row in A]
+    return forms._sym_diagonalize(M, den, tower)
+
+
+def rescaled_gram(diagram):
+    """`diagrams._rescaled_gram` read back as a matrix of elements of its field."""
+    M, den, K = diagrams._rescaled_gram(diagram)
+    return [[FieldElement(K, cell, den) for cell in row] for row in M]
+
+
+def rescaled_gram_by_elements(diagram):
+    """(A, K): the path-rescaled Gram matrix A[s][t] = c_s*c_t*G[s][t] as
+    elements of the diagram's tower, one product of elements per step along
+    the same breadth-first paths, and K the field of its entries."""
+    c = {1: diagram.tower.one()}
+    order = [1]
+    for v in order:
+        for w in diagram.neighbors(v):
+            if w not in c:
+                c[w] = c[v] * diagram.entries[(min(v, w), max(v, w))]
+                order.append(w)
+    A = [[diagram.tower.zero()] * diagram.size for _ in range(diagram.size)]
+    for v, cv in c.items():
+        A[v - 1][v - 1] = cv * cv
+    for (i, j), a in diagram.entries.items():
+        A[i - 1][j - 1] = A[j - 1][i - 1] = c[i] * c[j] * a
+    return A, fields.minimal_field_of(x for row in A for x in row)
+
+
+def simple_cycles(diagram) -> list[tuple[int, ...]]:
+    """Simple cycles (length >= 3), each listed once, smallest vertex first."""
+    cycles: list[tuple[int, ...]] = []
+    for s in range(1, diagram.size + 1):
+        _extend_cycles(diagram, s, [s], cycles)
+    return cycles
+
+
+def _extend_cycles(diagram, start: int, path: list[int], cycles: list) -> None:
+    for w in diagram.neighbors(path[-1]):
+        if w == start and len(path) >= 3:
+            if path[1] < path[-1]:  # one orientation per cycle
+                cycles.append(tuple(path))
+        elif w > start and w not in path:
+            _extend_cycles(diagram, start, path + [w], cycles)
+
+
+def cycle_product(diagram, cycle) -> FieldElement:
+    """The product of Gram entries around a cycle of vertices."""
+    out = diagram.tower.one()
+    for t in range(len(cycle)):
+        i, j = cycle[t], cycle[(t + 1) % len(cycle)]
+        out = out * diagram.entries[(min(i, j), max(i, j))]
+    return out
 
 
 def congruence_diagonalize(rows, tower):

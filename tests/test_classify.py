@@ -6,6 +6,8 @@ import os
 import random
 import subprocess
 import sys
+import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -223,6 +225,50 @@ def test_descend_field_builds_transfers_only_past_the_fibre_test(monkeypatch):
         skipped_fibre += len(want) - len(fibre)
         skipped_norm += len(fibre) - len(passing)
     assert skipped_fibre >= 50 and skipped_norm >= 30
+
+
+def test_descend_field_runs_only_the_finite_hasse_check_on_a_transfer(monkeypatch):
+    # the fibre and norm tests are is_hyperbolic's real and determinant
+    # checks, so a built transfer goes to finite_hasse_hyperbolic alone, and
+    # it meets that helper's precondition: m negatives at every real place
+    # and determinant class (-1)^m
+    cases = [f for f in _fibre_test_cases() if f.tower.r]
+    want = [descend_field(f) for f in cases]
+    seen = []
+    real = localfields.finite_hasse_hyperbolic
+
+    def recording(form):
+        seen.append(form)
+        return real(form)
+
+    def refused(form):
+        raise AssertionError("is_hyperbolic ran on a transfer")
+
+    monkeypatch.setattr(localfields, "finite_hasse_hyperbolic", recording)
+    monkeypatch.setattr(localfields, "is_hyperbolic", refused)
+    assert [descend_field(f) for f in cases] == want
+    assert len(seen) >= 20
+    for form in seen:
+        m = form.rank // 2
+        assert form.rank % 2 == 0 and set(form.negatives()) == {m}
+        assert fields.is_square(form.det() * (-1) ** m)[0]
+
+
+def test_right_angled_dodecahedron_is_arithmetic_without_cycle_enumeration():
+    # 12 mirrors, one per face: adjacent faces meet at right angles, faces
+    # two steps apart are at cosh distance phi and opposite ones at phi^2.
+    # Its diagram has 96,925 simple cycles; integrality reads the edges only.
+    d = diagrams.load_diagram(os.path.join(os.path.dirname(__file__), "data",
+                                           "dodecahedron.cox"))
+    assert (d.dim, d.size) == (3, 12)
+    weights = Counter(element_literal(-a) for a in d.entries.values())
+    assert weights == {"1/2+1/2*sqrt(5)": 30, "3/2+1/2*sqrt(5)": 6}
+    t0 = time.perf_counter()
+    rep = classify_diagram(d)
+    assert time.perf_counter() - t0 < 1.0
+    assert rep.verdict == ARITHMETIC and rep.quasi and rep.arithmetic
+    assert rep.trace_field == make_field([5]) and rep.base_field == make_field([5])
+    assert rep.witnesses == {}
 
 
 def test_determinant_norm_and_transfer_table_identities():

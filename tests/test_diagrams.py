@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from coxarith import diagrams, fields, forms
 from coxarith.diagrams import (
     DiagramError,
@@ -15,7 +16,6 @@ from coxarith.diagrams import (
     ambient_form,
     load_diagram,
     parse_diagram,
-    simple_cycles,
 )
 from coxarith.fields import make_field
 
@@ -45,7 +45,7 @@ def test_parse_gram_entries():
     d = parse_diagram(DELTA5, "delta5")
     assert (d.dim, d.size) == (5, 6)
     G = d.entries
-    assert diagrams._rescaled_gram(d)[0][0] == d.tower.one()
+    assert oracles.rescaled_gram(d)[0][0] == d.tower.one()
     assert G[(1, 2)].rational_value() == Fraction(-1, 2)
     assert G[(2, 3)] == -d.tower.sqrt(2) * Fraction(1, 2)
     assert (1, 3) not in G  # absent pair is a right angle
@@ -134,22 +134,55 @@ def test_parse_errors():
 
 def test_simple_cycles():
     d = parse_diagram(DELTA5, "delta5")
-    cycles = simple_cycles(d)
+    cycles = oracles.simple_cycles(d)
     assert cycles == [(1, 2, 3, 4, 5, 6)]
     t = parse_diagram(TRIANGLE_334)
-    assert simple_cycles(t) == [(1, 2, 3)]
+    assert oracles.simple_cycles(t) == [(1, 2, 3)]
     path = parse_diagram("dim 2\nvertices 3\nedge 1 2 3\nedge 2 3 4\n")
-    assert simple_cycles(path) == []
+    assert oracles.simple_cycles(path) == []
 
 
 def _cycle_trace_field(d):
     gens = [a * a for a in d.entries.values()]
-    gens += [diagrams._cycle_product(d, c) for c in simple_cycles(d)]
+    gens += [oracles.cycle_product(d, c) for c in oracles.simple_cycles(d)]
     return fields.minimal_field_of(gens)
 
 
 def _rescaled_field(d):
-    return fields.minimal_field_of(x for row in diagrams._rescaled_gram(d) for x in row)
+    return fields.minimal_field_of(x for row in oracles.rescaled_gram(d) for x in row)
+
+
+def test_rescaled_gram_equals_the_element_products():
+    # the integer construction against products of elements, entry for
+    # entry, and its field against the field of the entries.  The two
+    # triangles have trace fields whose basis carries a scale: Q(sqrt(6),
+    # sqrt(10)) inside Q(sqrt(2),sqrt(3),sqrt(5)), where sqrt(60) = 2*sqrt(15),
+    # and Q(sqrt(15)) inside Q(sqrt(6),sqrt(10)), whose own sqrt(60) is that
+    # 2*sqrt(15)
+    scaled = [
+        parse_diagram("dim 2\nvertices 3\nedge 1 2 w sqrt(2)+sqrt(3)\n"
+                      "edge 1 3 w sqrt(2)+sqrt(5)\nedge 2 3 w 2\n", "in235"),
+        parse_diagram("dim 2\nvertices 3\nedge 1 2 w sqrt(6)\nedge 1 3 w sqrt(10)\n"
+                      "edge 2 3 w 1+sqrt(15)\n", "in6_10"),
+    ]
+    assert [d.tower.radicands for d in scaled] == [(2, 3, 5), (6, 10)]
+    rng = random.Random(29)
+    cases = list(scaled)
+    for p in sorted(glob.glob(os.path.join(CORPUS, "*.cox"))):
+        d = load_diagram(p)
+        perm = list(range(1, d.size + 1))
+        rng.shuffle(perm)
+        cases += [d, d.relabeled(perm)]
+    fields_seen = []
+    for d in cases:
+        want, K = oracles.rescaled_gram_by_elements(d)
+        M, den, field = diagrams._rescaled_gram(d)
+        assert field is K and den > 0, d.name
+        got = oracles.rescaled_gram(d)
+        assert got == [[x.express_in(K) for x in row] for row in want], d.name
+        fields_seen.append(K)
+    assert fields_seen[:2] == [make_field([6, 10]), make_field([15])]
+    assert fields_seen[0].basis_scale[3] == 2 and scaled[1].tower.basis_scale[3] == 2
 
 
 def test_trace_field_examples():

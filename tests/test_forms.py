@@ -3,7 +3,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -12,7 +12,6 @@ from coxarith import fields, forms, localfields
 from coxarith.fields import is_square, make_field
 from coxarith.forms import (
     QuadraticForm,
-    _sym_diagonalize,
     globally_isometric,
     is_admissible,
     signature_at,
@@ -60,7 +59,7 @@ def diagonalize(G, tower):
     """(form, T): the library's diagonal, checked against the oracle's
     congruence T^t G T = diag(D); ValueError on a singular G."""
     diag, T = oracles.congruence_diagonalize(G, tower)
-    assert _sym_diagonalize(G, tower) == diag
+    assert oracles.sym_diagonalize(G, tower) == diag
     return QuadraticForm(tower, diag), T
 
 
@@ -100,7 +99,7 @@ def test_singular_gram_rejected():
     with pytest.raises(ValueError, match="degenerate"):
         diagonalize(G, Q)
     with pytest.raises(ValueError, match="degenerate"):
-        QuadraticForm(Q, _sym_diagonalize(G, Q))
+        QuadraticForm(Q, oracles.sym_diagonalize(G, Q))
     with pytest.raises(ValueError, match="degenerate"):
         QuadraticForm(Q, [1, 0, 2])
 
@@ -168,7 +167,7 @@ def test_sym_diagonalize_counts_the_rank_of_singular_grams():
                 elif not A[0][0]:
                     swaps += 1  # the swap branch runs at step 0
                 diag, T = oracles.congruence_diagonalize(A, tower)
-                assert _sym_diagonalize(A, tower) == diag
+                assert oracles.sym_diagonalize(A, tower) == diag
                 D = [c for c in diag if c]
                 assert len(D) == m, (tower, blocks, isotropic)
                 TAT = mat_mul(transpose(T), mat_mul(A, T))
@@ -188,7 +187,7 @@ def test_sym_diagonalize_counts_the_rank_of_singular_grams():
                 A, C = deferred_gram(tower, rng, lead, kind, rank)
                 assert all(A[i][i] for i in range(len(A)))
                 diag, T = oracles.congruence_diagonalize(A, tower)
-                assert _sym_diagonalize(A, tower) == diag
+                assert oracles.sym_diagonalize(A, tower) == diag
                 assert sum(1 for c in diag if c) == lead + rank
                 assert diag[:lead] == [A[i][i] for i in range(lead)]
                 if kind == "swap":
@@ -242,6 +241,59 @@ def deferred_gram(tower, rng, lead, kind, rank):
             A[lead + i][lead + j] = C[i][j] + sum(
                 (D0[t] * X[t][i] * X[t][j] for t in range(lead)), start=z)
     return A, C
+
+
+def kernel_gram(tower, rng, n, kind):
+    """A seeded symmetric n x n Gram over the tower: "dense" and "sparse"
+    (about half its entries zero), "fold" with a zero diagonal, so that
+    step 0 folds a pair, and "singular" = X^t B X of rank below n."""
+    if kind == "singular":
+        m = rng.randint(0, n - 1)
+        B = [[rand_nonzero(tower, rng) if i == j else tower.zero() for j in range(m)]
+             for i in range(m)]
+        X = [[tower.rational(rng.randint(-2, 2)) for _ in range(n)] for _ in range(m)]
+        return mat_mul(transpose(X), mat_mul(B, X)) if m else \
+            [[tower.zero()] * n for _ in range(n)]
+    G = rand_symmetric(tower, rng, n)
+    for i in range(n):
+        for j in range(i, n):
+            if kind == "fold" and i == j or kind == "sparse" and rng.random() < 0.5:
+                G[i][j] = G[j][i] = tower.zero()
+    return G
+
+
+@pytest.mark.parametrize("rads", [(), (2,), (2, 3), (2, 3, 5)])
+def test_integer_kernel_equals_the_field_elimination(rads):
+    # the fraction-free kernel against the FieldElement elimination of the
+    # oracle, entry by entry as (tower, nums, den), at degree 1, 2, 4 and 8
+    tower = make_field(rads)
+    rng = random.Random(2100 + tower.degree)
+    seen = Counter()
+    for trial in range(32):
+        kind = ("dense", "sparse", "fold", "singular")[trial % 4]
+        n = rng.randint(2, 6 if tower.degree < 8 else 5)
+        G = kernel_gram(tower, rng, n, kind)
+        want, _ = oracles.congruence_diagonalize(G, tower)
+        got = oracles.sym_diagonalize(G, tower)
+        assert [(c.tower, c.nums, c.den) for c in got] == \
+            [(c.tower, c.nums, c.den) for c in want], (kind, G)
+        # the same matrix over a denominator with a common factor left in
+        den = lcm(*(x.den for row in G for x in row)) * 6
+        M = [[tuple(v * (den // x.den) for v in x.nums) for x in row] for row in G]
+        assert forms._sym_diagonalize(M, den, tower) == want
+        seen[kind] += 1
+        seen["rank<n"] += sum(1 for c in want if c) < n
+    assert seen["fold"] == 8 and seen["rank<n"] >= 8
+
+
+def test_integer_kernel_refuses_a_nonsymmetric_or_nonsquare_matrix():
+    one, two, z = (1, 0), (2, 0), (0, 0)
+    with pytest.raises(ValueError, match="not symmetric"):
+        forms._sym_diagonalize([[one, one], [two, one]], 1, Q2)
+    with pytest.raises(ValueError, match="not square"):
+        forms._sym_diagonalize([[one, z], [z]], 1, Q2)
+    with pytest.raises(ValueError, match="not symmetric"):
+        forms._sym_diagonalize([[(1,), (1,)], [(3,), (1,)]], 2, Q)
 
 
 # -- transfer ---------------------------------------------------------------
@@ -308,7 +360,7 @@ def block_transfer_diagonal(form, F):
                 G[2 * i + j][2 * i + k] = s(c * basis[j] * basis[k])
     corners = [bool(G[i][i]) for i in range(0, n, 2)]
     reordered = any(not corners[i] and any(corners[i + 1:]) for i in range(len(corners)))
-    return _sym_diagonalize(G, F), reordered
+    return oracles.sym_diagonalize(G, F), reordered
 
 
 def division_free_blocks(form, F, ref):
