@@ -71,8 +71,17 @@ def _integrality_witness(diagram: CoxeterDiagram) -> dict | None:
     every cycle product 2^k * g_1 * ... * g_k, a product of integers.  So
     no cycle is enumerated (their number grows exponentially with the
     mirrors: 96,925 simple cycles on the right-angled dodecahedron).
+
+    Each distinct entry is tested once, keyed by its (den, nums) within the
+    diagram's tower: edges of one label share an entry, and a repeat of an
+    entry that passed passes again.
     """
+    seen = set()
     for (i, j), a in sorted(diagram.entries.items()):
+        key = (a.den, a.nums)
+        if key in seen:
+            continue
+        seen.add(key)
         x = a * a * 4
         if not fields.is_algebraic_integer(x):
             return {"kind": "entry", "edge": [i, j], "value": element_literal(x)}

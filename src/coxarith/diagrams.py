@@ -24,7 +24,6 @@ ambient form is that matrix, diagonalized once over the trace field.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from itertools import chain
 from math import gcd, isqrt, lcm
 
@@ -55,14 +54,14 @@ class SignatureError(ValueError):
     """Gram matrix is not of hyperbolic signature (n,1)."""
 
 
-# cos(pi/m) as {squarefree class: coefficient}, for the multiquadratic labels
-_COS_PAIRS: dict[int, dict[int, Fraction]] = {
+# cos(pi/m) as {squarefree class: coefficient (num, den)}, for the multiquadratic labels
+_COS_PAIRS: dict[int, dict[int, tuple[int, int]]] = {
     2: {},
-    3: {1: Fraction(1, 2)},
-    4: {2: Fraction(1, 2)},
-    5: {1: Fraction(1, 4), 5: Fraction(1, 4)},
-    6: {3: Fraction(1, 2)},
-    12: {6: Fraction(1, 4), 2: Fraction(1, 4)},
+    3: {1: (1, 2)},
+    4: {2: (1, 2)},
+    5: {1: (1, 4), 5: (1, 4)},
+    6: {3: (1, 2)},
+    12: {6: (1, 4), 2: (1, 4)},
 }
 
 _WTERM = re.compile(
@@ -70,6 +69,22 @@ _WTERM = re.compile(
     r"(?:sqrt\((?P<root>\d+)\)|cospi\((?P<cos>\d+)\))"
     r"|(?P<rat>\d+(?:/\d+)?)"
 )
+
+
+def _term_nums(tower: FieldTower, terms: dict[int, tuple[int, int]]) -> tuple[list[int], int]:
+    """(nums, den) of the sum of n/d * sqrt(cls) over `terms`, {cls: (n, d)}
+    with d > 0, as integer numerators over the tower's basis and the lcm of
+    the term denominators: sqrt(cls) = alpha_T / scale_T, T the mask of cls."""
+    parts = []
+    for cls, (n, d) in terms.items():
+        if n:
+            T = tower.class_to_mask[cls]
+            parts.append((T, n, d * tower.basis_scale[T]))
+    den = lcm(*(d for _, _, d in parts))
+    nums = [0] * tower.degree
+    for T, n, d in parts:
+        nums[T] += n * (den // d)
+    return nums, den
 
 
 # (tower, label) -> the label's Gram entry over that tower, -cos(pi/m) or -1
@@ -80,33 +95,33 @@ def _label_entry(tower: FieldTower, label: int | str) -> FieldElement:
     """The Gram entry of an edge label over `tower`, built once per (tower, label)."""
     x = _LABEL_ENTRIES.get((tower, label))
     if x is None:
-        if label == "inf":
-            x = -tower.one()
-        else:
-            x = tower.zero()
-            for cls, q in _COS_PAIRS[label].items():
-                x = x - (tower.rational(q) if cls == 1 else tower.sqrt(cls) * q)
-        _LABEL_ENTRIES[(tower, label)] = x
+        nums, den = _term_nums(tower, {1: (1, 1)} if label == "inf" else _COS_PAIRS[label])
+        x = _LABEL_ENTRIES[(tower, label)] = FieldElement(tower, tuple(-n for n in nums), den)
     return x
 
 
-def _acc_add(acc: dict[int, Fraction], cls: int, q: Fraction) -> None:
-    acc[cls] = acc.get(cls, Fraction(0)) + q
+def _acc_add(acc: dict[int, tuple[int, int]], cls: int, n: int, d: int) -> None:
+    if cls in acc:
+        a, b = acc[cls]
+        n, d = a * d + n * b, b * d
+    acc[cls] = (n, d)
 
 
-def _weight_rational(tok: str, expr: str) -> Fraction:
-    try:
-        return Fraction(tok)
-    except ZeroDivisionError:
-        raise DiagramError(f"zero denominator in weight expression: {expr!r}") from None
+def _weight_rational(tok: str, expr: str) -> tuple[int, int]:
+    """A token of digits n or n/d as the integers (n, d), d > 0."""
+    n, _, d = tok.partition("/")
+    d = int(d) if d else 1
+    if not d:
+        raise DiagramError(f"zero denominator in weight expression: {expr!r}")
+    return int(n), d
 
 
-def _parse_weight(expr: str) -> dict[int, Fraction]:
-    """Weight expression -> {squarefree class: coefficient}."""
+def _parse_weight(expr: str) -> dict[int, tuple[int, int]]:
+    """Weight expression -> {squarefree class: coefficient as (num, den)}, den > 0."""
     s = expr.replace(" ", "")
     if not s:
         raise DiagramError("empty weight expression")
-    acc: dict[int, Fraction] = {}
+    acc: dict[int, tuple[int, int]] = {}
     pos = 0
     first = True
     while pos < len(s):
@@ -122,22 +137,24 @@ def _parse_weight(expr: str) -> dict[int, Fraction]:
         pos = m.end()
         first = False
         if m["rat"] is not None:
-            _acc_add(acc, 1, sign * _weight_rational(m["rat"], expr))
+            n, d = _weight_rational(m["rat"], expr)
+            _acc_add(acc, 1, sign * n, d)
             continue
-        coef = sign * _weight_rational(m["coef"], expr) if m["coef"] else Fraction(sign)
+        cn, cd = _weight_rational(m["coef"], expr) if m["coef"] else (1, 1)
+        cn *= sign
         if m["root"] is not None:
             n = int(m["root"])
             if n <= 0:
                 raise DiagramError("sqrt of a nonpositive integer in weight")
             t = squarefree_part(n)
-            _acc_add(acc, t, coef * isqrt(n // t))
+            _acc_add(acc, t, cn * isqrt(n // t), cd)
         else:
             mm = int(m["cos"])
             pairs = _COS_PAIRS.get(mm)
             if pairs is None:
                 raise UnsupportedLabelError("unsupported label: non-multiquadratic cosine")
-            for cls, q in pairs.items():
-                _acc_add(acc, cls, coef * q)
+            for cls, (qn, qd) in pairs.items():
+                _acc_add(acc, cls, cn * qn, cd * qd)
     return acc
 
 
@@ -168,8 +185,9 @@ class CoxeterDiagram:
     def relabeled(self, perm: dict[int, int] | list[int]) -> "CoxeterDiagram":
         """New diagram with vertex v renamed to perm[v]; same geometry."""
         if isinstance(perm, list):
-            perm = {v: perm[v - 1] for v in range(1, self.size + 1)}
-        if sorted(perm.values()) != list(range(1, self.size + 1)):
+            perm = dict(enumerate(perm, 1))
+        vertices = list(range(1, self.size + 1))
+        if sorted(perm) != vertices or sorted(perm.values()) != vertices:
             raise ValueError("relabeling is not a permutation of the vertices")
         entries = {}
         for (i, j), a in self.entries.items():
@@ -185,9 +203,10 @@ class CoxeterDiagram:
 
 def parse_diagram(text: str, name: str = "diagram") -> CoxeterDiagram:
     dim = size = None
-    # (i, j, weight as {class: coefficient}, None) or (i, j, classes of the
-    # label's cosine, label); a label's entry is built once per tower
-    raw_edges: list[tuple[int, int, dict[int, Fraction], int | str | None]] = []
+    # (i, j, weight as {class: (num, den)}, None) or (i, j, the label's
+    # cosine as {class: (num, den)}, label); a label's entry is built once
+    # per tower
+    raw_edges: list[tuple[int, int, dict[int, tuple[int, int]], int | str | None]] = []
     seen: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -248,25 +267,23 @@ def parse_diagram(text: str, name: str = "diagram") -> CoxeterDiagram:
     if size < 1:
         raise DiagramError("vertices must be positive")
 
-    classes = sorted({cls for _, _, acc, _ in raw_edges for cls, q in acc.items()
-                      if q and cls != 1})
+    classes = sorted({cls for _, _, acc, _ in raw_edges for cls, (n, _) in acc.items()
+                      if n and cls != 1})
     tower = make_field(classes)
     entries: dict[tuple[int, int], FieldElement] = {}
     for i, j, acc, label in raw_edges:
         if label is not None:
             entries[(i, j)] = _label_entry(tower, label)
             continue
-        x = tower.zero()
-        for cls, q in acc.items():
-            if not q:
-                continue
-            x = x + (tower.rational(q) if cls == 1 else tower.sqrt(cls) * q)
-        s = fields.sign_at(x - tower.one(), tower.identity_embedding)
+        # the weight x = nums / den; its entry is -x, and x - 1 must be > 0
+        nums, den = _term_nums(tower, acc)
+        s = fields.sign_at(FieldElement(tower, (nums[0] - den, *nums[1:]), den),
+                           tower.identity_embedding)
         if s == 0:
             raise DiagramError(f"edge ({i},{j}): weight 1 is a parallel pair, use inf")
         if s < 0:
             raise DiagramError(f"edge ({i},{j}): weight must exceed 1")
-        entries[(i, j)] = -x
+        entries[(i, j)] = FieldElement(tower, tuple(-n for n in nums), den)
 
     diagram = CoxeterDiagram(name, dim, size, tower, entries)
     # connectivity

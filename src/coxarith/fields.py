@@ -8,11 +8,17 @@ the 2^r basis
     alpha_S = sqrt(prod_{j in S} d_j),    S a bitmask over the radicands,
 
 so every operation is exact and runs on plain integers.  Real embeddings
-are sign vectors on the radicands.  Signs of elements are certified by
-integer fixed-point bounds: each tower keeps, per precision of `bits`
-bits, a root table of isqrt(alpha_S^2 * 4^bits), and sign_at compares the
-integer bounds of sigma(x) * den * 2^bits with 0, doubling `bits` until
-they exclude it.  The sign path uses no floating point and no Fraction.
+are sign vectors on the radicands, indexed by a mask.  Signs of elements
+are certified by integer fixed-point bounds: each tower keeps, per
+precision of `bits` bits, a table of 2 * isqrt(alpha_S^2 * 4^bits) + 1,
+and _fixed_bounds gives the integer bounds of sigma(x) * den * 2^bits at
+every mask at once, by one Hadamard transform of the numerators times
+that table.  signs(x) compares them with 0 at every mask, doubling `bits`
+while some mask is undecided; sign_at reads one mask of signs(x), and
+approx_interval one mask of the bounds.
+Norms are integer products of numerator conjugates over one power of den.
+The sign and norm paths build no FieldElement per embedding or conjugate
+and use no floating point.
 """
 
 from __future__ import annotations
@@ -29,12 +35,12 @@ __all__ = [
     "Embedding",
     "make_field",
     "sign_at",
+    "signs",
     "approx_interval",
     "is_square",
     "rational_square_classes",
     "subfields_index2",
     "intersect",
-    "minimal_field_of",
     "is_algebraic_integer",
     "integral_rescale",
     "parse_element",
@@ -159,7 +165,7 @@ class FieldTower:
         "basis_scale",
         "class_to_mask",
         "_embeddings",
-        "_roots",
+        "_bounds",
         "_subfields",
         "_zero",
         "_one",
@@ -191,7 +197,7 @@ class FieldTower:
         if len(self.class_to_mask) != self.degree:
             raise ValueError("radicands not independent")
         self._embeddings = tuple(Embedding(self, e) for e in range(self.degree))
-        self._roots: dict[int, tuple[int, ...]] = {}  # bits -> root table, see _fixed_bounds
+        self._bounds: dict[int, tuple[int, ...]] = {}  # bits -> table of _fixed_bounds
         self._subfields: tuple[FieldTower, ...] | None = None  # see subfields_index2
         self._zero = FieldElement(self, (0,) * self.degree)
         self._one = FieldElement(self, (1,) + (0,) * (self.degree - 1))
@@ -284,7 +290,7 @@ def make_field(raw_radicands: Iterable[int]) -> FieldTower:
     read as a tuple of ints, is kept (a refused input is not), so a repeated
     request factors and closes nothing.  A tower keeps every table it builds
     for itself: its basis classes and scales, its embeddings, zero and one,
-    the root tables of sign_at and the list of subfields_index2; a subfield
+    the tables of _fixed_bounds and the list of subfields_index2; a subfield
     is another tower and inherits none of them.
 
     >>> make_field([2, 3]).radicands
@@ -363,6 +369,22 @@ def _adjugate(nums, tower: FieldTower) -> tuple[tuple[int, ...], int]:
         raise RuntimeError("conjugate product must be a nonzero rational")
     g = gcd(e, *Q)
     return tuple(q // g for q in Q), e // g
+
+
+def _norm_nums(nums, tower: FieldTower) -> int:
+    """The norm to Q of sum_S nums[S] * alpha_S, an integer: the product of
+    all its conjugates, formed as in _adjugate by descending the tower one
+    radicand at a time.  y * sigma_j(y) is fixed by sigma_j, so after the
+    step for radicand j only the masks below 2^j are kept."""
+    rad = tower.basis_radicand
+    y = nums
+    for j in reversed(range(tower.r)):
+        h = 1 << j
+        y = _mul_nums(y, [-n if S & h else n for S, n in enumerate(y)], rad)
+        if any(y[h:]):
+            raise RuntimeError("conjugate product must be rational")
+        y = y[:h]
+    return y[0]
 
 
 class FieldElement:
@@ -526,17 +548,9 @@ class FieldElement:
         )
 
     def rational_norm(self) -> Fraction:
-        """Product of all real conjugates (the norm down to Q)."""
-        acc = self
-        for j in range(self.tower.r):
-            acc = acc * acc.conjugate(self.tower.embeddings()[1 << j])
-        if not acc.is_rational:
-            raise RuntimeError("conjugate product must be rational")
-        return acc.rational_value()
-
-    def support_classes(self) -> frozenset[int]:
-        t = self.tower
-        return frozenset(t.basis_class[S] for S, n in enumerate(self.nums) if n)
+        """Product of all real conjugates (the norm down to Q): the integer
+        norm of the numerators (_norm_nums) over den^degree."""
+        return Fraction(_norm_nums(self.nums, self.tower), self.den ** self.tower.degree)
 
     def express_in(self, target: FieldTower) -> "FieldElement":
         """Rewrite over another tower; raises ValueError if not contained."""
@@ -564,68 +578,83 @@ class FieldElement:
 # -- embeddings and certified signs -------------------------------------
 
 
-def _fixed_bounds(x: FieldElement, mask: int, bits: int) -> tuple[int, int]:
-    """Integers lo <= sigma(x) * den * 2^bits <= hi, sigma the embedding of `mask`.
+def _hadamard(v: list[int]) -> list[int]:
+    """v transformed in place to H(v)[m] = sum_S (-1)^|S & m| * v[S], by
+    r * 2^(r-1) butterflies for a list of length 2^r."""
+    n, h = len(v), 1
+    while h < n:
+        for i in range(0, n, 2 * h):
+            for j in range(i, i + h):
+                a, b = v[j], v[j + h]
+                v[j], v[j + h] = a + b, a - b
+        h *= 2
+    return v
 
-    Each alpha_S is bounded through the tower's root table for `bits`,
-    a_S = isqrt(alpha_S^2 * 4^bits) with a_S <= |alpha_S| * 2^bits < a_S + 1,
-    built once per (tower, bits); a term n * a_S widens by |n| on the side
-    away from 0, so hi - lo is the sum of |nums|.
+
+def _fixed_bounds(x: FieldElement, bits: int) -> tuple[list[int], int]:
+    """(t, W) with lo[m] = (t[m] - W) / 2 and hi[m] = (t[m] + W) / 2 the
+    integers lo[m] <= sigma_m(x) * den * 2^bits <= hi[m] at every mask m.
+
+    Each alpha_S is bounded through a_S = isqrt(alpha_S^2 * 4^bits), with
+    a_S <= |alpha_S| * 2^bits < a_S + 1.  At m the term s * n * alpha_S,
+    s = (-1)^|S & m|, lies between s * n * a_S and that plus s * n, so lo[m]
+    is the sum of s * n * a_S less the |n| of the terms with s * n < 0, and
+    hi[m] = lo[m] + W with W the sum of |nums|.  The sum of those |n| is
+    (W - H(nums)[m]) / 2, H the Hadamard transform (_hadamard), so with the
+    tower's table b_S = 2 * a_S + 1 for `bits`, built once per (tower, bits),
+    t = H(nums * b) = lo + hi.  t[m] - W = H(nums)[m] - W mod 2 is even, so
+    both bounds are exact integers, and lo[m] > 0 exactly when t[m] > W,
+    hi[m] < 0 exactly when t[m] < -W.  One transform gives every mask.
     """
     tower = x.tower
-    roots = tower._roots.get(bits)
-    if roots is None:
-        roots = tower._roots[bits] = tuple(isqrt(m << (2 * bits)) for m in tower.basis_radicand)
-    lo = hi = 0
-    for S, n in enumerate(x.nums):
-        if n:
-            if (S & mask).bit_count() & 1:
-                n = -n
-            t = n * roots[S]
-            if n > 0:
-                lo += t
-                hi += t + n
-            else:
-                lo += t + n
-                hi += t
-    return lo, hi
+    table = tower._bounds.get(bits)
+    if table is None:
+        table = tower._bounds[bits] = tuple(2 * isqrt(m << (2 * bits)) + 1
+                                           for m in tower.basis_radicand)
+    return _hadamard([n * b for n, b in zip(x.nums, table)]), sum(map(abs, x.nums))
 
 
 def approx_interval(x: FieldElement, sigma: Embedding, bits: int) -> tuple[Fraction, Fraction]:
     """Exact rational interval [lo, hi] containing sigma(x), width <= terms/2^bits.
 
-    The endpoints are _fixed_bounds over den * 2^bits, the same integers
-    that sign_at compares with 0.
+    The endpoints are the bounds of _fixed_bounds at sigma's mask over
+    den * 2^bits, the same integers that signs compares with 0.
     """
     if sigma.tower is not x.tower:
         raise ValueError("embedding belongs to a different tower")
-    lo, hi = _fixed_bounds(x, sigma.mask, bits)
-    den = x.den << bits
-    return Fraction(lo, den), Fraction(hi, den)
+    t, w = _fixed_bounds(x, bits)
+    s, den = t[sigma.mask], x.den << bits
+    return Fraction((s - w) >> 1, den), Fraction((s + w) >> 1, den)
+
+
+def signs(x: FieldElement) -> tuple[int, ...]:
+    """Certified sign of x at every real embedding, indexed by its mask.
+
+    The bounds of _fixed_bounds, for every mask at once, are compared with
+    0 at 64, 128, 256, ... bits, and `bits` is doubled only while some mask
+    is undecided; a mask keeps the sign it first gets.  A mask is decided
+    once 2^-bits * sum|nums| / den < |sigma(x)|, and since den * 2^bits > 0
+    the signs of the bounds are those of approx_interval's endpoints.  A
+    nonzero x is nonzero at every embedding; x = 0 gives all zeros.  No
+    floating point and no Fraction is used.
+    """
+    out = [0] * x.tower.degree
+    if not x:
+        return tuple(out)
+    bits = 64
+    while True:
+        t, w = _fixed_bounds(x, bits)
+        out = [o or (1 if s > w else -1 if s < -w else 0) for o, s in zip(out, t)]
+        if 0 not in out:
+            return tuple(out)
+        bits *= 2
 
 
 def sign_at(x: FieldElement, sigma: Embedding) -> int:
-    """Certified sign of sigma(x): exact zero test, then integer bounds.
-
-    The fixed-point bounds of sigma(x) * den * 2^bits (see _fixed_bounds)
-    are compared with 0 at 64, 128, 256, ... bits until they exclude it,
-    which they do once 2^-bits * sum|nums| / den < |sigma(x)|.  Since
-    den * 2^bits > 0, the signs of the bounds are those of approx_interval's
-    endpoints.  No floating point and no Fraction is used.
-    """
+    """Certified sign of sigma(x): the entry of signs(x) at sigma's mask."""
     if sigma.tower is not x.tower:
         raise ValueError("embedding belongs to a different tower")
-    if not x:
-        return 0
-    mask = sigma.mask
-    bits = 64
-    while True:
-        lo, hi = _fixed_bounds(x, mask, bits)
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
-        bits *= 2
+    return signs(x)[sigma.mask]
 
 
 # -- square testing ------------------------------------------------------
@@ -755,13 +784,6 @@ def subfields_index2(tower: FieldTower) -> list[FieldTower]:
 def intersect(f1: FieldTower, f2: FieldTower) -> FieldTower:
     common = f1.subgroup_classes & f2.subgroup_classes
     return make_field(sorted(common - {1}))
-
-
-def minimal_field_of(elements: Iterable[FieldElement]) -> FieldTower:
-    gens: set[int] = set()
-    for x in elements:
-        gens |= set(x.support_classes())
-    return make_field(sorted(gens - {1}))
 
 
 # -- integrality ---------------------------------------------------------

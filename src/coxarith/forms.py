@@ -14,12 +14,14 @@ exactly when they have equal rank and f + (-g) is hyperbolic, which
 localfields.is_hyperbolic decides by the local-global principle.
 
 Every real-place question is read off one table per form, negatives():
-its negative entries at each embedding, indexed by mask, each sign
-certified once.  signature_at, is_admissible, is_hyperbolic, real-place
-Hasse invariants and classify's witness and transfer fibre test all read
-it.  Two forms get their table in closed form, with no sign certified: a
-transfer reads it off its source form's, and the sum f + (-g) that
-globally_isometric tests reads it off f's and g's.
+its negative entries at each embedding, indexed by mask, with the signs
+of each entry at every embedding certified at once (fields.signs).
+signature_at, is_admissible, is_hyperbolic, real-place Hasse invariants
+and classify's witness and transfer fibre test all read it.  Two forms get
+their table in closed form, with no sign certified: a transfer reads it
+off its source form's, and the sum f + (-g) that globally_isometric tests
+reads it off f's and g's.  The determinant is kept on the form the same
+way, and that of f + (-g) is read off f's and g's.
 
 The transfer along a quadratic subextension K/F sends a rank-1 form <c>
 to the rank-2 F-form with Gram [[v, u], [u, a*v]] where c = u + v*sqrt(a)
@@ -41,7 +43,7 @@ from typing import Sequence
 
 from . import localfields
 from .fields import (Embedding, FieldElement, FieldTower, _adjugate, _mul_nums, element_literal,
-                     sign_at)
+                     signs)
 
 __all__ = [
     "QuadraticForm",
@@ -55,7 +57,7 @@ __all__ = [
 class QuadraticForm:
     """A nondegenerate diagonal quadratic form <a_1,...,a_n> over a tower."""
 
-    __slots__ = ("tower", "diagonal", "_negatives")
+    __slots__ = ("tower", "diagonal", "_negatives", "_det")
 
     def __init__(self, tower: FieldTower, diagonal):
         diag = tuple(tower.coerce(c) for c in diagonal)
@@ -64,23 +66,32 @@ class QuadraticForm:
         self.tower = tower
         self.diagonal = diag
         self._negatives = None
+        self._det = None
 
     @property
     def rank(self) -> int:
         return len(self.diagonal)
 
     def det(self) -> FieldElement:
-        out = self.tower.one()
-        for c in self.diagonal:
-            out = out * c
-        return out
+        """The product of the diagonal, formed once and kept."""
+        if self._det is None:
+            out = self.tower.one()
+            for c in self.diagonal:
+                out = out * c
+            self._det = out
+        return self._det
 
     def negatives(self) -> tuple[int, ...]:
         """Negative entries at each real embedding, indexed by its mask;
-        sign_at runs once per (entry, embedding), and the table is kept."""
+        fields.signs runs once per entry, certifying its sign at every
+        embedding together, and the table is kept."""
         if self._negatives is None:
-            self._negatives = tuple(sum(1 for c in self.diagonal if sign_at(c, sigma) < 0)
-                                    for sigma in self.tower.embeddings())
+            neg = [0] * self.tower.degree
+            for c in self.diagonal:
+                for m, s in enumerate(signs(c)):
+                    if s < 0:
+                        neg[m] += 1
+            self._negatives = tuple(neg)
         return self._negatives
 
     def literals(self) -> list[str]:
@@ -221,11 +232,14 @@ def _sym_diagonalize(M: Sequence[Sequence[Sequence[int]]], den: int,
     return D + [tower.zero()] * (n - len(D))
 
 
-def _with_negatives(tower: FieldTower, diagonal, negatives) -> QuadraticForm:
-    """A form whose table of negatives is known in closed form, so that
-    negatives() certifies no sign for it."""
+def _with_negatives(tower: FieldTower, diagonal, negatives,
+                    det: FieldElement | None = None) -> QuadraticForm:
+    """A form whose table of negatives, and determinant if given, are known
+    in closed form, so that negatives() certifies no sign for it and det()
+    multiplies nothing."""
     form = QuadraticForm(tower, diagonal)
     form._negatives = tuple(negatives)
+    form._det = det
     return form
 
 
@@ -308,7 +322,9 @@ def globally_isometric(f: QuadraticForm, g: QuadraticForm) -> bool:
 
     By Witt cancellation f = g exactly when f + (-g) is a sum of hyperbolic
     planes; localfields.is_hyperbolic decides that by real signatures,
-    determinant class and Hasse invariants.
+    determinant class and Hasse invariants.  The sum's table of negatives
+    and determinant, det f * det g * (-1)^rank(g), are read off f's and
+    g's.
     """
     if f.tower != g.tower:
         raise ValueError("forms live over different towers")
@@ -317,8 +333,10 @@ def globally_isometric(f: QuadraticForm, g: QuadraticForm) -> bool:
     # -c is negative exactly where c is positive, so f + (-g) has
     # neg_f[s] + rank(g) - neg_g[s] negatives at s and no sign is certified
     neg = [k + g.rank - kg for k, kg in zip(f.negatives(), g.negatives())]
+    det = f.det() * g.det()
     return localfields.is_hyperbolic(
-        _with_negatives(f.tower, f.diagonal + tuple(-c for c in g.diagonal), neg))
+        _with_negatives(f.tower, f.diagonal + tuple(-c for c in g.diagonal), neg,
+                        -det if g.rank % 2 else det))
 
 
 def is_admissible(form: QuadraticForm) -> bool:

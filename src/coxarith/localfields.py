@@ -342,7 +342,7 @@ class _Completion:
         self.size = 1 << len(st.gens)
         self.bprod = tuple(_prod(g for j, g in enumerate(self.gens) if (mask >> j) & 1)
                            for mask in range(self.size))
-        self._vec_cache: dict[tuple[int, FieldElement], int] = {}
+        self._vec_cache: dict[tuple[int, int, tuple[int, ...]], int] = {}  # see vec_of_element
         self._digits, self._images = 1, self._radicand_images(1)
         h = -min(s for _, s, _ in self._images)  # alpha_0 = 1 has s = 0
         self._h = h + (h & 1)
@@ -368,18 +368,23 @@ class _Completion:
     def embed(self, x: FieldElement, eps_mask: int):
         """x * den^2 * p^h, integral and in the class of x, from its integer
         coordinates over beta_S mod p^(t+c+h), in the subclass's element type.
-        t = v_p(N(x * den^2)) bounds v_pi(x * den^2); the even h clears the
+        t = v_p(N(x * den^2)) bounds v_pi(x * den^2), the norm taken on the
+        integer numerators (fields._norm_nums); the even h clears the
         denominators of the images of alpha_S; c = _extra is 1 at odd p, where
         the class is read mod pi^(v+1), and 3 at p = 2, where the truncation
         is then x * den^2 * p^h times 1 + O(pi^(2e+1)), a square by the local
         square theorem (O'Meara 63:1)."""
+        p = self.p
         nums = [c * x.den for c in x.nums]
-        t = _split_val(FieldElement(self.tower, tuple(nums)).rational_norm(), self.p)[0]
+        norm, t = fields._norm_nums(nums, self.tower), 0
+        while norm % p == 0:
+            norm //= p
+            t += 1
         need = t + self._extra + self._h
         if self._digits < need:
             self._digits = max(need, 2 * self._digits)
             self._images = self._radicand_images(self._digits)
-        p, h, mod = self.p, self._h, self.p**need
+        h, mod = self._h, p**need
         z = [0] * self.size
         for S, (n, (M, s, c)) in enumerate(zip(nums, self._images)):
             if (S & eps_mask).bit_count() & 1:
@@ -426,7 +431,10 @@ class _Completion:
                 raise RuntimeError("local pairing disagrees with rational Hilbert symbol")
 
     def vec_of_element(self, x: FieldElement, eps_mask: int) -> int:
-        key = (eps_mask, x)
+        """Square class bitmask of x, an element of the model's tower, at the
+        place of eps_mask; kept per (eps_mask, den, nums), which names x
+        within the tower, so no element is hashed."""
+        key = (eps_mask, x.den, x.nums)
         got = self._vec_cache.get(key)
         if got is None:
             got = self.vec_int(self.embed(x, eps_mask))

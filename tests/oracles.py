@@ -45,7 +45,10 @@ elimination and rescaled Gram matrix on `FieldElement` matrices: the first
 writes its input over one common denominator, the second reads its output
 back as elements.  `rescaled_gram_by_elements` is the same matrix built
 with one `FieldElement` product per step, and its field by
-`fields.minimal_field_of`: the reference for the integer construction.
+`minimal_field_of`: the reference for the integer construction.
+`support_classes` and `minimal_field_of` once stood in `coxarith.fields`:
+the square classes of an element's nonzero basis terms, and the tower
+they generate.
 `simple_cycles` and `cycle_product` once stood in `coxarith.diagrams`;
 they are the cycle-product reference for the trace field.
 
@@ -449,7 +452,21 @@ def rescaled_gram_by_elements(diagram):
         A[v - 1][v - 1] = cv * cv
     for (i, j), a in diagram.entries.items():
         A[i - 1][j - 1] = A[j - 1][i - 1] = c[i] * c[j] * a
-    return A, fields.minimal_field_of(x for row in A for x in row)
+    return A, minimal_field_of(x for row in A for x in row)
+
+
+def support_classes(x: FieldElement) -> frozenset[int]:
+    """The square classes of the basis elements on which x is nonzero."""
+    t = x.tower
+    return frozenset(t.basis_class[S] for S, n in enumerate(x.nums) if n)
+
+
+def minimal_field_of(elements) -> "fields.FieldTower":
+    """The tower generated by the support classes of the elements."""
+    gens: set[int] = set()
+    for x in elements:
+        gens |= support_classes(x)
+    return fields.make_field(sorted(gens - {1}))
 
 
 def simple_cycles(diagram) -> list[tuple[int, ...]]:

@@ -271,6 +271,25 @@ def test_right_angled_dodecahedron_is_arithmetic_without_cycle_enumeration():
     assert rep.witnesses == {}
 
 
+def test_integrality_witness_tests_each_distinct_entry_once(monkeypatch):
+    calls = []
+    real = fields.is_algebraic_integer
+    monkeypatch.setattr(fields, "is_algebraic_integer", lambda x: calls.append(x) or real(x))
+    # the label-5 entry and the weight 5/4 share the denominator 4 over
+    # Q(sqrt5); the label passes, the weight does not
+    d = diagrams.parse_diagram("dim 2\nvertices 3\nedge 1 2 5\nedge 2 3 3\nedge 1 3 w 5/4\n")
+    assert classify._integrality_witness(d) == {"kind": "entry", "edge": [1, 3],
+                                                "value": "25/4"}
+    # the test descends to Q by calling itself, over another tower
+    assert sum(x.tower is d.tower for x in calls) == 2
+    # 36 edges, two distinct entries
+    calls.clear()
+    d = diagrams.load_diagram(os.path.join(os.path.dirname(__file__), "data",
+                                           "dodecahedron.cox"))
+    assert classify._integrality_witness(d) is None
+    assert sum(x.tower is d.tower for x in calls) == 2
+
+
 def test_determinant_norm_and_transfer_table_identities():
     # at the index-2 subfield F fixed by mask e, with m = rank(f):
     # (-1)^m * det transfer(f, F) is N_{K/F}(det f) up to squares, and the

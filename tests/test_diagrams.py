@@ -102,6 +102,19 @@ def test_weight_expression_forms():
     d = parse_diagram(base.format("3-sqrt(2)"))
     assert fields.sign_at(-d.entries[(1, 2)] - d.tower.one(),
                           d.tower.identity_embedding) > 0
+    # terms of one class over different denominators; classes whose tower
+    # basis element carries a scale (sqrt(15) = alpha / 2 over (6, 10)); a
+    # class that cancels out of the tower
+    d = parse_diagram(base.format("3/2+1/3"))
+    assert d.tower.r == 0 and -d.entries[(1, 2)] == Fraction(11, 6)
+    d = parse_diagram(base.format("2*cospi(5)+1/3*sqrt(5)"))
+    assert -d.entries[(1, 2)] == d.tower.rational(Fraction(1, 2)) + d.tower.sqrt(5) * Fraction(5, 6)
+    d = parse_diagram(base.format("1/2*sqrt(6)+1/3*sqrt(10)+1/5*sqrt(15)"))
+    assert d.tower.radicands == (6, 10) and d.tower.basis_scale[3] == 2
+    assert -d.entries[(1, 2)] == (d.tower.sqrt(6) * Fraction(1, 2) + d.tower.sqrt(10) * Fraction(1, 3)
+                                  + d.tower.sqrt(15) * Fraction(1, 5))
+    d = parse_diagram(base.format("sqrt(2)-sqrt(2)+3/2"))
+    assert d.tower.r == 0 and -d.entries[(1, 2)] == Fraction(3, 2)
 
 
 def test_parse_errors():
@@ -145,11 +158,11 @@ def test_simple_cycles():
 def _cycle_trace_field(d):
     gens = [a * a for a in d.entries.values()]
     gens += [oracles.cycle_product(d, c) for c in oracles.simple_cycles(d)]
-    return fields.minimal_field_of(gens)
+    return oracles.minimal_field_of(gens)
 
 
 def _rescaled_field(d):
-    return fields.minimal_field_of(x for row in oracles.rescaled_gram(d) for x in row)
+    return oracles.minimal_field_of(x for row in oracles.rescaled_gram(d) for x in row)
 
 
 def test_rescaled_gram_equals_the_element_products():
@@ -243,6 +256,26 @@ def test_relabeling_permutes_entries():
         for (i, j), a in d.entries.items():
             x, y = perm[i - 1], perm[j - 1]
             assert r.entries[(min(x, y), max(x, y))] == a
+
+
+def test_relabeled_refuses_a_list_one_too_long():
+    d = parse_diagram(DELTA5, "delta5")
+    with pytest.raises(ValueError, match="not a permutation"):
+        d.relabeled([1, 2, 3, 4, 5, 6, 99])
+
+
+def test_relabeled_refuses_a_list_too_short():
+    d = parse_diagram(DELTA5, "delta5")
+    with pytest.raises(ValueError, match="not a permutation"):
+        d.relabeled([2, 1, 3, 4, 5])
+
+
+def test_relabeled_refuses_a_dict_with_a_foreign_key():
+    d = parse_diagram(DELTA5, "delta5")
+    with pytest.raises(ValueError, match="not a permutation"):
+        d.relabeled({1: 1, 2: 2, 3: 3, 4: 4, 5: 5, 7: 6})
+    # the same values on the vertices relabel
+    assert d.relabeled({1: 1, 2: 2, 3: 3, 4: 4, 5: 5, 6: 6}).entries == d.entries
 
 
 def test_adjacency_matches_the_entries():

@@ -23,7 +23,6 @@ from coxarith.fields import (
     is_algebraic_integer,
     is_square,
     make_field,
-    minimal_field_of,
     parse_element,
     rational_square_classes,
     sign_at,
@@ -348,9 +347,35 @@ def test_sign_at_runs_on_integers_once_its_tables_exist(monkeypatch):
     def refuse(*args):
         raise AssertionError("sign_at left integer fixed point")
 
+    expected_all = [fields.signs(x) for x, _ in cases]
+
     monkeypatch.setattr(fields, "Fraction", refuse)
     monkeypatch.setattr(fields, "isqrt", refuse)
     assert [sign_at(x, sigma) for x, sigma in cases] == expected
+    assert [fields.signs(x) for x, _ in cases] == expected_all
+
+
+def test_signs_match_the_dense_oracle_at_every_mask():
+    # degrees 1, 2, 4 and 8: zero, random elements, and Pell near-cancellations
+    # that stay undecided at 64 and 128 bits at some masks and not at others
+    p, q = pell_convergent(1 << 70)
+    t2, t23, t235 = TOWERS[1:]
+    cases = [T.zero() for T in TOWERS]
+    cases += [t2.element([Fraction(p, q), -1]), t2.element([Fraction(p, q), 1]),
+              t23.sqrt(3) * Fraction(p, q) - t23.sqrt(6) + t23.rational(Fraction(1, 1 << 150)),
+              t235.sqrt(15) * Fraction(p, q) - t235.sqrt(30)]
+    rng = random.Random(131)
+    cases += [rand_element(T, rng, scale=9, dens=(1, 2, 3, 7)) for T in TOWERS for _ in range(12)]
+    tight = 0
+    for x in cases:
+        got = fields.signs(x)
+        assert len(got) == x.tower.degree
+        for sigma in x.tower.embeddings():
+            want = oracles.dense_sign(x.tower.radicands, list(x.coeffs), sigma.mask)
+            assert got[sigma.mask] == sign_at(x, sigma) == want
+            lo, hi = approx_interval(x, sigma, 128)
+            tight += lo < 0 < hi
+    assert tight >= 4
 
 
 def test_sign_at_rejects_an_embedding_of_another_tower():
@@ -428,9 +453,9 @@ def test_minimal_field_of_examples():
     t = make_field([2, 3])
     half = t.rational(Fraction(1, 2))
     r2half = t.sqrt(2) * Fraction(1, 2)
-    assert minimal_field_of([half, r2half]).radicands == (2,)
-    assert minimal_field_of([t.rational(Fraction(1, 3))]) is Q
-    assert minimal_field_of([t.sqrt(6)]).radicands == (6,)
+    assert oracles.minimal_field_of([half, r2half]).radicands == (2,)
+    assert oracles.minimal_field_of([t.rational(Fraction(1, 3))]) is Q
+    assert oracles.minimal_field_of([t.sqrt(6)]).radicands == (6,)
 
 
 def test_fixing_embeddings():

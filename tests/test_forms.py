@@ -650,14 +650,16 @@ def test_signature_at_rejects_another_towers_embedding():
 
 
 def test_each_sign_is_certified_once_per_form(monkeypatch):
+    # negatives() certifies each entry's signs at every embedding in one
+    # fields.signs call, so a form costs one call per entry
     calls = Counter()
-    real = fields.sign_at
+    real = fields.signs
 
-    def counting(x, sigma):
-        calls[x, sigma.mask] += 1
-        return real(x, sigma)
+    def counting(x):
+        calls[x] += 1
+        return real(x)
 
-    monkeypatch.setattr(forms, "sign_at", counting)
+    monkeypatch.setattr(forms, "signs", counting)
     rng = random.Random(127)
     f = QuadraticForm(Q235, [rand_nonzero(Q235, rng) for _ in range(4)])
     for _ in range(2):
@@ -665,8 +667,8 @@ def test_each_sign_is_certified_once_per_form(monkeypatch):
         for sigma in Q235.embeddings():
             signature_at(f, sigma)
         localfields.is_hyperbolic(f)
-    assert sum(calls.values()) == f.rank * Q235.degree
-    assert f.negatives() == tuple(sum(1 for c in f.diagonal if real(c, s) < 0)
+    assert sum(calls.values()) == f.rank
+    assert f.negatives() == tuple(sum(1 for c in f.diagonal if fields.sign_at(c, s) < 0)
                                   for s in Q235.embeddings())
     # globally_isometric gives f + (-g) the table neg_f + rank(g) - neg_g:
     # g's signs are certified once and the sum's never, and the verdict is
@@ -677,14 +679,40 @@ def test_each_sign_is_certified_once_per_form(monkeypatch):
               QuadraticForm(Q235, [rand_nonzero(Q235, rng) for _ in range(4)])):
         calls.clear()
         got = [globally_isometric(f, g) for _ in range(2)]
-        assert set(calls) == {(c, s) for c in g.diagonal for s in range(Q235.degree)}
-        assert sum(calls.values()) == g.rank * Q235.degree
-        monkeypatch.setattr(forms, "sign_at", real)
+        assert set(calls) == set(g.diagonal)
+        assert sum(calls.values()) == g.rank
+        monkeypatch.setattr(forms, "signs", real)
         total = QuadraticForm(Q235, f.diagonal + tuple(-c for c in g.diagonal))
         assert got == [localfields.is_hyperbolic(total)] * 2
-        monkeypatch.setattr(forms, "sign_at", counting)
+        monkeypatch.setattr(forms, "signs", counting)
         verdicts.append(got[0])
     assert verdicts == [True, False]
+
+
+def test_isometry_sum_takes_its_determinant_in_closed_form(monkeypatch):
+    # globally_isometric hands is_hyperbolic f + (-g) with its determinant
+    # det f * det g * (-1)^rank(g) already set: the product of its diagonal
+    sums = []
+    real = localfields.is_hyperbolic
+
+    def recording(form):
+        sums.append((form._det, form))
+        return real(form)
+
+    monkeypatch.setattr(localfields, "is_hyperbolic", recording)
+    rng = random.Random(139)
+    for tower in (Q, Q2, Q23, Q235):
+        for rank in (1, 2, 3, 4):
+            f = QuadraticForm(tower, [rand_nonzero(tower, rng) for _ in range(rank)])
+            g = QuadraticForm(tower, [rand_nonzero(tower, rng) for _ in range(rank)])
+            globally_isometric(f, g)
+            globally_isometric(f, QuadraticForm(tower, [-c for c in f.diagonal]))
+    assert len(sums) == 32
+    for det, form in sums:
+        product = form.tower.one()
+        for c in form.diagonal:
+            product = product * c
+        assert det is not None and det == product
 
 
 def test_square_class_oracle_agreement_quadratic():
