@@ -28,7 +28,7 @@ from itertools import chain
 from math import gcd, isqrt, lcm
 
 from . import fields, forms
-from .fields import FieldElement, FieldTower, _mul_nums, make_field, squarefree_part
+from .fields import FieldElement, FieldTower, _mul_nums, _term_nums, make_field, squarefree_part
 from .forms import QuadraticForm
 
 __all__ = [
@@ -69,22 +69,6 @@ _WTERM = re.compile(
     r"(?:sqrt\((?P<root>\d+)\)|cospi\((?P<cos>\d+)\))"
     r"|(?P<rat>\d+(?:/\d+)?)"
 )
-
-
-def _term_nums(tower: FieldTower, terms: dict[int, tuple[int, int]]) -> tuple[list[int], int]:
-    """(nums, den) of the sum of n/d * sqrt(cls) over `terms`, {cls: (n, d)}
-    with d > 0, as integer numerators over the tower's basis and the lcm of
-    the term denominators: sqrt(cls) = alpha_T / scale_T, T the mask of cls."""
-    parts = []
-    for cls, (n, d) in terms.items():
-        if n:
-            T = tower.class_to_mask[cls]
-            parts.append((T, n, d * tower.basis_scale[T]))
-    den = lcm(*(d for _, _, d in parts))
-    nums = [0] * tower.degree
-    for T, n, d in parts:
-        nums[T] += n * (den // d)
-    return nums, den
 
 
 # (tower, label) -> the label's Gram entry over that tower, -cos(pi/m) or -1

@@ -14,8 +14,7 @@ precision of `bits` bits, a table of 2 * isqrt(alpha_S^2 * 4^bits) + 1,
 and _fixed_bounds gives the integer bounds of sigma(x) * den * 2^bits at
 every mask at once, by one Hadamard transform of the numerators times
 that table.  signs(x) compares them with 0 at every mask, doubling `bits`
-while some mask is undecided; sign_at reads one mask of signs(x), and
-approx_interval one mask of the bounds.
+while some mask is undecided, and sign_at reads one mask of signs(x).
 Norms are integer products of numerator conjugates over one power of den.
 The sign and norm paths build no FieldElement per embedding or conjugate
 and use no floating point.
@@ -27,6 +26,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
+from numbers import Integral, Rational
 from typing import Iterable, NamedTuple
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "make_field",
     "sign_at",
     "signs",
-    "approx_interval",
     "is_square",
     "rational_square_classes",
     "subfields_index2",
@@ -48,9 +47,6 @@ __all__ = [
     "factorize",
     "squarefree_part",
 ]
-
-_ONE = Fraction(1)
-
 
 def _sieve(bound: int) -> list[int]:
     flags = bytearray([1]) * (bound + 1)
@@ -139,6 +135,15 @@ def _closure(gens: Iterable[int]) -> frozenset[int]:
     return frozenset(group)
 
 
+def _exact(q, kind=Rational):
+    """q itself if it is a `kind` (numbers.Rational or numbers.Integral) other
+    than a bool.  A bool, float or str raises TypeError: it would be read at
+    a value the caller may not have meant (a float at its binary value)."""
+    if isinstance(q, bool) or not isinstance(q, kind):
+        raise TypeError(f"expected {kind.__name__.lower()} value, not {type(q).__name__}")
+    return q
+
+
 class Embedding(NamedTuple):
     """A real embedding of a tower: radicand j maps to (-1)^bit_j(mask) * sqrt(d_j)."""
 
@@ -206,7 +211,7 @@ class FieldTower:
     # -- constructors -------------------------------------------------
 
     def element(self, coeffs: Iterable) -> "FieldElement":
-        cs = [Fraction(c) for c in coeffs]
+        cs = [Fraction(_exact(c)) for c in coeffs]
         if len(cs) != self.degree:
             raise ValueError("coefficient vector has wrong length")
         den = lcm(*(c.denominator for c in cs))
@@ -220,24 +225,19 @@ class FieldTower:
 
     def rational(self, q) -> "FieldElement":
         if type(q) is not int:
-            q = Fraction(q)
+            q = Fraction(_exact(q))
             return FieldElement(self, (q.numerator,) + self._zero.nums[1:], q.denominator)
         return FieldElement(self, (q,) + self._zero.nums[1:])
 
     def sqrt(self, q) -> "FieldElement":
         """sqrt(q) for positive rational q whose square class lies in the tower."""
-        q = Fraction(q)
+        q = Fraction(_exact(q))
         if q <= 0:
             raise ValueError("sqrt of a nonpositive rational")
         n = q.numerator * q.denominator
         t = squarefree_part(n)
-        mask = self.class_to_mask.get(t)
-        if mask is None:
-            raise ValueError(f"sqrt({q}) does not lie in {self}")
-        # sqrt(q) = isqrt(n//t)/den * sqrt(t), and sqrt(t) = alpha_mask / scale
-        nums = [0] * self.degree
-        nums[mask] = isqrt(n // t)
-        return FieldElement(self, tuple(nums), q.denominator * self.basis_scale[mask])
+        # sqrt(q) = isqrt(n // t) / den * sqrt(t)
+        return FieldElement(self, *_term_nums(self, {t: (isqrt(n // t), q.denominator)}))
 
     def coerce(self, value) -> "FieldElement":
         if isinstance(value, FieldElement):
@@ -282,7 +282,8 @@ _RAW_CACHE: dict[tuple[int, ...], FieldTower] = {}  # make_field's input as ints
 def make_field(raw_radicands: Iterable[int]) -> FieldTower:
     """Canonical tower containing sqrt(d) for every requested d.
 
-    Radicands are reduced to squarefree parts, closed under products, and
+    Radicands are integers (a bool, float or str raises TypeError); they
+    are reduced to squarefree parts, closed under products, and
     the canonical basis is the ascending greedy independent set drawn from
     the whole square-class subgroup (so equal fields get equal tuples).
 
@@ -302,7 +303,7 @@ def make_field(raw_radicands: Iterable[int]) -> FieldTower:
     >>> make_field([6, 10, 15]).radicands == make_field([10, 15]).radicands
     True
     """
-    raw = tuple(int(d) for d in raw_radicands)
+    raw = tuple(d if type(d) is int else int(_exact(d, Integral)) for d in raw_radicands)
     tower = _RAW_CACHE.get(raw)
     if tower is not None:
         return tower
@@ -327,6 +328,25 @@ def make_field(raw_radicands: Iterable[int]) -> FieldTower:
         _TOWER_CACHE[key] = tower
     _RAW_CACHE[raw] = tower
     return tower
+
+
+def _term_nums(tower: FieldTower, terms: dict[int, tuple[int, int]]) -> tuple[tuple[int, ...], int]:
+    """(nums, den) of the sum of n/d * sqrt(cls) over `terms`, {cls: (n, d)}
+    with d > 0, as integer numerators over the tower's basis and the lcm of
+    the term denominators: sqrt(cls) = alpha_T / scale_T, T the mask of cls.
+    A nonzero term whose class is not in the tower raises ValueError."""
+    parts = []
+    for cls, (n, d) in terms.items():
+        if n:
+            T = tower.class_to_mask.get(cls)
+            if T is None:
+                raise ValueError(f"sqrt({cls}) does not lie in {tower}")
+            parts.append((T, n, d * tower.basis_scale[T]))
+    den = lcm(*(d for _, _, d in parts))
+    nums = [0] * tower.degree
+    for T, n, d in parts:
+        nums[T] += n * (den // d)
+    return tuple(nums), den
 
 
 def _mul_nums(a, b, rad: tuple[int, ...], acc: list[int] | None = None) -> list[int]:
@@ -375,10 +395,12 @@ def _norm_nums(nums, tower: FieldTower) -> int:
     """The norm to Q of sum_S nums[S] * alpha_S, an integer: the product of
     all its conjugates, formed as in _adjugate by descending the tower one
     radicand at a time.  y * sigma_j(y) is fixed by sigma_j, so after the
-    step for radicand j only the masks below 2^j are kept."""
+    step for radicand j only the masks below 2^j are kept.  nums may be the
+    first 2^k numerators: the norm is then taken from the subfield of the
+    first k radicands."""
     rad = tower.basis_radicand
     y = nums
-    for j in reversed(range(tower.r)):
+    for j in reversed(range(len(nums).bit_length() - 1)):
         h = 1 << j
         y = _mul_nums(y, [-n if S & h else n for S, n in enumerate(y)], rad)
         if any(y[h:]):
@@ -394,7 +416,9 @@ class FieldElement:
     den > 0 and gcd(den, *nums) == 1 (zero has den == 1), so two elements of
     one tower are equal exactly when their (den, nums) are.  Across towers,
     equality and hashing use a tower-independent integer key, so the same
-    number compares equal in different ambient towers.
+    number compares equal in different ambient towers; a rational element
+    hashes as its Fraction, so it also hashes equal to the int or Fraction
+    that it equals.
     """
 
     __slots__ = ("tower", "nums", "den")
@@ -442,6 +466,8 @@ class FieldElement:
         return NotImplemented
 
     def __hash__(self) -> int:
+        if self.is_rational:
+            return hash(Fraction(self.nums[0], self.den))
         return hash(self._key())
 
     def __bool__(self) -> bool:
@@ -557,19 +583,10 @@ class FieldElement:
         if target is self.tower:
             return self
         src = self.tower
-        terms = []
-        for S, n in enumerate(self.nums):
-            if n:
-                mask = target.class_to_mask.get(src.basis_class[S])
-                if mask is None:
-                    raise ValueError(f"element does not lie in {target}")
-                # n * alpha_S = n * scale_S / scale_mask * alpha'_mask
-                terms.append((mask, n * src.basis_scale[S], target.basis_scale[mask]))
-        m = lcm(*(s for _, _, s in terms))
-        out = [0] * target.degree
-        for mask, n, s in terms:
-            out[mask] += n * (m // s)
-        return FieldElement(target, tuple(out), self.den * m)
+        # n * alpha_S / den = n * scale_S / den * sqrt(class_S)
+        terms = {src.basis_class[S]: (n * src.basis_scale[S], self.den)
+                 for S, n in enumerate(self.nums)}
+        return FieldElement(target, *_term_nums(target, terms))
 
     def __repr__(self) -> str:
         return f"<{element_literal(self)} in {self.tower}>"
@@ -614,19 +631,6 @@ def _fixed_bounds(x: FieldElement, bits: int) -> tuple[list[int], int]:
     return _hadamard([n * b for n, b in zip(x.nums, table)]), sum(map(abs, x.nums))
 
 
-def approx_interval(x: FieldElement, sigma: Embedding, bits: int) -> tuple[Fraction, Fraction]:
-    """Exact rational interval [lo, hi] containing sigma(x), width <= terms/2^bits.
-
-    The endpoints are the bounds of _fixed_bounds at sigma's mask over
-    den * 2^bits, the same integers that signs compares with 0.
-    """
-    if sigma.tower is not x.tower:
-        raise ValueError("embedding belongs to a different tower")
-    t, w = _fixed_bounds(x, bits)
-    s, den = t[sigma.mask], x.den << bits
-    return Fraction((s - w) >> 1, den), Fraction((s + w) >> 1, den)
-
-
 def signs(x: FieldElement) -> tuple[int, ...]:
     """Certified sign of x at every real embedding, indexed by its mask.
 
@@ -634,7 +638,7 @@ def signs(x: FieldElement) -> tuple[int, ...]:
     0 at 64, 128, 256, ... bits, and `bits` is doubled only while some mask
     is undecided; a mask keeps the sign it first gets.  A mask is decided
     once 2^-bits * sum|nums| / den < |sigma(x)|, and since den * 2^bits > 0
-    the signs of the bounds are those of approx_interval's endpoints.  A
+    the integer bounds have the signs of the bounds on sigma(x) itself.  A
     nonzero x is nonzero at every embedding; x = 0 gives all zeros.  No
     floating point and no Fraction is used.
     """
@@ -832,11 +836,15 @@ _TERM_RE = re.compile(
 
 
 def parse_element(text: str, tower: FieldTower | None = None) -> FieldElement:
-    """Parse `1/2 + 1/2*sqrt(6) - sqrt(2)` style literals, whitespace-insensitive."""
+    """Parse `1/2 + 1/2*sqrt(6) - sqrt(2)` style literals, whitespace-insensitive.
+
+    Terms are summed per square class and built through _term_nums, so a
+    nonzero term outside the given tower raises ValueError.
+    """
     s = re.sub(r"\s+", "", text)
     if not s:
         raise ValueError("empty element literal")
-    terms: list[tuple[Fraction, int]] = []
+    terms: dict[int, Fraction] = {}  # square class -> coefficient of its sqrt
     pos = 0
     while pos < len(s):
         m = _TERM_RE.match(s, pos)
@@ -845,23 +853,21 @@ def parse_element(text: str, tower: FieldTower | None = None) -> FieldElement:
         if pos > 0 and m.group("sign") == "":
             raise ValueError(f"missing +/- between terms in {text!r}")
         try:
-            q = Fraction(m.group("rat")) if m.group("rat") else _ONE
+            q = Fraction(m.group("rat") or 1)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in element literal {text!r}") from None
         if m.group("sign") == "-":
             q = -q
-        rad = m.group("rad1") or m.group("rad2")
-        terms.append((q, int(rad) if rad else 1))
-        pos = m.end()
-    for _, d in terms:
+        d = int(m.group("rad1") or m.group("rad2") or 1)
         if d == 0:
             raise ValueError("sqrt(0) is not a valid term")
+        t = squarefree_part(d)
+        terms[t] = terms.get(t, 0) + q * isqrt(d // t)
+        pos = m.end()
     if tower is None:
-        tower = make_field([d for _, d in terms if d > 1])
-    out = tower.zero()
-    for q, d in terms:
-        out = out + (tower.rational(q) if d == 1 else tower.sqrt(d) * q)
-    return out
+        tower = make_field([t for t in terms if t > 1])
+    return FieldElement(tower, *_term_nums(tower, {t: (q.numerator, q.denominator)
+                                                   for t, q in terms.items()}))
 
 
 def element_literal(x: FieldElement) -> str:

@@ -14,11 +14,13 @@ its unit residue to F_p.
 
 At p = 2 the completion is modelled on exact elements of the field L of
 the local generators, in which 2 has one place, so a valuation is v_2 of
-an exact norm divided by f.  One quadratic defect loop (O'Meara,
-Introduction to Quadratic Forms, section 63) reduces a unit toward 1 by
-square corrections until what is left is a square or an obstruction, an
-odd-valuation defect or an unsolvable Artin-Schreier equation at the
-critical level 2e.  The obstruction of each new local generator over the
+the integer norm of the numerators (fields._norm_nums), less v_2 of the
+matching power of the denominator, divided by f.  Every p-adic valuation
+is of an int and taken by one routine, _split_val.  One quadratic defect
+loop (O'Meara, Introduction to Quadratic Forms, section 63) reduces a
+unit toward 1 by square corrections until what is left is a square or an
+obstruction, an odd-valuation defect or an unsolvable Artin-Schreier
+equation at the critical level 2e.  The obstruction of each new local generator over the
 subfield so far gives the next uniformizer or residue generator; on the
 finished model the loop divides each obstruction out by the matching unit
 generator, which gives the square class vector.  The pairing row of a
@@ -74,25 +76,22 @@ __all__ = [
 # -- rational Hilbert symbols ---------------------------------------------
 
 
-def _split_val(q: Fraction, p: int) -> tuple[int, Fraction]:
-    v, num, den = 0, q.numerator, q.denominator
-    while num % p == 0:
-        num //= p
+def _split_val(n: int, p: int) -> tuple[int, int]:
+    """(v, u) with n = p^v * u and p not dividing u, for a nonzero int n."""
+    v = 0
+    while n % p == 0:
+        n //= p
         v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v, Fraction(num, den)
+    return v, n
 
 
-def _unit_mod8(u: Fraction) -> int:
-    # den odd, den^2 = 1 mod 8, so num/den = num*den mod 8
-    return (u.numerator * u.denominator) % 8
-
-
-def _legendre_unit(u: Fraction, p: int) -> int:
-    n = (u.numerator * u.denominator) % p
-    return 1 if pow(n, (p - 1) // 2, p) == 1 else -1
+def _qp_class(n: int, p: int) -> tuple[int, int]:
+    """The class of the nonzero int n = p^v * u in Q_p* / (Q_p*)^2: (v mod 2,
+    u mod 8) at p = 2 and (v mod 2, the Legendre symbol of u) at odd p."""
+    v, u = _split_val(n, p)
+    if p == 2:
+        return v & 1, u % 8
+    return v & 1, 1 if pow(u % p, (p - 1) // 2, p) == 1 else -1
 
 
 def _prime(p: int) -> int:
@@ -102,39 +101,31 @@ def _prime(p: int) -> int:
 
 
 def hilbert_symbol_Q(a, b, v="inf") -> int:
-    """Hilbert symbol (a,b)_v over Q; v is "inf" or a prime (else ValueError)."""
-    a, b = Fraction(a), Fraction(b)
+    """Hilbert symbol (a,b)_v over Q; v is "inf" or a prime (else ValueError).
+    a and b are rational (a bool, float or str raises TypeError, as in
+    fields._exact).
+
+    At a prime both arguments are read through _qp_class (a = n/d has the
+    class of n*d): at p = 2 the symbol is (-1)^(e(a)e(b) + v(a)w(b) +
+    v(b)w(a)) with e(u) = [u = 3 mod 4] and w(u) = [u = 3, 5 mod 8], at odd
+    p it is (-1)^(v(a)v(b)(p-1)/2) (u_a/p)^v(b) (u_b/p)^v(a) (Serre, A
+    Course in Arithmetic, III.1).
+    """
+    a, b = Fraction(fields._exact(a)), Fraction(fields._exact(b))
     if not a or not b:
         raise ZeroDivisionError("Hilbert symbol of 0")
     if v in ("inf", "real", None):
         return -1 if (a < 0 and b < 0) else 1
     p = _prime(int(v))
-    va, ua = _split_val(a, p)
-    vb, ub = _split_val(b, p)
+    (va, ua), (vb, ub) = (_qp_class(q.numerator * q.denominator, p) for q in (a, b))
     if p == 2:
-        ea = 1 if _unit_mod8(ua) % 4 == 3 else 0
-        eb = 1 if _unit_mod8(ub) % 4 == 3 else 0
-        wa = 1 if _unit_mod8(ua) in (3, 5) else 0
-        wb = 1 if _unit_mod8(ub) in (3, 5) else 0
-        return -1 if (ea * eb + va * wb + vb * wa) % 2 else 1
-    sign = 1
-    if (va * vb) % 2 and p % 4 == 3:
-        sign = -sign
-    if vb % 2:
-        sign *= _legendre_unit(ua, p)
-    if va % 2:
-        sign *= _legendre_unit(ub, p)
-    return sign
+        bit = (ua % 4 == 3 and ub % 4 == 3) ^ (va and ub in (3, 5)) ^ (vb and ua in (3, 5))
+        return -1 if bit else 1
+    sign = -1 if va and vb and p % 4 == 3 else 1
+    return sign * (ua if vb else 1) * (ub if va else 1)
 
 
 # -- splitting of a prime in a tower --------------------------------------
-
-
-def _qp_class(q: Fraction, p: int) -> tuple[int, int]:
-    v, u = _split_val(q, p)
-    if p == 2:
-        return (v & 1, _unit_mod8(u))
-    return (v & 1, _legendre_unit(u, p))
 
 
 def _class_mul(c1: tuple, c2: tuple, p: int) -> tuple[int, int]:
@@ -148,40 +139,26 @@ class _Structure(NamedTuple):
     gen_masks: tuple[int, ...]  # per tower radicand: subset of gens matching its class
     e: int
     f: int
-    g: int
-    place_masks: tuple[int, ...]  # one radicand sign mask per place above p
+    places: tuple[Place, ...]  # one per local Galois orbit of radicand sign masks
 
 
 @lru_cache(maxsize=None)
 def _local_structure(tower: FieldTower, p: int) -> _Structure:
     _prime(p)
-    triv = _qp_class(Fraction(1), p)
-
-    def cls(n: int) -> tuple[int, int]:
-        return _qp_class(Fraction(n), p)
-
     # at odd p at most one generator is divisible by p, so that the local
     # generators are one ramified and one unramified radicand at most
     chosen: list[int] = []
-    span = {triv}
+    cls_to_mask = {_qp_class(1, p): 0}  # the span of chosen: class -> mask over chosen
     for t in sorted(tower.subgroup_classes - {1}):
-        c = cls(t)
-        if c not in span and (p == 2 or t % p or all(g % p for g in chosen)):
+        c = _qp_class(t, p)
+        if c not in cls_to_mask and (p == 2 or t % p or all(g % p for g in chosen)):
+            bit = 1 << len(chosen)
             chosen.append(t)
-            span |= {_class_mul(c, s, p) for s in span}
-    m = len(chosen)
-    size = 1 << m
-    sub_cls = {}
-    for mask in range(size):
-        c = triv
-        for j in range(m):
-            if (mask >> j) & 1:
-                c = _class_mul(c, cls(chosen[j]), p)
-        sub_cls[mask] = c
-    cls_to_mask = {c: mask for mask, c in sub_cls.items()}
+            cls_to_mask.update([(_class_mul(c, s, p), M | bit) for s, M in cls_to_mask.items()])
+    size = 1 << len(chosen)
     if len(cls_to_mask) != size:
         raise RuntimeError("local class basis is dependent")
-    gen_masks = tuple(cls_to_mask[cls(d)] for d in tower.radicands)
+    gen_masks = tuple(cls_to_mask[_qp_class(d, p)] for d in tower.radicands)
     dbar = set(cls_to_mask)
     if p == 2:
         f = 2 if (0, 5) in dbar else 1
@@ -207,7 +184,8 @@ def _local_structure(tower: FieldTower, p: int) -> _Structure:
     g = (1 << tower.r) // size
     if len(reps) != g:
         raise RuntimeError("place count is not the number of sign orbits")
-    return _Structure(tuple(chosen), gen_masks, e, f, g, tuple(reps))
+    places = tuple(Place(tower, "finite", p, eps, e, f) for eps in reps)
+    return _Structure(tuple(chosen), gen_masks, e, f, places)
 
 
 class Place(NamedTuple):
@@ -234,11 +212,10 @@ def real_places(tower: FieldTower) -> tuple[Place, ...]:
     return tuple(Place(tower, "real", None, s.mask) for s in tower.embeddings())
 
 
-@lru_cache(maxsize=None)
 def splitting(tower: FieldTower, p: int) -> tuple[Place, ...]:
-    """The places of the tower above p, one per local Galois orbit of sign masks."""
-    st = _local_structure(tower, p)
-    return tuple(Place(tower, "finite", p, eps, st.e, st.f) for eps in st.place_masks)
+    """The places of the tower above p, one per local Galois orbit of sign
+    masks, as _local_structure builds them once per (tower, p)."""
+    return _local_structure(tower, p).places
 
 
 # -- square roots in Z_p ----------------------------------------------------
@@ -264,36 +241,34 @@ def _sqrt_mod_prime(a: int, p: int) -> int:
     return r
 
 
-def _hensel_sqrt(q: Fraction, p: int, digits: int) -> tuple[int, int]:
-    """q = p^(2k) u with u a square unit; returns (k, canonical sqrt of u mod p^digits).
+def _hensel_sqrt(n: int, p: int, digits: int) -> tuple[int, int]:
+    """n = p^(2k) u with u a square unit; returns (k, canonical sqrt of u mod p^digits).
 
     Canonical means stable under raising digits: for odd p the root with the
     smaller residue mod p, for p = 2 the digit-by-digit lift starting at 1.
     The result is correct to all p^digits: at p = 2 a root of u mod 2^(k+1)
     is fixed only mod 2^k, so that lift runs to u mod 2^(digits+1).
     """
-    v, u = _split_val(q, p)
+    v, u = _split_val(n, p)
     if v % 2:
         raise RuntimeError("p-adic square root of odd valuation")
     mod = p**digits
     if p == 2:
-        u_int = u.numerator * pow(u.denominator, -1, 2 * mod) % (2 * mod)
-        if _unit_mod8(u) != 1:
+        if u % 8 != 1:
             raise RuntimeError("2-adic unit is not a square")
         x = 1
         for k in range(3, digits + 1):
-            if (x * x - u_int) % (2 << k):
+            if (x * x - u) % (2 << k):
                 x += 1 << (k - 1)
         return v // 2, x % mod
-    u_int = u.numerator % mod * pow(u.denominator, -1, mod) % mod
-    r0 = _sqrt_mod_prime(u_int % p, p)
+    r0 = _sqrt_mod_prime(u % p, p)
     r0 = min(r0, p - r0)
     x, prec = r0, 1
     inv2 = pow(2, -1, mod)
     while prec < digits:
         prec = min(2 * prec, digits)
         mm = p**prec
-        x = (x + u_int * pow(x, -1, mm)) % mm * inv2 % mm
+        x = (x + u * pow(x, -1, mm)) % mm * inv2 % mm
     return v // 2, x % mod
 
 
@@ -354,15 +329,15 @@ class _Completion:
         p, mod = self.p, self.p**digits
         roots = []
         for j, M in enumerate(self.st.gen_masks):
-            k, r = _hensel_sqrt(Fraction(self.tower.radicands[j] * self.bprod[M]), p, digits)
-            a, b = _split_val(Fraction(self.bprod[M]), p)
-            roots.append((M, k - a, r * pow(b.numerator, -1, mod) % mod))
+            k, r = _hensel_sqrt(self.tower.radicands[j] * self.bprod[M], p, digits)
+            a, b = _split_val(self.bprod[M], p)
+            roots.append((M, k - a, r * pow(b, -1, mod) % mod))
         images = [(0, 0, 1)]
         for S in range(1, self.tower.degree):
             M, s, c = images[S & (S - 1)]
             Mj, sj, cj = roots[(S & -S).bit_length() - 1]
-            a, b = _split_val(Fraction(self.bprod[M & Mj]), p)
-            images.append((M ^ Mj, s + sj + a, c * cj * b.numerator % mod))
+            a, b = _split_val(self.bprod[M & Mj], p)
+            images.append((M ^ Mj, s + sj + a, c * cj * b % mod))
         return images
 
     def embed(self, x: FieldElement, eps_mask: int):
@@ -376,11 +351,7 @@ class _Completion:
         square theorem (O'Meara 63:1)."""
         p = self.p
         nums = [c * x.den for c in x.nums]
-        norm, t = fields._norm_nums(nums, self.tower), 0
-        while norm % p == 0:
-            norm //= p
-            t += 1
-        need = t + self._extra + self._h
+        need = _split_val(fields._norm_nums(nums, self.tower), p)[0] + self._extra + self._h
         if self._digits < need:
             self._digits = max(need, 2 * self._digits)
             self._images = self._radicand_images(self._digits)
@@ -499,13 +470,15 @@ class LocalModel(_Completion):
     # -- valuations ----------------------------------------------------
 
     def val(self, x: FieldElement) -> int:
+        """v_2 of the stage norm of x over f: the norm of x's first 2^nbits
+        numerators (fields._norm_nums) over den^(2^nbits)."""
         if not x:
             raise ZeroDivisionError("valuation of 0")
-        for k in range(self._nbits):
-            x = x * x.conjugate(self.L.embeddings()[1 << k])
-        if not x.is_rational:
+        h = 1 << self._nbits
+        if any(x.nums[h:]):
             raise RuntimeError("element lies outside the current stage")
-        w = _split_val(x.rational_value(), self.p)[0]
+        w = (_split_val(fields._norm_nums(x.nums[:h], self.L), self.p)[0]
+             - h * _split_val(x.den, self.p)[0])
         if w % self.f:
             raise RuntimeError("norm valuation not divisible by residue degree")
         return w // self.f
@@ -728,7 +701,7 @@ class _OddCompletion(_Completion):
         e*v_p(z_S) + [g divides beta_S^2], and z/pi^v is a square exactly when
         its residue has square norm to F_p (Serre, A Course in Arithmetic, III)."""
         p, e = self.p, self.e
-        v = min(e * _split_val(Fraction(c), p)[0] + bool(S & self._ram)
+        v = min(e * _split_val(c, p)[0] + bool(S & self._ram)
                 for S, c in enumerate(z) if c)
         # pi^v = (p*g')^s, times pi when v is odd; g'^-s has the class of g'^s
         s, base = v // e, self._ram if v % e else 0

@@ -16,7 +16,7 @@ The terms of L(chi_8, 3) are the odd terms of zeta(3), so one shared pass
 serves both direct sums; it divides only at odd n, and each even term
 2^j m is the odd term at m shifted right by 3j bits.  Nothing is cached
 across calls but the per-s Euler-Maclaurin coefficients and the Bernoulli
-numbers and factorials they are built from.
+numbers they are built from.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, isqrt
+from math import comb, factorial, isqrt, perm
 from numbers import Rational
 
 __all__ = [
@@ -115,13 +115,6 @@ def bernoulli(n: int) -> Fraction:
     return -acc / (n + 1)
 
 
-def _pochhammer(s: int, m: int) -> int:
-    out = 1
-    for t in range(m):
-        out *= s + t
-    return out
-
-
 _EM_TERMS = 14  # Euler-Maclaurin correction terms; remainder uses B_30
 _GUARD_DIGITS = 4  # fixed-point digits kept beyond the requested ones
 
@@ -148,13 +141,14 @@ def _em_coefficients(s: int) -> tuple[int, int, tuple[tuple[int, int, int], ...]
     (tail_num, tail_den, corrections): the remainder coefficient
     |B_{2J+2}| (s)_{2J+1} / (2J+2)! = tail_num / tail_den, and for j = 1..J
     the coefficient B_2j / (2j)! (s)_{2j-1} of x^-e, e = s + 2j - 1, as
-    (numerator, denominator, e).
+    (numerator, denominator, e).  The rising factorial (s)_m is
+    perm(s + m - 1, m) = (s + m - 1)! / (s - 1)!.
     """
     J = _EM_TERMS
-    tail = abs(bernoulli(2 * J + 2)) * _pochhammer(s, 2 * J + 1) / _factorial(2 * J + 2)
+    tail = abs(bernoulli(2 * J + 2)) * perm(s + 2 * J, 2 * J + 1) / factorial(2 * J + 2)
     corrections = []
     for j in range(1, J + 1):
-        c = bernoulli(2 * j) / _factorial(2 * j) * _pochhammer(s, 2 * j - 1)
+        c = bernoulli(2 * j) / factorial(2 * j) * perm(s + 2 * j - 2, 2 * j - 1)
         corrections.append((c.numerator, c.denominator, s + 2 * j - 1))
     return tail.numerator, tail.denominator, tuple(corrections)
 
@@ -207,14 +201,6 @@ def hurwitz_zeta(s: int, a: Fraction, digits: int) -> Ball:
     for num, den, e in corrections:
         acc += unit * num * q**e // (den * X**e)  # c / x^e
     return Ball(Fraction(2 * acc + terms, 2 * unit), err)
-
-
-@lru_cache(maxsize=None)
-def _factorial(n: int) -> int:
-    out = 1
-    for t in range(2, n + 1):
-        out *= t
-    return out
 
 
 def zeta3(digits: int) -> Ball:

@@ -52,6 +52,11 @@ they generate.
 `simple_cycles` and `cycle_product` once stood in `coxarith.diagrams`;
 they are the cycle-product reference for the trace field.
 
+`stage_valuation` is the dyadic valuation at a stage of a local model as
+`LocalModel.val` once computed it: v_2 of the product of an element and
+its conjugates under the stage's radicands, one `FieldElement` product
+per radicand.  It is the reference for the library's integer norm.
+
 `sampled_rows` is the seeded norm sampler that once found the dyadic pairing
 rows: up to 1,200 norms s^2 - b*t^2 per row, from a fixed base list and then
 random s, t, until the norm classes reach rank dim - 1.  It is the reference
@@ -68,8 +73,15 @@ import numpy as np
 from coxarith import diagrams, fields, forms, localfields
 from coxarith.fields import FieldElement, element_literal, factorize, squarefree_part
 from coxarith.forms import QuadraticForm, signature_at
-from coxarith.lvalues import (_CHI8, _EM_TERMS, _GUARD_DIGITS, Ball,
-                              _factorial, _pochhammer, bernoulli)
+from coxarith.lvalues import _CHI8, _EM_TERMS, _GUARD_DIGITS, Ball, bernoulli
+
+
+def _rising(s: int, m: int) -> int:
+    """The rising factorial (s)_m = s (s + 1) ... (s + m - 1), term by term."""
+    out = 1
+    for t in range(m):
+        out *= s + t
+    return out
 
 
 def _strip_squares(n: int, p: int) -> int:
@@ -666,7 +678,7 @@ def hurwitz_remainder_coeff(s: int) -> Fraction:
     """|B_{2J+2}| (s)_{2J+1} / (2J+2)!, so the remainder is below 2 coeff x^-(s+2J+1)."""
     J = _EM_TERMS
     return abs(bernoulli(2 * J + 2)) * Fraction(
-        _pochhammer(s, 2 * J + 1), 1) / _factorial(2 * J + 2)
+        _rising(s, 2 * J + 1), _rising(1, 2 * J + 2))
 
 
 def hurwitz_zeta_fraction(s: int, a: Fraction, digits: int) -> Ball:
@@ -689,8 +701,8 @@ def hurwitz_zeta_fraction(s: int, a: Fraction, digits: int) -> Ball:
     value = sum(Fraction(1) / (k + a) ** s for k in range(N))
     value += x ** (1 - s) / (s - 1) + Fraction(1, 2) / x**s
     for j in range(1, J + 1):
-        value += (bernoulli(2 * j) / _factorial(2 * j)
-                  * _pochhammer(s, 2 * j - 1) / x ** (s + 2 * j - 1))
+        value += (bernoulli(2 * j) / _rising(1, 2 * j)
+                  * _rising(s, 2 * j - 1) / x ** (s + 2 * j - 1))
     err = 2 * tail_coeff / x ** (s + 2 * J + 1)
     return Ball(value, err)
 
@@ -735,6 +747,22 @@ def l_chi8_direct_loop(blocks: int) -> Ball:
 
 
 # -- the seeded dyadic norm sampler ----------------------------------------------
+
+
+def _v2(n: int) -> int:
+    return (n & -n).bit_length() - 1
+
+
+def stage_valuation(x: FieldElement, nbits: int, f: int) -> int:
+    """v_2(N(x)) / f, the norm taken from the subfield of the first nbits
+    radicands of x's tower as a product of conjugates."""
+    for k in range(nbits):
+        x = x * x.conjugate(x.tower.embeddings()[1 << k])
+    q = x.rational_value()
+    w = _v2(q.numerator) - _v2(q.denominator)
+    if w % f:
+        raise RuntimeError("norm valuation not divisible by residue degree")
+    return w // f
 
 
 def _norm_pairs(md):

@@ -15,7 +15,6 @@ from coxarith import fields
 from coxarith.fields import (
     Embedding,
     FieldElement,
-    approx_interval,
     element_literal,
     factorize,
     intersect,
@@ -118,6 +117,22 @@ def test_make_field_rejects_nonpositive():
         make_field([0])
 
 
+def test_inexact_inputs_are_refused():
+    # make_field([2.9]) was Q(sqrt 2), make_field([True, 3]) Q(sqrt 3), and
+    # K.rational(0.1) the binary value 3602879701896397/2^55
+    K = make_field([2, 3])
+    for bad in ([2.9], [True, 3], ["2"], [Fraction(5, 2)]):
+        with pytest.raises(TypeError):
+            make_field(bad)
+    for call in (lambda: K.rational(0.1), lambda: K.rational(True), lambda: K.rational("1/2"),
+                 lambda: K.element([0.5, 0, 0, 1]), lambda: K.element([1, False, 0, 0]),
+                 lambda: K.sqrt(2.0), lambda: K.coerce(1.5)):
+        with pytest.raises(TypeError):
+            call()
+    assert K.rational(Fraction(6, 4)) == Fraction(3, 2)
+    assert K.element([1, 0, Fraction(1, 2), 0]) == 1 + K.sqrt(Fraction(3, 4))
+
+
 # -- arithmetic ------------------------------------------------------------
 
 
@@ -175,6 +190,16 @@ def test_cross_tower_equality_and_hash():
     assert hash(a) == hash(b)
     assert big.rational(5) == 5
     assert small.zero() == 0
+
+
+def test_rational_elements_hash_as_their_fraction():
+    # K.rational(3) == 3 held while 3 in {K.rational(3)} did not
+    for tower in TOWERS + [make_field([6, 10, 14])]:
+        for q in (0, 3, -7, Fraction(1, 2), Fraction(-22, 7)):
+            x = tower.rational(q)
+            assert x == q and hash(x) == hash(q)
+            assert q in {x} and x in {q} and {q: 1}[x] == 1
+    assert len({TOWERS[1].rational(3), TOWERS[2].rational(3), 3, Fraction(6, 2)}) == 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -306,13 +331,19 @@ def pell_convergent(min_q: int) -> tuple[int, int]:
     return p, q
 
 
+def bounds_at(x, sigma, bits):
+    """The integer bounds lo <= sigma(x) * den * 2^bits <= hi of _fixed_bounds."""
+    t, w = fields._fixed_bounds(x, bits)
+    return (t[sigma.mask] - w) // 2, (t[sigma.mask] + w) // 2
+
+
 def assert_refines_to_256_bits(x, sigma, expected):
     """sign_at(x, sigma) is `expected`, agrees with the dense oracle, and is
     reached only at the third step: the bounds hold 0 at 64 and 128 bits."""
     for bits in (64, 128):
-        lo, hi = approx_interval(x, sigma, bits)
+        lo, hi = bounds_at(x, sigma, bits)
         assert lo < 0 < hi, bits
-    lo, hi = approx_interval(x, sigma, 256)
+    lo, hi = bounds_at(x, sigma, 256)
     assert (lo > 0) if expected > 0 else (hi < 0)
     assert sign_at(x, sigma) == expected
     assert sign_at(x, sigma) == oracles.dense_sign(x.tower.radicands, list(x.coeffs), sigma.mask)
@@ -373,7 +404,7 @@ def test_signs_match_the_dense_oracle_at_every_mask():
         for sigma in x.tower.embeddings():
             want = oracles.dense_sign(x.tower.radicands, list(x.coeffs), sigma.mask)
             assert got[sigma.mask] == sign_at(x, sigma) == want
-            lo, hi = approx_interval(x, sigma, 128)
+            lo, hi = bounds_at(x, sigma, 128)
             tight += lo < 0 < hi
     assert tight >= 4
 
@@ -383,8 +414,7 @@ def test_sign_at_rejects_an_embedding_of_another_tower():
     t23, t3 = make_field([2, 3]), make_field([3])
     foreign = t3.embeddings()[1]
     for x in (t23.sqrt(3), t23.zero()):
-        for call in (lambda: sign_at(x, foreign), lambda: approx_interval(x, foreign, 64),
-                     lambda: x.conjugate(foreign)):
+        for call in (lambda: sign_at(x, foreign), lambda: x.conjugate(foreign)):
             with pytest.raises(ValueError, match="embedding belongs to a different tower"):
                 call()
     x = t23.sqrt(3)
@@ -399,9 +429,9 @@ def test_interval_consistency_with_products():
         x = rand_element(t, rng)
         y = rand_element(t, rng)
         sigma = rng.choice(t.embeddings())
-        lox, hix = approx_interval(x, sigma, 80)
-        loy, hiy = approx_interval(y, sigma, 80)
-        lo, hi = approx_interval(x * y, sigma, 80)
+        # the bounds of x, y and x * y, each over its own den * 2^80
+        lox, hix, loy, hiy, lo, hi = (Fraction(b, z.den << 80) for z in (x, y, x * y)
+                                      for b in bounds_at(z, sigma, 80))
         cands = [lox * loy, lox * hiy, hix * loy, hix * hiy]
         assert min(cands) <= hi and lo <= max(cands)
 
@@ -621,8 +651,9 @@ def test_field_ops_match_dense_fraction_oracle():
             for sigma in tower.embeddings():
                 assert_matches(x.conjugate(sigma), oracles.dense_conjugate(dx, sigma.mask))
                 for bits in (4, 64, 128, 256):
-                    assert approx_interval(x, sigma, bits) == oracles.dense_interval(
-                        rads, dx, sigma.mask, bits)
+                    lo, hi = oracles.dense_interval(rads, dx, sigma.mask, bits)
+                    scale = x.den << bits
+                    assert bounds_at(x, sigma, bits) == (lo * scale, hi * scale)
                 for z, dz in ((x, dx), (y, dy), (x * y, oracles.dense_mul(rads, dx, dy))):
                     assert sign_at(z, sigma) == oracles.dense_sign(rads, dz, sigma.mask)
             # up to a supertower and back
@@ -658,6 +689,47 @@ def test_mul_and_inverse_match_dense_oracle_hypothesis(cx, cy):
         assert_matches(y.inverse(), oracles.dense_inverse(t.radicands, list(cy)))
 
 
+# parse_element, sqrt and express_in, all built through fields._term_nums
+TERM_TOWERS = [make_field(r) for r in ([2], [2, 3], [2, 3, 5], [6, 10, 14])]
+
+
+def dense_term(rads, t, c):
+    """c * sqrt(t) over the tower of rads, by oracles.dense_express from Q(sqrt(t))."""
+    return oracles.dense_express([t] if t > 1 else [], [0, c] if t > 1 else [c], rads)
+
+
+@pytest.mark.parametrize("tower", TERM_TOWERS, ids=str)
+def test_term_building_matches_the_dense_oracle(tower):
+    rads = tower.radicands
+    rng = random.Random(97 * sum(rads))
+    classes = sorted(tower.subgroup_classes)
+    for _ in range(40):
+        # up to five terms q * sqrt(t * s^2), classes repeating
+        terms = [(Fraction(rng.randint(-30, 30), rng.randint(1, 12)), rng.choice(classes),
+                  rng.randint(1, 6)) for _ in range(rng.randint(1, 5))]
+        text = "".join(f"{'-' if q < 0 else '+'}{abs(q)}*sqrt({t * s * s})" for q, t, s in terms)
+        want = [sum(col) for col in zip(*(dense_term(rads, t, q * s) for q, t, s in terms))]
+        x = parse_element(text, tower)
+        assert x.tower is tower and list(x.coeffs) == want
+        assert parse_element(text) == x
+        t, r = rng.choice(classes), Fraction(rng.randint(1, 40), rng.randint(1, 40))
+        assert list(tower.sqrt(r * r * t).coeffs) == dense_term(rads, t, r)
+        assert list(tower.sqrt(r * r / t).coeffs) == dense_term(rads, t, r / t)
+        up = x.express_in(SUPER)
+        assert list(up.coeffs) == oracles.dense_express(rads, want, SUPER.radicands)
+        assert up.express_in(tower).coeffs == x.coeffs
+        sub = rng.choice(subfields_index2(tower))
+        z = rand_element(sub, rng, scale=9, dens=(1, 2, 3, 7))
+        assert list(z.express_in(tower).coeffs) == oracles.dense_express(
+            sub.radicands, list(z.coeffs), rads)
+    # a nonzero term outside the tower is refused, a zero one is not
+    with pytest.raises(ValueError, match=r"sqrt\(7\) does not lie in"):
+        parse_element("1 + 3*sqrt(28)", tower)
+    with pytest.raises(ValueError, match=r"sqrt\(7\) does not lie in"):
+        tower.sqrt(Fraction(7, 4))
+    assert parse_element("1 + sqrt(7) - sqrt(7)", tower) == 1
+
+
 # -- checks that survive python -O --------------------------------------------
 
 _CHECKS_UNDER_O = """
@@ -685,7 +757,7 @@ for q in (4, 2):  # a square of the prefix field, and one times sqrt(2)
     except RuntimeError as exc:
         print(q, exc)
 foreign = fields.make_field([3]).embeddings()[1]
-for call in (fields.sign_at, lambda x, s: fields.approx_interval(x, s, 64)):
+for call in (fields.sign_at, lambda x, s: x.conjugate(s)):
     try:
         call(fields.make_field([2, 3]).sqrt(3), foreign)
     except ValueError as exc:

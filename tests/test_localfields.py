@@ -531,6 +531,30 @@ def test_pairing_rows_match_the_seeded_sampler(radicands, ef, g):
     assert md.M_rows == oracles.sampled_rows(md)
 
 
+@pytest.mark.parametrize("radicands", [(2, 3, 5), (6, 10, 14)])
+def test_dyadic_valuation_matches_the_conjugate_product_at_every_stage(radicands):
+    # LocalModel.val reads v_2 off the integer norm of the stage numerators;
+    # the probe checks it on stage elements as each stage is entered
+    rng = random.Random(sum(radicands))
+    stages = []
+
+    class Probe(localfields.LocalModel):
+        def _stage(self, nbits, e, f, pi, omega):
+            super()._stage(nbits, e, f, pi, omega)
+            stage = make_field(self.gens[:nbits])
+            xs = [pi, self.mrat(12)] + [rand_nonzero(stage, rng, scale=40) * Fraction(
+                rng.randint(1, 9), 2 ** rng.randrange(6)) for _ in range(30)]
+            for x in (self.L.coerce(x) for x in xs):
+                assert self.val(x) == oracles.stage_valuation(x, nbits, f)
+            stages.append(nbits)
+
+    md = Probe(make_field(radicands), 2)
+    assert stages == list(range(len(md.gens) + 1)) and len(md.gens) == 3
+    md._nbits = 1  # the last generator lies outside the first stage
+    with pytest.raises(RuntimeError, match="outside the current stage"):
+        md.val(md.L.sqrt(md.gens[2]))
+
+
 # generator sets on which the seeded sampler stopped short of the rank of the
 # norm group ("norm group rank not reached")
 _SAMPLER_FAILURES = [(7, 34, 38), (15, 26, 46), (11, 38, 42), (23, 34, 38)]
@@ -585,6 +609,21 @@ def test_localfields_reads_signs_from_forms():
     assert "sign_at" not in imported + used
 
 
+def test_local_valuations_are_taken_on_ints():
+    # one integer valuation (_split_val): a Fraction is built only for
+    # hilbert_symbol_Q's rational arguments, LocalModel.val multiplies no
+    # conjugates, and splitting reads _local_structure with no cache of its own
+    tree = ast.parse(pathlib.Path(localfields.__file__).read_text())
+    defs = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    builds_fraction = sorted(name for name, node in defs.items() if any(
+        isinstance(c, ast.Call) and getattr(c.func, "id", None) == "Fraction"
+        for c in ast.walk(node)))
+    assert builds_fraction == ["hilbert_symbol_Q"]
+    assert "conjugate" not in [node.attr for node in ast.walk(defs["val"])
+                               if isinstance(node, ast.Attribute)]
+    assert defs["splitting"].decorator_list == []
+
+
 _IMPORT_FIRST = """
 import coxarith.{first}
 from coxarith import forms, localfields
@@ -606,6 +645,16 @@ def test_forms_and_localfields_import_in_either_order(first):
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == ["True", "-1"]
+
+
+def test_rational_symbol_refuses_inexact_arguments():
+    # (0.1, 3)_3 read 0.1 at its binary value and gave -1; (1/10, 3)_3 is +1
+    assert hilbert_symbol_Q(Fraction(1, 10), 3, 3) == 1
+    for a in (0.1, True, "1/10"):
+        with pytest.raises(TypeError):
+            hilbert_symbol_Q(a, 3, 3)
+        with pytest.raises(TypeError):
+            hilbert_symbol_Q(3, a, "inf")
 
 
 @pytest.mark.parametrize("p", [1, 0, -3, 4, 9])
@@ -678,17 +727,17 @@ def test_residue_roots_against_brute_force():
             roots[r * r % p] = r  # ends at the smaller of r and p - r
         for a in range(1, p):
             if a in roots:
-                assert localfields._hensel_sqrt(Fraction(a), p, 1) == (0, roots[a])
+                assert localfields._hensel_sqrt(a, p, 1) == (0, roots[a])
             else:
                 with pytest.raises(RuntimeError, match="not a square"):
-                    localfields._hensel_sqrt(Fraction(a), p, 1)
+                    localfields._hensel_sqrt(a, p, 1)
 
 
 def test_dyadic_roots_are_correct_to_every_digit():
     # a root of u mod 2^(d+1) is fixed only mod 2^d, so the lift must run past d
     rng = random.Random(8)
-    units = [Fraction(u) for u in (1, 9, 17, 33, 41, -7, -15)] + [Fraction(17, 9), Fraction(1, 33)]
-    units += [Fraction(8 * rng.randrange(1, 10**6) + 1, 8 * rng.randrange(10**6) + 1)
+    units = [1, 9, 17, 33, 41, -7, -15, 17 * 9, 33]
+    units += [(8 * rng.randrange(1, 10**6) + 1) * (8 * rng.randrange(10**6) + 1)
               for _ in range(30)]
     for u in units:
         _, deep = localfields._hensel_sqrt(u, 2, 80)
@@ -696,7 +745,7 @@ def test_dyadic_roots_are_correct_to_every_digit():
             for j in (0, 1, 3):
                 k, r = localfields._hensel_sqrt(u * 4**j, 2, d)
                 assert (k, r) == (j, deep % 2**d)
-                assert (r * r * u.denominator - u.numerator) % 2 ** (d + 1) == 0
+                assert (r * r - u) % 2 ** (d + 1) == 0
 
 
 @pytest.mark.parametrize("p", [65537, 998244353, 3221225473])
@@ -709,9 +758,9 @@ def test_residue_roots_with_large_two_power_against_sympy(p):
         want = sqrt_mod(a, p)
         if want is None:
             with pytest.raises(RuntimeError, match="not a square"):
-                localfields._hensel_sqrt(Fraction(a), p, 3)
+                localfields._hensel_sqrt(a, p, 3)
             continue
-        k, root = localfields._hensel_sqrt(Fraction(a), p, 3)
+        k, root = localfields._hensel_sqrt(a, p, 3)
         assert (k, root % p) == (0, min(want, p - want))
         assert (root * root - a) % p**3 == 0
 

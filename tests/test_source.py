@@ -1,0 +1,51 @@
+"""Guards read off the source of src/coxarith/*.py with ast: no dead private
+helpers, and no stale __all__ entries."""
+
+import ast
+import pathlib
+from collections import Counter
+
+import coxarith
+
+TREES = {path.name: ast.parse(path.read_text(), str(path))
+         for path in sorted(pathlib.Path(coxarith.__file__).parent.glob("*.py"))}
+
+
+def _references(node) -> Counter:
+    """Names read under node: identifiers and attribute names."""
+    return Counter(sub.id if isinstance(sub, ast.Name) else sub.attr for sub in ast.walk(node)
+                   if isinstance(sub, (ast.Name, ast.Attribute)))
+
+
+def test_every_private_function_and_class_is_referenced():
+    # a reference inside the definition's own body (recursion) does not count,
+    # and neither does an import that nothing reads
+    everywhere = sum((_references(tree) for tree in TREES.values()), Counter())
+    checked, dead = 0, []
+    for name, tree in TREES.items():
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+                    and not node.name.endswith("__")):
+                checked += 1
+                if everywhere[node.name] == _references(node)[node.name]:
+                    dead.append(f"{name}:{node.lineno} {node.name}")
+    assert dead == []
+    assert checked >= 40
+
+
+def test_every_name_in_all_is_defined():
+    for name, tree in TREES.items():
+        defined, exported = set(), []
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    if isinstance(target, ast.Name):
+                        defined.add(target.id)
+                        if target.id == "__all__":
+                            exported = ast.literal_eval(node.value)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                defined.update(alias.asname or alias.name for alias in node.names)
+        assert [n for n in exported if n not in defined] == [], name
