@@ -746,7 +746,7 @@ def l_chi8_direct_loop(blocks: int) -> Ball:
     return Ball(Fraction(acc, scale), Fraction(8 * blocks, scale) + tail)
 
 
-# -- the seeded dyadic norm sampler ----------------------------------------------
+# -- the dyadic valuation by conjugates ------------------------------------------
 
 
 def _v2(n: int) -> int:
@@ -763,6 +763,9 @@ def stage_valuation(x: FieldElement, nbits: int, f: int) -> int:
     if w % f:
         raise RuntimeError("norm valuation not divisible by residue degree")
     return w // f
+
+
+# -- the seeded dyadic norm sampler ----------------------------------------------
 
 
 def _norm_pairs(md):

@@ -736,7 +736,7 @@ def test_residue_roots_against_brute_force():
 def test_dyadic_roots_are_correct_to_every_digit():
     # a root of u mod 2^(d+1) is fixed only mod 2^d, so the lift must run past d
     rng = random.Random(8)
-    units = [1, 9, 17, 33, 41, -7, -15, 17 * 9, 33]
+    units = [1, 9, 17, 33, 41, -7, -15, 17 * 9]
     units += [(8 * rng.randrange(1, 10**6) + 1) * (8 * rng.randrange(10**6) + 1)
               for _ in range(30)]
     for u in units:
