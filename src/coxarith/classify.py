@@ -24,7 +24,8 @@ off f without building the transfer (derivations in descend_field):
      place of F;
   2. determinant norm: N_{K/F}(det f) is a square in F, which is the
      transfer's determinant check, as (-1)^rank(f) * det of the transfer
-     is that norm up to squares;
+     is that norm up to squares.  As N_{K/Q} = N_{F/Q} o N_{K/F}, no F
+     passes unless N_{K/Q}(det f) is a rational square, tested once first;
   3. finite Hasse invariants of the transfer, built only now, with its
      table of negatives read off f's in closed form.
 
@@ -37,9 +38,11 @@ squarefree members of one coset, read off det(f) by
 
 from __future__ import annotations
 
+from math import isqrt
+
 from . import diagrams, fields, forms, localfields
 from .diagrams import CoxeterDiagram
-from .fields import FieldTower, element_literal, make_field, squarefree_part
+from .fields import FieldElement, FieldTower, element_literal, make_field, squarefree_part
 from .forms import QuadraticForm
 
 __all__ = [
@@ -82,7 +85,8 @@ def _integrality_witness(diagram: CoxeterDiagram) -> dict | None:
         if key in seen:
             continue
         seen.add(key)
-        x = a * a * 4
+        x = FieldElement(a.tower, tuple(4 * n for n in fields._mul_nums(
+            a.nums, a.nums, a.tower.basis_radicand)), a.den * a.den)
         if not fields.is_algebraic_integer(x):
             return {"kind": "entry", "edge": [i, j], "value": element_literal(x)}
     return None
@@ -113,13 +117,13 @@ def descend_field(f: QuadraticForm) -> tuple[FieldTower, list[tuple[FieldTower, 
        c lies in F.  N_{K/F} is multiplicative, so with m = rank(f) the
        transfer's (-1)^m * det is N_{K/F}(det f) = det f * sigma_e(det f)
        up to squares, and is_hyperbolic's determinant check is whether
-       that norm is a square in F.
-    3. Finite Hasse invariants: the transfer is built, carrying the table
-       of negatives that forms.transfer reads off f's (rank(f) at every
-       place once the fibre test holds), and
+       that norm (_norm_to) is a square in F.  Once per form, first:
+       if N_{K/F}(det f) = s^2, then N_{K/Q}(det f) = N_{F/Q}(s)^2, so when
+       N_{K/Q}(det f) is no rational square, no F passes and none is tried.
+    3. Finite Hasse invariants: the transfer is built, with the table of
+       negatives that forms.transfer reads off f's, and
        localfields.finite_hasse_hyperbolic compares its Hasse invariants
-       with those of a hyperbolic form.  Checks 1 and 2 are is_hyperbolic's
-       real and determinant checks, so neither is repeated on the transfer.
+       with those of a hyperbolic form; checks 1 and 2 are not repeated.
 
     A subfield that fails check 1 or 2 is refused with no transfer.
     """
@@ -127,13 +131,12 @@ def descend_field(f: QuadraticForm) -> tuple[FieldTower, list[tuple[FieldTower, 
     if K.r == 0:
         return K, [], None
     neg = f.negatives()
-    det = f.det()
-    table = []
-    for e, F in enumerate(fields.subfields_index2(K), 1):
-        table.append((F, all(neg[s] == neg[s ^ e] for s in range(K.degree))
-                      and fields.is_square((det * det.conjugate(K.embeddings()[e]))
-                                           .express_in(F))[0]
-                      and localfields.finite_hasse_hyperbolic(forms.transfer(f, F))))
+    fibre = [all(neg[s] == neg[s ^ e] for s in range(K.degree)) for e in range(K.degree)]
+    n = fields._norm_nums(f.det().nums, K) if any(fibre[1:]) else -1  # see 2.
+    table = [(F, fibre[e] and n >= 0 and isqrt(n) ** 2 == n
+              and fields.is_square(_norm_to(f.det(), F))[0]
+              and localfields.finite_hasse_hyperbolic(forms.transfer(f, F)))
+             for e, F in enumerate(fields.subfields_index2(K), 1)]
     hyper = [F for F, h in table if h]
     if not hyper:
         return K, table, None
@@ -144,6 +147,15 @@ def descend_field(f: QuadraticForm) -> tuple[FieldTower, list[tuple[FieldTower, 
         if not h and k.subgroup_classes <= F.subgroup_classes:
             return K, table, "transfer pattern is not an interval: no descent field"
     return k, table, None
+
+
+def _norm_to(x: FieldElement, F: FieldTower) -> FieldElement:
+    """N_{K/F}(x) = x * sigma(x) = u^2 - a*v^2, sigma the conjugation of K
+    over F, on F's numerators of x = u + v*sqrt(a) (fields._over_subfield)."""
+    a, u, v, den = fields._over_subfield(x, F)
+    rad = F.basis_radicand
+    return FieldElement(F, tuple(fields._mul_nums(v, [-a * y for y in v], rad,
+                                                  fields._mul_nums(u, u, rad))), den * den)
 
 
 def find_admissible_model(f: QuadraticForm, k: FieldTower) -> tuple[QuadraticForm | None, int | None]:

@@ -15,9 +15,10 @@ and _fixed_bounds gives the integer bounds of sigma(x) * den * 2^bits at
 every mask at once, by one Hadamard transform of the numerators times
 that table.  signs(x) compares them with 0 at every mask, doubling `bits`
 while some mask is undecided, and sign_at reads one mask of signs(x).
-Norms are integer products of numerator conjugates over one power of den.
-The sign and norm paths build no FieldElement per embedding or conjugate
-and use no floating point.
+Norms are integer products of numerator conjugates over one power of den;
+squares, square classes and integrality are decided by descent over the
+prefix towers on numerators (_sqrt_nums).  None of these paths builds a
+FieldElement but for a returned root, and none uses floating point.
 """
 
 from __future__ import annotations
@@ -172,6 +173,7 @@ class FieldTower:
         "_embeddings",
         "_bounds",
         "_subfields",
+        "_maps",
         "_zero",
         "_one",
         "_hash",
@@ -204,6 +206,7 @@ class FieldTower:
         self._embeddings = tuple(Embedding(self, e) for e in range(self.degree))
         self._bounds: dict[int, tuple[int, ...]] = {}  # bits -> table of _fixed_bounds
         self._subfields: tuple[FieldTower, ...] | None = None  # see subfields_index2
+        self._maps: dict[FieldTower, tuple] = {}  # index-2 subfield -> _over_subfield's map
         self._zero = FieldElement(self, (0,) * self.degree)
         self._one = FieldElement(self, (1,) + (0,) * (self.degree - 1))
         self._hash = hash(radicands)
@@ -363,32 +366,32 @@ def _mul_nums(a, b, rad: tuple[int, ...], acc: list[int] | None = None) -> list[
     return out
 
 
-def _adjugate(nums, tower: FieldTower) -> tuple[tuple[int, ...], int]:
+def _adjugate(nums, rad: tuple[int, ...]) -> tuple[list[int], int]:
     """(Q, e): integer numerators Q and a nonzero integer e with
-    nums * Q = e, for a nonzero numerator vector over the tower, with no
-    common factor left in Q and e.
+    nums * Q = e, for a nonzero numerator vector over a tower whose
+    basis_radicand table is rad (or its first 2^k, as in _norm_nums), with
+    no common factor left in Q and e.
 
     Q is a product of conjugates, found by descending the tower one
     radicand at a time: with y fixed by sigma_k for every k > j,
     y * sigma_j(y) is fixed by sigma_j as well, so after the last radicand
     y = nums * Q is rational.
     """
-    rad = tower.basis_radicand
     Q = None
     y = nums
-    for j in reversed(range(tower.r)):
+    for j in reversed(range(len(nums).bit_length() - 1)):
         h = 1 << j
         if any(y[h:]):  # y moves under sigma_j
             c = [-n if S & h else n for S, n in enumerate(y)]
             Q = c if Q is None else _mul_nums(Q, c, rad)
             y = _mul_nums(y, c, rad)
     if Q is None:
-        Q = [1] + [0] * (tower.degree - 1)
+        Q = [1] + [0] * (len(nums) - 1)
     e = y[0]
     if not e or any(y[1:]):
         raise RuntimeError("conjugate product must be a nonzero rational")
     g = gcd(e, *Q)
-    return tuple(q // g for q in Q), e // g
+    return [q // g for q in Q], e // g
 
 
 def _norm_nums(nums, tower: FieldTower) -> int:
@@ -530,7 +533,7 @@ class FieldElement:
         """1/x = den * Q / e, with (Q, e) the integer adjugate of x's numerators."""
         if not self:
             raise ZeroDivisionError("division by zero element")
-        Q, e = _adjugate(self.nums, self.tower)
+        Q, e = _adjugate(self.nums, self.tower.basis_radicand)
         return FieldElement(self.tower, tuple(q * self.den for q in Q), e)
 
     def __truediv__(self, other):
@@ -664,109 +667,111 @@ def sign_at(x: FieldElement, sigma: Embedding) -> int:
 # -- square testing ------------------------------------------------------
 
 
-def _rational_square(q: Fraction) -> tuple[bool, Fraction | None]:
-    if q < 0:
-        return False, None
-    if q == 0:
-        return True, q
-    n = q.numerator * q.denominator
-    s = isqrt(n)
-    if s * s != n:
-        return False, None
-    return True, Fraction(s, q.denominator)
+def _lowest(nums: list[int], den: int) -> tuple[list[int], int]:
+    """nums / den with the common factor divided out and den > 0."""
+    g = -gcd(den, *nums) if den < 0 else gcd(den, *nums)
+    return ([n // g for n in nums], den // g) if g != 1 else (nums, den)
 
 
-def _split_top(x: FieldElement) -> tuple[FieldElement, FieldElement, int, FieldTower]:
-    """x = u + v*sqrt(d) with u, v over the prefix tower, d the top radicand."""
-    tower = x.tower
-    d = tower.radicands[-1]
-    sub = make_field(tower.radicands[:-1])
-    half = sub.degree
-    # prefix basis products agree with the sub tower's, coefficients carry over
-    u = FieldElement(sub, x.nums[:half], x.den)
-    v = FieldElement(sub, x.nums[half:], x.den)
-    return u, v, d, sub
+def _halves(y, rad: tuple[int, ...]) -> tuple[list[int], list[int], int, list[int] | None]:
+    """(u, v, d, u^2 - d*v^2, or None if v = 0) for y = u + v*sqrt(d), y
+    integer numerators over the first k radicands (rad the tower's
+    basis_radicand), u and v over the first k - 1 and d the k-th."""
+    h = len(y) >> 1
+    u, v = list(y[:h]), list(y[h:])
+    if not any(v):
+        return u, v, rad[h], None
+    return u, v, rad[h], _mul_nums(v, [-rad[h] * b for b in v], rad, _mul_nums(u, u, rad))
 
 
-def _embed_up(x: FieldElement, tower: FieldTower, with_root: bool) -> FieldElement:
-    """Lift an element of the prefix tower, optionally multiplied by sqrt(top)."""
-    pad = (0,) * len(x.nums)
-    return FieldElement(tower, pad + x.nums if with_root else x.nums + pad, x.den)
+def _sqrt_nums(y, rad: tuple[int, ...]) -> tuple[list[int], int] | None:
+    """(nums, den) in lowest terms with (nums / den)^2 = y, y integer
+    numerators over the first k radicands, or None if y is no square there.
+    Over Q the root is isqrt(y).  Above, y = u + v*sqrt(d) (_halves): if
+    v = 0, the root is that of u, or (p/d)*sqrt(d) for p that of u*d; else
+    u^2 - d*v^2 = s^2 and a branch p^2 = (u + s)/2, then (u - s)/2, give
+    p + (v/2p)*sqrt(d) (p != 0: the branches multiply to d*v^2/4).  A branch
+    is scaled by c^2, c = 2 * den(s) > 0, to integers, which scales its root
+    by c (by induction), and 1/p is read off _adjugate.  These are the roots
+    of the FieldElement descent kept in tests/oracles.py, one for one.
+    """
+    if len(y) == 1:
+        s = isqrt(y[0]) if y[0] >= 0 else -1
+        return ([s], 1) if s * s == y[0] else None
+    u, v, d, n = _halves(y, rad)
+    if n is None:
+        root = _sqrt_nums(u, rad)
+        if root is not None:
+            return root[0] + v, root[1]
+        root = _sqrt_nums([d * a for a in u], rad)
+        return None if root is None else _lowest(v + root[0], root[1] * d)
+    root = _sqrt_nums(n, rad)
+    if root is None:
+        return None
+    sn, sd = root
+    for sign in (1, -1):
+        root = _sqrt_nums([2 * sd * (a * sd + sign * b) for a, b in zip(u, sn)], rad)
+        if root is not None:  # p = pn / (2 * sd * pd), and pn * Q = e
+            pn, pd = root
+            Q, e = _adjugate(pn, rad)
+            b = [2 * (sd * pd) ** 2 * a for a in _mul_nums(v, Q, rad)]  # v/2p = b / den
+            return _lowest([a * e for a in pn] + b, 2 * sd * pd * e)
+    return None
 
 
 def is_square(x) -> tuple[bool, FieldElement | None]:
     """Exact square test with verified witness.
 
-    Recursive norm descent: in K = F(sqrt(d)), x = u + v*sqrt(d) is a square
-    iff the norm u^2 - d*v^2 is a square s^2 in F and a branch (u +- s)/2 is
-    a square p^2 in F; then (p + (v/2p)*sqrt(d))^2 = x.
+    x is a FieldElement, or an int or Fraction over Q (_exact).  The root
+    of nums/den is that of nums*den (_sqrt_nums) over den, checked here on
+    numerators before a FieldElement is built for it: a root whose square
+    is not nums*den raises RuntimeError, also under python -O.
 
     >>> two = make_field([2])
     >>> ok, w = is_square(two.element([3, 2]))
     >>> ok, w == two.element([1, 1])
     (True, True)
     """
-    if isinstance(x, (int, Fraction)):
-        ok, w = _rational_square(Fraction(x))
-        return ok, (make_field([]).rational(w) if ok else None)
-    tower = x.tower
-    if tower.r == 0:
-        ok, w = _rational_square(x.rational_value())
-        return ok, (tower.rational(w) if ok else None)
-    if not x:
-        return True, tower.zero()
-    u, v, d, sub = _split_top(x)
-    if not v:
-        ok, p = is_square(u)
-        if ok:
-            w = _embed_up(p, tower, False)
-            if w * w != x:
-                raise RuntimeError("square witness check failed")
-            return True, w
-        ok, p = is_square(u * d)
-        if ok:
-            w = _embed_up(p * Fraction(1, d), tower, True)
-            if w * w != x:
-                raise RuntimeError("square witness check failed")
-            return True, w
+    x = x if isinstance(x, FieldElement) else make_field([]).rational(x)
+    rad, y = x.tower.basis_radicand, [n * x.den for n in x.nums]
+    root = _sqrt_nums(y, rad)
+    if root is None:
         return False, None
-    ok, s = is_square(u * u - v * v * d)
-    if not ok:
-        return False, None
-    for s_branch in (s, -s):
-        ok, p = is_square((u + s_branch) * Fraction(1, 2))
-        if ok and p:
-            b = v / (p * 2)
-            w = _embed_up(p, tower, False) + _embed_up(b, tower, True)
-            if w * w == x:
-                return True, w
-    return False, None
+    nums, den = root
+    if _mul_nums(nums, nums, rad) != [n * den * den for n in y]:
+        raise RuntimeError("square witness check failed")
+    return True, FieldElement(x.tower, tuple(nums), den * x.den)
 
 
-def rational_square_classes(x: FieldElement) -> frozenset[int]:
+def rational_square_classes(x) -> frozenset[int]:
     """Squarefree q, sign kept, with q*x a square in x's tower: empty, or a
-    coset of the 2^r rational classes that are squares there.  As in
-    is_square, x = u + v*sqrt(d) with v != 0 needs u^2 - d*v^2 = s^2 in F;
-    the branches (u +- s)/2 multiply to d*v^2/4, so they differ by the class
-    d, and q*x is a square iff q or q*d times (u + s)/2 is one in F.
+    coset of the 2^r rational classes that are squares there (x as in
+    is_square).  On numerators, as in _sqrt_nums: x = u + v*sqrt(d), v != 0,
+    needs u^2 - d*v^2 = s^2 in F, and as (u +- s)/2 multiply to d*v^2/4,
+    q*x is a square iff q or q*d times (u + s)/2 (or u, if v = 0) is one.
 
     >>> two = make_field([2])
     >>> [sorted(rational_square_classes(x))
     ...  for x in (two.element([3, 2]), two.rational(6), two.element([2, 1]))]
     [[1, 2], [3, 6], []]
     """
+    x = x if isinstance(x, FieldElement) else make_field([]).rational(x)
     if not x:
         raise ValueError("rational_square_classes(0)")
-    if x.tower.r == 0:
-        return frozenset({squarefree_part(x.nums[0] * x.den)})
-    u, v, d, _ = _split_top(x)
-    if v:
-        ok, s = is_square(u * u - v * v * d)
-        if not ok:
-            return frozenset()
-        u = (u + s) * Fraction(1, 2)
-    below = rational_square_classes(u)
-    return below | {_sqfree_mul(abs(q), d) * (1 if q > 0 else -1) for q in below}
+    rad = x.tower.basis_radicand
+    y, den, ds = x.nums, x.den, []
+    while len(y) > 1:
+        y, _, d, n = _halves(y, rad)
+        ds.append(d)
+        if n is not None:
+            root = _sqrt_nums(n, rad)
+            if root is None:
+                return frozenset()
+            sn, sd = root  # (u + s)/2 = (u * sd + sn) / (2 * sd)
+            y = [a * sd + b for a, b in zip(y, sn)]
+            den *= 2 * sd
+    q = squarefree_part(y[0] * den)
+    return frozenset(_sqfree_mul(abs(q), t) * (1 if q > 0 else -1) for t in _closure(ds))
 
 
 # -- subfield lattice ----------------------------------------------------
@@ -785,6 +790,32 @@ def subfields_index2(tower: FieldTower) -> list[FieldTower]:
     return list(tower._subfields)
 
 
+def _over_subfield(x: FieldElement, F: FieldTower) -> tuple[int, list[int], list[int], int]:
+    """(a, u, v, den): x = (u + v*sqrt(a)) / den, u and v numerators over
+    the index-2 subtower F, a the least class of x's tower K outside F, by
+    K's basis map to F, built once per (K, F) and kept on K: alpha_S =
+    scale_S * sqrt(t_S) goes to u if t_S is a class of F, else, t_S * a =
+    g^2 * t' with g = gcd(t_S, a), as (scale_S * g / a) * sqrt(t') to v."""
+    K = x.tower
+    basis = K._maps.get(F)
+    if basis is None:
+        a = min(K.subgroup_classes - F.subgroup_classes)
+        parts = []  # (S, T, 0 for u or 1 for v, multiplier of alpha_S as num, den)
+        for S, t in enumerate(K.basis_class):
+            side = t not in F.class_to_mask
+            g = gcd(t, a) if side else 1
+            T = F.class_to_mask[(t // g) * (a // g) if side else t]
+            parts.append((S, T, side, K.basis_scale[S] * g, (a if side else 1) * F.basis_scale[T]))
+        m = lcm(*(d for *_, d in parts))
+        basis = K._maps[F] = (a, m, [(S, T, side, num * (m // d))
+                                     for S, T, side, num, d in parts])
+    a, m, parts = basis
+    uv = ([0] * F.degree, [0] * F.degree)
+    for S, T, side, mult in parts:
+        uv[side][T] += x.nums[S] * mult
+    return a, uv[0], uv[1], x.den * m
+
+
 def intersect(f1: FieldTower, f2: FieldTower) -> FieldTower:
     common = f1.subgroup_classes & f2.subgroup_classes
     return make_field(sorted(common - {1}))
@@ -793,13 +824,13 @@ def intersect(f1: FieldTower, f2: FieldTower) -> FieldTower:
 # -- integrality ---------------------------------------------------------
 
 
-def is_algebraic_integer(x: FieldElement) -> bool:
-    """True iff x is a root of a monic polynomial with integer coefficients.
+def is_algebraic_integer(x) -> bool:
+    """True iff x (as in is_square) is a root of a monic integer polynomial.
 
-    By descent: x = u + v*sqrt(d) over the prefix tower F has
-    characteristic polynomial t^2 - 2u*t + (u^2 - d*v^2) over F, which is
-    its minimal one if v != 0 and (t - u)^2 if v = 0, so x is integral iff
-    2u and u^2 - d*v^2 are; over Q, iff x is an integer.
+    By descent on numerators: x = u + v*sqrt(d) over the prefix tower F
+    has characteristic polynomial t^2 - 2u*t + (u^2 - d*v^2) over F, so x
+    is integral iff 2u and u^2 - d*v^2 are (u, if v = 0); over Q, iff x is
+    an integer.  Integer coefficients end a branch: every alpha_S is integral.
 
     >>> t = make_field([5])
     >>> is_algebraic_integer(t.element([Fraction(1, 2), Fraction(1, 2)]))
@@ -807,10 +838,16 @@ def is_algebraic_integer(x: FieldElement) -> bool:
     >>> is_algebraic_integer(t.rational(Fraction(1, 2)))
     False
     """
-    if x.tower.r == 0:
-        return x.den == 1
-    u, v, d, _ = _split_top(x)
-    return is_algebraic_integer(u * 2) and is_algebraic_integer(u * u - v * v * d)
+    x = x if isinstance(x, FieldElement) else make_field([]).rational(x)
+    rad, todo = x.tower.basis_radicand, [(x.nums, x.den)]
+    while todo:
+        y, den = _lowest(*todo.pop())
+        if den != 1:
+            if len(y) == 1:
+                return False
+            u, v, _, n = _halves(y, rad)
+            todo += [(u, den)] if n is None else [([2 * a for a in u], den), (n, den * den)]
+    return True
 
 
 def integral_rescale(x: FieldElement) -> FieldElement:

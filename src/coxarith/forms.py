@@ -29,21 +29,20 @@ and a is the smallest squarefree generator of K over F; its determinant
 is -Norm_{K/F}(c), so blocks never degenerate.  u and v are read straight
 from the numerators of c: each basis element of K lies in F or in
 F*sqrt(a), so each numerator moves to u or to v with an integer
-multiplier, and no conjugate or change of tower is formed.  Each block is
-diagonalized in closed form, up to squares and with no division: to
-<v, -v*Norm(c)> when v != 0, and to the hyperbolic plane <1, -1> when
-v = 0; no generic elimination runs.
+multiplier (fields._over_subfield, one map per (K, F)).  Each block is
+diagonalized in closed form on numerators, up to squares and with no
+division: to <v, -v*Norm(c)> when v != 0, and to <1, -1> when v = 0.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from math import gcd, lcm
+from math import gcd
 from typing import Sequence
 
 from . import localfields
-from .fields import (Embedding, FieldElement, FieldTower, _adjugate, _mul_nums, element_literal,
-                     signs)
+from .fields import (Embedding, FieldElement, FieldTower, _adjugate, _mul_nums, _over_subfield,
+                     element_literal, signs)
 
 __all__ = [
     "QuadraticForm",
@@ -73,12 +72,13 @@ class QuadraticForm:
         return len(self.diagonal)
 
     def det(self) -> FieldElement:
-        """The product of the diagonal, formed once and kept."""
+        """The product of the diagonal, formed once on numerators and kept."""
         if self._det is None:
-            out = self.tower.one()
+            nums, den = [1] + [0] * (self.tower.degree - 1), 1
             for c in self.diagonal:
-                out = out * c
-            self._det = out
+                nums = _mul_nums(nums, c.nums, self.tower.basis_radicand)
+                den *= c.den
+            self._det = FieldElement(self.tower, tuple(nums), den)
         return self._det
 
     def negatives(self) -> tuple[int, ...]:
@@ -206,7 +206,7 @@ def _sym_diagonalize(M: Sequence[Sequence[Sequence[int]]], den: int,
                     Ai[j] = A[j][i] = e * Ai[j] - f * row[j]
             cells = (x for i in range(k + 1, n) for x in A[i][i:])
         else:
-            Q, e = _adjugate(p, tower)
+            Q, e = _adjugate(p, rad)
             Q = [-q for q in Q]  # f = -(M[k][i] * Q) is added into e * M[i][j]
             live = [any(x) for x in row]
             for i in range(k + 1, n):
@@ -259,12 +259,6 @@ def transfer(form: QuadraticForm, F: FieldTower) -> QuadraticForm:
     the square v^2, and the hyperbolic plane <1, -1> when v = 0 (c lies in
     F), so no entry is divided.
 
-    u and v come from the numerators of c.  K's basis element
-    alpha_S = scale_S * sqrt(t_S) goes to u when t_S is a class of F;
-    otherwise t_S * a = g^2 * t' with g = gcd(t_S, a) and t' a class of F,
-    so alpha_S = (scale_S * g / a) * sqrt(t') * sqrt(a) goes to v.  Every
-    multiplier is brought to one common denominator per call.
-
     The result's table of negatives is read off the form's, with no sign
     certified: over a real place tau of F lie the embeddings s+ and s- of K
     that send sqrt(a) to +sqrt(a) and -sqrt(a), and the block of c has
@@ -279,31 +273,15 @@ def transfer(form: QuadraticForm, F: FieldTower) -> QuadraticForm:
             or F.degree * 2 != K.degree:
         raise ValueError("transfer target is not an index-2 subtower")
     a = min(K.subgroup_classes - F.subgroup_classes)
-    u_parts, v_parts = [], []  # (S, index in F, multiplier of alpha_S as num, den)
-    for S, t in enumerate(K.basis_class):
-        T = F.class_to_mask.get(t)
-        if T is not None:
-            u_parts.append((S, T, K.basis_scale[S], F.basis_scale[T]))
-        else:
-            g = gcd(t, a)
-            T = F.class_to_mask[(t // g) * (a // g)]
-            v_parts.append((S, T, K.basis_scale[S] * g, a * F.basis_scale[T]))
-    m = lcm(*(d for *_, d in u_parts + v_parts))
-    u_parts = [(S, T, num * (m // d)) for S, T, num, d in u_parts]
-    v_parts = [(S, T, num * (m // d)) for S, T, num, d in v_parts]
+    rad = F.basis_radicand
     one = F.one()
     diag = []
     for c in form.diagonal:
-        un = [0] * F.degree
-        vn = [0] * F.degree
-        for S, T, mult in u_parts:
-            un[T] += c.nums[S] * mult
-        for S, T, mult in v_parts:
-            vn[T] += c.nums[S] * mult
-        u = FieldElement(F, tuple(un), c.den * m)
-        v = FieldElement(F, tuple(vn), c.den * m)
-        if v:
-            diag += [v, v * (v * v * a - u * u)]
+        _, u, v, den = _over_subfield(c, F)
+        if any(v):  # v and v * (a*v^2 - u^2), over den and den^3
+            w = _mul_nums(u, [-y for y in u], rad, _mul_nums(v, [a * y for y in v], rad))
+            diag += [FieldElement(F, tuple(v), den),
+                     FieldElement(F, tuple(_mul_nums(v, w, rad)), den ** 3)]
         else:
             diag += [one, -one]
     # K's mask s restricts to F's mask tau, bit j the sign of sqrt(F's

@@ -791,10 +791,11 @@ def relevant_finite_places(tower: FieldTower, elements: Iterable) -> tuple[Place
         c = tower.coerce(c)
         if not c:
             raise ZeroDivisionError("degenerate entry")
-        n = integral_rescale(c).rational_norm()
-        if n.denominator != 1:
+        c = integral_rescale(c)
+        n, rest = divmod(fields._norm_nums(c.nums, tower), c.den ** tower.degree)
+        if rest:
             raise RuntimeError("norm of an integral rescale is not an integer")
-        primes.update(p for p, _ in factorize(int(n)))
+        primes.update(p for p, _ in factorize(n))
     out: list[Place] = []
     for p in sorted(primes):
         out.extend(splitting(tower, p))

@@ -21,6 +21,11 @@ first place above 2 to Hilbert reciprocity.
 that fixes the subfield (`fixing_embeddings`) and two changes of tower, the
 reference for the library's numerator split.
 
+`is_square`, `rational_square_classes` and `is_algebraic_integer` are the
+norm descents that once stood in `coxarith.fields`, recursive over
+`FieldElement` products: the references for the library's descent on
+integer numerators, witness for witness.
+
 `minimal_polynomial` is the monic minimal polynomial over Q, formed from
 the distinct Galois conjugates; it is the reference for the library's
 integrality test by descent down the tower.
@@ -204,6 +209,102 @@ def _is_rat_square(q: Fraction) -> bool:
 def _rat_sqrt(q: Fraction) -> Fraction:
     q = Fraction(q)
     return Fraction(isqrt(q.numerator), isqrt(q.denominator))
+
+
+# -- the FieldElement descents that coxarith.fields runs on numerators --------
+
+
+def _rational_square(q: Fraction) -> tuple[bool, Fraction | None]:
+    if q < 0:
+        return False, None
+    if q == 0:
+        return True, q
+    n = q.numerator * q.denominator
+    s = isqrt(n)
+    if s * s != n:
+        return False, None
+    return True, Fraction(s, q.denominator)
+
+
+def _split_top(x: FieldElement):
+    """x = u + v*sqrt(d) with u, v over the prefix tower, d the top radicand."""
+    tower = x.tower
+    sub = fields.make_field(tower.radicands[:-1])
+    half = sub.degree
+    return (FieldElement(sub, x.nums[:half], x.den), FieldElement(sub, x.nums[half:], x.den),
+            tower.radicands[-1], sub)
+
+
+def _embed_up(x: FieldElement, tower, with_root: bool) -> FieldElement:
+    """Lift an element of the prefix tower, optionally multiplied by sqrt(top)."""
+    pad = (0,) * len(x.nums)
+    return FieldElement(tower, pad + x.nums if with_root else x.nums + pad, x.den)
+
+
+def is_square(x):
+    """fields.is_square as a recursive norm descent over FieldElement: in
+    K = F(sqrt(d)), x = u + v*sqrt(d) is a square iff u^2 - d*v^2 is a
+    square s^2 in F and a branch (u +- s)/2 is a square p^2 in F; then
+    (p + (v/2p)*sqrt(d))^2 = x.  Every witness is checked by multiplying it
+    out."""
+    if isinstance(x, (int, Fraction)):
+        ok, w = _rational_square(Fraction(x))
+        return ok, (fields.make_field([]).rational(w) if ok else None)
+    tower = x.tower
+    if tower.r == 0:
+        ok, w = _rational_square(x.rational_value())
+        return ok, (tower.rational(w) if ok else None)
+    if not x:
+        return True, tower.zero()
+    u, v, d, sub = _split_top(x)
+    if not v:
+        ok, p = is_square(u)
+        if ok:
+            w = _embed_up(p, tower, False)
+            assert w * w == x
+            return True, w
+        ok, p = is_square(u * d)
+        if ok:
+            w = _embed_up(p * Fraction(1, d), tower, True)
+            assert w * w == x
+            return True, w
+        return False, None
+    ok, s = is_square(u * u - v * v * d)
+    if not ok:
+        return False, None
+    for s_branch in (s, -s):
+        ok, p = is_square((u + s_branch) * Fraction(1, 2))
+        if ok and p:
+            w = _embed_up(p, tower, False) + _embed_up(v / (p * 2), tower, True)
+            if w * w == x:
+                return True, w
+    return False, None
+
+
+def rational_square_classes(x: FieldElement) -> frozenset[int]:
+    """fields.rational_square_classes over FieldElement: with v != 0, the
+    branch (u + s)/2 of is_square, and the classes below closed under d."""
+    if not x:
+        raise ValueError("rational_square_classes(0)")
+    if x.tower.r == 0:
+        return frozenset({squarefree_part(x.nums[0] * x.den)})
+    u, v, d, _ = _split_top(x)
+    if v:
+        ok, s = is_square(u * u - v * v * d)
+        if not ok:
+            return frozenset()
+        u = (u + s) * Fraction(1, 2)
+    below = rational_square_classes(u)
+    return below | {squarefree_part(q * d) for q in below}
+
+
+def is_algebraic_integer(x: FieldElement) -> bool:
+    """fields.is_algebraic_integer over FieldElement: x = u + v*sqrt(d) is
+    integral iff 2u and u^2 - d*v^2 are; over Q, iff x is an integer."""
+    if x.tower.r == 0:
+        return x.den == 1
+    u, v, d, _ = _split_top(x)
+    return is_algebraic_integer(u * 2) and is_algebraic_integer(u * u - v * v * d)
 
 
 # -- determinant identity for the multiquadratic basis ----------------------

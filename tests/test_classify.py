@@ -26,6 +26,7 @@ from coxarith.classify import (
 )
 from coxarith.fields import element_literal, make_field, parse_element
 from coxarith.forms import QuadraticForm
+import oracles
 from oracles import all_places_hyperbolic, basis_det_check, bounded_model_search
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
@@ -199,15 +200,21 @@ def _norm_of_det(f, e, F):
 def test_descend_field_builds_transfers_only_past_the_fibre_test(monkeypatch):
     # a transfer is built exactly where f passes the fibre test and
     # N_{K/F}(det f) is a square in F; the verdicts still come from real
-    # transfers
-    built = []
-    real = forms.transfer
+    # transfers.  When N_{K/Q}(det f) = N_{F/Q}(N_{K/F}(det f)) is no
+    # rational square, no N_{K/F}(det f) is a square, and descend_field runs
+    # no per-subfield square test and builds no transfer for that form
+    built, tested = [], []
+    real, real_square = forms.transfer, fields.is_square
 
     def recording(f, F):
         built.append(F)
         return real(f, F)
 
-    skipped_fibre = skipped_norm = 0
+    def recording_square(x):
+        tested.append(x)
+        return real_square(x)
+
+    skipped_fibre = skipped_norm = nonsquare = settled = 0
     for f in _fibre_test_cases():
         if f.tower.r == 0:
             continue
@@ -216,15 +223,25 @@ def test_descend_field_builds_transfers_only_past_the_fibre_test(monkeypatch):
         neg = f.negatives()
         fibre = [(e, F) for e, F in enumerate(fields.subfields_index2(f.tower), 1)
                  if all(neg[s] == neg[s ^ e] for s in range(f.tower.degree))]
-        passing = [F for e, F in fibre if fields.is_square(_norm_of_det(f, e, F))[0]]
+        passing = [F for e, F in fibre if oracles.is_square(_norm_of_det(f, e, F))[0]]
         built.clear()
+        tested.clear()
         monkeypatch.setattr(forms, "transfer", recording)
+        monkeypatch.setattr(fields, "is_square", recording_square)
         assert descend_field(f)[1] == want
         monkeypatch.setattr(forms, "transfer", real)
+        monkeypatch.setattr(fields, "is_square", real_square)
         assert built == passing
+        if oracles.is_square(f.det().rational_norm())[0]:
+            assert [x.tower for x in tested] == [F for _, F in fibre]
+        else:
+            assert passing == built == tested == []
+            nonsquare += 1
+            settled += len(fibre)
         skipped_fibre += len(want) - len(fibre)
         skipped_norm += len(fibre) - len(passing)
     assert skipped_fibre >= 50 and skipped_norm >= 30
+    assert nonsquare >= 30 and settled >= 20
 
 
 def test_descend_field_runs_only_the_finite_hasse_check_on_a_transfer(monkeypatch):
@@ -280,14 +297,14 @@ def test_integrality_witness_tests_each_distinct_entry_once(monkeypatch):
     d = diagrams.parse_diagram("dim 2\nvertices 3\nedge 1 2 5\nedge 2 3 3\nedge 1 3 w 5/4\n")
     assert classify._integrality_witness(d) == {"kind": "entry", "edge": [1, 3],
                                                 "value": "25/4"}
-    # the test descends to Q by calling itself, over another tower
-    assert sum(x.tower is d.tower for x in calls) == 2
+    # one call per distinct entry, on 4a^2 over the diagram's tower
+    assert len(calls) == 2 and all(x.tower is d.tower for x in calls)
     # 36 edges, two distinct entries
     calls.clear()
     d = diagrams.load_diagram(os.path.join(os.path.dirname(__file__), "data",
                                            "dodecahedron.cox"))
     assert classify._integrality_witness(d) is None
-    assert sum(x.tower is d.tower for x in calls) == 2
+    assert len(calls) == 2 and all(x.tower is d.tower for x in calls)
 
 
 def test_determinant_norm_and_transfer_table_identities():

@@ -291,6 +291,57 @@ def test_is_square_edge_cases():
     assert ok and w * w == t.element([3, 2, 0, 0])
 
 
+_DESCENT_TOWERS = [make_field(rads) for rads in
+                   ((), (2,), (5,), (2, 3), (3, 5), (2, 3, 5), (6, 10, 14), (5, 13, 17))]
+
+
+@pytest.mark.parametrize("tower", _DESCENT_TOWERS, ids=str)
+def test_numerator_descent_matches_the_element_descent(tower):
+    # the integer descent against the recursive FieldElement one it replaced:
+    # the same answer and the same root, nums and den, the same class set and
+    # the same integrality, on squares, squares times each squarefree q up to
+    # +-30, random elements, their negatives, rationals and zero
+    rng = random.Random(41 * tower.degree + sum(tower.radicands))
+    qs = [q for n in range(2, 31) if squarefree_part(n) == n for q in (n, -n)] + [-1]
+    cases = [tower.zero(), tower.one(), -tower.one()]
+    for _ in range(12):
+        y = rand_nonzero(tower, rng, scale=7, dens=(1, 2, 3, 4, 6, 9))
+        z = rand_element(tower, rng, scale=5, dens=(1,))  # integral, and z(z+1)/2 may be
+        cases += [y, -y, y * y, -(y * y), y * y * rng.choice(qs), y * y * rng.choice(qs),
+                  tower.rational(Fraction(rng.randint(-40, 40), rng.randint(1, 12))),
+                  z, (z * z + z) * Fraction(1, 2)]
+    cases += [y * y * q for q in qs[:8]]
+    squares = classes = integral = 0
+    for x in cases:
+        ok, w = is_square(x)
+        ok_ref, w_ref = oracles.is_square(x)
+        assert (ok, w and (w.nums, w.den)) == (ok_ref, w_ref and (w_ref.nums, w_ref.den)), x
+        assert w is None or w.tower is tower
+        squares += ok
+        if x:
+            got = rational_square_classes(x)
+            assert got == oracles.rational_square_classes(x), x
+            classes += bool(got)
+        integral += is_algebraic_integer(x)
+        assert is_algebraic_integer(x) == oracles.is_algebraic_integer(x), x
+    # every kind of answer is met on every tower
+    assert squares >= 14 and len(cases) - squares >= 14
+    assert classes >= 20 and integral >= 12 and len(cases) - integral >= 12
+
+
+def test_descent_reads_ints_and_fractions_over_q_and_refuses_other_types():
+    for q, want in ((4, 2), (Fraction(9, 4), Fraction(3, 2)), (0, 0), (-4, None), (2, None)):
+        ok, w = is_square(q)
+        assert ok == (want is not None)
+        assert w is None if want is None else (w.tower is Q and w == want)
+    assert rational_square_classes(4) == {1} and rational_square_classes(Fraction(-3, 2)) == {-6}
+    assert is_algebraic_integer(4) and not is_algebraic_integer(Fraction(4, 3))
+    for bad in (True, False, 2.0, 4.0, "4", None, [4]):
+        for call in (is_square, rational_square_classes, is_algebraic_integer):
+            with pytest.raises(TypeError):
+                call(bad)
+
+
 # -- embeddings and signs --------------------------------------------------
 
 
@@ -748,8 +799,15 @@ for bad in (lambda: lvalues.Ball(1, -1), lambda: fields.FieldTower((2, 8), field
         bad()
     except ValueError as exc:
         print(exc)
-honest = fields._embed_up
-fields._embed_up = lambda x, tower, with_root: honest(x, tower, with_root) * 2
+honest = fields._sqrt_nums
+
+
+def doubled(y, rad):  # every root the descent returns, twice too large
+    root = honest(y, rad)
+    return root and ([2 * n for n in root[0]], root[1])
+
+
+fields._sqrt_nums = doubled
 t = fields.make_field([2])
 for q in (4, 2):  # a square of the prefix field, and one times sqrt(2)
     try:
