@@ -132,7 +132,8 @@ def descend_field(f: QuadraticForm) -> tuple[FieldTower, list[tuple[FieldTower, 
         return K, [], None
     neg = f.negatives()
     fibre = [all(neg[s] == neg[s ^ e] for s in range(K.degree)) for e in range(K.degree)]
-    n = fields._norm_nums(f.det().nums, K) if any(fibre[1:]) else -1  # see 2.
+    # N_{K/Q}(det f) times den^degree, an even power: the precheck of stage 2
+    n = fields._norm_nums(f.det().nums, K) if any(fibre[1:]) else -1
     table = [(F, fibre[e] and n >= 0 and isqrt(n) ** 2 == n
               and fields.is_square(_norm_to(f.det(), F))[0]
               and localfields.finite_hasse_hyperbolic(forms.transfer(f, F)))

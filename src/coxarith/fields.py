@@ -294,8 +294,8 @@ def make_field(raw_radicands: Iterable[int]) -> FieldTower:
     read as a tuple of ints, is kept (a refused input is not), so a repeated
     request factors and closes nothing.  A tower keeps every table it builds
     for itself: its basis classes and scales, its embeddings, zero and one,
-    the tables of _fixed_bounds and the list of subfields_index2; a subfield
-    is another tower and inherits none of them.
+    the tables of _fixed_bounds, the list of subfields_index2 and the basis
+    maps to them (_over_subfield); a subfield inherits none of them.
 
     >>> make_field([2, 3]).radicands
     (2, 3)

@@ -297,7 +297,7 @@ _DESCENT_TOWERS = [make_field(rads) for rads in
 
 @pytest.mark.parametrize("tower", _DESCENT_TOWERS, ids=str)
 def test_numerator_descent_matches_the_element_descent(tower):
-    # the integer descent against the recursive FieldElement one it replaced:
+    # the integer descent against the recursive FieldElement one of oracles:
     # the same answer and the same root, nums and den, the same class set and
     # the same integrality, on squares, squares times each squarefree q up to
     # +-30, random elements, their negatives, rationals and zero
