@@ -292,60 +292,70 @@ def load_diagram(path) -> CoxeterDiagram:
     return parse_diagram(text, name)
 
 
-def _rescaled_gram(diagram: CoxeterDiagram) -> tuple[list[list[tuple[int, ...]]], int, FieldTower]:
-    """(M, den, K) with A = M / den over the trace field K: each entry as
-    integer numerators over K's basis, all over one denominator den > 0.
+def _rescaled_gram(diagram: CoxeterDiagram) -> tuple[list[list], int, FieldTower]:
+    """(M, den, K) with A = M / den over the trace field K: each entry a
+    list of integer numerators over K's basis, all over one denominator
+    den > 0, written straight into the matrix M that
+    forms._sym_diagonalize consumes (M[i][j] and M[j][i] are one list).
 
     A[s][t] = c_s*c_t*G[s][t], c_v the product of Gram entries along a
     breadth-first path from vertex 1 to v: each entry is a closed-walk
     product.  On the edge that reached v, c_u*G[u][v] = c_v, so that entry
     is A[v][v] = c_v^2.  The entries are built as integer numerators over
     the diagram's tower, with no content divided out.  K is generated by
-    the square classes of the union of the basis masks that they use, and
-    each entry is rewritten over K's basis through one table per call: the
-    tower's alpha_S = scale_S * sqrt(t_S) is (scale_S / scale'_T) * alpha'_T
-    for the mask T of t_S in K.  The content of the whole matrix is divided
-    out once at the end.
+    the square classes of the union of the basis masks that they use.
+    When K is the diagram's tower, the entries are already over K's basis
+    and are only brought to the common denominator; otherwise each is
+    rewritten through the tower's basis map to K (fields._subfield_map,
+    built once per tower pair): alpha_S = scale_S * sqrt(t_S) is (scale_S
+    / scale'_T) * alpha'_T for the mask T of t_S in K.  The content of the
+    whole matrix is divided out once at the end, so M and den do not depend
+    on the map's common denominator.
     """
     tower = diagram.tower
     rad = tower.basis_radicand
+    n = diagram.size
     one = ([1] + [0] * (tower.degree - 1), 1)
-    c = {1: one}  # vertex -> c_v as (numerators, denominator)
-    cells = {(1, 1): one}  # (s, t) -> A[s][t] as (numerators, denominator)
+    c = [None, one] + [None] * (n - 1)  # vertex -> c_v as (numerators, denominator)
+    cells = {(1, 1): one}  # (s, t) -> A[s][t] as (numerators, denominator), s <= t
     order = [1]
     for v in order:
         cv, dv = c[v]
         for w in diagram.neighbors(v):
-            if w not in c:
+            if c[w] is None:
                 a = diagram.entries[(min(v, w), max(v, w))]
                 cw, dw = c[w] = (_mul_nums(cv, a.nums, rad), dv * a.den)
                 cells[(w, w)] = cells[(min(v, w), max(v, w))] = \
                     (_mul_nums(cw, cw, rad), dw * dw)
                 order.append(w)
-    for (i, j), a in diagram.entries.items():
-        if (i, j) not in cells:
-            (ci, di), (cj, dj) = c[i], c[j]
-            cells[(i, j)] = (_mul_nums(_mul_nums(ci, cj, rad), a.nums, rad), di * dj * a.den)
-    masks = [S for S, col in enumerate(zip(*(nums for nums, _ in cells.values()))) if any(col)]
-    K = make_field(sorted(tower.basis_class[S] for S in masks if S))
-    # alpha_S is u_S / m times alpha'_T, T the mask of its class in K
-    to = [(S, K.class_to_mask[tower.basis_class[S]]) for S in masks]
-    m = lcm(*(K.basis_scale[T] for _, T in to))
-    to = [(S, T, tower.basis_scale[S] * (m // K.basis_scale[T])) for S, T in to]
+    for key, a in diagram.entries.items():
+        if key not in cells:
+            (ci, di), (cj, dj) = c[key[0]], c[key[1]]
+            cells[key] = (_mul_nums(_mul_nums(ci, cj, rad), a.nums, rad), di * dj * a.den)
     den = lcm(*(d for _, d in cells.values()))
-    outs = {}
-    for key, (nums, d) in cells.items():
+    used = [any(col) for col in zip(*(nums for nums, _ in cells.values()))]
+    K = make_field(sorted(tower.basis_class[S] for S, u in enumerate(used) if u and S))
+    m, parts = 1, None
+    if K is not tower:  # alpha_S is mult / m times alpha'_T
+        _, m, parts = fields._subfield_map(tower, K)
+        parts = [(S, T, mult) for S, T, side, mult in parts if not side]
+    zero = [0] * K.degree
+    M = [[zero] * n for _ in range(n)]
+    for (i, j), (nums, d) in cells.items():
         f = den // d
-        out = [0] * K.degree
-        for S, T, u in to:
-            out[T] = nums[S] * u * f
-        outs[key] = out
-    g = gcd(den * m, *chain.from_iterable(outs.values()))
-    den = den * m // g
-    zero = (0,) * K.degree
-    M = [[zero] * diagram.size for _ in range(diagram.size)]
-    for (i, j), out in outs.items():
-        M[i - 1][j - 1] = M[j - 1][i - 1] = tuple(x // g for x in out)
+        if parts is None:
+            out = [x * f for x in nums]
+        else:
+            out = [0] * K.degree
+            for S, T, mult in parts:
+                out[T] = nums[S] * mult * f
+        M[i - 1][j - 1] = M[j - 1][i - 1] = out
+    den *= m
+    g = gcd(den, *chain.from_iterable(M[i - 1][j - 1] for i, j in cells))
+    if g != 1:
+        den //= g
+        for i, j in cells:
+            M[i - 1][j - 1] = M[j - 1][i - 1] = [x // g for x in M[i - 1][j - 1]]
     return M, den, K
 
 

@@ -7,14 +7,17 @@ the 2^r basis
 
     alpha_S = sqrt(prod_{j in S} d_j),    S a bitmask over the radicands,
 
-so every operation is exact and runs on plain integers.  Real embeddings
+so every operation is exact and runs on plain integers; one product
+routine (_mul_nums) serves elements and numerator vectors alike, in
+closed form over Q and over one radicand.  Real embeddings
 are sign vectors on the radicands, indexed by a mask.  Signs of elements
 are certified by integer fixed-point bounds: each tower keeps, per
 precision of `bits` bits, a table of 2 * isqrt(alpha_S^2 * 4^bits) + 1,
 and _fixed_bounds gives the integer bounds of sigma(x) * den * 2^bits at
 every mask at once, by one Hadamard transform of the numerators times
 that table.  signs(x) compares them with 0 at every mask, doubling `bits`
-while some mask is undecided, and sign_at reads one mask of signs(x).
+while some mask is undecided (over Q it reads the numerator's sign), and
+sign_at reads one mask of signs(x).
 Norms are integer products of numerator conjugates over one power of den;
 squares, square classes and integrality are decided by descent over the
 prefix towers on numerators (_sqrt_nums).  None of these paths builds a
@@ -206,7 +209,7 @@ class FieldTower:
         self._embeddings = tuple(Embedding(self, e) for e in range(self.degree))
         self._bounds: dict[int, tuple[int, ...]] = {}  # bits -> table of _fixed_bounds
         self._subfields: tuple[FieldTower, ...] | None = None  # see subfields_index2
-        self._maps: dict[FieldTower, tuple] = {}  # index-2 subfield -> _over_subfield's map
+        self._maps: dict[FieldTower, tuple] = {}  # subfield -> _subfield_map's map
         self._zero = FieldElement(self, (0,) * self.degree)
         self._one = FieldElement(self, (1,) + (0,) * (self.degree - 1))
         self._hash = hash(radicands)
@@ -295,7 +298,7 @@ def make_field(raw_radicands: Iterable[int]) -> FieldTower:
     request factors and closes nothing.  A tower keeps every table it builds
     for itself: its basis classes and scales, its embeddings, zero and one,
     the tables of _fixed_bounds, the list of subfields_index2 and the basis
-    maps to them (_over_subfield); a subfield inherits none of them.
+    maps to its subfields (_subfield_map); a subfield inherits none of them.
 
     >>> make_field([2, 3]).radicands
     (2, 3)
@@ -356,8 +359,27 @@ def _mul_nums(a, b, rad: tuple[int, ...], acc: list[int] | None = None) -> list[
     """Numerators of the product of two numerator vectors over one tower,
     rad its basis_radicand table: alpha_S * alpha_T = rad[S & T] * alpha_{S ^ T}.
     With acc, the product is added into that list, which is returned.  No
-    denominator is formed and no content is divided out."""
-    out = [0] * len(a) if acc is None else acc
+    denominator is formed and no content is divided out.
+
+    One and two numerators are multiplied in closed form, (a0 + a1*alpha) *
+    (b0 + b1*alpha) = a0*b0 + rad[1]*a1*b1 + (a0*b1 + a1*b0)*alpha, with no
+    loop set up; from four on, the double loop skips the zeros of both."""
+    n = len(a)
+    if n == 2:
+        a0, a1 = a
+        b0, b1 = b
+        x, y = a0 * b0 + a1 * b1 * rad[1], a0 * b1 + a1 * b0
+        if acc is None:
+            return [x, y]
+        acc[0] += x
+        acc[1] += y
+        return acc
+    if n == 1:
+        if acc is None:
+            return [a[0] * b[0]]
+        acc[0] += a[0] * b[0]
+        return acc
+    out = [0] * n if acc is None else acc
     nzb = [(T, y) for T, y in enumerate(b) if y]
     for S, x in enumerate(a):
         if x:
@@ -522,8 +544,6 @@ class FieldElement:
                                 self.den * other.denominator)
         else:
             a, b = self._pair(other)
-        if a.tower.degree == 1:
-            return FieldElement(a.tower, (a.nums[0] * b.nums[0],), a.den * b.den)
         return FieldElement(a.tower, tuple(_mul_nums(a.nums, b.nums, a.tower.basis_radicand)),
                             a.den * b.den)
 
@@ -565,21 +585,6 @@ class FieldElement:
         if not self.is_rational:
             raise ValueError(f"{self} is not rational")
         return Fraction(self.nums[0], self.den)
-
-    def conjugate(self, sigma: Embedding) -> "FieldElement":
-        if sigma.tower is not self.tower:
-            raise ValueError("embedding belongs to a different tower")
-        mask = sigma.mask
-        return FieldElement(
-            self.tower,
-            tuple(-n if (S & mask).bit_count() & 1 else n for S, n in enumerate(self.nums)),
-            self.den,
-        )
-
-    def rational_norm(self) -> Fraction:
-        """Product of all real conjugates (the norm down to Q): the integer
-        norm of the numerators (_norm_nums) over den^degree."""
-        return Fraction(_norm_nums(self.nums, self.tower), self.den ** self.tower.degree)
 
     def express_in(self, target: FieldTower) -> "FieldElement":
         """Rewrite over another tower; raises ValueError if not contained."""
@@ -643,8 +648,12 @@ def signs(x: FieldElement) -> tuple[int, ...]:
     once 2^-bits * sum|nums| / den < |sigma(x)|, and since den * 2^bits > 0
     the integer bounds have the signs of the bounds on sigma(x) itself.  A
     nonzero x is nonzero at every embedding; x = 0 gives all zeros.  No
-    floating point and no Fraction is used.
+    floating point and no Fraction is used.  Over Q no bound is formed: the
+    one sign is that of the numerator, as den > 0.
     """
+    if x.tower.degree == 1:  # den > 0, so the sign is the numerator's
+        n = x.nums[0]
+        return (1,) if n > 0 else (-1,) if n < 0 else (0,)
     out = [0] * x.tower.degree
     if not x:
         return tuple(out)
@@ -790,26 +799,41 @@ def subfields_index2(tower: FieldTower) -> list[FieldTower]:
     return list(tower._subfields)
 
 
-def _over_subfield(x: FieldElement, F: FieldTower) -> tuple[int, list[int], list[int], int]:
-    """(a, u, v, den): x = (u + v*sqrt(a)) / den, u and v numerators over
-    the index-2 subtower F, a the least class of x's tower K outside F, by
-    K's basis map to F, built once per (K, F) and kept on K: alpha_S =
-    scale_S * sqrt(t_S) goes to u if t_S is a class of F, else, t_S * a =
-    g^2 * t' with g = gcd(t_S, a), as (scale_S * g / a) * sqrt(t') to v."""
-    K = x.tower
+def _subfield_map(K: FieldTower, F: FieldTower) -> tuple[int | None, int, list[tuple]]:
+    """(a, m, parts): K's basis map to its subtower F, built once per (K, F)
+    and kept on K.  A basis element alpha_S = scale_S * sqrt(t_S) of K with
+    t_S a class of F is (scale_S / scale'_T) * alpha'_T, T the mask of t_S
+    in F, and gives the part (S, T, 0, mult) with mult = scale_S * m /
+    scale'_T.  When F has index 2, a is the least class of K outside F and
+    each other alpha_S, with t_S * a = g^2 * t' and g = gcd(t_S, a), is
+    (scale_S * g / a) * sqrt(t') * sqrt(a), the part (S, T, 1, mult) for T
+    the mask of t' in F; otherwise a is None and such masks have no part.
+    m is the least common denominator of the multipliers.  Both
+    _over_subfield and diagrams._rescaled_gram read their maps here."""
     basis = K._maps.get(F)
     if basis is None:
-        a = min(K.subgroup_classes - F.subgroup_classes)
-        parts = []  # (S, T, 0 for u or 1 for v, multiplier of alpha_S as num, den)
+        outside = K.subgroup_classes - F.subgroup_classes
+        a = min(outside) if F.degree * 2 == K.degree else None
+        parts = []  # (S, T, 0 or 1, multiplier of alpha_S as num, den)
         for S, t in enumerate(K.basis_class):
-            side = t not in F.class_to_mask
+            side = t in outside
+            if side and a is None:
+                continue
             g = gcd(t, a) if side else 1
             T = F.class_to_mask[(t // g) * (a // g) if side else t]
             parts.append((S, T, side, K.basis_scale[S] * g, (a if side else 1) * F.basis_scale[T]))
         m = lcm(*(d for *_, d in parts))
         basis = K._maps[F] = (a, m, [(S, T, side, num * (m // d))
                                      for S, T, side, num, d in parts])
-    a, m, parts = basis
+    return basis
+
+
+def _over_subfield(x: FieldElement, F: FieldTower) -> tuple[int, list[int], list[int], int]:
+    """(a, u, v, den): x = (u + v*sqrt(a)) / den, u and v numerators over
+    the index-2 subtower F, a the least class of x's tower K outside F, by
+    K's basis map to F (_subfield_map): each numerator of x goes to u or to
+    v with an integer multiplier."""
+    a, m, parts = _subfield_map(x.tower, F)
     uv = ([0] * F.degree, [0] * F.degree)
     for S, T, side, mult in parts:
         uv[side][T] += x.nums[S] * mult

@@ -21,7 +21,12 @@ and classify's witness and transfer fibre test all read it.  Two forms get
 their table in closed form, with no sign certified: a transfer reads it
 off its source form's, and the sum f + (-g) that globally_isometric tests
 reads it off f's and g's.  The determinant is kept on the form the same
-way, and that of f + (-g) is read off f's and g's.
+way, and that of f + (-g) is read off f's and g's.  So are the finite
+places: each form keeps one prime set, primes(), 2 and the primes that
+divide the norms of its entries (localfields._norm_primes, the routine of
+relevant_finite_places), and the places above them are the only ones
+where its finite Hasse invariants are read; f + (-g) takes the union of
+f's and g's sets and factors no norm of its own.
 
 The transfer along a quadratic subextension K/F sends a rank-1 form <c>
 to the rank-2 F-form with Gram [[v, u], [u, a*v]] where c = u + v*sqrt(a)
@@ -56,7 +61,7 @@ __all__ = [
 class QuadraticForm:
     """A nondegenerate diagonal quadratic form <a_1,...,a_n> over a tower."""
 
-    __slots__ = ("tower", "diagonal", "_negatives", "_det")
+    __slots__ = ("tower", "diagonal", "_negatives", "_det", "_primes")
 
     def __init__(self, tower: FieldTower, diagonal):
         diag = tuple(tower.coerce(c) for c in diagonal)
@@ -66,6 +71,7 @@ class QuadraticForm:
         self.diagonal = diag
         self._negatives = None
         self._det = None
+        self._primes = None
 
     @property
     def rank(self) -> int:
@@ -94,6 +100,19 @@ class QuadraticForm:
             self._negatives = tuple(neg)
         return self._negatives
 
+    def primes(self) -> frozenset[int]:
+        """The primes of localfields.relevant_finite_places for the diagonal:
+        2 and each prime dividing the norm of an entry's integral rescale,
+        found once (localfields._norm_primes) and kept.  A form built from
+        parts (globally_isometric's f + (-g)) keeps those forms instead, and
+        its set is the union of theirs, formed on first use, so no norm is
+        factored for a sum that an earlier check refuses."""
+        if self._primes is None:
+            self._primes = localfields._norm_primes(self.tower, self.diagonal)
+        elif type(self._primes) is tuple:
+            self._primes = frozenset().union(*(part.primes() for part in self._primes))
+        return self._primes
+
     def literals(self) -> list[str]:
         return [element_literal(c) for c in self.diagonal]
 
@@ -111,8 +130,10 @@ class QuadraticForm:
 def _sym_diagonalize(M: Sequence[Sequence[Sequence[int]]], den: int,
                      tower: FieldTower) -> list[FieldElement]:
     """Exact congruence diagonalization of the symmetric A = M / den: D with
-    T^t A T = diag(D); T is not formed.  Each entry M[i][j] is a tuple of
-    integer numerators over the tower's basis, all over the one nonzero den.
+    T^t A T = diag(D); T is not formed.  Each entry M[i][j] is a sequence of
+    integer numerators over the tower's basis, all over the one nonzero den;
+    the entries are read as they are (diagrams._rescaled_gram writes them
+    there) and never written to, and only the rows are copied.
 
     Step k takes a nonzero diagonal pivot, swapping one in if A[k][k] is
     zero, or else folds the first nonzero off-diagonal pair onto the
@@ -132,9 +153,13 @@ def _sym_diagonalize(M: Sequence[Sequence[Sequence[int]]], den: int,
 
     so the block keeps one common denominator, den * e, and is divided by
     its content (the gcd of that denominator and all its numerators) once
-    per pivot, not once per product.  On a degree-1 tower the entries are
-    plain ints, Q = 1 and e = M[k][k].  The denominator may turn negative;
-    FieldElement gives each D[k] a positive one.
+    per pivot, not once per product.  Each product (M[k][i] * Q) * M[k][j]
+    runs over the nonzero numerators of both factors alone, and those
+    (mask, numerator) pairs are listed once per pivot: for each row entry
+    M[k][j] and for each f = -M[k][i] * Q, not once per product.  On a
+    degree-1 tower the entries are plain ints, Q = 1 and e = M[k][k].  The
+    denominator may turn negative; FieldElement gives each D[k] a positive
+    one.
 
     The diagonal is the one an elimination over FieldElement gives, element
     for element: every block is the same exact matrix, only written over
@@ -153,18 +178,12 @@ def _sym_diagonalize(M: Sequence[Sequence[Sequence[int]]], den: int,
 
         def add(x, y):
             return x + y
-
-        def div(x, g):
-            return x // g
     else:
-        A = [[tuple(x) for x in row] for row in M]
+        A = [list(row) for row in M]  # the entries themselves are never written to
         nonzero = any
 
         def add(x, y):
             return [s + t for s, t in zip(x, y)]
-
-        def div(x, g):
-            return [s // g for s in x]
     for i in range(n):
         if len(A[i]) != n:
             raise ValueError("gram matrix is not square")
@@ -208,13 +227,18 @@ def _sym_diagonalize(M: Sequence[Sequence[Sequence[int]]], den: int,
         else:
             Q, e = _adjugate(p, rad)
             Q = [-q for q in Q]  # f = -(M[k][i] * Q) is added into e * M[i][j]
-            live = [any(x) for x in row]
+            # nonzero (mask, numerator) pairs, once per pivot: of each row entry
+            sup = [None] * (k + 1) + [[(T, y) for T, y in enumerate(row[j]) if y]
+                                      for j in range(k + 1, n)]
             for i in range(k + 1, n):
                 Ai = A[i]
-                f = _mul_nums(row[i], Q, rad) if live[i] else None
+                fs = sup[i] and [(S, y) for S, y in enumerate(_mul_nums(row[i], Q, rad)) if y]
                 for j in range(i, n):
-                    if f is not None and live[j]:
-                        x = _mul_nums(f, row[j], rad, [e * s for s in Ai[j]])
+                    if fs and sup[j]:
+                        x = [e * s for s in Ai[j]]
+                        for S, a in fs:
+                            for T, b in sup[j]:
+                                x[S ^ T] += a * b * rad[S & T]
                     elif e != 1:
                         x = [e * s for s in Ai[j]]
                     else:
@@ -228,18 +252,21 @@ def _sym_diagonalize(M: Sequence[Sequence[Sequence[int]]], den: int,
             for i in range(k + 1, n):
                 Ai = A[i]
                 for j in range(i, n):
-                    Ai[j] = A[j][i] = div(Ai[j], g)
+                    Ai[j] = A[j][i] = Ai[j] // g if flat else [s // g for s in Ai[j]]
     return D + [tower.zero()] * (n - len(D))
 
 
 def _with_negatives(tower: FieldTower, diagonal, negatives,
-                    det: FieldElement | None = None) -> QuadraticForm:
+                    det: FieldElement | None = None,
+                    parts: tuple[QuadraticForm, ...] | None = None) -> QuadraticForm:
     """A form whose table of negatives, and determinant if given, are known
     in closed form, so that negatives() certifies no sign for it and det()
-    multiplies nothing."""
+    multiplies nothing; given the forms it is the sum of (up to signs of
+    entries), primes() unites their prime sets and factors nothing."""
     form = QuadraticForm(tower, diagonal)
     form._negatives = tuple(negatives)
     form._det = det
+    form._primes = parts
     return form
 
 
@@ -300,9 +327,9 @@ def globally_isometric(f: QuadraticForm, g: QuadraticForm) -> bool:
 
     By Witt cancellation f = g exactly when f + (-g) is a sum of hyperbolic
     planes; localfields.is_hyperbolic decides that by real signatures,
-    determinant class and Hasse invariants.  The sum's table of negatives
-    and determinant, det f * det g * (-1)^rank(g), are read off f's and
-    g's.
+    determinant class and Hasse invariants.  The sum's table of negatives,
+    its determinant, det f * det g * (-1)^rank(g), and its prime set, the
+    union of f's and g's (N(-c) = +-N(c)), are read off f's and g's.
     """
     if f.tower != g.tower:
         raise ValueError("forms live over different towers")
@@ -314,7 +341,7 @@ def globally_isometric(f: QuadraticForm, g: QuadraticForm) -> bool:
     det = f.det() * g.det()
     return localfields.is_hyperbolic(
         _with_negatives(f.tower, f.diagonal + tuple(-c for c in g.diagonal), neg,
-                        -det if g.rank % 2 else det))
+                        -det if g.rank % 2 else det, (f, g)))
 
 
 def is_admissible(form: QuadraticForm) -> bool:

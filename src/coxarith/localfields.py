@@ -41,7 +41,10 @@ Every local-global question goes through is_hyperbolic: isometry of f and
 g is hyperbolicity of f + (-g) (forms.globally_isometric), and a Hilbert
 symbol (a,b) is the Hasse invariant of <a, b>.  classify.descend_field
 reads a transfer's real and determinant checks off its source form and
-runs only the finite-place part, finite_hasse_hyperbolic.  is_hyperbolic
+runs only the finite-place part, finite_hasse_hyperbolic, over the places
+above the form's kept prime set (forms.QuadraticForm.primes, found by the
+routine of relevant_finite_places once per form), comparing with a target
+read off p and deg(P).  is_hyperbolic
 never builds the dyadic model when 2 does not split, because Hilbert
 reciprocity settles the first place above 2 once rank, real signatures,
 determinant class and every other place agree.  Symbols, Hasse invariants,
@@ -779,27 +782,41 @@ def hasse_invariant(form, place: Place) -> int:
     return -1 if bit else 1
 
 
-def relevant_finite_places(tower: FieldTower, elements: Iterable) -> tuple[Place, ...]:
-    """Places above 2 and above every prime dividing a norm of an entry, in
-    increasing order of the prime, so the places above 2 come first.
-
-    At all other finite places the entries are units, so Hasse symbols of
-    diagonal forms in the entries are trivially +1 there.
-    """
+def _norm_primes(tower: FieldTower, elements: Iterable) -> frozenset[int]:
+    """2 and every prime dividing the integer norm of an entry's integral
+    rescale: the primes of relevant_finite_places.  An entry that recurs
+    (same den and numerators) is read once."""
     primes = {2}
+    seen = set()
     for c in elements:
         c = tower.coerce(c)
         if not c:
             raise ZeroDivisionError("degenerate entry")
+        if (c.den, c.nums) in seen:
+            continue
+        seen.add((c.den, c.nums))
         c = integral_rescale(c)
         n, rest = divmod(fields._norm_nums(c.nums, tower), c.den ** tower.degree)
         if rest:
             raise RuntimeError("norm of an integral rescale is not an integer")
         primes.update(p for p, _ in factorize(n))
-    out: list[Place] = []
-    for p in sorted(primes):
-        out.extend(splitting(tower, p))
-    return tuple(out)
+    return frozenset(primes)
+
+
+def _places_above(tower: FieldTower, primes: Iterable[int]) -> tuple[Place, ...]:
+    return tuple(pl for p in sorted(primes) for pl in splitting(tower, p))
+
+
+def relevant_finite_places(tower: FieldTower, elements: Iterable) -> tuple[Place, ...]:
+    """Places above 2 and above every prime dividing a norm of an entry, in
+    increasing order of the prime, so the places above 2 come first.
+
+    At all other finite places the entries are units, so Hasse symbols of
+    diagonal forms in the entries are trivially +1 there.  The primes are
+    found by _norm_primes, the one routine that QuadraticForm.primes() also
+    runs, once per form.
+    """
+    return _places_above(tower, _norm_primes(tower, elements))
 
 
 def is_hyperbolic(form) -> bool:
@@ -810,9 +827,9 @@ def is_hyperbolic(form) -> bool:
     place the Hasse invariant (-1,-1)^(m(m-1)/2) of m hyperbolic planes.
     The real check reads the form's table of negatives (negatives()).  At
     a place P above p, (-1,-1)_P = (-1,-1)_p^deg(P) for rational arguments,
-    so the target is hilbert_symbol_Q(-1, -1, p) ** (t * deg(P)) with
-    t = m(m-1)/2 mod 2: +1 at every odd place, and no local model is built
-    for it.
+    and (-1,-1)_p is -1 at p = 2 and +1 at every odd p, so the target is -1
+    exactly when p = 2 and t * deg(P) is odd, t = m(m-1)/2: no symbol is
+    computed and no local model is built for it.
     Once the first two hold, the Hasse invariants agree at every real place
     and are +1 for both outside relevant_finite_places.  By Hilbert
     reciprocity (O'Meara, Introduction to Quadratic Forms, section 71) the
@@ -837,7 +854,10 @@ def is_hyperbolic(form) -> bool:
 def finite_hasse_hyperbolic(form) -> bool:
     """is_hyperbolic's last check alone: the Hasse invariant of a form of
     even rank 2m at every relevant finite place but the first is that of m
-    hyperbolic planes, (-1,-1)_p^(m(m-1)/2 * deg(P)).
+    hyperbolic planes, (-1,-1)_p^(m(m-1)/2 * deg(P)).  As (-1,-1)_p is -1
+    at p = 2 and +1 at every odd p, that target is -1 exactly when p = 2
+    and m(m-1)/2 * deg(P) is odd, with no symbol computed.  The places are
+    those above the form's kept prime set (QuadraticForm.primes()).
 
     It decides hyperbolicity only for a form already known to have m
     negatives at every real place and determinant class (-1)^m, as the
@@ -845,8 +865,8 @@ def finite_hasse_hyperbolic(form) -> bool:
     """
     m = form.rank // 2
     t = (m * (m - 1) // 2) % 2
-    for place in relevant_finite_places(form.tower, form.diagonal)[1:]:
-        want = hilbert_symbol_Q(-1, -1, place.p) ** (t * place.degree)
+    for place in _places_above(form.tower, form.primes())[1:]:
+        want = -1 if place.p == 2 and t * place.degree % 2 else 1
         if hasse_invariant(form, place) != want:
             return False
     return True

@@ -370,7 +370,7 @@ def basis_det_check(tower) -> dict:
     B = [[-1 if (S & sigma.mask).bit_count() & 1 else 1 for S in range(deg)]
          for sigma in embs]
     det_b = _int_det(B)
-    M = [[alphas[S].conjugate(sigma) for S in range(deg)] for sigma in embs]
+    M = [[conjugate(alphas[S], sigma) for S in range(deg)] for sigma in embs]
     det_m = _det_field(M, tower)
     prod = tower.one()
     for x in alphas:
@@ -419,6 +419,22 @@ def dense_products(rads) -> list[int]:
                 m *= d
         out.append(m)
     return out
+
+
+def conjugate(x: FieldElement, sigma) -> FieldElement:
+    """sigma(x) for a real embedding sigma of x's tower: the numerator of
+    alpha_S changes sign where S & sigma.mask has odd size.  An embedding
+    of another tower raises ValueError, as fields.sign_at does."""
+    if sigma.tower is not x.tower:
+        raise ValueError("embedding belongs to a different tower")
+    return FieldElement(x.tower, tuple(-n if (S & sigma.mask).bit_count() & 1 else n
+                                       for S, n in enumerate(x.nums)), x.den)
+
+
+def rational_norm(x: FieldElement) -> Fraction:
+    """The norm of x down to Q, the product of its real conjugates: the
+    integer norm of its numerators (fields._norm_nums) over den^degree."""
+    return Fraction(fields._norm_nums(x.nums, x.tower), x.den ** x.tower.degree)
 
 
 def dense_mul(rads, x, y) -> list[Fraction]:
@@ -546,7 +562,7 @@ def sym_diagonalize(rows, tower):
 def rescaled_gram(diagram):
     """`diagrams._rescaled_gram` read back as a matrix of elements of its field."""
     M, den, K = diagrams._rescaled_gram(diagram)
-    return [[FieldElement(K, cell, den) for cell in row] for row in M]
+    return [[FieldElement(K, tuple(cell), den) for cell in row] for row in M]
 
 
 def rescaled_gram_by_elements(diagram):
@@ -683,7 +699,7 @@ def conjugate_transfer(form, F):
     half = Fraction(1, 2)
     diag = []
     for c in form.diagonal:
-        cs = c.conjugate(sigma)
+        cs = conjugate(c, sigma)
         u = ((c + cs) * half).express_in(F)
         v = ((c - cs) * half * root * Fraction(1, a)).express_in(F)
         if v:
@@ -755,7 +771,7 @@ def minimal_polynomial(x: FieldElement) -> list[Fraction]:
     orbit: list[FieldElement] = []
     seen = set()
     for sigma in x.tower.embeddings():
-        y = x.conjugate(sigma)
+        y = conjugate(x, sigma)
         key = (y.den, y.nums)
         if key not in seen:
             seen.add(key)
@@ -858,7 +874,7 @@ def stage_valuation(x: FieldElement, nbits: int, f: int) -> int:
     """v_2(N(x)) / f, the norm taken from the subfield of the first nbits
     radicands of x's tower as a product of conjugates."""
     for k in range(nbits):
-        x = x * x.conjugate(x.tower.embeddings()[1 << k])
+        x = x * conjugate(x, x.tower.embeddings()[1 << k])
     q = x.rational_value()
     w = _v2(q.numerator) - _v2(q.denominator)
     if w % f:
@@ -933,7 +949,7 @@ def bounded_model_search(f, k, bound=30):
         return None, None
     K = f.tower
     detf = f.det()
-    n = abs(fields.integral_rescale(detf).rational_norm().numerator)
+    n = abs(rational_norm(fields.integral_rescale(detf)).numerator)
     ps = {2} | {p for p, _ in factorize(n)}
     for d in K.radicands:
         ps |= {p for p, _ in factorize(d)}

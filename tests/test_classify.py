@@ -1,6 +1,7 @@
 """The arithmeticity ladder: verdicts, descent, model search, basis identity."""
 
 import glob
+import hashlib
 import json
 import os
 import random
@@ -194,7 +195,7 @@ def test_transfer_signatures_are_read_off_the_fibres():
 def _norm_of_det(f, e, F):
     """N_{K/F}(det f) = det f * sigma_e(det f), F the fixed field of mask e."""
     d = f.det()
-    return (d * d.conjugate(f.tower.embeddings()[e])).express_in(F)
+    return (d * oracles.conjugate(d, f.tower.embeddings()[e])).express_in(F)
 
 
 def test_descend_field_builds_transfers_only_past_the_fibre_test(monkeypatch):
@@ -232,7 +233,7 @@ def test_descend_field_builds_transfers_only_past_the_fibre_test(monkeypatch):
         monkeypatch.setattr(forms, "transfer", real)
         monkeypatch.setattr(fields, "is_square", real_square)
         assert built == passing
-        if oracles.is_square(f.det().rational_norm())[0]:
+        if oracles.is_square(oracles.rational_norm(f.det()))[0]:
             assert [x.tower for x in tested] == [F for _, F in fibre]
         else:
             assert passing == built == tested == []
@@ -465,6 +466,65 @@ def test_census_sample_reports_match_recorded_json():
         got = classify_diagram(diagrams.parse_diagram(entry["cox"], name)).to_json()
         assert json.dumps(got, sort_keys=True) == json.dumps(entry["report"],
                                                             sort_keys=True), name
+
+
+def _census_pool() -> dict:
+    with open(os.path.join(os.path.dirname(__file__), "data",
+                           "census_pool_hashes.json")) as fh:
+        return json.load(fh)
+
+
+def test_census_pool_reports_match_recorded_hashes():
+    # all 480 diagrams of the generated census pool (seed 20181030), each
+    # stored with its .cox text and the SHA-256 of
+    # json.dumps(report.to_json(), sort_keys=True), recorded before the
+    # degree-specialised products, the rescaled Gram written straight into
+    # the elimination's matrix and the per-form prime sets.  Re-record only
+    # for a deliberate change.
+    recorded = _census_pool()
+    assert len(recorded) == 480
+    for name, entry in sorted(recorded.items()):
+        report = classify_diagram(diagrams.parse_diagram(entry["cox"], name))
+        got = hashlib.sha256(json.dumps(report.to_json(), sort_keys=True).encode()).hexdigest()
+        assert got == entry["sha256"], name
+
+
+def test_each_form_keeps_the_primes_of_its_relevant_places(monkeypatch):
+    # every transfer and f + (-g) that classifying the census pool builds,
+    # every ambient form whose set the pass reads and every other one over a
+    # field of degree at most 4: the kept prime set is that of
+    # relevant_finite_places on its diagonal, and f + (-g) keeps f and g,
+    # whose union it takes, before is_hyperbolic runs.  (The other degree-8
+    # ambient forms hold the same by the same routine; some of their norms
+    # go to sympy's ECM for seconds each.)
+    built = Counter()
+    seen = []
+
+    def recorder(kind, fn):
+        def wrapped(*args):
+            form = fn(*args)
+            seen.append((kind, form))
+            return form
+        return wrapped
+
+    def hyperbolic(form):
+        assert len(form._primes) == 2 and form.diagonal[0] is form._primes[0].diagonal[0]
+        seen.append(("f+(-g)", form))
+        return is_hyperbolic(form)
+
+    is_hyperbolic = localfields.is_hyperbolic
+    monkeypatch.setattr(diagrams, "ambient_form", recorder("ambient", diagrams.ambient_form))
+    monkeypatch.setattr(forms, "transfer", recorder("transfer", forms.transfer))
+    monkeypatch.setattr(localfields, "is_hyperbolic", hyperbolic)
+    for name, entry in sorted(_census_pool().items()):
+        classify_diagram(diagrams.parse_diagram(entry["cox"], name))
+    for kind, form in seen:
+        if kind == "ambient" and form._primes is None and form.tower.degree > 4:
+            continue
+        places = localfields.relevant_finite_places(form.tower, form.diagonal)
+        assert form.primes() == frozenset(pl.p for pl in places), (kind, form)
+        built[kind] += 1
+    assert built["ambient"] > 300 and built["transfer"] > 50 and built["f+(-g)"] > 20, built
 
 
 def test_report_defaults_are_fresh_per_instance():

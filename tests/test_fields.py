@@ -460,12 +460,45 @@ def test_signs_match_the_dense_oracle_at_every_mask():
     assert tight >= 4
 
 
+@pytest.mark.parametrize("rads", [(), (2,), (2, 3), (2, 3, 5)])
+def test_mul_nums_matches_the_dense_product(rads):
+    # the closed forms at degrees 1 and 2 and the loop at 4 and 8, on seeded
+    # sparse and dense integer vectors, with and without an accumulator
+    tower = make_field(rads)
+    rad, deg = tower.basis_radicand, tower.degree
+    rng = random.Random(2500 + deg)
+    for trial in range(48):
+        a, b, acc = ([rng.randint(-40, 40) if trial % 3 or rng.random() < 0.5 else 0
+                      for _ in range(deg)] for _ in range(3))
+        want = oracles.dense_mul(rads, a, b)
+        got = fields._mul_nums(a, b, rad)
+        assert got == want and all(type(x) is int for x in got), (a, b)
+        before = list(acc)
+        assert fields._mul_nums(a, b, rad, acc) is acc
+        assert acc == [x + y for x, y in zip(before, want)]
+
+
+def test_signs_over_q_are_read_off_the_numerator(monkeypatch):
+    # degree 1: the one sign is the numerator's (den > 0), zero included,
+    # and no fixed-point bound is formed for it
+    def refuse(*args):
+        raise AssertionError("signs formed a bound over Q")
+
+    monkeypatch.setattr(fields, "_fixed_bounds", refuse)
+    rng = random.Random(251)
+    cases = [Q.zero(), Q.one(), -Q.one(), Q.rational(Fraction(1, 1 << 200)),
+             Q.rational(Fraction(-7, 3))] + [rand_element(Q, rng, scale=9) for _ in range(20)]
+    for x in cases:
+        want = oracles.dense_sign((), list(x.coeffs), 0)
+        assert fields.signs(x) == (want,) and sign_at(x, Q.identity_embedding) == want
+
+
 def test_sign_at_rejects_an_embedding_of_another_tower():
     # sqrt3 in Q(sqrt2, sqrt3) read at Q(sqrt3)'s sqrt3 -> -sqrt3 used to give +1
     t23, t3 = make_field([2, 3]), make_field([3])
     foreign = t3.embeddings()[1]
     for x in (t23.sqrt(3), t23.zero()):
-        for call in (lambda: sign_at(x, foreign), lambda: x.conjugate(foreign)):
+        for call in (lambda: sign_at(x, foreign), lambda: oracles.conjugate(x, foreign)):
             with pytest.raises(ValueError, match="embedding belongs to a different tower"):
                 call()
     x = t23.sqrt(3)
@@ -697,10 +730,10 @@ def test_field_ops_match_dense_fraction_oracle():
             assert_matches(3 - x, [3 - dx[0]] + [-a for a in dx[1:]])
             assert_matches(y.inverse(), oracles.dense_inverse(rads, dy))
             assert_matches(x / y, oracles.dense_mul(rads, dx, oracles.dense_inverse(rads, dy)))
-            assert y.rational_norm() == oracles.dense_norm(rads, dy)
+            assert oracles.rational_norm(y) == oracles.dense_norm(rads, dy)
             assert_matches(integral_rescale(y), oracles.dense_integral_rescale(dy))
             for sigma in tower.embeddings():
-                assert_matches(x.conjugate(sigma), oracles.dense_conjugate(dx, sigma.mask))
+                assert_matches(oracles.conjugate(x, sigma), oracles.dense_conjugate(dx, sigma.mask))
                 for bits in (4, 64, 128, 256):
                     lo, hi = oracles.dense_interval(rads, dx, sigma.mask, bits)
                     scale = x.den << bits
@@ -785,7 +818,7 @@ def test_term_building_matches_the_dense_oracle(tower):
 
 _CHECKS_UNDER_O = """
 import sys
-from coxarith import diagrams, fields, lvalues
+from coxarith import diagrams, fields, forms, lvalues
 
 if __debug__:
     sys.exit("expected python -O")
@@ -815,9 +848,11 @@ for q in (4, 2):  # a square of the prefix field, and one times sqrt(2)
     except RuntimeError as exc:
         print(q, exc)
 foreign = fields.make_field([3]).embeddings()[1]
-for call in (fields.sign_at, lambda x, s: x.conjugate(s)):
+t23 = fields.make_field([2, 3])
+for call in (fields.sign_at,
+             lambda x, s: forms.signature_at(forms.QuadraticForm(t23, [x]), s)):
     try:
-        call(fields.make_field([2, 3]).sqrt(3), foreign)
+        call(t23.sqrt(3), foreign)
     except ValueError as exc:
         print(exc)
 """

@@ -349,7 +349,7 @@ def block_transfer_diagonal(form, F):
     sigma = next(t for t in oracles.fixing_embeddings(K, F) if t.mask != 0)
 
     def s(x):
-        return ((x - x.conjugate(sigma)) / (root * 2)).express_in(F)
+        return ((x - oracles.conjugate(x, sigma)) / (root * 2)).express_in(F)
 
     basis = [K.one(), root]
     n = 2 * form.rank

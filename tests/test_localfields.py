@@ -523,6 +523,21 @@ def test_hyperbolic_target_is_the_rational_symbol(radicands, monkeypatch):
     assert is_hyperbolic(f)
 
 
+def test_finite_hasse_target_is_read_off_the_prime():
+    # finite_hasse_hyperbolic's target -1 exactly at p = 2 with t*deg(P)
+    # odd, (-1,-1)_p being -1 at 2 and +1 at every odd p: no call to
+    # hilbert_symbol_Q is left in it, and the closed form is the symbol's
+    tree = ast.parse(pathlib.Path(localfields.__file__).read_text())
+    node = next(n for n in ast.walk(tree)
+                if isinstance(n, ast.FunctionDef) and n.name == "finite_hasse_hyperbolic")
+    called = {getattr(c.func, "id", None) or getattr(c.func, "attr", None)
+              for c in ast.walk(node) if isinstance(c, ast.Call)}
+    assert "hilbert_symbol_Q" not in called and "hasse_invariant" in called
+    for p in (2, 3, 5, 7, 11, 13):
+        for power in range(4):
+            assert hilbert_symbol_Q(-1, -1, p) ** power == (-1 if p == 2 and power % 2 else 1)
+
+
 @pytest.mark.parametrize("radicands,ef,g", [((6, 10, 14), (4, 2), 1), ((6, 7, 10), (4, 1), 2),
                                              ((3, 5, 7), (2, 2), 2)])
 def test_pairing_rows_match_the_seeded_sampler(radicands, ef, g):
