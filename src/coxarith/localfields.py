@@ -44,11 +44,11 @@ reads a transfer's real and determinant checks off its source form and
 runs only the finite-place part, finite_hasse_hyperbolic, over the places
 above the form's kept prime set (forms.QuadraticForm.primes, found by the
 routine of relevant_finite_places once per form), comparing with a target
-read off p and deg(P).  is_hyperbolic
-never builds the dyadic model when 2 does not split, because Hilbert
-reciprocity settles the first place above 2 once rank, real signatures,
-determinant class and every other place agree.  Symbols, Hasse invariants,
-square class vectors and audits still compute every place directly.
+read off p and deg(P).  is_hyperbolic never builds the dyadic model when 2
+does not split, because Hilbert reciprocity settles the first place above
+2 once rank, real signatures, determinant class and every other place
+agree.  Symbols, Hasse invariants, square class vectors and audits still
+compute every place directly.
 """
 
 from __future__ import annotations
