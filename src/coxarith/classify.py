@@ -77,9 +77,12 @@ def _integrality_witness(diagram: CoxeterDiagram) -> dict | None:
 
     Each distinct entry is tested once, keyed by its (den, nums) within the
     diagram's tower: edges of one label share an entry, and a repeat of an
-    entry that passed passes again.
+    entry that passed passes again.  Labels are skipped: `seen` starts with
+    the keys of the tower's label entries, as 2a = -2cos(pi/m) = -(z + 1/z),
+    z = exp(i*pi/m), is an algebraic integer (and 4a^2 = 4 for inf), so the
+    first failing entry, the witness, is a weight all the same.
     """
-    seen = set()
+    seen = {(x.den, x.nums) for x in diagrams._LABEL_ENTRIES.get(diagram.tower, {}).values()}
     for (i, j), a in sorted(diagram.entries.items()):
         key = (a.den, a.nums)
         if key in seen:

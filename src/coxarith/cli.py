@@ -20,10 +20,8 @@ import json
 import os
 import sys
 import time
-import traceback
-from concurrent.futures import ProcessPoolExecutor
 
-from . import classify, diagrams, fields, localfields, lvalues
+from . import classify, diagrams, fields, localfields
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -84,6 +82,7 @@ def _classify_json(path: str) -> dict:
         return {"diagram": name, "error": str(exc),
                 "exit_code": _code_for_exception(exc)}
     except Exception as exc:  # one failing file must not abort a batch
+        import traceback
         traceback.print_exc(file=sys.stderr)
         return {"diagram": name, "error": f"internal error: {type(exc).__name__}: {exc}",
                 "exit_code": EXIT_INTERNAL}
@@ -133,6 +132,7 @@ def cmd_batch(args) -> int:
         return EXIT_OK
     workers = min(args.jobs, len(paths))  # the pool forks all its workers at once
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # slow to import, so only here
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_classify_json, paths))
     else:
@@ -152,6 +152,7 @@ def cmd_batch(args) -> int:
 
 
 def cmd_volume(args) -> int:
+    from . import lvalues
     try:
         res = lvalues.delta5_volume_check(args.digits)
     except ValueError as exc:

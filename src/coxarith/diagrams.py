@@ -10,10 +10,13 @@ File format (.cox): a header followed by one line per edge.
     edge 3 4 w 1/2+1/2*sqrt(6)   divergent hyperplanes (Gram entry -w, w > 1)
 
 Vertices are 1..r in declaration order; omitted pairs are right angles
-(label 2).  Weight expressions are sums of rational multiples of sqrt(n)
-with cospi(m) allowed as a term.  Supported labels are m in
-{2, 3, 4, 5, 6, 12}: exactly those whose cosine lies in a real
-multiquadratic field.
+(label 2).  Supported labels are m in {2, 3, 4, 5, 6, 12}: exactly those
+whose cosine lies in a real multiquadratic field.  A weight is an element
+literal (fields.parse_element's grammar, read by the one tokenizer
+fields._sum_terms) with cospi(m) allowed as a term.  Numbers are ASCII
+digits only.  Parsing certifies, besides the syntax, w > 1 for every
+weight, at the identity embedding alone (fields.sign_at), and that the
+diagram is connected; labels are integral by construction.
 
 The trace field of a diagram is generated by the squared Gram entries
 and the products of entries around simple cycles, or equally by the Gram
@@ -23,12 +26,12 @@ ambient form is that matrix, diagonalized once over the trace field.
 
 from __future__ import annotations
 
+import os
 import re
-from itertools import chain
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 from . import fields, forms
-from .fields import FieldElement, FieldTower, _mul_nums, _term_nums, make_field, squarefree_part
+from .fields import FieldElement, FieldTower, _mul_nums, _term_nums, make_field
 from .forms import QuadraticForm
 
 __all__ = [
@@ -64,89 +67,35 @@ _COS_PAIRS: dict[int, dict[int, tuple[int, int]]] = {
     12: {6: (1, 4), 2: (1, 4)},
 }
 
-_WTERM = re.compile(
-    r"(?:(?P<coef>\d+(?:/\d+)?)\*)?"
-    r"(?:sqrt\((?P<root>\d+)\)|cospi\((?P<cos>\d+)\))"
-    r"|(?P<rat>\d+(?:/\d+)?)"
-)
+_UNSUPPORTED = "unsupported label: non-multiquadratic cosine"
+
+# a label as written -> (label, cos(pi/m) terms); the entry of "inf" is -1
+_LABELS = {str(m): (m, pairs) for m, pairs in _COS_PAIRS.items()} | {"inf": ("inf", {1: (1, 1)})}
+
+_INDEX = {str(v): v for v in range(1, 100)}  # vertices as usually written
+
+_WEIGHT_RE = re.compile(fields._TERM.format("sqrt|cospi"))  # element literals and cospi(m)
+
+# tower -> {label: its Gram entry -cos(pi/m) or -1}, for every label whose
+# cosine lies in the tower (at most six), built by parse_diagram once
+_LABEL_ENTRIES: dict[FieldTower, dict[int | str, FieldElement]] = {}
 
 
-# (tower, label) -> the label's Gram entry over that tower, -cos(pi/m) or -1
-_LABEL_ENTRIES: dict[tuple[FieldTower, int | str], FieldElement] = {}
-
-
-def _label_entry(tower: FieldTower, label: int | str) -> FieldElement:
-    """The Gram entry of an edge label over `tower`, built once per (tower, label)."""
-    x = _LABEL_ENTRIES.get((tower, label))
-    if x is None:
-        nums, den = _term_nums(tower, {1: (1, 1)} if label == "inf" else _COS_PAIRS[label])
-        x = _LABEL_ENTRIES[(tower, label)] = FieldElement(tower, tuple(-n for n in nums), den)
-    return x
-
-
-def _acc_add(acc: dict[int, tuple[int, int]], cls: int, n: int, d: int) -> None:
-    if cls in acc:
-        a, b = acc[cls]
-        n, d = a * d + n * b, b * d
-    acc[cls] = (n, d)
-
-
-def _weight_rational(tok: str, expr: str) -> tuple[int, int]:
-    """A token of digits n or n/d as the integers (n, d), d > 0."""
-    n, _, d = tok.partition("/")
-    d = int(d) if d else 1
-    if not d:
-        raise DiagramError(f"zero denominator in weight expression: {expr!r}")
-    return int(n), d
-
-
-def _parse_weight(expr: str) -> dict[int, tuple[int, int]]:
-    """Weight expression -> {squarefree class: coefficient as (num, den)}, den > 0."""
-    s = expr.replace(" ", "")
-    if not s:
-        raise DiagramError("empty weight expression")
-    acc: dict[int, tuple[int, int]] = {}
-    pos = 0
-    first = True
-    while pos < len(s):
-        sign = 1
-        if s[pos] in "+-":
-            sign = -1 if s[pos] == "-" else 1
-            pos += 1
-        elif not first:
-            raise DiagramError(f"missing sign in weight expression: {expr!r}")
-        m = _WTERM.match(s, pos)
-        if not m or m.start() != pos:
-            raise DiagramError(f"bad weight expression: {expr!r}")
-        pos = m.end()
-        first = False
-        if m["rat"] is not None:
-            n, d = _weight_rational(m["rat"], expr)
-            _acc_add(acc, 1, sign * n, d)
-            continue
-        cn, cd = _weight_rational(m["coef"], expr) if m["coef"] else (1, 1)
-        cn *= sign
-        if m["root"] is not None:
-            n = int(m["root"])
-            if n <= 0:
-                raise DiagramError("sqrt of a nonpositive integer in weight")
-            t = squarefree_part(n)
-            _acc_add(acc, t, cn * isqrt(n // t), cd)
-        else:
-            mm = int(m["cos"])
-            pairs = _COS_PAIRS.get(mm)
-            if pairs is None:
-                raise UnsupportedLabelError("unsupported label: non-multiquadratic cosine")
-            for cls, (qn, qd) in pairs.items():
-                _acc_add(acc, cls, cn * qn, cd * qd)
-    return acc
+def _weight_error(reason: str, expr: str, pos: int) -> DiagramError:
+    """A failure of fields._sum_terms on a weight as the weight grammar's error."""
+    if reason == "cospi":
+        return UnsupportedLabelError(_UNSUPPORTED)
+    return DiagramError({"term": f"bad weight expression: {expr!r}",
+                         "den": f"zero denominator in weight expression: {expr!r}",
+                         "root": "sqrt of a nonpositive integer in weight"}.get(
+                             reason, f"missing sign in weight expression: {expr!r}"))
 
 
 class CoxeterDiagram:
-    """Parsed diagram: vertices 1..size, Gram entries over a common tower.
-
-    The sorted adjacency of every vertex is built once, from entries, when
-    the diagram is constructed."""
+    """Parsed diagram: vertices 1..size, Gram entries over a common tower
+    keyed by (i, j) with i < j.  The sorted adjacency of every vertex is
+    built once, with the diagram, from the keys read in sorted order: each
+    vertex meets its smaller neighbours in order, then its larger ones."""
 
     __slots__ = ("name", "dim", "size", "tower", "entries", "_adj")
 
@@ -158,10 +107,10 @@ class CoxeterDiagram:
         self.tower = tower
         self.entries = entries
         adj: dict[int, list[int]] = {v: [] for v in range(1, size + 1)}
-        for (i, j) in entries:
+        for i, j in sorted(entries):
             adj[i].append(j)
             adj[j].append(i)
-        self._adj = {v: tuple(sorted(ws)) for v, ws in adj.items()}
+        self._adj = {v: tuple(ws) for v, ws in adj.items()}
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
@@ -187,61 +136,63 @@ class CoxeterDiagram:
 
 def parse_diagram(text: str, name: str = "diagram") -> CoxeterDiagram:
     dim = size = None
-    # (i, j, weight as {class: (num, den)}, None) or (i, j, the label's
-    # cosine as {class: (num, den)}, label); a label's entry is built once
-    # per tower
-    raw_edges: list[tuple[int, int, dict[int, tuple[int, int]], int | str | None]] = []
-    seen: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    # key -> its label, None for a right angle (m = 2) or its weight's terms
+    edges: dict[tuple[int, int], int | str | dict | None] = {}
+    classes: set[int] = set()
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if "#" in line:
+            line = line[:line.index("#")]
         parts = line.split()
+        if not parts:
+            continue
         kind = parts[0]
-        if kind == "dim":
-            if dim is not None or len(parts) != 2 or not parts[1].isdigit():
-                raise DiagramError(f"line {lineno}: bad dim header")
-            dim = int(parts[1])
-        elif kind == "vertices":
-            if size is not None or len(parts) != 2 or not parts[1].isdigit():
-                raise DiagramError(f"line {lineno}: bad vertices header")
-            size = int(parts[1])
-        elif kind == "edge":
+        if kind == "edge":
             if dim is None or size is None:
                 raise DiagramError(f"line {lineno}: edge before dim/vertices headers")
             if len(parts) < 4:
                 raise DiagramError(f"line {lineno}: edge needs two vertices and a label")
-            try:
-                i, j = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise DiagramError(f"line {lineno}: bad vertex index") from None
-            if not (1 <= i <= size and 1 <= j <= size) or i == j:
+            i, j = _INDEX.get(parts[1]), _INDEX.get(parts[2])
+            if i is None or j is None:  # another spelling: ASCII, as int() reads it
+                try:
+                    if not (parts[1] + parts[2]).isascii():
+                        raise ValueError
+                    i, j = int(parts[1]), int(parts[2])
+                except ValueError:
+                    raise DiagramError(f"line {lineno}: bad vertex index") from None
+            if not (0 < i <= size and 0 < j <= size) or i == j:
                 raise DiagramError(f"line {lineno}: vertex index out of range")
-            key = (min(i, j), max(i, j))
-            if key in seen:
+            key = (i, j) if i < j else (j, i)
+            if key in edges:
                 raise DiagramError(f"line {lineno}: duplicate edge {key}")
-            seen.add(key)
             label = parts[3]
             if label == "w":
                 if len(parts) < 5:
                     raise DiagramError(f"line {lineno}: weighted edge needs an expression")
-                acc = _parse_weight("".join(parts[4:]))
-                raw_edges.append((key[0], key[1], acc, None))
-            elif label == "inf":
-                raw_edges.append((key[0], key[1], {}, "inf"))
-            else:
-                if not label.isdigit():
+                edges[key] = acc = fields._sum_terms("".join(parts[4:]), _WEIGHT_RE,
+                                                     _weight_error, _COS_PAIRS)
+                classes.update(t for t, (n, _) in acc.items() if n)
+                continue
+            entry = _LABELS.get(label)
+            if entry is None:  # another spelling, or no multiquadratic label
+                if not (label.isascii() and label.isdigit()):
                     raise DiagramError(f"line {lineno}: bad edge label {label!r}")
-                m = int(label)
-                if m < 2:
-                    raise DiagramError(f"line {lineno}: bad edge label {m}")
-                pairs = _COS_PAIRS.get(m)
-                if pairs is None:
-                    raise UnsupportedLabelError("unsupported label: non-multiquadratic cosine")
-                if pairs:  # m = 2 is a right angle: no entry
-                    raw_edges.append((key[0], key[1], pairs, m))
-            if len(parts) > 4 and label != "w":
+                if int(label) < 2:
+                    raise DiagramError(f"line {lineno}: bad edge label {int(label)}")
+                entry = _LABELS.get(str(int(label)))
+                if entry is None:
+                    raise UnsupportedLabelError(_UNSUPPORTED)
+            if len(parts) > 4:
                 raise DiagramError(f"line {lineno}: trailing tokens after label")
+            edges[key] = entry[0] if entry[1] else None
+            classes.update(entry[1])
+        elif kind == "dim":
+            if dim is not None or len(parts) != 2 or not (parts[1].isascii() and parts[1].isdigit()):
+                raise DiagramError(f"line {lineno}: bad dim header")
+            dim = int(parts[1])
+        elif kind == "vertices":
+            if size is not None or len(parts) != 2 or not (parts[1].isascii() and parts[1].isdigit()):
+                raise DiagramError(f"line {lineno}: bad vertices header")
+            size = int(parts[1])
         else:
             raise DiagramError(f"line {lineno}: unknown directive {kind!r}")
     if dim is None or size is None:
@@ -251,111 +202,115 @@ def parse_diagram(text: str, name: str = "diagram") -> CoxeterDiagram:
     if size < 1:
         raise DiagramError("vertices must be positive")
 
-    classes = sorted({cls for _, _, acc, _ in raw_edges for cls, (n, _) in acc.items()
-                      if n and cls != 1})
-    tower = make_field(classes)
+    tower = make_field(sorted(classes - {1}))
+    labels = _LABEL_ENTRIES.get(tower)
+    if labels is None:
+        labels = _LABEL_ENTRIES[tower] = {}
+        for m, pairs in _LABELS.values():
+            if pairs and all(t in tower.class_to_mask for t in pairs):
+                nums, den = _term_nums(tower, pairs)
+                labels[m] = FieldElement(tower, tuple(-n for n in nums), den)
     entries: dict[tuple[int, int], FieldElement] = {}
-    for i, j, acc, label in raw_edges:
-        if label is not None:
-            entries[(i, j)] = _label_entry(tower, label)
+    for key, x in edges.items():
+        if type(x) is not dict:
+            if x is not None:
+                entries[key] = labels[x]
             continue
-        # the weight x = nums / den; its entry is -x, and x - 1 must be > 0
-        nums, den = _term_nums(tower, acc)
+        # the weight w = nums / den; its entry is -w, and w - 1 must be > 0,
+        # certified at the identity embedding alone
+        nums, den = _term_nums(tower, x)
         s = fields.sign_at(FieldElement(tower, (nums[0] - den, *nums[1:]), den),
                            tower.identity_embedding)
         if s == 0:
-            raise DiagramError(f"edge ({i},{j}): weight 1 is a parallel pair, use inf")
+            raise DiagramError(f"edge ({key[0]},{key[1]}): weight 1 is a parallel pair, use inf")
         if s < 0:
-            raise DiagramError(f"edge ({i},{j}): weight must exceed 1")
-        entries[(i, j)] = FieldElement(tower, tuple(-n for n in nums), den)
+            raise DiagramError(f"edge ({key[0]},{key[1]}): weight must exceed 1")
+        entries[key] = FieldElement(tower, tuple(-n for n in nums), den)
 
     diagram = CoxeterDiagram(name, dim, size, tower, entries)
-    # connectivity
-    seen_v = {1}
-    stack = [1]
-    while stack:
-        for w in diagram.neighbors(stack.pop()):
-            if w not in seen_v:
-                seen_v.add(w)
-                stack.append(w)
-    if len(seen_v) != size:
+    reached = [1]
+    for v in reached:  # grows as it is read
+        reached += [w for w in diagram.neighbors(v) if w not in reached]
+    if len(reached) != size:
         raise DiagramError("diagram is not connected")
     return diagram
 
 
 def load_diagram(path) -> CoxeterDiagram:
-    import os
-
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    name = os.path.splitext(os.path.basename(str(path)))[0]
-    return parse_diagram(text, name)
+        return parse_diagram(fh.read(), os.path.splitext(os.path.basename(str(path)))[0])
 
 
 def _rescaled_gram(diagram: CoxeterDiagram) -> tuple[list[list], int, FieldTower]:
     """(M, den, K) with A = M / den over the trace field K: each entry a
     list of integer numerators over K's basis, all over one denominator
     den > 0, written straight into the matrix M that
-    forms._sym_diagonalize consumes (M[i][j] and M[j][i] are one list).
+    forms._sym_diagonalize reads and never writes (so entries may be shared).
 
     A[s][t] = c_s*c_t*G[s][t], c_v the product of Gram entries along a
-    breadth-first path from vertex 1 to v: each entry is a closed-walk
-    product.  On the edge that reached v, c_u*G[u][v] = c_v, so that entry
-    is A[v][v] = c_v^2.  The entries are built as integer numerators over
-    the diagram's tower, with no content divided out.  K is generated by
-    the square classes of the union of the basis masks that they use.
-    When K is the diagram's tower, the entries are already over K's basis
-    and are only brought to the common denominator; otherwise each is
-    rewritten through the tower's basis map to K (fields._subfield_map,
-    built once per tower pair): alpha_S = scale_S * sqrt(t_S) is (scale_S
-    / scale'_T) * alpha'_T for the mask T of t_S in K.  The content of the
-    whole matrix is divided out once at the end, so M and den do not depend
-    on the map's common denominator.
+    breadth-first path from vertex 1 to v, so each entry is a closed-walk
+    product, and on the edge that reached v, A[u][v] = c_v^2 = A[v][v].  The
+    cells are listed as integer numerators over the diagram's tower.  K is
+    generated by the classes of the basis masks they use: Q over Q, the
+    tower itself when they use every mask.  For a smaller K each cell is
+    rewritten through fields._subfield_map: alpha_S = scale_S * sqrt(t_S) is
+    (scale_S / scale'_T) * alpha'_T for the mask T of t_S in K.  The content,
+    gathered while M is filled, is divided out once at the end, so M and den
+    do not depend on the map's common denominator.
     """
     tower = diagram.tower
     rad = tower.basis_radicand
     n = diagram.size
-    one = ([1] + [0] * (tower.degree - 1), 1)
-    c = [None, one] + [None] * (n - 1)  # vertex -> c_v as (numerators, denominator)
-    cells = {(1, 1): one}  # (s, t) -> A[s][t] as (numerators, denominator), s <= t
+    entries = diagram.entries
+    one = [1] + [0] * (tower.degree - 1)
+    c = [None, (one, 1)] + [None] * (n - 1)  # vertex -> c_v as (numerators, denominator)
+    cells = [(0, 0, one, 1)]  # (s, t, A[s][t] as numerators, denominator), 0-based
+    tree = set()  # the edges that reached a vertex
     order = [1]
     for v in order:
         cv, dv = c[v]
         for w in diagram.neighbors(v):
             if c[w] is None:
-                a = diagram.entries[(min(v, w), max(v, w))]
+                key = (v, w) if v < w else (w, v)
+                a = entries[key]
                 cw, dw = c[w] = (_mul_nums(cv, a.nums, rad), dv * a.den)
-                cells[(w, w)] = cells[(min(v, w), max(v, w))] = \
-                    (_mul_nums(cw, cw, rad), dw * dw)
+                sq, d = _mul_nums(cw, cw, rad), dw * dw
+                cells.append((w - 1, w - 1, sq, d))
+                cells.append((key[0] - 1, key[1] - 1, sq, d))
+                tree.add(key)
                 order.append(w)
-    for key, a in diagram.entries.items():
-        if key not in cells:
-            (ci, di), (cj, dj) = c[key[0]], c[key[1]]
-            cells[key] = (_mul_nums(_mul_nums(ci, cj, rad), a.nums, rad), di * dj * a.den)
-    den = lcm(*(d for _, d in cells.values()))
-    used = [any(col) for col in zip(*(nums for nums, _ in cells.values()))]
-    K = make_field(sorted(tower.basis_class[S] for S, u in enumerate(used) if u and S))
-    m, parts = 1, None
-    if K is not tower:  # alpha_S is mult / m times alpha'_T
-        _, m, parts = fields._subfield_map(tower, K)
-        parts = [(S, T, mult) for S, T, side, mult in parts if not side]
-    zero = [0] * K.degree
-    M = [[zero] * n for _ in range(n)]
-    for (i, j), (nums, d) in cells.items():
+    for (i, j), a in entries.items():
+        if (i, j) not in tree:
+            (ci, di), (cj, dj) = c[i], c[j]
+            cells.append((i - 1, j - 1, _mul_nums(_mul_nums(ci, cj, rad), a.nums, rad),
+                          di * dj * a.den))
+    den = lcm(*(d for _, _, _, d in cells))
+    m, parts, K = 1, None, tower
+    if tower.degree > 1:
+        used = [any(col) for col in zip(*(nums for _, _, nums, _ in cells))]
+        if not all(used):
+            K = make_field(sorted(tower.basis_class[S] for S, u in enumerate(used) if u and S))
+        if K is not tower:  # alpha_S is mult / m times alpha'_T
+            _, m, parts = fields._subfield_map(tower, K)
+            parts = [(S, T, mult) for S, T, side, mult in parts if not side]
+    M = [[[0] * K.degree] * n for _ in range(n)]
+    g = den * m
+    for i, j, nums, d in cells:
         f = den // d
         if parts is None:
-            out = [x * f for x in nums]
+            out = nums if f == 1 else [x * f for x in nums]  # entries are never written to
         else:
             out = [0] * K.degree
             for S, T, mult in parts:
                 out[T] = nums[S] * mult * f
-        M[i - 1][j - 1] = M[j - 1][i - 1] = out
+        if g != 1:
+            g = gcd(g, *out)
+        M[i][j] = M[j][i] = out
     den *= m
-    g = gcd(den, *chain.from_iterable(M[i - 1][j - 1] for i, j in cells))
     if g != 1:
         den //= g
-        for i, j in cells:
-            M[i - 1][j - 1] = M[j - 1][i - 1] = [x // g for x in M[i - 1][j - 1]]
+        for i, j, _, _ in cells:
+            M[i][j] = M[j][i] = [x // g for x in M[i][j]]
     return M, den, K
 
 

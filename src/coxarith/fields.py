@@ -17,7 +17,7 @@ and _fixed_bounds gives the integer bounds of sigma(x) * den * 2^bits at
 every mask at once, by one Hadamard transform of the numerators times
 that table.  signs(x) compares them with 0 at every mask, doubling `bits`
 while some mask is undecided (over Q it reads the numerator's sign), and
-sign_at reads one mask of signs(x).
+sign_at forms the bounds at its one mask alone.
 Norms are integer products of numerator conjugates over one power of den;
 squares, square classes and integrality are decided by descent over the
 prefix towers on numerators (_sqrt_nums).  None of these paths builds a
@@ -31,6 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
 from numbers import Integral, Rational
+from operator import mul
 from typing import Iterable, NamedTuple
 
 __all__ = [
@@ -616,6 +617,15 @@ def _hadamard(v: list[int]) -> list[int]:
     return v
 
 
+def _bound_table(tower: FieldTower, bits: int) -> tuple[int, ...]:
+    """b_S = 2 * isqrt(alpha_S^2 * 4^bits) + 1, kept per (tower, bits)."""
+    table = tower._bounds.get(bits)
+    if table is None:
+        table = tower._bounds[bits] = tuple(2 * isqrt(m << (2 * bits)) + 1
+                                           for m in tower.basis_radicand)
+    return table
+
+
 def _fixed_bounds(x: FieldElement, bits: int) -> tuple[list[int], int]:
     """(t, W) with lo[m] = (t[m] - W) / 2 and hi[m] = (t[m] + W) / 2 the
     integers lo[m] <= sigma_m(x) * den * 2^bits <= hi[m] at every mask m.
@@ -626,16 +636,12 @@ def _fixed_bounds(x: FieldElement, bits: int) -> tuple[list[int], int]:
     is the sum of s * n * a_S less the |n| of the terms with s * n < 0, and
     hi[m] = lo[m] + W with W the sum of |nums|.  The sum of those |n| is
     (W - H(nums)[m]) / 2, H the Hadamard transform (_hadamard), so with the
-    tower's table b_S = 2 * a_S + 1 for `bits`, built once per (tower, bits),
-    t = H(nums * b) = lo + hi.  t[m] - W = H(nums)[m] - W mod 2 is even, so
-    both bounds are exact integers, and lo[m] > 0 exactly when t[m] > W,
-    hi[m] < 0 exactly when t[m] < -W.  One transform gives every mask.
+    table b_S = 2 * a_S + 1 of _bound_table, t = H(nums * b) = lo + hi.
+    t[m] - W = H(nums)[m] - W mod 2 is even, so both bounds are exact
+    integers, and lo[m] > 0 exactly when t[m] > W, hi[m] < 0 exactly when
+    t[m] < -W.  One transform gives every mask.
     """
-    tower = x.tower
-    table = tower._bounds.get(bits)
-    if table is None:
-        table = tower._bounds[bits] = tuple(2 * isqrt(m << (2 * bits)) + 1
-                                           for m in tower.basis_radicand)
+    table = _bound_table(x.tower, bits)
     return _hadamard([n * b for n, b in zip(x.nums, table)]), sum(map(abs, x.nums))
 
 
@@ -667,10 +673,21 @@ def signs(x: FieldElement) -> tuple[int, ...]:
 
 
 def sign_at(x: FieldElement, sigma: Embedding) -> int:
-    """Certified sign of sigma(x): the entry of signs(x) at sigma's mask."""
+    """Certified sign of sigma(x) at sigma's mask m alone: t[m] of
+    _fixed_bounds, sum_S (-1)^|S & m| * nums[S] * b_S, is a plain sum over the
+    conjugate numerators (x's own at the identity), compared with W as in
+    signs while `bits` doubles."""
     if sigma.tower is not x.tower:
         raise ValueError("embedding belongs to a different tower")
-    return signs(x)[sigma.mask]
+    m = sigma.mask
+    nums = [-n if (S & m).bit_count() & 1 else n for S, n in enumerate(x.nums)] if m else x.nums
+    w, bits = sum(map(abs, nums)), 64
+    while w:
+        t = sum(map(mul, nums, _bound_table(x.tower, bits)))
+        if abs(t) > w:
+            return 1 if t > 0 else -1
+        bits *= 2
+    return 0
 
 
 # -- square testing ------------------------------------------------------
@@ -889,46 +906,69 @@ def integral_rescale(x: FieldElement) -> FieldElement:
 
 # -- element literals ----------------------------------------------------
 
-_TERM_RE = re.compile(
-    r"(?P<sign>[+-]?)"
-    r"(?:(?P<rat>\d+(?:/\d+)?)(?:\*sqrt\((?P<rad1>\d+)\))?"
-    r"|sqrt\((?P<rad2>\d+)\))"
-)
+# one signed term: n or n/d, optionally times f(k), or f(k) alone, for f
+# in the alternatives filled in ("sqrt", "sqrt|cospi"), in ASCII digits;
+# groups: sign, n, d, f, k, f, k
+_TERM = r"([+-]?)(?:([0-9]+)(?:/([0-9]+))?(?:\*({0})\(([0-9]+)\))?|({0})\(([0-9]+)\))"
+_TERM_RE = re.compile(_TERM.format("sqrt"))
+
+
+def _sum_terms(s: str, pattern: re.Pattern, fail, cos=None) -> dict[int, tuple[int, int]]:
+    """The signed sum s of `pattern`'s terms (_TERM) as {class: (num, den)},
+    den > 0, summed per square class in integers: the one tokenizer of
+    element literals and weights.  sqrt(k) is isqrt(k // t) * sqrt(t), t the
+    squarefree part of k; cospi(m) is cos[m].  The first failure raises
+    fail(reason, s, pos), pos where its term starts: "term" (none there),
+    "unsigned" (no sign, no term, pos > 0), "sign" (a later term without
+    one), "den" (a zero denominator), "root" (sqrt(0)), "cospi" (m not in cos).
+    """
+    acc: dict[int, tuple[int, int]] = {}
+    pos = 0
+    while pos < len(s):
+        m = pattern.match(s, pos)
+        if m is None:
+            raise fail("unsigned" if pos and s[pos] not in "+-" else "term", s, pos)
+        sign, n, d, f, k, f2, k2 = m.groups()
+        if pos and not sign:
+            raise fail("sign", s, pos)
+        n, d = (-1 if sign == "-" else 1) * int(n or 1), int(d or 1)
+        if not d:
+            raise fail("den", s, pos)
+        f, k = f or f2, int(k or k2 or 0)
+        if f == "cospi":
+            if k not in cos:
+                raise fail("cospi", s, pos)
+            terms = cos[k]
+        elif f:
+            if not k:
+                raise fail("root", s, pos)
+            t = squarefree_part(k)
+            terms = {t: (isqrt(k // t), 1)}
+        else:
+            terms = {1: (1, 1)}
+        for t, (a, b) in terms.items():
+            x, y = acc.get(t, (0, 1))
+            acc[t] = (x * d * b + n * a * y, y * d * b)
+        pos = m.end()
+    return acc
 
 
 def parse_element(text: str, tower: FieldTower | None = None) -> FieldElement:
     """Parse `1/2 + 1/2*sqrt(6) - sqrt(2)` style literals, whitespace-insensitive.
 
-    Terms are summed per square class and built through _term_nums, so a
-    nonzero term outside the given tower raises ValueError.
+    Terms are read by _sum_terms (ASCII digits only) and built through
+    _term_nums, so a nonzero term outside the given tower raises ValueError.
     """
     s = re.sub(r"\s+", "", text)
     if not s:
         raise ValueError("empty element literal")
-    terms: dict[int, Fraction] = {}  # square class -> coefficient of its sqrt
-    pos = 0
-    while pos < len(s):
-        m = _TERM_RE.match(s, pos)
-        if not m or m.end() == m.start():
-            raise ValueError(f"bad element literal at {s[pos:]!r}")
-        if pos > 0 and m.group("sign") == "":
-            raise ValueError(f"missing +/- between terms in {text!r}")
-        try:
-            q = Fraction(m.group("rat") or 1)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in element literal {text!r}") from None
-        if m.group("sign") == "-":
-            q = -q
-        d = int(m.group("rad1") or m.group("rad2") or 1)
-        if d == 0:
-            raise ValueError("sqrt(0) is not a valid term")
-        t = squarefree_part(d)
-        terms[t] = terms.get(t, 0) + q * isqrt(d // t)
-        pos = m.end()
+    terms = _sum_terms(s, _TERM_RE, lambda reason, s, pos: ValueError({
+        "sign": f"missing +/- between terms in {text!r}",
+        "den": f"zero denominator in element literal {text!r}",
+        "root": "sqrt(0) is not a valid term"}.get(reason, f"bad element literal at {s[pos:]!r}")))
     if tower is None:
         tower = make_field([t for t in terms if t > 1])
-    return FieldElement(tower, *_term_nums(tower, {t: (q.numerator, q.denominator)
-                                                   for t, q in terms.items()}))
+    return FieldElement(tower, *_term_nums(tower, terms))
 
 
 def element_literal(x: FieldElement) -> str:

@@ -56,6 +56,11 @@ the square classes of an element's nonzero basis terms, and the tower
 they generate.
 `simple_cycles` and `cycle_product` once stood in `coxarith.diagrams`;
 they are the cycle-product reference for the trace field.
+`parse_diagram_reference`, `parse_weight_reference` and
+`rescaled_gram_reference` are the diagram intake as it stood in
+`coxarith.diagrams` before it was made lean (its own weight tokenizer, a
+sign certified at every embedding, cells in a dict): the references for the
+library's tower, entries, error messages and (M, den, K).
 
 `stage_valuation` is the dyadic valuation at a stage of a local model as
 `LocalModel.val` once computed it: v_2 of the product of an element and
@@ -70,6 +75,7 @@ for the library's fixed norm family, and it can fail where the family does not.
 
 import itertools
 import random
+import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import gcd, isqrt, lcm
@@ -622,6 +628,217 @@ def cycle_product(diagram, cycle) -> FieldElement:
         i, j = cycle[t], cycle[(t + 1) % len(cycle)]
         out = out * diagram.entries[(min(i, j), max(i, j))]
     return out
+
+
+_WTERM = re.compile(
+    r"(?:(?P<coef>\d+(?:/\d+)?)\*)?"
+    r"(?:sqrt\((?P<root>\d+)\)|cospi\((?P<cos>\d+)\))"
+    r"|(?P<rat>\d+(?:/\d+)?)"
+)
+
+
+def _acc_add(acc: dict[int, tuple[int, int]], cls: int, n: int, d: int) -> None:
+    if cls in acc:
+        a, b = acc[cls]
+        n, d = a * d + n * b, b * d
+    acc[cls] = (n, d)
+
+
+def _weight_rational(tok: str, expr: str) -> tuple[int, int]:
+    """A token of digits n or n/d as the integers (n, d), d > 0."""
+    n, _, d = tok.partition("/")
+    d = int(d) if d else 1
+    if not d:
+        raise diagrams.DiagramError(f"zero denominator in weight expression: {expr!r}")
+    return int(n), d
+
+
+def parse_weight_reference(expr: str) -> dict[int, tuple[int, int]]:
+    """Weight expression -> {squarefree class: coefficient as (num, den)}, den > 0."""
+    s = expr.replace(" ", "")
+    if not s:
+        raise diagrams.DiagramError("empty weight expression")
+    acc: dict[int, tuple[int, int]] = {}
+    pos = 0
+    first = True
+    while pos < len(s):
+        sign = 1
+        if s[pos] in "+-":
+            sign = -1 if s[pos] == "-" else 1
+            pos += 1
+        elif not first:
+            raise diagrams.DiagramError(f"missing sign in weight expression: {expr!r}")
+        m = _WTERM.match(s, pos)
+        if not m or m.start() != pos:
+            raise diagrams.DiagramError(f"bad weight expression: {expr!r}")
+        pos = m.end()
+        first = False
+        if m["rat"] is not None:
+            n, d = _weight_rational(m["rat"], expr)
+            _acc_add(acc, 1, sign * n, d)
+            continue
+        cn, cd = _weight_rational(m["coef"], expr) if m["coef"] else (1, 1)
+        cn *= sign
+        if m["root"] is not None:
+            n = int(m["root"])
+            if n <= 0:
+                raise diagrams.DiagramError("sqrt of a nonpositive integer in weight")
+            t = squarefree_part(n)
+            _acc_add(acc, t, cn * isqrt(n // t), cd)
+        else:
+            pairs = diagrams._COS_PAIRS.get(int(m["cos"]))
+            if pairs is None:
+                raise diagrams.UnsupportedLabelError("unsupported label: non-multiquadratic cosine")
+            for cls, (qn, qd) in pairs.items():
+                _acc_add(acc, cls, cn * qn, cd * qd)
+    return acc
+
+
+def parse_diagram_reference(text: str, name: str = "diagram"):
+    """`diagrams.parse_diagram` as it stood before its intake was made lean:
+    its own weight tokenizer (`parse_weight_reference`), labels built afresh
+    for each diagram, and each weight's w > 1 read off `fields.signs`, which
+    certifies every real embedding.  It reads Unicode digits as int() and
+    str.isdigit do; on ASCII text it is the reference for the library's
+    entries, errors and messages."""
+    dim = size = None
+    raw_edges = []
+    seen = set()
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        kind = parts[0]
+        if kind == "dim":
+            if dim is not None or len(parts) != 2 or not parts[1].isdigit():
+                raise diagrams.DiagramError(f"line {lineno}: bad dim header")
+            dim = int(parts[1])
+        elif kind == "vertices":
+            if size is not None or len(parts) != 2 or not parts[1].isdigit():
+                raise diagrams.DiagramError(f"line {lineno}: bad vertices header")
+            size = int(parts[1])
+        elif kind == "edge":
+            if dim is None or size is None:
+                raise diagrams.DiagramError(f"line {lineno}: edge before dim/vertices headers")
+            if len(parts) < 4:
+                raise diagrams.DiagramError(f"line {lineno}: edge needs two vertices and a label")
+            try:
+                i, j = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise diagrams.DiagramError(f"line {lineno}: bad vertex index") from None
+            if not (1 <= i <= size and 1 <= j <= size) or i == j:
+                raise diagrams.DiagramError(f"line {lineno}: vertex index out of range")
+            key = (min(i, j), max(i, j))
+            if key in seen:
+                raise diagrams.DiagramError(f"line {lineno}: duplicate edge {key}")
+            seen.add(key)
+            label = parts[3]
+            if label == "w":
+                if len(parts) < 5:
+                    raise diagrams.DiagramError(f"line {lineno}: weighted edge needs an expression")
+                raw_edges.append((key, parse_weight_reference("".join(parts[4:])), None))
+            elif label == "inf":
+                raw_edges.append((key, {1: (1, 1)}, "inf"))
+            else:
+                if not label.isdigit():
+                    raise diagrams.DiagramError(f"line {lineno}: bad edge label {label!r}")
+                m = int(label)
+                if m < 2:
+                    raise diagrams.DiagramError(f"line {lineno}: bad edge label {m}")
+                pairs = diagrams._COS_PAIRS.get(m)
+                if pairs is None:
+                    raise diagrams.UnsupportedLabelError(
+                        "unsupported label: non-multiquadratic cosine")
+                if pairs:  # m = 2 is a right angle: no entry
+                    raw_edges.append((key, pairs, m))
+            if len(parts) > 4 and label != "w":
+                raise diagrams.DiagramError(f"line {lineno}: trailing tokens after label")
+        else:
+            raise diagrams.DiagramError(f"line {lineno}: unknown directive {kind!r}")
+    if dim is None or size is None:
+        raise diagrams.DiagramError("missing dim/vertices headers")
+    if dim < 1:
+        raise diagrams.DiagramError("dim must be positive")
+    if size < 1:
+        raise diagrams.DiagramError("vertices must be positive")
+
+    classes = sorted({cls for _, acc, _ in raw_edges for cls, (n, _) in acc.items()
+                      if n and cls != 1})
+    tower = fields.make_field(classes)
+    entries = {}
+    for (i, j), acc, label in raw_edges:
+        nums, den = fields._term_nums(tower, acc)
+        if label is None:  # the weight x = nums / den must exceed 1
+            s = fields.signs(FieldElement(tower, (nums[0] - den, *nums[1:]), den))[0]
+            if s == 0:
+                raise diagrams.DiagramError(f"edge ({i},{j}): weight 1 is a parallel pair, use inf")
+            if s < 0:
+                raise diagrams.DiagramError(f"edge ({i},{j}): weight must exceed 1")
+        entries[(i, j)] = FieldElement(tower, tuple(-n for n in nums), den)
+    diagram = diagrams.CoxeterDiagram(name, dim, size, tower, entries)
+    seen_v = {1}
+    stack = [1]
+    while stack:
+        for w in diagram.neighbors(stack.pop()):
+            if w not in seen_v:
+                seen_v.add(w)
+                stack.append(w)
+    if len(seen_v) != size:
+        raise diagrams.DiagramError("diagram is not connected")
+    return diagram
+
+
+def rescaled_gram_reference(diagram):
+    """`diagrams._rescaled_gram` as it stood before it was made lean: cells
+    in a dict, the used basis masks by column, the content divided out
+    after the fill.  The reference for (M, den, K)."""
+    tower = diagram.tower
+    rad = tower.basis_radicand
+    n = diagram.size
+    one = ([1] + [0] * (tower.degree - 1), 1)
+    c = [None, one] + [None] * (n - 1)
+    cells = {(1, 1): one}
+    order = [1]
+    for v in order:
+        cv, dv = c[v]
+        for w in diagram.neighbors(v):
+            if c[w] is None:
+                a = diagram.entries[(min(v, w), max(v, w))]
+                cw, dw = c[w] = (fields._mul_nums(cv, a.nums, rad), dv * a.den)
+                cells[(w, w)] = cells[(min(v, w), max(v, w))] = \
+                    (fields._mul_nums(cw, cw, rad), dw * dw)
+                order.append(w)
+    for key, a in diagram.entries.items():
+        if key not in cells:
+            (ci, di), (cj, dj) = c[key[0]], c[key[1]]
+            cells[key] = (fields._mul_nums(fields._mul_nums(ci, cj, rad), a.nums, rad),
+                          di * dj * a.den)
+    den = lcm(*(d for _, d in cells.values()))
+    used = [any(col) for col in zip(*(nums for nums, _ in cells.values()))]
+    K = fields.make_field(sorted(tower.basis_class[S] for S, u in enumerate(used) if u and S))
+    m, parts = 1, None
+    if K is not tower:
+        _, m, parts = fields._subfield_map(tower, K)
+        parts = [(S, T, mult) for S, T, side, mult in parts if not side]
+    zero = [0] * K.degree
+    M = [[zero] * n for _ in range(n)]
+    for (i, j), (nums, d) in cells.items():
+        f = den // d
+        if parts is None:
+            out = [x * f for x in nums]
+        else:
+            out = [0] * K.degree
+            for S, T, mult in parts:
+                out[T] = nums[S] * mult * f
+        M[i - 1][j - 1] = M[j - 1][i - 1] = out
+    den *= m
+    g = gcd(den, *itertools.chain.from_iterable(M[i - 1][j - 1] for i, j in cells))
+    if g != 1:
+        den //= g
+        for i, j in cells:
+            M[i - 1][j - 1] = M[j - 1][i - 1] = [x // g for x in M[i - 1][j - 1]]
+    return M, den, K
 
 
 def congruence_diagonalize(rows, tower):

@@ -294,13 +294,14 @@ def test_integrality_witness_tests_each_distinct_entry_once(monkeypatch):
     real = fields.is_algebraic_integer
     monkeypatch.setattr(fields, "is_algebraic_integer", lambda x: calls.append(x) or real(x))
     # the label-5 entry and the weight 5/4 share the denominator 4 over
-    # Q(sqrt5); the label passes, the weight does not
+    # Q(sqrt5); the label is integral by construction and is not tested, the
+    # weight fails
     d = diagrams.parse_diagram("dim 2\nvertices 3\nedge 1 2 5\nedge 2 3 3\nedge 1 3 w 5/4\n")
     assert classify._integrality_witness(d) == {"kind": "entry", "edge": [1, 3],
                                                 "value": "25/4"}
-    # one call per distinct entry, on 4a^2 over the diagram's tower
-    assert len(calls) == 2 and all(x.tower is d.tower for x in calls)
-    # 36 edges, two distinct entries
+    # one call per distinct weight entry, on 4a^2 over the diagram's tower
+    assert len(calls) == 1 and all(x.tower is d.tower for x in calls)
+    # 36 edges, two distinct entries, both weights
     calls.clear()
     d = diagrams.load_diagram(os.path.join(os.path.dirname(__file__), "data",
                                            "dodecahedron.cox"))

@@ -5,9 +5,12 @@ values; stdout is captured with capsys.  One subprocess test checks the
 module is runnable as python -m coxarith.cli.
 """
 
+import ast
+import concurrent.futures
 import glob
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -186,7 +189,8 @@ def test_batch_workers_never_outnumber_files(monkeypatch, capsys):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    # cmd_batch imports the pool from concurrent.futures when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     _, serial = run(capsys, "batch", "corpus")
     code, cap = run(capsys, "batch", "corpus", "--jobs", "5000")
     assert code == 0 and cap.out == serial.out
@@ -368,3 +372,22 @@ def test_module_is_runnable():
                           capture_output=True, text=True)
     assert proc.returncode == cli.EXIT_PARSE
     assert "expected one argument" in proc.stderr
+
+
+def test_cli_imports_at_top_level_only_what_every_command_reads():
+    # the process pool (batch --jobs N > 1), lvalues (volume) and traceback
+    # (an internal error) are imported where they are used, so a cold
+    # classify neither compiles nor imports them
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+    top = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            top |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            top |= {"." * node.level + (node.module or alias.name) for alias in node.names}
+    assert top == {"__future__", "argparse", "json", "os", "sys", "time",
+                   ".classify", ".diagrams", ".fields", ".localfields"}
+    code = ("import sys, coxarith.cli; print(sorted(m for m in sys.modules if m in "
+            "('concurrent.futures.process', 'multiprocessing', 'coxarith.lvalues', 'traceback')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
