@@ -82,7 +82,7 @@ def _integrality_witness(diagram: CoxeterDiagram) -> dict | None:
     z = exp(i*pi/m), is an algebraic integer (and 4a^2 = 4 for inf), so the
     first failing entry, the witness, is a weight all the same.
     """
-    seen = {(x.den, x.nums) for x in diagrams._LABEL_ENTRIES.get(diagram.tower, {}).values()}
+    seen = {(x.den, x.nums) for x in diagrams.label_entries(diagram.tower).values()}
     for (i, j), a in sorted(diagram.entries.items()):
         key = (a.den, a.nums)
         if key in seen:

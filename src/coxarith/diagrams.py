@@ -12,11 +12,10 @@ File format (.cox): a header followed by one line per edge.
 Vertices are 1..r in declaration order; omitted pairs are right angles
 (label 2).  Supported labels are m in {2, 3, 4, 5, 6, 12}: exactly those
 whose cosine lies in a real multiquadratic field.  A weight is an element
-literal (fields.parse_element's grammar, read by the one tokenizer
-fields._sum_terms) with cospi(m) allowed as a term.  Numbers are ASCII
-digits only.  Parsing certifies, besides the syntax, w > 1 for every
-weight, at the identity embedding alone (fields.sign_at), and that the
-diagram is connected; labels are integral by construction.
+literal (fields.parse_element's grammar, one tokenizer: fields._sum_terms)
+with cospi(m) allowed as a term; numbers are ASCII digits only.  Parsing
+certifies w > 1 for every weight at the identity embedding alone
+(fields.sign_at), and that the diagram is connected.
 
 The trace field of a diagram is generated by the squared Gram entries
 and the products of entries around simple cycles, or equally by the Gram
@@ -26,7 +25,6 @@ ambient form is that matrix, diagonalized once over the trace field.
 
 from __future__ import annotations
 
-import os
 import re
 from math import gcd, lcm
 
@@ -69,16 +67,12 @@ _COS_PAIRS: dict[int, dict[int, tuple[int, int]]] = {
 
 _UNSUPPORTED = "unsupported label: non-multiquadratic cosine"
 
-# a label as written -> (label, cos(pi/m) terms); the entry of "inf" is -1
-_LABELS = {str(m): (m, pairs) for m, pairs in _COS_PAIRS.items()} | {"inf": ("inf", {1: (1, 1)})}
-
-_INDEX = {str(v): v for v in range(1, 100)}  # vertices as usually written
+# label -> the terms of its entry's negative: cos(pi/m), or 1 for "inf"
+_LABELS: dict[int | str, dict[int, tuple[int, int]]] = _COS_PAIRS | {"inf": {1: (1, 1)}}
 
 _WEIGHT_RE = re.compile(fields._TERM.format("sqrt|cospi"))  # element literals and cospi(m)
 
-# tower -> {label: its Gram entry -cos(pi/m) or -1}, for every label whose
-# cosine lies in the tower (at most six), built by parse_diagram once
-_LABEL_ENTRIES: dict[FieldTower, dict[int | str, FieldElement]] = {}
+_LABEL_ENTRIES: dict[FieldTower, dict[int | str, FieldElement]] = {}  # see label_entries
 
 
 def _weight_error(reason: str, expr: str, pos: int) -> DiagramError:
@@ -93,9 +87,8 @@ def _weight_error(reason: str, expr: str, pos: int) -> DiagramError:
 
 class CoxeterDiagram:
     """Parsed diagram: vertices 1..size, Gram entries over a common tower
-    keyed by (i, j) with i < j.  The sorted adjacency of every vertex is
-    built once, with the diagram, from the keys read in sorted order: each
-    vertex meets its smaller neighbours in order, then its larger ones."""
+    keyed by (i, j) with i < j.  The sorted adjacency is built once, from
+    the keys in sorted order: smaller neighbours first, then larger ones."""
 
     __slots__ = ("name", "dim", "size", "tower", "entries", "_adj")
 
@@ -151,14 +144,12 @@ def parse_diagram(text: str, name: str = "diagram") -> CoxeterDiagram:
                 raise DiagramError(f"line {lineno}: edge before dim/vertices headers")
             if len(parts) < 4:
                 raise DiagramError(f"line {lineno}: edge needs two vertices and a label")
-            i, j = _INDEX.get(parts[1]), _INDEX.get(parts[2])
-            if i is None or j is None:  # another spelling: ASCII, as int() reads it
-                try:
-                    if not (parts[1] + parts[2]).isascii():
-                        raise ValueError
-                    i, j = int(parts[1]), int(parts[2])
-                except ValueError:
-                    raise DiagramError(f"line {lineno}: bad vertex index") from None
+            try:
+                if not (parts[1] + parts[2]).isascii():
+                    raise ValueError
+                i, j = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise DiagramError(f"line {lineno}: bad vertex index") from None
             if not (0 < i <= size and 0 < j <= size) or i == j:
                 raise DiagramError(f"line {lineno}: vertex index out of range")
             key = (i, j) if i < j else (j, i)
@@ -172,19 +163,19 @@ def parse_diagram(text: str, name: str = "diagram") -> CoxeterDiagram:
                                                      _weight_error, _COS_PAIRS)
                 classes.update(t for t, (n, _) in acc.items() if n)
                 continue
-            entry = _LABELS.get(label)
-            if entry is None:  # another spelling, or no multiquadratic label
-                if not (label.isascii() and label.isdigit()):
-                    raise DiagramError(f"line {lineno}: bad edge label {label!r}")
-                if int(label) < 2:
-                    raise DiagramError(f"line {lineno}: bad edge label {int(label)}")
-                entry = _LABELS.get(str(int(label)))
-                if entry is None:
-                    raise UnsupportedLabelError(_UNSUPPORTED)
+            if label == "inf":
+                m = label
+            elif not (label.isascii() and label.isdigit()):
+                raise DiagramError(f"line {lineno}: bad edge label {label!r}")
+            elif (m := int(label)) < 2:
+                raise DiagramError(f"line {lineno}: bad edge label {m}")
+            pairs = _LABELS.get(m)
+            if pairs is None:
+                raise UnsupportedLabelError(_UNSUPPORTED)
             if len(parts) > 4:
                 raise DiagramError(f"line {lineno}: trailing tokens after label")
-            edges[key] = entry[0] if entry[1] else None
-            classes.update(entry[1])
+            edges[key] = m if pairs else None  # m = 2 is a right angle: no entry
+            classes.update(pairs)
         elif kind == "dim":
             if dim is not None or len(parts) != 2 or not (parts[1].isascii() and parts[1].isdigit()):
                 raise DiagramError(f"line {lineno}: bad dim header")
@@ -203,13 +194,7 @@ def parse_diagram(text: str, name: str = "diagram") -> CoxeterDiagram:
         raise DiagramError("vertices must be positive")
 
     tower = make_field(sorted(classes - {1}))
-    labels = _LABEL_ENTRIES.get(tower)
-    if labels is None:
-        labels = _LABEL_ENTRIES[tower] = {}
-        for m, pairs in _LABELS.values():
-            if pairs and all(t in tower.class_to_mask for t in pairs):
-                nums, den = _term_nums(tower, pairs)
-                labels[m] = FieldElement(tower, tuple(-n for n in nums), den)
+    labels = label_entries(tower)
     entries: dict[tuple[int, int], FieldElement] = {}
     for key, x in edges.items():
         if type(x) is not dict:
@@ -228,40 +213,57 @@ def parse_diagram(text: str, name: str = "diagram") -> CoxeterDiagram:
         entries[key] = FieldElement(tower, tuple(-n for n in nums), den)
 
     diagram = CoxeterDiagram(name, dim, size, tower, entries)
-    reached = [1]
-    for v in reached:  # grows as it is read
-        reached += [w for w in diagram.neighbors(v) if w not in reached]
-    if len(reached) != size:
+    seen_v, stack = {1}, [1]  # connectivity
+    while stack:
+        for w in diagram.neighbors(stack.pop()):
+            if w not in seen_v:
+                seen_v.add(w)
+                stack.append(w)
+    if len(seen_v) != size:
         raise DiagramError("diagram is not connected")
     return diagram
 
 
+def label_entries(tower: FieldTower) -> dict[int | str, FieldElement]:
+    """{label: its Gram entry -cos(pi/m), or -1 for inf}, for every label m > 2
+    whose cosine lies in the tower, built once per tower and shared."""
+    labels = _LABEL_ENTRIES.get(tower)
+    if labels is None:
+        labels = _LABEL_ENTRIES[tower] = {}
+        for m, pairs in _LABELS.items():
+            if pairs and all(t in tower.class_to_mask for t in pairs):
+                nums, den = _term_nums(tower, pairs)
+                labels[m] = FieldElement(tower, tuple(-n for n in nums), den)
+    return labels
+
+
 def load_diagram(path) -> CoxeterDiagram:
+    import os
+
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_diagram(fh.read(), os.path.splitext(os.path.basename(str(path)))[0])
+        text = fh.read()
+    name = os.path.splitext(os.path.basename(str(path)))[0]
+    return parse_diagram(text, name)
 
 
 def _rescaled_gram(diagram: CoxeterDiagram) -> tuple[list[list], int, FieldTower]:
     """(M, den, K) with A = M / den over the trace field K: each entry a
-    list of integer numerators over K's basis, all over one denominator
-    den > 0, written straight into the matrix M that
-    forms._sym_diagonalize reads and never writes (so entries may be shared).
+    list of integer numerators over K's basis over one denominator den > 0,
+    in the matrix M that forms._sym_diagonalize reads and never writes.
 
     A[s][t] = c_s*c_t*G[s][t], c_v the product of Gram entries along a
     breadth-first path from vertex 1 to v, so each entry is a closed-walk
     product, and on the edge that reached v, A[u][v] = c_v^2 = A[v][v].  The
-    cells are listed as integer numerators over the diagram's tower.  K is
-    generated by the classes of the basis masks they use: Q over Q, the
-    tower itself when they use every mask.  For a smaller K each cell is
-    rewritten through fields._subfield_map: alpha_S = scale_S * sqrt(t_S) is
-    (scale_S / scale'_T) * alpha'_T for the mask T of t_S in K.  The content,
-    gathered while M is filled, is divided out once at the end, so M and den
-    do not depend on the map's common denominator.
+    cells are integer numerators over the diagram's tower.  K is generated
+    by the classes of the basis masks they use: Q over Q, the tower when
+    they use every mask.  For a smaller K each cell is rewritten through
+    fields._subfield_map: alpha_S = scale_S * sqrt(t_S) is (scale_S /
+    scale'_T) * alpha'_T for the mask T of t_S in K.  The content, gathered
+    while M is filled, is divided out once at the end.
     """
     tower = diagram.tower
     rad = tower.basis_radicand
     n = diagram.size
-    entries = diagram.entries
     one = [1] + [0] * (tower.degree - 1)
     c = [None, (one, 1)] + [None] * (n - 1)  # vertex -> c_v as (numerators, denominator)
     cells = [(0, 0, one, 1)]  # (s, t, A[s][t] as numerators, denominator), 0-based
@@ -272,14 +274,14 @@ def _rescaled_gram(diagram: CoxeterDiagram) -> tuple[list[list], int, FieldTower
         for w in diagram.neighbors(v):
             if c[w] is None:
                 key = (v, w) if v < w else (w, v)
-                a = entries[key]
+                a = diagram.entries[key]
                 cw, dw = c[w] = (_mul_nums(cv, a.nums, rad), dv * a.den)
                 sq, d = _mul_nums(cw, cw, rad), dw * dw
                 cells.append((w - 1, w - 1, sq, d))
                 cells.append((key[0] - 1, key[1] - 1, sq, d))
                 tree.add(key)
                 order.append(w)
-    for (i, j), a in entries.items():
+    for (i, j), a in diagram.entries.items():
         if (i, j) not in tree:
             (ci, di), (cj, dj) = c[i], c[j]
             cells.append((i - 1, j - 1, _mul_nums(_mul_nums(ci, cj, rad), a.nums, rad),

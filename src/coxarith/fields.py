@@ -674,9 +674,8 @@ def signs(x: FieldElement) -> tuple[int, ...]:
 
 def sign_at(x: FieldElement, sigma: Embedding) -> int:
     """Certified sign of sigma(x) at sigma's mask m alone: t[m] of
-    _fixed_bounds, sum_S (-1)^|S & m| * nums[S] * b_S, is a plain sum over the
-    conjugate numerators (x's own at the identity), compared with W as in
-    signs while `bits` doubles."""
+    _fixed_bounds, sum_S (-1)^|S & m| * nums[S] * b_S (x's own numerators at
+    the identity), is compared with W as in signs while `bits` doubles."""
     if sigma.tower is not x.tower:
         raise ValueError("embedding belongs to a different tower")
     m = sigma.mask

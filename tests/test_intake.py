@@ -315,7 +315,7 @@ def test_label_entries_are_one_table_per_tower():
     # every label whose cosine lies in the tower, at most six, each entry
     # -cos(pi/m) or -1, built once per tower and shared by its diagrams
     d = parse_diagram("dim 2\nvertices 3\nedge 1 2 12\nedge 2 3 5\nedge 1 3 inf\n")
-    table = diagrams._LABEL_ENTRIES[d.tower]
+    table = diagrams.label_entries(d.tower)
     assert d.tower.radicands == (2, 3, 5)
     assert sorted(map(str, table)) == ["12", "3", "4", "5", "6", "inf"]
     for m, x in table.items():
@@ -324,5 +324,8 @@ def test_label_entries_are_one_table_per_tower():
              12: "1/4*sqrt(6)+1/4*sqrt(2)"}[m]))
         assert element_literal(x) == want and x.tower is d.tower
     assert d.entries[(1, 2)] is table[12] and d.entries[(1, 3)] is table["inf"]
-    q = diagrams._LABEL_ENTRIES[parse_diagram("dim 2\nvertices 3\nedge 1 2 3\nedge 2 3 3\n").tower]
+    q = diagrams.label_entries(parse_diagram("dim 2\nvertices 3\nedge 1 2 3\nedge 2 3 3\n").tower)
     assert sorted(map(str, q)) == ["3", "inf"]
+    assert diagrams.label_entries(d.tower) is table
+    # built on first use for a tower that no diagram was read in
+    assert sorted(map(str, diagrams.label_entries(fields.make_field([7, 11])))) == ["3", "inf"]
