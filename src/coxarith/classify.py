@@ -157,9 +157,7 @@ def _norm_to(x: FieldElement, F: FieldTower) -> FieldElement:
     """N_{K/F}(x) = x * sigma(x) = u^2 - a*v^2, sigma the conjugation of K
     over F, on F's numerators of x = u + v*sqrt(a) (fields._over_subfield)."""
     a, u, v, den = fields._over_subfield(x, F)
-    rad = F.basis_radicand
-    return FieldElement(F, tuple(fields._mul_nums(v, [-a * y for y in v], rad,
-                                                  fields._mul_nums(u, u, rad))), den * den)
+    return FieldElement(F, tuple(fields._norm_step(u, v, a, F.basis_radicand)), den * den)
 
 
 def find_admissible_model(f: QuadraticForm, k: FieldTower) -> tuple[QuadraticForm | None, int | None]:

@@ -13,7 +13,8 @@ Vertices are 1..r in declaration order; omitted pairs are right angles
 (label 2).  Supported labels are m in {2, 3, 4, 5, 6, 12}: exactly those
 whose cosine lies in a real multiquadratic field.  A weight is an element
 literal (fields.parse_element's grammar, one tokenizer: fields._sum_terms)
-with cospi(m) allowed as a term; numbers are ASCII digits only.  Parsing
+with cospi(m) allowed as a term.  Numbers and vertex indices are ASCII
+digits only, and whitespace may not split a number.  Parsing
 certifies w > 1 for every weight at the identity embedding alone
 (fields.sign_at), and that the diagram is connected.
 
@@ -144,12 +145,9 @@ def parse_diagram(text: str, name: str = "diagram") -> CoxeterDiagram:
                 raise DiagramError(f"line {lineno}: edge before dim/vertices headers")
             if len(parts) < 4:
                 raise DiagramError(f"line {lineno}: edge needs two vertices and a label")
-            try:
-                if not (parts[1] + parts[2]).isascii():
-                    raise ValueError
-                i, j = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise DiagramError(f"line {lineno}: bad vertex index") from None
+            if not ((ij := parts[1] + parts[2]).isascii() and ij.isdigit()):
+                raise DiagramError(f"line {lineno}: bad vertex index")
+            i, j = int(parts[1]), int(parts[2])
             if not (0 < i <= size and 0 < j <= size) or i == j:
                 raise DiagramError(f"line {lineno}: vertex index out of range")
             key = (i, j) if i < j else (j, i)
@@ -159,7 +157,7 @@ def parse_diagram(text: str, name: str = "diagram") -> CoxeterDiagram:
             if label == "w":
                 if len(parts) < 5:
                     raise DiagramError(f"line {lineno}: weighted edge needs an expression")
-                edges[key] = acc = fields._sum_terms("".join(parts[4:]), _WEIGHT_RE,
+                edges[key] = acc = fields._sum_terms(" ".join(parts[4:]), _WEIGHT_RE,
                                                      _weight_error, _COS_PAIRS)
                 classes.update(t for t, (n, _) in acc.items() if n)
                 continue

@@ -10,18 +10,18 @@ the 2^r basis
 so every operation is exact and runs on plain integers; one product
 routine (_mul_nums) serves elements and numerator vectors alike, in
 closed form over Q and over one radicand.  Real embeddings
-are sign vectors on the radicands, indexed by a mask.  Signs of elements
-are certified by integer fixed-point bounds: each tower keeps, per
-precision of `bits` bits, a table of 2 * isqrt(alpha_S^2 * 4^bits) + 1,
-and _fixed_bounds gives the integer bounds of sigma(x) * den * 2^bits at
-every mask at once, by one Hadamard transform of the numerators times
-that table.  signs(x) compares them with 0 at every mask, doubling `bits`
-while some mask is undecided (over Q it reads the numerator's sign), and
-sign_at forms the bounds at its one mask alone.
-Norms are integer products of numerator conjugates over one power of den;
-squares, square classes and integrality are decided by descent over the
-prefix towers on numerators (_sqrt_nums).  None of these paths builds a
-FieldElement but for a returned root, and none uses floating point.
+are sign vectors on the radicands, indexed by a mask.
+
+Signs, norms, squares, square classes and integrality all run one exact
+descent on integer numerators over the prefix towers: y = u + v*sqrt(d),
+u and v over the first k - 1 radicands (_halves), with its norm u^2 -
+d*v^2 there formed in one place (_norm_step).  sigma(y) has the sign of
+sigma(u) where sigma(u^2 - d*v^2) > 0 and that of +-sigma(v) where it is
+< 0 (_sign_table for every mask, signs(x); _sign_down for one, sign_at),
+so a sign is exact after r levels and no precision is chosen.
+The norm to Q iterates the step (_norm_nums), and squares are decided by
+_sqrt_nums.  None of these paths builds a FieldElement but for a
+returned root, and none uses floating point.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
 from numbers import Integral, Rational
-from operator import mul
 from typing import Iterable, NamedTuple
 
 __all__ = [
@@ -175,7 +174,6 @@ class FieldTower:
         "basis_scale",
         "class_to_mask",
         "_embeddings",
-        "_bounds",
         "_subfields",
         "_maps",
         "_zero",
@@ -208,7 +206,6 @@ class FieldTower:
         if len(self.class_to_mask) != self.degree:
             raise ValueError("radicands not independent")
         self._embeddings = tuple(Embedding(self, e) for e in range(self.degree))
-        self._bounds: dict[int, tuple[int, ...]] = {}  # bits -> table of _fixed_bounds
         self._subfields: tuple[FieldTower, ...] | None = None  # see subfields_index2
         self._maps: dict[FieldTower, tuple] = {}  # subfield -> _subfield_map's map
         self._zero = FieldElement(self, (0,) * self.degree)
@@ -298,8 +295,8 @@ def make_field(raw_radicands: Iterable[int]) -> FieldTower:
     read as a tuple of ints, is kept (a refused input is not), so a repeated
     request factors and closes nothing.  A tower keeps every table it builds
     for itself: its basis classes and scales, its embeddings, zero and one,
-    the tables of _fixed_bounds, the list of subfields_index2 and the basis
-    maps to its subfields (_subfield_map); a subfield inherits none of them.
+    the list of subfields_index2 and the basis maps to its subfields
+    (_subfield_map); a subfield inherits none of them.
 
     >>> make_field([2, 3]).radicands
     (2, 3)
@@ -417,21 +414,38 @@ def _adjugate(nums, rad: tuple[int, ...]) -> tuple[list[int], int]:
     return [q // g for q in Q], e // g
 
 
+def _norm_step(u, v, d: int, rad: tuple[int, ...]) -> list[int]:
+    """Numerators of u^2 - d*v^2, the norm of u + v*sqrt(d) to the tower of
+    the numerators u and v (rad its basis_radicand), the one place it is
+    formed: one loop over the pairs {S, T} of masks, as alpha_S * alpha_T =
+    rad[S & T] * alpha_{S ^ T}, and closed forms at one and two numerators."""
+    n = len(u)
+    if n == 1:
+        return [u[0] * u[0] - d * v[0] * v[0]]
+    if n == 2:
+        (a0, a1), (b0, b1), r = u, v, rad[1]
+        return [a0 * a0 + r * a1 * a1 - d * (b0 * b0 + r * b1 * b1), 2 * (a0 * a1 - d * b0 * b1)]
+    out = [0] * n
+    for S in range(n):
+        a, b = u[S], v[S]
+        if a or b:
+            out[0] += (a * a - d * b * b) * rad[S]
+            for T in range(S + 1, n):
+                out[S ^ T] += 2 * (a * u[T] - d * b * v[T]) * rad[S & T]
+    return out
+
+
 def _norm_nums(nums, tower: FieldTower) -> int:
-    """The norm to Q of sum_S nums[S] * alpha_S, an integer: the product of
-    all its conjugates, formed as in _adjugate by descending the tower one
-    radicand at a time.  y * sigma_j(y) is fixed by sigma_j, so after the
-    step for radicand j only the masks below 2^j are kept.  nums may be the
-    first 2^k numerators: the norm is then taken from the subfield of the
-    first k radicands."""
+    """The norm to Q of sum_S nums[S] * alpha_S, an integer, by descent:
+    y = u + v*sqrt(d) over the prefix tower (as in _halves) has the norm of
+    u^2 - d*v^2 (_norm_step) there, so each step halves the numerators.
+    nums may be the first 2^k numerators: the norm is then taken from the
+    subfield of the first k radicands."""
     rad = tower.basis_radicand
     y = nums
-    for j in reversed(range(len(nums).bit_length() - 1)):
-        h = 1 << j
-        y = _mul_nums(y, [-n if S & h else n for S, n in enumerate(y)], rad)
-        if any(y[h:]):
-            raise RuntimeError("conjugate product must be rational")
-        y = y[:h]
+    while len(y) > 1:
+        h = len(y) >> 1
+        y = _norm_step(y[:h], y[h:], rad[h], rad)
     return y[0]
 
 
@@ -604,89 +618,69 @@ class FieldElement:
 # -- embeddings and certified signs -------------------------------------
 
 
-def _hadamard(v: list[int]) -> list[int]:
-    """v transformed in place to H(v)[m] = sum_S (-1)^|S & m| * v[S], by
-    r * 2^(r-1) butterflies for a list of length 2^r."""
-    n, h = len(v), 1
-    while h < n:
-        for i in range(0, n, 2 * h):
-            for j in range(i, i + h):
-                a, b = v[j], v[j + h]
-                v[j], v[j + h] = a + b, a - b
-        h *= 2
-    return v
+def _sign(n: int) -> int:
+    return (n > 0) - (n < 0)
 
 
-def _bound_table(tower: FieldTower, bits: int) -> tuple[int, ...]:
-    """b_S = 2 * isqrt(alpha_S^2 * 4^bits) + 1, kept per (tower, bits)."""
-    table = tower._bounds.get(bits)
-    if table is None:
-        table = tower._bounds[bits] = tuple(2 * isqrt(m << (2 * bits)) + 1
-                                           for m in tower.basis_radicand)
-    return table
-
-
-def _fixed_bounds(x: FieldElement, bits: int) -> tuple[list[int], int]:
-    """(t, W) with lo[m] = (t[m] - W) / 2 and hi[m] = (t[m] + W) / 2 the
-    integers lo[m] <= sigma_m(x) * den * 2^bits <= hi[m] at every mask m.
-
-    Each alpha_S is bounded through a_S = isqrt(alpha_S^2 * 4^bits), with
-    a_S <= |alpha_S| * 2^bits < a_S + 1.  At m the term s * n * alpha_S,
-    s = (-1)^|S & m|, lies between s * n * a_S and that plus s * n, so lo[m]
-    is the sum of s * n * a_S less the |n| of the terms with s * n < 0, and
-    hi[m] = lo[m] + W with W the sum of |nums|.  The sum of those |n| is
-    (W - H(nums)[m]) / 2, H the Hadamard transform (_hadamard), so with the
-    table b_S = 2 * a_S + 1 of _bound_table, t = H(nums * b) = lo + hi.
-    t[m] - W = H(nums)[m] - W mod 2 is even, so both bounds are exact
-    integers, and lo[m] > 0 exactly when t[m] > W, hi[m] < 0 exactly when
-    t[m] < -W.  One transform gives every mask.
-    """
-    table = _bound_table(x.tower, bits)
-    return _hadamard([n * b for n, b in zip(x.nums, table)]), sum(map(abs, x.nums))
+def _sign_table(y, rad: tuple[int, ...]) -> list[int]:
+    """The sign of sigma_m(y) at every mask m, for y integer numerators over
+    the first k radicands (rad the tower's basis_radicand).  With y = u +
+    v*sqrt(d) (_halves), sigma_m(y) = sigma(u) + s*sigma(v)*sqrt(d), s = -1
+    at the masks with bit k - 1: it has the sign of sigma(u) where
+    sigma(u^2 - d*v^2) > 0 and of s*sigma(v) where that is < 0, so the
+    tables of u^2 - d*v^2, and of u and v where read, over the prefix
+    tower give y's.  Two numerators are read in closed form."""
+    n = len(y)
+    if n == 1:
+        return [_sign(y[0])]
+    if n == 2:
+        a, b = y
+        if not (a and b):
+            return [_sign(a or b), _sign(a or -b)]
+        return [_sign(a)] * 2 if a * a > rad[1] * b * b else [_sign(b), _sign(-b)]
+    h = n >> 1
+    u, v = y[:h], y[h:]
+    if not any(v):
+        su = _sign_table(u, rad)
+        return su + su
+    sn = _sign_table(_norm_step(u, v, rad[h], rad), rad)
+    su = _sign_table(u, rad) if 1 in sn else sn
+    sv = _sign_table(v, rad) if -1 in sn else sn
+    lo, hi = [], []
+    for a, b, c in zip(su, sv, sn):
+        lo.append(a if c > 0 else b)
+        hi.append(a if c > 0 else -b)
+    return lo + hi
 
 
 def signs(x: FieldElement) -> tuple[int, ...]:
-    """Certified sign of x at every real embedding, indexed by its mask.
+    """Certified sign of x at every real embedding, indexed by its mask:
+    that of x's numerators (den > 0), by the descent of _sign_table.  A
+    nonzero x is nonzero at every embedding; x = 0 gives all zeros.  Only
+    integers are used, and over Q the one sign is the numerator's."""
+    return tuple(_sign_table(x.nums, x.tower.basis_radicand))
 
-    The bounds of _fixed_bounds, for every mask at once, are compared with
-    0 at 64, 128, 256, ... bits, and `bits` is doubled only while some mask
-    is undecided; a mask keeps the sign it first gets.  A mask is decided
-    once 2^-bits * sum|nums| / den < |sigma(x)|, and since den * 2^bits > 0
-    the integer bounds have the signs of the bounds on sigma(x) itself.  A
-    nonzero x is nonzero at every embedding; x = 0 gives all zeros.  No
-    floating point and no Fraction is used.  Over Q no bound is formed: the
-    one sign is that of the numerator, as den > 0.
-    """
-    if x.tower.degree == 1:  # den > 0, so the sign is the numerator's
-        n = x.nums[0]
-        return (1,) if n > 0 else (-1,) if n < 0 else (0,)
-    out = [0] * x.tower.degree
-    if not x:
-        return tuple(out)
-    bits = 64
-    while True:
-        t, w = _fixed_bounds(x, bits)
-        out = [o or (1 if s > w else -1 if s < -w else 0) for o, s in zip(out, t)]
-        if 0 not in out:
-            return tuple(out)
-        bits *= 2
+
+def _sign_down(y, m: int, rad: tuple[int, ...]) -> int:
+    """The sign of sigma_m(y) alone: _sign_table's step taken down m's mask
+    only (u's sign when v = 0, with no norm formed)."""
+    n = len(y)
+    if n == 1:
+        return _sign(y[0])
+    h = n >> 1
+    u, v = y[:h], y[h:]
+    if any(v) and _sign_down(_norm_step(u, v, rad[h], rad), m, rad) < 0:
+        b = _sign_down(v, m, rad)
+        return -b if m & h else b
+    return _sign_down(u, m, rad)
 
 
 def sign_at(x: FieldElement, sigma: Embedding) -> int:
-    """Certified sign of sigma(x) at sigma's mask m alone: t[m] of
-    _fixed_bounds, sum_S (-1)^|S & m| * nums[S] * b_S (x's own numerators at
-    the identity), is compared with W as in signs while `bits` doubles."""
+    """Certified sign of sigma(x) at sigma's mask alone (_sign_down), so no
+    other embedding is read."""
     if sigma.tower is not x.tower:
         raise ValueError("embedding belongs to a different tower")
-    m = sigma.mask
-    nums = [-n if (S & m).bit_count() & 1 else n for S, n in enumerate(x.nums)] if m else x.nums
-    w, bits = sum(map(abs, nums)), 64
-    while w:
-        t = sum(map(mul, nums, _bound_table(x.tower, bits)))
-        if abs(t) > w:
-            return 1 if t > 0 else -1
-        bits *= 2
-    return 0
+    return _sign_down(x.nums, sigma.mask, x.tower.basis_radicand)
 
 
 # -- square testing ------------------------------------------------------
@@ -706,7 +700,7 @@ def _halves(y, rad: tuple[int, ...]) -> tuple[list[int], list[int], int, list[in
     u, v = list(y[:h]), list(y[h:])
     if not any(v):
         return u, v, rad[h], None
-    return u, v, rad[h], _mul_nums(v, [-rad[h] * b for b in v], rad, _mul_nums(u, u, rad))
+    return u, v, rad[h], _norm_step(u, v, rad[h], rad)
 
 
 def _sqrt_nums(y, rad: tuple[int, ...]) -> tuple[list[int], int] | None:
@@ -910,23 +904,28 @@ def integral_rescale(x: FieldElement) -> FieldElement:
 # groups: sign, n, d, f, k, f, k
 _TERM = r"([+-]?)(?:([0-9]+)(?:/([0-9]+))?(?:\*({0})\(([0-9]+)\))?|({0})\(([0-9]+)\))"
 _TERM_RE = re.compile(_TERM.format("sqrt"))
+_SPACE = re.compile(r"(?<![0-9]) | (?![0-9])")  # a space not between two digits
 
 
-def _sum_terms(s: str, pattern: re.Pattern, fail, cos=None) -> dict[int, tuple[int, int]]:
-    """The signed sum s of `pattern`'s terms (_TERM) as {class: (num, den)},
-    den > 0, summed per square class in integers: the one tokenizer of
-    element literals and weights.  sqrt(k) is isqrt(k // t) * sqrt(t), t the
-    squarefree part of k; cospi(m) is cos[m].  The first failure raises
-    fail(reason, s, pos), pos where its term starts: "term" (none there),
-    "unsigned" (no sign, no term, pos > 0), "sign" (a later term without
-    one), "den" (a zero denominator), "root" (sqrt(0)), "cospi" (m not in cos).
+def _sum_terms(text: str, pattern: re.Pattern, fail, cos=None) -> dict[int, tuple[int, int]]:
+    """The signed sum of `pattern`'s terms (_TERM) in text as {class: (num,
+    den)}, den > 0, summed per square class in integers: the one tokenizer
+    of element literals and weights.  sqrt(k) is isqrt(k // t) * sqrt(t), t
+    the squarefree part of k; cospi(m) is cos[m].  Whitespace is dropped
+    (s is what is left), but for one space kept between two digits.  The
+    first failure raises fail(reason, s, pos), pos where its term starts:
+    "term" (none there), "unsigned" (no sign, no term, pos > 0), "sign" (a
+    later term without one, or that space), "den" (a zero denominator),
+    "root" (sqrt(0)), "cospi" (m not in cos).
     """
+    s = _SPACE.sub("", " ".join(text.split()))
     acc: dict[int, tuple[int, int]] = {}
     pos = 0
     while pos < len(s):
         m = pattern.match(s, pos)
         if m is None:
-            raise fail("unsigned" if pos and s[pos] not in "+-" else "term", s, pos)
+            raise fail("sign" if s[pos] == " " else
+                       "unsigned" if pos and s[pos] not in "+-" else "term", s, pos)
         sign, n, d, f, k, f2, k2 = m.groups()
         if pos and not sign:
             raise fail("sign", s, pos)
@@ -953,15 +952,15 @@ def _sum_terms(s: str, pattern: re.Pattern, fail, cos=None) -> dict[int, tuple[i
 
 
 def parse_element(text: str, tower: FieldTower | None = None) -> FieldElement:
-    """Parse `1/2 + 1/2*sqrt(6) - sqrt(2)` style literals, whitespace-insensitive.
+    """Parse `1/2 + 1/2*sqrt(6) - sqrt(2)` style literals.
 
-    Terms are read by _sum_terms (ASCII digits only) and built through
+    Terms are read by _sum_terms (ASCII digits only; whitespace is ignored
+    but between two digits, where it is refused) and built through
     _term_nums, so a nonzero term outside the given tower raises ValueError.
     """
-    s = re.sub(r"\s+", "", text)
-    if not s:
+    if not text.strip():
         raise ValueError("empty element literal")
-    terms = _sum_terms(s, _TERM_RE, lambda reason, s, pos: ValueError({
+    terms = _sum_terms(text, _TERM_RE, lambda reason, s, pos: ValueError({
         "sign": f"missing +/- between terms in {text!r}",
         "den": f"zero denominator in element literal {text!r}",
         "root": "sqrt(0) is not a valid term"}.get(reason, f"bad element literal at {s[pos:]!r}")))

@@ -46,8 +46,8 @@ from math import gcd
 from typing import Sequence
 
 from . import localfields
-from .fields import (Embedding, FieldElement, FieldTower, _adjugate, _mul_nums, _over_subfield,
-                     element_literal, signs)
+from .fields import (Embedding, FieldElement, FieldTower, _adjugate, _mul_nums, _norm_step,
+                     _over_subfield, element_literal, signs)
 
 __all__ = [
     "QuadraticForm",
@@ -305,8 +305,8 @@ def transfer(form: QuadraticForm, F: FieldTower) -> QuadraticForm:
     diag = []
     for c in form.diagonal:
         _, u, v, den = _over_subfield(c, F)
-        if any(v):  # v and v * (a*v^2 - u^2), over den and den^3
-            w = _mul_nums(u, [-y for y in u], rad, _mul_nums(v, [a * y for y in v], rad))
+        if any(v):  # v and v * -(u^2 - a*v^2), over den and den^3
+            w = [-y for y in _norm_step(u, v, a, rad)]
             diag += [FieldElement(F, tuple(v), den),
                      FieldElement(F, tuple(_mul_nums(v, w, rad)), den ** 3)]
         else:

@@ -520,18 +520,6 @@ def dense_express(rads, x, target_rads) -> list[Fraction]:
     return out
 
 
-def dense_interval(rads, x, mask: int, bits: int) -> tuple[Fraction, Fraction]:
-    """[lo, hi] around sigma_mask(x) from 2^-bits roundings of every sqrt(alpha_S^2)."""
-    lo = hi = Fraction(0)
-    for m, c in zip(dense_products(rads), dense_conjugate(x, mask)):
-        if c:
-            a = isqrt(m << (2 * bits))
-            t1, t2 = c * Fraction(a, 1 << bits), c * Fraction(a + 1, 1 << bits)
-            lo += min(t1, t2)
-            hi += max(t1, t2)
-    return lo, hi
-
-
 def dense_sign(rads, x, mask: int) -> int:
     """Sign of sigma_mask(x), in 80-digit decimal arithmetic."""
     if not any(x):
@@ -654,8 +642,9 @@ def _weight_rational(tok: str, expr: str) -> tuple[int, int]:
 
 
 def parse_weight_reference(expr: str) -> dict[int, tuple[int, int]]:
-    """Weight expression -> {squarefree class: coefficient as (num, den)}, den > 0."""
-    s = expr.replace(" ", "")
+    """Weight expression -> {squarefree class: coefficient as (num, den)}, den > 0.
+    A space, which the caller keeps only between two digits, is a missing sign."""
+    s = expr
     if not s:
         raise diagrams.DiagramError("empty weight expression")
     acc: dict[int, tuple[int, int]] = {}
@@ -698,9 +687,11 @@ def parse_diagram_reference(text: str, name: str = "diagram"):
     """`diagrams.parse_diagram` as it stood before its intake was made lean:
     its own weight tokenizer (`parse_weight_reference`), labels built afresh
     for each diagram, and each weight's w > 1 read off `fields.signs`, which
-    certifies every real embedding.  It reads Unicode digits as int() and
-    str.isdigit do; on ASCII text it is the reference for the library's
-    entries, errors and messages."""
+    certifies every real embedding.  Since then it refuses, as the library
+    does, a vertex index that is not all digits and whitespace between two
+    digits of a weight.  It reads Unicode digits as int() and str.isdigit
+    do; on ASCII text it is the reference for the library's entries, errors
+    and messages."""
     dim = size = None
     raw_edges = []
     seen = set()
@@ -723,10 +714,9 @@ def parse_diagram_reference(text: str, name: str = "diagram"):
                 raise diagrams.DiagramError(f"line {lineno}: edge before dim/vertices headers")
             if len(parts) < 4:
                 raise diagrams.DiagramError(f"line {lineno}: edge needs two vertices and a label")
-            try:
-                i, j = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise diagrams.DiagramError(f"line {lineno}: bad vertex index") from None
+            if not (parts[1].isdigit() and parts[2].isdigit()):
+                raise diagrams.DiagramError(f"line {lineno}: bad vertex index")
+            i, j = int(parts[1]), int(parts[2])
             if not (1 <= i <= size and 1 <= j <= size) or i == j:
                 raise diagrams.DiagramError(f"line {lineno}: vertex index out of range")
             key = (min(i, j), max(i, j))
@@ -737,7 +727,10 @@ def parse_diagram_reference(text: str, name: str = "diagram"):
             if label == "w":
                 if len(parts) < 5:
                     raise diagrams.DiagramError(f"line {lineno}: weighted edge needs an expression")
-                raw_edges.append((key, parse_weight_reference("".join(parts[4:])), None))
+                expr = parts[4]  # the parts joined, with a space kept between two digits
+                for p in parts[5:]:
+                    expr += " " + p if expr[-1].isdigit() and p[0].isdigit() else p
+                raw_edges.append((key, parse_weight_reference(expr), None))
             elif label == "inf":
                 raw_edges.append((key, {1: (1, 1)}, "inf"))
             else:

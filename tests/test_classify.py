@@ -490,6 +490,23 @@ def test_census_pool_reports_match_recorded_hashes():
         assert got == entry["sha256"], name
 
 
+def test_signs_at_every_mask_agree_with_sign_at_over_the_pool():
+    # every ambient-form entry of the census pool and every entry of its
+    # transfers to each index-2 subfield: the all-mask table of fields.signs
+    # reads at each mask what fields.sign_at reads down that mask alone
+    checked = 0
+    for name, entry in sorted(_census_pool().items()):
+        f = diagrams.ambient_form(diagrams.parse_diagram(entry["cox"], name))
+        entries = list(f.diagonal)
+        for F in fields.subfields_index2(f.tower):
+            entries += forms.transfer(f, F).diagonal
+        for x in entries:
+            assert fields.signs(x) == tuple(fields.sign_at(x, sigma)
+                                            for sigma in x.tower.embeddings()), (name, x)
+            checked += x.tower.degree
+    assert checked == 40_065  # 12,466 entries over Q and degrees 2, 4 and 8
+
+
 def test_each_form_keeps_the_primes_of_its_relevant_places(monkeypatch):
     # every transfer and f + (-g) that classifying the census pool builds,
     # every ambient form whose set the pass reads and every other one over a

@@ -382,26 +382,15 @@ def pell_convergent(min_q: int) -> tuple[int, int]:
     return p, q
 
 
-def bounds_at(x, sigma, bits):
-    """The integer bounds lo <= sigma(x) * den * 2^bits <= hi of _fixed_bounds."""
-    t, w = fields._fixed_bounds(x, bits)
-    return (t[sigma.mask] - w) // 2, (t[sigma.mask] + w) // 2
-
-
-def assert_refines_to_256_bits(x, sigma, expected):
-    """sign_at(x, sigma) is `expected`, agrees with the dense oracle, and is
-    reached only at the third step: the bounds hold 0 at 64 and 128 bits."""
-    for bits in (64, 128):
-        lo, hi = bounds_at(x, sigma, bits)
-        assert lo < 0 < hi, bits
-    lo, hi = bounds_at(x, sigma, 256)
-    assert (lo > 0) if expected > 0 else (hi < 0)
-    assert sign_at(x, sigma) == expected
-    assert sign_at(x, sigma) == oracles.dense_sign(x.tower.radicands, list(x.coeffs), sigma.mask)
+def assert_sign(x, sigma, expected):
+    """sign_at(x, sigma) and signs(x) at sigma's mask are `expected`, which
+    the dense oracle gives too."""
+    assert sign_at(x, sigma) == fields.signs(x)[sigma.mask] == expected
+    assert oracles.dense_sign(x.tower.radicands, list(x.coeffs), sigma.mask) == expected
 
 
 def test_sign_at_tight_cancellation():
-    # |p/q - sqrt2| < 2^-141 with q >= 2^70, and the bounds are about 2.4 * 2^-bits wide
+    # |p/q - sqrt2| < 2^-141 with q >= 2^70
     p, q = pell_convergent(1 << 70)
     above = 1 if p * p - 2 * q * q > 0 else -1  # sign of p/q - sqrt2
     t = make_field([2])
@@ -410,26 +399,25 @@ def test_sign_at_tight_cancellation():
     y = t.element([Fraction(p, q), 1])  # p/q + sqrt2, tight where sqrt2 -> -sqrt2
     for z, sigma, expected in ((x, ident, above), (-x, ident, -above),
                                (y, conj, above), (-y, conj, -above)):
-        assert_refines_to_256_bits(z, sigma, expected)
+        assert_sign(z, sigma, expected)
     # degree 8, at sqrt3 -> -sqrt3: sigma(p/q*sqrt15 - sqrt30) = -sqrt15 * (p/q - sqrt2)
     t235 = make_field([2, 3, 5])
     z = t235.sqrt(15) * Fraction(p, q) - t235.sqrt(30)
     sigma = Embedding(t235, 0b010)
     assert sigma.signs == (1, -1, 1)
-    assert_refines_to_256_bits(z, sigma, -above)
+    assert_sign(z, sigma, -above)
 
 
-def test_sign_at_runs_on_integers_once_its_tables_exist(monkeypatch):
+def test_signs_run_on_integers_alone(monkeypatch):
     p, q = pell_convergent(1 << 70)
     t235 = make_field([2, 3, 5])
     cases = [(t235.sqrt(15) * Fraction(p, q) - t235.sqrt(30), Embedding(t235, 0b010)),
              (t235.element([Fraction(1, 3), -2, 5, 0, 1, 0, -1, 7]), Embedding(t235, 0b101))]
-    expected = [sign_at(x, sigma) for x, sigma in cases]  # builds the 64-, 128-, 256-bit tables
+    expected = [sign_at(x, sigma) for x, sigma in cases]
+    expected_all = [fields.signs(x) for x, _ in cases]
 
     def refuse(*args):
-        raise AssertionError("sign_at left integer fixed point")
-
-    expected_all = [fields.signs(x) for x, _ in cases]
+        raise AssertionError("a sign left the integers")
 
     monkeypatch.setattr(fields, "Fraction", refuse)
     monkeypatch.setattr(fields, "isqrt", refuse)
@@ -439,7 +427,7 @@ def test_sign_at_runs_on_integers_once_its_tables_exist(monkeypatch):
 
 def test_signs_match_the_dense_oracle_at_every_mask():
     # degrees 1, 2, 4 and 8: zero, random elements, and Pell near-cancellations
-    # that stay undecided at 64 and 128 bits at some masks and not at others
+    # at some masks and not at others, one perturbed by 2^-150
     p, q = pell_convergent(1 << 70)
     t2, t23, t235 = TOWERS[1:]
     cases = [T.zero() for T in TOWERS]
@@ -448,16 +436,12 @@ def test_signs_match_the_dense_oracle_at_every_mask():
               t235.sqrt(15) * Fraction(p, q) - t235.sqrt(30)]
     rng = random.Random(131)
     cases += [rand_element(T, rng, scale=9, dens=(1, 2, 3, 7)) for T in TOWERS for _ in range(12)]
-    tight = 0
     for x in cases:
         got = fields.signs(x)
         assert len(got) == x.tower.degree
         for sigma in x.tower.embeddings():
             want = oracles.dense_sign(x.tower.radicands, list(x.coeffs), sigma.mask)
             assert got[sigma.mask] == sign_at(x, sigma) == want
-            lo, hi = bounds_at(x, sigma, 128)
-            tight += lo < 0 < hi
-    assert tight >= 4
 
 
 @pytest.mark.parametrize("rads", [(), (2,), (2, 3), (2, 3, 5)])
@@ -480,11 +464,11 @@ def test_mul_nums_matches_the_dense_product(rads):
 
 def test_signs_over_q_are_read_off_the_numerator(monkeypatch):
     # degree 1: the one sign is the numerator's (den > 0), zero included,
-    # and no fixed-point bound is formed for it
+    # and no norm is formed for it
     def refuse(*args):
-        raise AssertionError("signs formed a bound over Q")
+        raise AssertionError("signs formed a norm over Q")
 
-    monkeypatch.setattr(fields, "_fixed_bounds", refuse)
+    monkeypatch.setattr(fields, "_norm_step", refuse)
     rng = random.Random(251)
     cases = [Q.zero(), Q.one(), -Q.one(), Q.rational(Fraction(1, 1 << 200)),
              Q.rational(Fraction(-7, 3))] + [rand_element(Q, rng, scale=9) for _ in range(20)]
@@ -506,18 +490,14 @@ def test_sign_at_rejects_an_embedding_of_another_tower():
     assert sign_at(t3.sqrt(3), foreign) == -1
 
 
-def test_interval_consistency_with_products():
+def test_signs_are_multiplicative():
+    # every embedding is a ring map: signs(x * y) = signs(x) * signs(y) at every mask
     rng = random.Random(5)
-    t = make_field([2, 3])
-    for _ in range(50):
-        x = rand_element(t, rng)
-        y = rand_element(t, rng)
-        sigma = rng.choice(t.embeddings())
-        # the bounds of x, y and x * y, each over its own den * 2^80
-        lox, hix, loy, hiy, lo, hi = (Fraction(b, z.den << 80) for z in (x, y, x * y)
-                                      for b in bounds_at(z, sigma, 80))
-        cands = [lox * loy, lox * hiy, hix * loy, hix * hiy]
-        assert min(cands) <= hi and lo <= max(cands)
+    for t in TOWERS:
+        for _ in range(50):
+            x, y = rand_element(t, rng), rand_element(t, rng)
+            assert fields.signs(x * y) == tuple(a * b for a, b in zip(fields.signs(x),
+                                                                      fields.signs(y)))
 
 
 # -- subfield lattice ------------------------------------------------------
@@ -734,10 +714,6 @@ def test_field_ops_match_dense_fraction_oracle():
             assert_matches(integral_rescale(y), oracles.dense_integral_rescale(dy))
             for sigma in tower.embeddings():
                 assert_matches(oracles.conjugate(x, sigma), oracles.dense_conjugate(dx, sigma.mask))
-                for bits in (4, 64, 128, 256):
-                    lo, hi = oracles.dense_interval(rads, dx, sigma.mask, bits)
-                    scale = x.den << bits
-                    assert bounds_at(x, sigma, bits) == (lo * scale, hi * scale)
                 for z, dz in ((x, dx), (y, dy), (x * y, oracles.dense_mul(rads, dx, dy))):
                     assert sign_at(z, sigma) == oracles.dense_sign(rads, dz, sigma.mask)
             # up to a supertower and back

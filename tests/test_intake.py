@@ -54,9 +54,9 @@ DIAGRAM_ERRORS = [
     (H + 'edge 1.0 2 3\n', DiagramError, 'line 3: bad vertex index'),
     (H + 'edge 1 4 3\n', DiagramError, 'line 3: vertex index out of range'),
     (H + 'edge 0 1 3\n', DiagramError, 'line 3: vertex index out of range'),
-    (H + 'edge -1 2 3\n', DiagramError, 'line 3: vertex index out of range'),
+    (H + 'edge -1 2 3\n', DiagramError, 'line 3: bad vertex index'),
     (H + 'edge 2 2 3\n', DiagramError, 'line 3: vertex index out of range'),
-    (H + 'edge 1_0 2 3\n', DiagramError, 'line 3: vertex index out of range'),
+    (H + 'edge 1_0 2 3\n', DiagramError, 'line 3: bad vertex index'),
     (H + 'edge 1 2 3\nedge 2 1 4\n', DiagramError, 'line 4: duplicate edge (1, 2)'),
     (H + 'edge 1 2 3\nedge 1 2 x\n', DiagramError, 'line 4: duplicate edge (1, 2)'),
     (H + 'edge 3 1 w 2\nedge 1 3 3\n', DiagramError, 'line 4: duplicate edge (1, 3)'),
@@ -133,6 +133,16 @@ DIAGRAM_ERRORS = [
     (H + 'edge 1 2 w 2\nedge 2 3 w 1\nedge 1 3 w 1/2\n',
      DiagramError, 'edge (2,3): weight 1 is a parallel pair, use inf'),
     (H + 'edge 1 2 w 1/2\nedge 2 3 foo\n', DiagramError, "line 4: bad edge label 'foo'"),
+    # added with the refusals of a vertex index that is not all digits and
+    # of whitespace between two digits, which used to join them
+    (H + 'edge +1 2 3\n', DiagramError, 'line 3: bad vertex index'),
+    (H + 'edge 1 +2 3\n', DiagramError, 'line 3: bad vertex index'),
+    (W + '1 2\n', DiagramError, "missing sign in weight expression: '1 2'"),
+    (W + '1/2 3\n', DiagramError, "missing sign in weight expression: '1/2 3'"),
+    (W + '1/2 3*sqrt(2)\n', DiagramError, "missing sign in weight expression: '1/2 3*sqrt(2)'"),
+    (W + '1 + 2 3\n', DiagramError, "missing sign in weight expression: '1+2 3'"),
+    (W + 'sqrt(1 0)\n', DiagramError, "bad weight expression: 'sqrt(1 0)'"),
+    (W + '2 1/0\n', DiagramError, "missing sign in weight expression: '2 1/0'"),
 ]
 
 ELEMENT_ERRORS = [  # (literal, tower radicands or None, ValueError message)
@@ -166,6 +176,13 @@ ELEMENT_ERRORS = [  # (literal, tower radicands or None, ValueError message)
     ('*1', None, "bad element literal at '*1'"),
     ('1.5', None, "bad element literal at '.5'"),
     ('1e3', None, "bad element literal at 'e3'"),
+    # added with the refusal of whitespace between two digits
+    ('1 2', None, "missing +/- between terms in '1 2'"),
+    ('1/2 3', None, "missing +/- between terms in '1/2 3'"),
+    ('1/2\t 3*sqrt(2)', None, "missing +/- between terms in '1/2\\t 3*sqrt(2)'"),
+    ('1 + 2 3', None, "missing +/- between terms in '1 + 2 3'"),
+    ('sqrt(1 0)', None, "bad element literal at 'sqrt(1 0)'"),
+    ('1/0 2', None, "zero denominator in element literal '1/0 2'"),
 ]
 
 
@@ -182,6 +199,14 @@ def test_every_element_refusal_keeps_its_message():
         with pytest.raises(ValueError) as info:
             parse_element(text, None if rads is None else make_field(rads))
         assert (type(info.value), str(info.value)) == (ValueError, message), text
+
+
+def test_whitespace_between_terms_and_symbols_is_dropped():
+    # whitespace that joins no two digits is ignored, in both grammars
+    for text in ("1/2 + 1/2*sqrt(6)", " 1 / 2+1/2 * sqrt ( 6 ) ", "\t1/2\n+1/2*sqrt(6)"):
+        assert parse_element(text) == parse_element("1/2+1/2*sqrt(6)")
+    for expr in ("1 + sqrt(2)", "1+ sqrt ( 2 )", "1 +sqrt(2)"):
+        assert -parse_diagram(W + expr + "\n").entries[(1, 2)] == parse_element("1+sqrt(2)")
 
 
 def test_digits_are_ascii_only():
@@ -296,12 +321,12 @@ def test_weights_and_element_literals_read_one_grammar():
 
 
 def test_weight_is_certified_at_the_identity_alone(monkeypatch):
-    # parsing a weight forms no Hadamard transform and certifies no other
-    # embedding: w - 1 is read at mask 0 only, in integers
+    # parsing a weight forms no table of signs over every embedding: w - 1
+    # is read down mask 0 only, in integers
     def refuse(*args):
         raise AssertionError("a sign at every embedding was formed")
 
-    monkeypatch.setattr(fields, "_hadamard", refuse)
+    monkeypatch.setattr(fields, "_sign_table", refuse)
     monkeypatch.setattr(fields, "signs", refuse)
     d = parse_diagram(W + "1+sqrt(2)-1572584048032918633353216/1111984844349868137938112\n")
     assert d.tower.radicands == (2,)

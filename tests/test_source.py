@@ -1,5 +1,5 @@
 """Guards read off the source of src/coxarith/*.py with ast: no dead private
-helpers, and no stale __all__ entries."""
+helpers, no stale __all__ entries, and no floating point outside lvalues."""
 
 import ast
 import pathlib
@@ -49,3 +49,21 @@ def test_every_name_in_all_is_defined():
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
                 defined.update(alias.asname or alias.name for alias in node.names)
         assert [n for n in exported if n not in defined] == [], name
+
+
+def test_nothing_is_decided_by_a_float():
+    # the exact modules hold no float literal, no float() call and no true
+    # division, so no float can enter a verdict; lvalues certifies its own
+    # balls and is the one module left out
+    floats = []
+    for name, tree in TREES.items():
+        if name == "lvalues.py":
+            continue
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Constant) and type(node.value) is float
+                    or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "float"
+                    or isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)):
+                floats.append(f"{name}:{node.lineno}")
+    assert floats == []
+    assert len(TREES) - 1 >= 7
