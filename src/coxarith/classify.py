@@ -131,8 +131,6 @@ def descend_field(f: QuadraticForm) -> tuple[FieldTower, list[tuple[FieldTower, 
     A subfield that fails check 1 or 2 is refused with no transfer.
     """
     K = f.tower
-    if K.r == 0:
-        return K, [], None
     neg = f.negatives()
     fibre = [all(neg[s] == neg[s ^ e] for s in range(K.degree)) for e in range(K.degree)]
     # N_{K/Q}(det f) times den^degree, an even power: the precheck of stage 2

@@ -286,13 +286,12 @@ def _rescaled_gram(diagram: CoxeterDiagram) -> tuple[list[list], int, FieldTower
                           di * dj * a.den))
     den = lcm(*(d for _, _, _, d in cells))
     m, parts, K = 1, None, tower
-    if tower.degree > 1:
-        used = [any(col) for col in zip(*(nums for _, _, nums, _ in cells))]
-        if not all(used):
-            K = make_field(sorted(tower.basis_class[S] for S, u in enumerate(used) if u and S))
-        if K is not tower:  # alpha_S is mult / m times alpha'_T
-            _, m, parts = fields._subfield_map(tower, K)
-            parts = [(S, T, mult) for S, T, side, mult in parts if not side]
+    used = [any(col) for col in zip(*(nums for _, _, nums, _ in cells))]
+    if not all(used):
+        K = make_field(sorted(tower.basis_class[S] for S, u in enumerate(used) if u and S))
+    if K is not tower:  # alpha_S is mult / m times alpha'_T
+        _, m, parts = fields._subfield_map(tower, K)
+        parts = [(S, T, mult) for S, T, side, mult in parts if not side]
     M = [[[0] * K.degree] * n for _ in range(n)]
     g = den * m
     for i, j, nums, d in cells:

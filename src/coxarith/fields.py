@@ -17,8 +17,8 @@ descent on integer numerators over the prefix towers: y = u + v*sqrt(d),
 u and v over the first k - 1 radicands (_halves), with its norm u^2 -
 d*v^2 there formed in one place (_norm_step).  sigma(y) has the sign of
 sigma(u) where sigma(u^2 - d*v^2) > 0 and that of +-sigma(v) where it is
-< 0 (_sign_table for every mask, signs(x); _sign_down for one, sign_at),
-so a sign is exact after r levels and no precision is chosen.
+< 0 (_sign_table, every mask at once: signs and sign_at), so a sign is
+exact after r levels and no precision is chosen.
 The norm to Q iterates the step (_norm_nums), and squares are decided by
 _sqrt_nums.  None of these paths builds a FieldElement but for a
 returned root, and none uses floating point.
@@ -528,10 +528,7 @@ class FieldElement:
             return self.express_in(other.tower), other
 
     def __add__(self, other, sign: int = 1):
-        if type(other) is FieldElement and other.tower is self.tower:
-            a, b = self, other
-        else:
-            a, b = self._pair(other)
+        a, b = self._pair(other)
         if a.den == b.den:
             return FieldElement(a.tower, tuple(x + sign * y for x, y in zip(a.nums, b.nums)),
                                 a.den)
@@ -552,13 +549,10 @@ class FieldElement:
         return (-self) + other
 
     def __mul__(self, other):
-        if type(other) is FieldElement and other.tower is self.tower:
-            a, b = self, other
-        elif isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)):
             return FieldElement(self.tower, tuple(n * other.numerator for n in self.nums),
                                 self.den * other.denominator)
-        else:
-            a, b = self._pair(other)
+        a, b = self._pair(other)
         return FieldElement(a.tower, tuple(_mul_nums(a.nums, b.nums, a.tower.basis_radicand)),
                             a.den * b.den)
 
@@ -661,26 +655,11 @@ def signs(x: FieldElement) -> tuple[int, ...]:
     return tuple(_sign_table(x.nums, x.tower.basis_radicand))
 
 
-def _sign_down(y, m: int, rad: tuple[int, ...]) -> int:
-    """The sign of sigma_m(y) alone: _sign_table's step taken down m's mask
-    only (u's sign when v = 0, with no norm formed)."""
-    n = len(y)
-    if n == 1:
-        return _sign(y[0])
-    h = n >> 1
-    u, v = y[:h], y[h:]
-    if any(v) and _sign_down(_norm_step(u, v, rad[h], rad), m, rad) < 0:
-        b = _sign_down(v, m, rad)
-        return -b if m & h else b
-    return _sign_down(u, m, rad)
-
-
 def sign_at(x: FieldElement, sigma: Embedding) -> int:
-    """Certified sign of sigma(x) at sigma's mask alone (_sign_down), so no
-    other embedding is read."""
+    """Certified sign of sigma(x): signs(x) read at sigma's mask."""
     if sigma.tower is not x.tower:
         raise ValueError("embedding belongs to a different tower")
-    return _sign_down(x.nums, sigma.mask, x.tower.basis_radicand)
+    return signs(x)[sigma.mask]
 
 
 # -- square testing ------------------------------------------------------
@@ -889,10 +868,11 @@ def integral_rescale(x: FieldElement) -> FieldElement:
     with squarefree content.  Same square class, algebraic integer output."""
     if not x:
         raise ValueError("cannot rescale 0")
-    # den is the lcm of the coefficient denominators, so x * den^2 = nums * den
+    # den is the lcm of the coefficient denominators, so x * den^2 = nums * den,
+    # whose content is den * gcd(nums), two coprime factors
     nums = tuple(n * x.den for n in x.nums)
     s = 1
-    for p, e in factorize(gcd(*nums)):
+    for p, e in factorize(x.den) + factorize(gcd(*x.nums)):
         s *= p ** (e // 2)
     return FieldElement(x.tower, nums, s * s)
 

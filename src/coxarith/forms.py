@@ -21,12 +21,11 @@ and classify's witness and transfer fibre test all read it.  Two forms get
 their table in closed form, with no sign certified: a transfer reads it
 off its source form's, and the sum f + (-g) that globally_isometric tests
 reads it off f's and g's.  The determinant is kept on the form the same
-way, and that of f + (-g) is read off f's and g's.  So are the finite
-places: each form keeps one prime set, primes(), 2 and the primes that
-divide the norms of its entries (localfields._norm_primes, the routine of
-relevant_finite_places), and the places above them are the only ones
-where its finite Hasse invariants are read; f + (-g) takes the union of
-f's and g's sets and factors no norm of its own.
+way, and that of f + (-g) is read off f's and g's.  Each form also keeps
+one prime set, primes(), read off its own diagonal on first use: 2 and
+the primes that divide the norms of its entries (localfields._norm_primes,
+the routine of relevant_finite_places); the places above them are the
+only ones where its finite Hasse invariants are read.
 
 The transfer along a quadratic subextension K/F sends a rank-1 form <c>
 to the rank-2 F-form with Gram [[v, u], [u, a*v]] where c = u + v*sqrt(a)
@@ -103,14 +102,10 @@ class QuadraticForm:
     def primes(self) -> frozenset[int]:
         """The primes of localfields.relevant_finite_places for the diagonal:
         2 and each prime dividing the norm of an entry's integral rescale,
-        found once (localfields._norm_primes) and kept.  A form built from
-        parts (globally_isometric's f + (-g)) keeps those forms instead, and
-        its set is the union of theirs, formed on first use, so no norm is
-        factored for a sum that an earlier check refuses."""
+        found on first use (localfields._norm_primes) and kept, so no norm
+        is factored for a form that an earlier check refuses."""
         if self._primes is None:
             self._primes = localfields._norm_primes(self.tower, self.diagonal)
-        elif type(self._primes) is tuple:
-            self._primes = frozenset().union(*(part.primes() for part in self._primes))
         return self._primes
 
     def literals(self) -> list[str]:
@@ -257,16 +252,13 @@ def _sym_diagonalize(M: Sequence[Sequence[Sequence[int]]], den: int,
 
 
 def _with_negatives(tower: FieldTower, diagonal, negatives,
-                    det: FieldElement | None = None,
-                    parts: tuple[QuadraticForm, ...] | None = None) -> QuadraticForm:
+                    det: FieldElement | None = None) -> QuadraticForm:
     """A form whose table of negatives, and determinant if given, are known
     in closed form, so that negatives() certifies no sign for it and det()
-    multiplies nothing; given the forms it is the sum of (up to signs of
-    entries), primes() unites their prime sets and factors nothing."""
+    multiplies nothing."""
     form = QuadraticForm(tower, diagonal)
     form._negatives = tuple(negatives)
     form._det = det
-    form._primes = parts
     return form
 
 
@@ -327,9 +319,10 @@ def globally_isometric(f: QuadraticForm, g: QuadraticForm) -> bool:
 
     By Witt cancellation f = g exactly when f + (-g) is a sum of hyperbolic
     planes; localfields.is_hyperbolic decides that by real signatures,
-    determinant class and Hasse invariants.  The sum's table of negatives,
-    its determinant, det f * det g * (-1)^rank(g), and its prime set, the
-    union of f's and g's (N(-c) = +-N(c)), are read off f's and g's.
+    determinant class and Hasse invariants.  The sum's table of negatives
+    and its determinant, det f * det g * (-1)^rank(g), are read off f's and
+    g's; its prime set is read off its own diagonal, if a finite place is
+    reached.
     """
     if f.tower != g.tower:
         raise ValueError("forms live over different towers")
@@ -341,7 +334,7 @@ def globally_isometric(f: QuadraticForm, g: QuadraticForm) -> bool:
     det = f.det() * g.det()
     return localfields.is_hyperbolic(
         _with_negatives(f.tower, f.diagonal + tuple(-c for c in g.diagonal), neg,
-                        -det if g.rank % 2 else det, (f, g)))
+                        -det if g.rank % 2 else det))
 
 
 def is_admissible(form: QuadraticForm) -> bool:

@@ -287,10 +287,6 @@ def _f4_mul(x: int, y: int) -> int:
     return c0 | (c1 << 1)
 
 
-def _f4_sqrt(x: int) -> int:
-    return _f4_mul(x, x)  # Frobenius is an involution on F_4
-
-
 # -- what the dyadic model and the odd closed form share ----------------------
 
 
@@ -486,9 +482,6 @@ class LocalModel(_Completion):
             raise RuntimeError("norm valuation not divisible by residue degree")
         return w // self.f
 
-    def is_val_ge(self, x: FieldElement, t: int) -> bool:
-        return not x or self.val(x) >= t
-
     # -- residue field -------------------------------------------------
 
     def _rep(self, sym: int) -> FieldElement:
@@ -501,7 +494,8 @@ class LocalModel(_Completion):
 
     def _residue(self, x: FieldElement) -> int:
         for sym in range(1, 1 << self.f):
-            if self.is_val_ge(x - self._rep(sym), 1):
+            d = x - self._rep(sym)
+            if not d or self.val(d) >= 1:
                 return sym
         raise RuntimeError("residue of a non-unit")
 
@@ -532,7 +526,8 @@ class LocalModel(_Completion):
         one, e = self.one, self.e
         bits, y = 0, one
         r = self._residue(u)
-        corr = self._rep(_f4_sqrt(r)) if r != 1 else None
+        # the square root of a residue is its square: Frobenius is an involution on F_4
+        corr = self._rep(_f4_mul(r, r)) if r != 1 else None
         for _ in range(4 * e + 16):
             if corr is not None:
                 ci = corr.inverse()
@@ -554,7 +549,7 @@ class LocalModel(_Completion):
                         bits ^= 1 << idx
                         u = u * self._gen_inv[idx]
             elif w < 2 * e:
-                corr = one + self.pi_pow(w // 2) * self._rep(_f4_sqrt(ebar))
+                corr = one + self.pi_pow(w // 2) * self._rep(_f4_mul(ebar, ebar))
             else:
                 c2 = self._c2_residue()
                 sols = [s for s in range(1, 1 << self.f) if _f4_mul(s, s) ^ _f4_mul(c2, s) == ebar]
@@ -589,7 +584,8 @@ class LocalModel(_Completion):
             elif kind == "unram":
                 omega = (eta - one) * self.pi_pow(-e)
                 self._stage(j + 1, e, 2 * f, pi, omega)
-                if not self.is_val_ge(omega * omega - (omega + one), 1):
+                d = omega * omega - (omega + one)
+                if d and self.val(d) < 1:
                     raise RuntimeError("residue generator does not satisfy w^2 = w + 1")
             else:
                 raise RuntimeError("locally square radicand in the local basis")
@@ -784,21 +780,24 @@ def hasse_invariant(form, place: Place) -> int:
 
 def _norm_primes(tower: FieldTower, elements: Iterable) -> frozenset[int]:
     """2 and every prime dividing the integer norm of an entry's integral
-    rescale: the primes of relevant_finite_places.  An entry that recurs
-    (same den and numerators) is read once."""
+    rescale: the primes of relevant_finite_places.  den is factored first,
+    being far smaller than the norm, which holds its primes to a high
+    power; those that divide the norm are kept and divided out before the
+    rest is factored, so a large prime of den never sends the whole norm
+    to sympy (fields.factorize)."""
     primes = {2}
-    seen = set()
     for c in elements:
         c = tower.coerce(c)
         if not c:
             raise ZeroDivisionError("degenerate entry")
-        if (c.den, c.nums) in seen:
-            continue
-        seen.add((c.den, c.nums))
-        c = integral_rescale(c)
+        den, c = c.den, integral_rescale(c)
         n, rest = divmod(fields._norm_nums(c.nums, tower), c.den ** tower.degree)
         if rest:
             raise RuntimeError("norm of an integral rescale is not an integer")
+        for p, _ in factorize(den):
+            v, n = _split_val(n, p)
+            if v:
+                primes.add(p)
         primes.update(p for p, _ in factorize(n))
     return frozenset(primes)
 

@@ -28,7 +28,7 @@ from coxarith.classify import (
 from coxarith.fields import element_literal, make_field, parse_element
 from coxarith.forms import QuadraticForm
 import oracles
-from oracles import all_places_hyperbolic, basis_det_check, bounded_model_search
+from oracles import all_places_hyperbolic, basis_det_check, bounded_model_search, dense_sign
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 
@@ -148,6 +148,9 @@ def test_descend_field_cases():
     got = {F.radicands: hyp for F, hyp in table}
     assert got[(2,)] is True
     assert got[(3,)] is False and got[(6,)] is False
+
+    # Q has no index-2 subfield: nothing to transfer to, and no descent
+    assert descend_field(QuadraticForm(Q, [1, 1, -1])) == (Q, [], None)
 
 
 def test_descend_field_withdraws_a_non_interval_pattern():
@@ -492,8 +495,8 @@ def test_census_pool_reports_match_recorded_hashes():
 
 def test_signs_at_every_mask_agree_with_sign_at_over_the_pool():
     # every ambient-form entry of the census pool and every entry of its
-    # transfers to each index-2 subfield: the all-mask table of fields.signs
-    # reads at each mask what fields.sign_at reads down that mask alone
+    # transfers to each index-2 subfield: the all-mask table of fields.signs,
+    # and fields.sign_at at each mask, are the signs of the 80-digit oracle
     checked = 0
     for name, entry in sorted(_census_pool().items()):
         f = diagrams.ambient_form(diagrams.parse_diagram(entry["cox"], name))
@@ -501,20 +504,18 @@ def test_signs_at_every_mask_agree_with_sign_at_over_the_pool():
         for F in fields.subfields_index2(f.tower):
             entries += forms.transfer(f, F).diagonal
         for x in entries:
-            assert fields.signs(x) == tuple(fields.sign_at(x, sigma)
-                                            for sigma in x.tower.embeddings()), (name, x)
+            rads, dx = x.tower.radicands, list(x.coeffs)
+            want = tuple(dense_sign(rads, dx, m) for m in range(x.tower.degree))
+            assert fields.signs(x) == want, (name, x)
+            assert tuple(fields.sign_at(x, sigma) for sigma in x.tower.embeddings()) == want
             checked += x.tower.degree
     assert checked == 40_065  # 12,466 entries over Q and degrees 2, 4 and 8
 
 
 def test_each_form_keeps_the_primes_of_its_relevant_places(monkeypatch):
-    # every transfer and f + (-g) that classifying the census pool builds,
-    # every ambient form whose set the pass reads and every other one over a
-    # field of degree at most 4: the kept prime set is that of
-    # relevant_finite_places on its diagonal, and f + (-g) keeps f and g,
-    # whose union it takes, before is_hyperbolic runs.  (The other degree-8
-    # ambient forms hold the same by the same routine; some of their norms
-    # go to sympy's ECM for seconds each.)
+    # every ambient form, transfer and f + (-g) that classifying the census
+    # pool builds: the kept prime set is that of relevant_finite_places on
+    # its diagonal
     built = Counter()
     seen = []
 
@@ -526,7 +527,6 @@ def test_each_form_keeps_the_primes_of_its_relevant_places(monkeypatch):
         return wrapped
 
     def hyperbolic(form):
-        assert len(form._primes) == 2 and form.diagonal[0] is form._primes[0].diagonal[0]
         seen.append(("f+(-g)", form))
         return is_hyperbolic(form)
 
@@ -537,8 +537,6 @@ def test_each_form_keeps_the_primes_of_its_relevant_places(monkeypatch):
     for name, entry in sorted(_census_pool().items()):
         classify_diagram(diagrams.parse_diagram(entry["cox"], name))
     for kind, form in seen:
-        if kind == "ambient" and form._primes is None and form.tower.degree > 4:
-            continue
         places = localfields.relevant_finite_places(form.tower, form.diagonal)
         assert form.primes() == frozenset(pl.p for pl in places), (kind, form)
         built[kind] += 1

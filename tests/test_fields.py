@@ -708,8 +708,11 @@ def test_field_ops_match_dense_fraction_oracle():
             assert_matches(x * y, oracles.dense_mul(rads, dx, dy))
             assert_matches(x * Fraction(-4, 15), [a * Fraction(-4, 15) for a in dx])
             assert_matches(3 - x, [3 - dx[0]] + [-a for a in dx[1:]])
-            assert_matches(y.inverse(), oracles.dense_inverse(rads, dy))
-            assert_matches(x / y, oracles.dense_mul(rads, dx, oracles.dense_inverse(rads, dy)))
+            inv = oracles.dense_inverse(rads, dy)
+            assert_matches(y.inverse(), inv)
+            assert_matches(x / y, oracles.dense_mul(rads, dx, inv))
+            assert_matches(y ** -2, oracles.dense_mul(rads, inv, inv))
+            assert_matches(3 / y, [3 * a for a in inv])
             assert oracles.rational_norm(y) == oracles.dense_norm(rads, dy)
             assert_matches(integral_rescale(y), oracles.dense_integral_rescale(dy))
             for sigma in tower.embeddings():
@@ -722,6 +725,16 @@ def test_field_ops_match_dense_fraction_oracle():
             assert up.express_in(tower) == x and up == x and hash(up) == hash(x)
             assert up.canonical_terms() == tuple(oracles.dense_canonical(rads, dx))
             assert up + 1 != x
+            # across towers, through _pair in both directions: x is carried
+            # up to the larger tower, where the product and sum are taken
+            w = rand_nonzero(SUPER, rng, scale=7, dens=dens)
+            dup, dw = oracles.dense_express(rads, dx, SUPER.radicands), list(w.coeffs)
+            for z in (x * w, w * x):
+                assert z.tower is SUPER
+                assert_matches(z, oracles.dense_mul(SUPER.radicands, dup, dw))
+            for z in (x + w, w + x):
+                assert z.tower is SUPER
+                assert_matches(z, [a + b for a, b in zip(dup, dw)])
             # down from the tower to a subtower and back
             for sub in subfields_index2(tower):
                 z = rand_element(sub, rng, scale=7, dens=dens)

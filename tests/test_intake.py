@@ -320,14 +320,10 @@ def test_weights_and_element_literals_read_one_grammar():
     assert checked >= 50
 
 
-def test_weight_is_certified_at_the_identity_alone(monkeypatch):
-    # parsing a weight forms no table of signs over every embedding: w - 1
-    # is read down mask 0 only, in integers
-    def refuse(*args):
-        raise AssertionError("a sign at every embedding was formed")
-
-    monkeypatch.setattr(fields, "_sign_table", refuse)
-    monkeypatch.setattr(fields, "signs", refuse)
+def test_weight_is_certified_to_exceed_one():
+    # w - 1 is certified positive at the identity embedding, in integers:
+    # the two weights 1 + sqrt(2) - a/b lie on either side of 1, within
+    # 1e-27 of it
     d = parse_diagram(W + "1+sqrt(2)-1572584048032918633353216/1111984844349868137938112\n")
     assert d.tower.radicands == (2,)
     d = parse_diagram(W + "1/2*sqrt(2)+1/3*sqrt(3)-1/5*sqrt(5)+1\n")
