@@ -123,8 +123,7 @@ def descend_field(f: QuadraticForm) -> tuple[FieldTower, list[tuple[FieldTower, 
        that norm (_norm_to) is a square in F.  Once per form, first:
        if N_{K/F}(det f) = s^2, then N_{K/Q}(det f) = N_{F/Q}(s)^2, so when
        N_{K/Q}(det f) is no rational square, no F passes and none is tried.
-    3. Finite Hasse invariants: the transfer is built, with the table of
-       negatives that forms.transfer reads off f's, and
+    3. Finite Hasse invariants: the transfer is built as a plain form, and
        localfields.finite_hasse_hyperbolic compares its Hasse invariants
        with those of a hyperbolic form; checks 1 and 2 are not repeated.
 

@@ -210,6 +210,8 @@ def parse_diagram(text: str, name: str = "diagram") -> CoxeterDiagram:
             raise DiagramError(f"edge ({key[0]},{key[1]}): weight must exceed 1")
         entries[key] = FieldElement(tower, tuple(-n for n in nums), den)
 
+    if len(entries) < size - 1:  # a connected graph has size - 1 edges or more
+        raise DiagramError("diagram is not connected")
     diagram = CoxeterDiagram(name, dim, size, tower, entries)
     seen_v, stack = {1}, [1]  # connectivity
     while stack:

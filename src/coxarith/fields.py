@@ -353,11 +353,10 @@ def _term_nums(tower: FieldTower, terms: dict[int, tuple[int, int]]) -> tuple[tu
     return tuple(nums), den
 
 
-def _mul_nums(a, b, rad: tuple[int, ...], acc: list[int] | None = None) -> list[int]:
+def _mul_nums(a, b, rad: tuple[int, ...]) -> list[int]:
     """Numerators of the product of two numerator vectors over one tower,
     rad its basis_radicand table: alpha_S * alpha_T = rad[S & T] * alpha_{S ^ T}.
-    With acc, the product is added into that list, which is returned.  No
-    denominator is formed and no content is divided out.
+    No denominator is formed and no content is divided out.
 
     One and two numerators are multiplied in closed form, (a0 + a1*alpha) *
     (b0 + b1*alpha) = a0*b0 + rad[1]*a1*b1 + (a0*b1 + a1*b0)*alpha, with no
@@ -366,18 +365,10 @@ def _mul_nums(a, b, rad: tuple[int, ...], acc: list[int] | None = None) -> list[
     if n == 2:
         a0, a1 = a
         b0, b1 = b
-        x, y = a0 * b0 + a1 * b1 * rad[1], a0 * b1 + a1 * b0
-        if acc is None:
-            return [x, y]
-        acc[0] += x
-        acc[1] += y
-        return acc
+        return [a0 * b0 + a1 * b1 * rad[1], a0 * b1 + a1 * b0]
     if n == 1:
-        if acc is None:
-            return [a[0] * b[0]]
-        acc[0] += a[0] * b[0]
-        return acc
-    out = [0] * n if acc is None else acc
+        return [a[0] * b[0]]
+    out = [0] * n
     nzb = [(T, y) for T, y in enumerate(b) if y]
     for S, x in enumerate(a):
         if x:

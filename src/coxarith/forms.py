@@ -10,22 +10,23 @@ FieldElement is built only for each diagonal entry.  Scaling numerators
 and denominator together changes no element and no zero test, so the
 diagonal is the one an elimination over FieldElement gives.  Isometry
 over the field is decided by Witt cancellation: f and g are isometric
-exactly when they have equal rank and f + (-g) is hyperbolic, which
-localfields.is_hyperbolic decides by the local-global principle.
+exactly when they have equal rank and f + (-g) is hyperbolic.
+globally_isometric reads the real and determinant checks of that off f
+and g, as classify.descend_field reads a transfer's off its source form,
+and only the finite places go to localfields.finite_hasse_hyperbolic.
 
 Every real-place question is read off one table per form, negatives():
 its negative entries at each embedding, indexed by mask, with the signs
 of each entry at every embedding certified at once (fields.signs).
-signature_at, is_admissible, is_hyperbolic, real-place Hasse invariants
-and classify's witness and transfer fibre test all read it.  Two forms get
-their table in closed form, with no sign certified: a transfer reads it
-off its source form's, and the sum f + (-g) that globally_isometric tests
-reads it off f's and g's.  The determinant is kept on the form the same
-way, and that of f + (-g) is read off f's and g's.  Each form also keeps
-one prime set, primes(), read off its own diagonal on first use: 2 and
-the primes that divide the norms of its entries (localfields._norm_primes,
-the routine of relevant_finite_places); the places above them are the
-only ones where its finite Hasse invariants are read.
+signature_at, is_admissible, globally_isometric, is_hyperbolic,
+real-place Hasse invariants and classify's witness and transfer fibre
+test all read it.  Each form also keeps its determinant and one prime
+set, primes(): 2 and the primes that divide the norms of its entries
+(localfields._norm_primes, the routine of relevant_finite_places); the
+places above them are the only ones where its finite Hasse invariants
+are read.  All three are read off the form's own diagonal on first use;
+a derived form (a transfer, or the sum f + (-g)) is a plain form and
+inherits none of them.
 
 The transfer along a quadratic subextension K/F sends a rank-1 form <c>
 to the rank-2 F-form with Gram [[v, u], [u, a*v]] where c = u + v*sqrt(a)
@@ -44,7 +45,7 @@ from itertools import chain
 from math import gcd
 from typing import Sequence
 
-from . import localfields
+from . import fields, localfields
 from .fields import (Embedding, FieldElement, FieldTower, _adjugate, _mul_nums, _norm_step,
                      _over_subfield, element_literal, signs)
 
@@ -251,17 +252,6 @@ def _sym_diagonalize(M: Sequence[Sequence[Sequence[int]]], den: int,
     return D + [tower.zero()] * (n - len(D))
 
 
-def _with_negatives(tower: FieldTower, diagonal, negatives,
-                    det: FieldElement | None = None) -> QuadraticForm:
-    """A form whose table of negatives, and determinant if given, are known
-    in closed form, so that negatives() certifies no sign for it and det()
-    multiplies nothing."""
-    form = QuadraticForm(tower, diagonal)
-    form._negatives = tuple(negatives)
-    form._det = det
-    return form
-
-
 def signature_at(form: QuadraticForm, sigma: Embedding) -> tuple[int, int]:
     """(positive, negative) entries at sigma, read off form.negatives()."""
     if sigma.tower is not form.tower:
@@ -276,65 +266,46 @@ def transfer(form: QuadraticForm, F: FieldTower) -> QuadraticForm:
     Entry c = u + v*sqrt(a) contributes <v, v*(a*v^2 - u^2)> when v != 0,
     whose second entry is the generic elimination's (a*v^2 - u^2)/v times
     the square v^2, and the hyperbolic plane <1, -1> when v = 0 (c lies in
-    F), so no entry is divided.
-
-    The result's table of negatives is read off the form's, with no sign
-    certified: over a real place tau of F lie the embeddings s+ and s- of K
-    that send sqrt(a) to +sqrt(a) and -sqrt(a), and the block of c has
-    1 + [s+(c) < 0] - [s-(c) < 0] negatives at tau (as a*v^2 - u^2 =
-    -s+(c)*s-(c) and 2*v*sqrt(a) = s+(c) - s-(c) there), so the transfer
-    has rank(f) + neg[s+] - neg[s-].  The transfer thus inherits its table
-    of negatives from the form (whose table is built if it was not) and
-    keeps it; it inherits nothing else, and F's own tables stay with F.
+    F), so no entry is divided.  The result is a plain form over F.
     """
     K = form.tower
     if F == K or not (F.subgroup_classes <= K.subgroup_classes) \
             or F.degree * 2 != K.degree:
         raise ValueError("transfer target is not an index-2 subtower")
-    a = min(K.subgroup_classes - F.subgroup_classes)
     rad = F.basis_radicand
     one = F.one()
     diag = []
     for c in form.diagonal:
-        _, u, v, den = _over_subfield(c, F)
+        a, u, v, den = _over_subfield(c, F)
         if any(v):  # v and v * -(u^2 - a*v^2), over den and den^3
             w = [-y for y in _norm_step(u, v, a, rad)]
             diag += [FieldElement(F, tuple(v), den),
                      FieldElement(F, tuple(_mul_nums(v, w, rad)), den ** 3)]
         else:
             diag += [one, -one]
-    # K's mask s restricts to F's mask tau, bit j the sign of sqrt(F's
-    # radicand j) under s; a_row gives the sign of sqrt(a) under s
-    rows = [K.class_to_mask[t] for t in F.radicands]
-    a_row = K.class_to_mask[a]
-    neg = [form.rank] * F.degree
-    for s, k in enumerate(form.negatives()):
-        tau = sum(((S & s).bit_count() & 1) << j for j, S in enumerate(rows))
-        neg[tau] += -k if (a_row & s).bit_count() & 1 else k
-    return _with_negatives(F, diag, neg)
+    return QuadraticForm(F, diag)
 
 
 def globally_isometric(f: QuadraticForm, g: QuadraticForm) -> bool:
     """K-isometry: f and g have equal rank and f + (-g) is hyperbolic.
 
     By Witt cancellation f = g exactly when f + (-g) is a sum of hyperbolic
-    planes; localfields.is_hyperbolic decides that by real signatures,
-    determinant class and Hasse invariants.  The sum's table of negatives
-    and its determinant, det f * det g * (-1)^rank(g), are read off f's and
-    g's; its prime set is read off its own diagonal, if a finite place is
-    reached.
+    planes.  localfields.is_hyperbolic's real and determinant checks on that
+    sum are read off f and g: with m = rank f = rank g, -c is negative
+    exactly where c is positive, so the sum has neg_f[s] + m - neg_g[s]
+    negatives at s, which is m exactly when f and g have equal tables, and
+    its (-1)^m * det is det f * det g.  Only a sum that passes both is
+    built, and localfields.finite_hasse_hyperbolic compares its Hasse
+    invariants at the places above its own prime set.
     """
     if f.tower != g.tower:
         raise ValueError("forms live over different towers")
     if f.rank != g.rank:
         return False
-    # -c is negative exactly where c is positive, so f + (-g) has
-    # neg_f[s] + rank(g) - neg_g[s] negatives at s and no sign is certified
-    neg = [k + g.rank - kg for k, kg in zip(f.negatives(), g.negatives())]
-    det = f.det() * g.det()
-    return localfields.is_hyperbolic(
-        _with_negatives(f.tower, f.diagonal + tuple(-c for c in g.diagonal), neg,
-                        -det if g.rank % 2 else det))
+    if f.negatives() != g.negatives() or not fields.is_square(f.det() * g.det())[0]:
+        return False
+    return localfields.finite_hasse_hyperbolic(
+        QuadraticForm(f.tower, f.diagonal + tuple(-c for c in g.diagonal)))
 
 
 def is_admissible(form: QuadraticForm) -> bool:

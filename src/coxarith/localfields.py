@@ -37,18 +37,19 @@ where the local square theorem (O'Meara 63:1) makes the class exact.
 Nothing is ever decided by a float or by truncated digits.  Internal
 consistency checks raise RuntimeError, so they also run under python -O.
 
-Every local-global question goes through is_hyperbolic: isometry of f and
-g is hyperbolicity of f + (-g) (forms.globally_isometric), and a Hilbert
-symbol (a,b) is the Hasse invariant of <a, b>.  classify.descend_field
-reads a transfer's real and determinant checks off its source form and
-runs only the finite-place part, finite_hasse_hyperbolic, over the places
-above the form's kept prime set (forms.QuadraticForm.primes, found by the
-routine of relevant_finite_places once per form), comparing with a target
-read off p and deg(P).  is_hyperbolic never builds the dyadic model when 2
-does not split, because Hilbert reciprocity settles the first place above
-2 once rank, real signatures, determinant class and every other place
-agree.  Symbols, Hasse invariants, square class vectors and audits still
-compute every place directly.
+Every local-global question ends in finite_hasse_hyperbolic, the last
+check of is_hyperbolic, once its real and determinant checks are read off
+what the caller holds: classify.descend_field reads a transfer's off its
+source form, and forms.globally_isometric reads those of f + (-g) off f
+and g.  It compares Hasse invariants at the places above the form's kept
+prime set (forms.QuadraticForm.primes, found by the routine of
+relevant_finite_places once per form) with a target read off p and
+deg(P).  It never builds the dyadic model when 2 does not split, because
+Hilbert reciprocity settles the first place above 2 once rank, real
+signatures, determinant class and every other place agree.  is_hyperbolic
+runs all three checks on one form; a Hilbert symbol (a,b) is the Hasse
+invariant of <a, b>.  Symbols, Hasse invariants, square class vectors and
+audits still compute every place directly.
 """
 
 from __future__ import annotations

@@ -11,12 +11,13 @@ import glob
 import json
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 
 import pytest
 
-from coxarith import classify, cli, fields
+from coxarith import classify, cli, diagrams, fields
 from coxarith.fields import element_literal, parse_element
 
 DELTA5 = "corpus/delta5.cox"
@@ -123,6 +124,21 @@ def test_classify_audit_local_matches_recorded_tables(capsys):
         assert json.dumps(got) == json.dumps(recorded[os.path.basename(path)[:-4]]), path
 
 
+def test_classify_pretty_prints_every_note(tmp_path, capsys):
+    # two undetermined pool diagrams, one for each note the pool's reports carry
+    with open(os.path.join(os.path.dirname(__file__), "data", "census_pool_hashes.json")) as fh:
+        pool = json.load(fh)
+    for name in ("g20181030-001", "g20181030-160"):
+        path = tmp_path / f"{name}.cox"
+        path.write_text(pool[name]["cox"])
+        _, cap = run(capsys, "classify", str(path))
+        notes = json.loads(cap.out)["notes"]
+        code, cap = run(capsys, "classify", str(path), "--pretty")
+        assert code == cli.EXIT_UNDETERMINED and notes
+        assert [ln for ln in cap.out.splitlines() if ln.startswith("  note: ")] == \
+            [f"  note: {note}" for note in notes]
+
+
 def test_classify_undetermined_exit(tmp_path, capsys):
     p = tmp_path / "stuck.cox"
     p.write_text(STUCK)
@@ -210,6 +226,29 @@ def test_batch_error_rows_and_first_error_exit(tmp_path, capsys):
     assert len(lines) == 4
     assert "error:" in lines[1] and "error:" in lines[2]
     assert lines[3].split("\t")[4] == "undetermined"
+
+
+def test_batch_refuses_a_huge_vertex_count_in_one_error_row(tmp_path, capsys, monkeypatch):
+    # a file that declares 10^12 vertices and one edge cannot be connected;
+    # it is refused before one adjacency list per declared vertex is built,
+    # so the rest of the batch is classified as usual
+    real = diagrams.CoxeterDiagram
+
+    def bounded(name, dim, size, *rest):
+        assert size <= 1000, f"built a diagram on {size} vertices"
+        return real(name, dim, size, *rest)
+
+    monkeypatch.setattr(diagrams, "CoxeterDiagram", bounded)
+    for path in glob.glob("corpus/*.cox"):
+        shutil.copy(path, tmp_path)
+    (tmp_path / "huge.cox").write_text("dim 3\nvertices 1000000000000\nedge 1 2 3\n")
+    _, usual = run(capsys, "batch", "corpus")
+    code, cap = run(capsys, "batch", str(tmp_path))
+    assert code == cli.EXIT_PARSE
+    lines, row = cap.out.splitlines(), "huge\t\t\t\terror: diagram is not connected\t"
+    assert lines.count(row) == 1
+    lines.remove(row)
+    assert lines == usual.out.splitlines()
 
 
 def test_batch_reports_a_zero_denominator_as_a_parse_error(tmp_path, capsys):

@@ -670,9 +670,9 @@ def test_each_sign_is_certified_once_per_form(monkeypatch):
     assert sum(calls.values()) == f.rank
     assert f.negatives() == tuple(sum(1 for c in f.diagonal if fields.sign_at(c, s) < 0)
                                   for s in Q235.embeddings())
-    # globally_isometric gives f + (-g) the table neg_f + rank(g) - neg_g:
-    # g's signs are certified once and the sum's never, and the verdict is
-    # that of the sum with every sign certified
+    # globally_isometric reads the real check of f + (-g) off f's and g's
+    # tables: g's signs are certified once and the sum's never, and the
+    # verdict is that of the sum with every sign certified
     two = Q235.rational(2)
     verdicts = []
     for g in (QuadraticForm(Q235, [c * two * two for c in reversed(f.diagonal)]),
@@ -689,30 +689,35 @@ def test_each_sign_is_certified_once_per_form(monkeypatch):
     assert verdicts == [True, False]
 
 
-def test_isometry_sum_takes_its_determinant_in_closed_form(monkeypatch):
-    # globally_isometric hands is_hyperbolic f + (-g) with its determinant
-    # det f * det g * (-1)^rank(g) already set: the product of its diagonal
+def test_isometry_builds_a_plain_sum_past_the_real_and_determinant_checks(monkeypatch):
+    # globally_isometric reads the real and determinant checks of f + (-g)
+    # off f and g, so the sum that reaches the finite places has no table
+    # of negatives and no determinant of its own, and each verdict is
+    # is_hyperbolic's on the same sum built fresh
     sums = []
-    real = localfields.is_hyperbolic
+    real = localfields.finite_hasse_hyperbolic
 
     def recording(form):
-        sums.append((form._det, form))
+        sums.append((form._negatives, form._det))
         return real(form)
 
-    monkeypatch.setattr(localfields, "is_hyperbolic", recording)
+    monkeypatch.setattr(localfields, "finite_hasse_hyperbolic", recording)
     rng = random.Random(139)
+    cases = []
+    four = Q.rational(4)
     for tower in (Q, Q2, Q23, Q235):
         for rank in (1, 2, 3, 4):
             f = QuadraticForm(tower, [rand_nonzero(tower, rng) for _ in range(rank)])
             g = QuadraticForm(tower, [rand_nonzero(tower, rng) for _ in range(rank)])
-            globally_isometric(f, g)
-            globally_isometric(f, QuadraticForm(tower, [-c for c in f.diagonal]))
-    assert len(sums) == 32
-    for det, form in sums:
-        product = form.tower.one()
-        for c in form.diagonal:
-            product = product * c
-        assert det is not None and det == product
+            for h in (g, QuadraticForm(tower, [-c for c in f.diagonal]),
+                      QuadraticForm(tower, [c * four for c in reversed(f.diagonal)])):
+                cases.append((f, h, globally_isometric(f, h)))
+    monkeypatch.undo()
+    assert len(sums) >= 16 and sums == [(None, None)] * len(sums)
+    for f, h, got in cases:
+        total = QuadraticForm(f.tower, f.diagonal + tuple(-c for c in h.diagonal))
+        assert got == localfields.is_hyperbolic(total), (f, h)
+    assert sum(got for *_, got in cases) >= 16
 
 
 def test_square_class_oracle_agreement_quadratic():

@@ -194,6 +194,21 @@ def test_every_diagram_refusal_keeps_its_class_and_message():
             assert (type(info.value), str(info.value)) == (cls, message), (parse, text)
 
 
+def test_a_huge_vertex_count_is_refused_before_a_diagram_is_built(monkeypatch):
+    # a connected graph on n vertices has n - 1 edges or more and a right
+    # angle carries no entry, so too few entries are refused before one
+    # adjacency list per declared vertex is allocated
+    def refuse(*args):
+        raise AssertionError("a CoxeterDiagram was built")
+
+    monkeypatch.setattr(diagrams, "CoxeterDiagram", refuse)
+    for text in ("dim 3\nvertices 1000000000000\nedge 1 2 3\n",
+                 "dim 3\nvertices 1000000000000\nedge 1 2 3\nedge 2 3 2\nedge 3 4 w 2\n"):
+        with pytest.raises(DiagramError) as info:
+            parse_diagram(text)
+        assert str(info.value) == "diagram is not connected"
+
+
 def test_every_element_refusal_keeps_its_message():
     for text, rads, message in ELEMENT_ERRORS:
         with pytest.raises(ValueError) as info:

@@ -1,5 +1,6 @@
 """Guards read off the source of src/coxarith/*.py with ast: no dead private
-helpers, no stale __all__ entries, and no floating point outside lvalues."""
+helpers, no private parameter that no call passes, no stale __all__ entries,
+and no floating point outside lvalues."""
 
 import ast
 import pathlib
@@ -31,6 +32,41 @@ def test_every_private_function_and_class_is_referenced():
                     dead.append(f"{name}:{node.lineno} {node.name}")
     assert dead == []
     assert checked >= 40
+
+
+def test_every_defaulted_parameter_of_a_private_function_is_passed():
+    # a default that no call overrides is a dead branch behind a parameter.
+    # A call is matched by the function's name, as a name or an attribute;
+    # one with *args or **kwargs passes every parameter
+    calls = {}
+    for tree in TREES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    checked, unpassed = 0, []
+    for name, tree in TREES.items():
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+                    and not node.name.endswith("__")):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            skip = 1 if positional and positional[0].arg == "self" else 0
+            first = len(positional) - len(args.defaults)
+            params = [(a.arg, i - skip) for i, a in enumerate(positional) if i >= first]
+            params += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                       if d is not None]
+            for param, index in params:
+                checked += 1
+                if not any(any(isinstance(a, ast.Starred) for a in call.args)
+                           or any(k.arg in (None, param) for k in call.keywords)
+                           or index is not None and len(call.args) > index
+                           for call in calls.get(node.name, ())):
+                    unpassed.append(f"{name}:{node.lineno} {node.name}({param})")
+    assert unpassed == []
+    assert checked >= 3
 
 
 def test_every_name_in_all_is_defined():
