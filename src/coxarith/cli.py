@@ -21,8 +21,6 @@ import os
 import sys
 import time
 
-from . import classify, diagrams, fields, localfields
-
 EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_SIGNATURE = 2
@@ -34,6 +32,8 @@ _TSV_HEADER = "reference\tdim\ttrace_field\tdegree\tverdict\ta"
 
 
 def _code_for_exception(exc: Exception) -> int:
+    from . import diagrams
+
     if isinstance(exc, diagrams.UnsupportedLabelError):
         return EXIT_UNSUPPORTED
     if isinstance(exc, diagrams.SignatureError):
@@ -42,6 +42,8 @@ def _code_for_exception(exc: Exception) -> int:
 
 
 def _tsv_row(j: dict) -> str:
+    from . import fields
+
     if "error" in j:
         return "\t".join([j["diagram"], "", "", "", f"error: {j['error']}", ""])
     tf = j["trace_field"]
@@ -53,6 +55,8 @@ def _tsv_row(j: dict) -> str:
 
 
 def _pretty(j: dict, out) -> None:
+    from . import fields
+
     tf = j["trace_field"]
     print(f"{j['diagram']}: dimension {j['dim']}, {j['vertices']} facets", file=out)
     print(f"  trace field      {fields.make_field(tf['radicands'])}  (degree {tf['degree']})",
@@ -74,6 +78,8 @@ def _pretty(j: dict, out) -> None:
 
 
 def _classify_json(path: str) -> dict:
+    from . import classify, diagrams
+
     name = os.path.splitext(os.path.basename(path))[0]
     try:
         diagram = diagrams.load_diagram(path)
@@ -90,6 +96,8 @@ def _classify_json(path: str) -> dict:
 
 
 def cmd_classify(args) -> int:
+    from . import classify, fields, localfields
+
     t0 = time.monotonic()
     j = _classify_json(args.path)
     if "error" in j:
@@ -123,6 +131,8 @@ def _expand_paths(paths: list[str]) -> list[str]:
 
 
 def cmd_batch(args) -> int:
+    from . import classify
+
     if args.jobs < 1:
         print("error: --jobs must be at least 1", file=sys.stderr)
         return EXIT_PARSE
@@ -163,8 +173,14 @@ def cmd_volume(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    from . import fields, localfields
+
     try:
         rads = [int(t) for t in args.field.split(",") if t.strip()] if args.field else []
+        # refused before anything is factored: factoring a large semiprime has no bound
+        for flag, n in [("--field", d) for d in rads] + [("--prime", args.prime)]:
+            if abs(n) >= fields._RADICAND_BOUND:
+                raise ValueError(f"{flag} takes values below 2^64, got {n}")
         tower = fields.make_field(rads)
         audit = localfields.local_audit(tower, args.prime)
     except ValueError as exc:

@@ -14,7 +14,8 @@ Vertices are 1..r in declaration order; omitted pairs are right angles
 whose cosine lies in a real multiquadratic field.  A weight is an element
 literal (fields.parse_element's grammar, one tokenizer: fields._sum_terms)
 with cospi(m) allowed as a term.  Numbers and vertex indices are ASCII
-digits only, and whitespace may not split a number.  Parsing
+digits only, whitespace may not split a number, and sqrt(k) takes k
+below 2^64 (k is factored for its square class).  Parsing
 certifies w > 1 for every weight at the identity embedding alone
 (fields.sign_at), and that the diagram is connected.
 
@@ -82,7 +83,8 @@ def _weight_error(reason: str, expr: str, pos: int) -> DiagramError:
         return UnsupportedLabelError(_UNSUPPORTED)
     return DiagramError({"term": f"bad weight expression: {expr!r}",
                          "den": f"zero denominator in weight expression: {expr!r}",
-                         "root": "sqrt of a nonpositive integer in weight"}.get(
+                         "root": "sqrt of a nonpositive integer in weight",
+                         "big": f"sqrt of 2^64 or more in weight expression: {expr!r}"}.get(
                              reason, f"missing sign in weight expression: {expr!r}"))
 
 

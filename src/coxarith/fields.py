@@ -876,6 +876,9 @@ def integral_rescale(x: FieldElement) -> FieldElement:
 _TERM = r"([+-]?)(?:([0-9]+)(?:/([0-9]+))?(?:\*({0})\(([0-9]+)\))?|({0})\(([0-9]+)\))"
 _TERM_RE = re.compile(_TERM.format("sqrt"))
 _SPACE = re.compile(r"(?<![0-9]) | (?![0-9])")  # a space not between two digits
+# sqrt(k) of outside input takes k below this: its squarefree part is found
+# by factoring, whose work on a large semiprime has no bound
+_RADICAND_BOUND = 2**64
 
 
 def _sum_terms(text: str, pattern: re.Pattern, fail, cos=None) -> dict[int, tuple[int, int]]:
@@ -887,7 +890,8 @@ def _sum_terms(text: str, pattern: re.Pattern, fail, cos=None) -> dict[int, tupl
     first failure raises fail(reason, s, pos), pos where its term starts:
     "term" (none there), "unsigned" (no sign, no term, pos > 0), "sign" (a
     later term without one, or that space), "den" (a zero denominator),
-    "root" (sqrt(0)), "cospi" (m not in cos).
+    "root" (sqrt(0)), "big" (sqrt(k) with k >= _RADICAND_BOUND, before k is
+    factored), "cospi" (m not in cos).
     """
     s = _SPACE.sub("", " ".join(text.split()))
     acc: dict[int, tuple[int, int]] = {}
@@ -911,6 +915,8 @@ def _sum_terms(text: str, pattern: re.Pattern, fail, cos=None) -> dict[int, tupl
         elif f:
             if not k:
                 raise fail("root", s, pos)
+            if k >= _RADICAND_BOUND:
+                raise fail("big", s, pos)
             t = squarefree_part(k)
             terms = {t: (isqrt(k // t), 1)}
         else:
@@ -926,15 +932,18 @@ def parse_element(text: str, tower: FieldTower | None = None) -> FieldElement:
     """Parse `1/2 + 1/2*sqrt(6) - sqrt(2)` style literals.
 
     Terms are read by _sum_terms (ASCII digits only; whitespace is ignored
-    but between two digits, where it is refused) and built through
-    _term_nums, so a nonzero term outside the given tower raises ValueError.
+    but between two digits, where it is refused; sqrt(k) takes k below
+    2^64) and built through _term_nums, so a nonzero term outside the given
+    tower raises ValueError.
     """
     if not text.strip():
         raise ValueError("empty element literal")
     terms = _sum_terms(text, _TERM_RE, lambda reason, s, pos: ValueError({
         "sign": f"missing +/- between terms in {text!r}",
         "den": f"zero denominator in element literal {text!r}",
-        "root": "sqrt(0) is not a valid term"}.get(reason, f"bad element literal at {s[pos:]!r}")))
+        "root": "sqrt(0) is not a valid term",
+        "big": f"sqrt of 2^64 or more in element literal {text!r}"}.get(
+            reason, f"bad element literal at {s[pos:]!r}")))
     if tower is None:
         tower = make_field([t for t in terms if t > 1])
     return FieldElement(tower, *_term_nums(tower, terms))

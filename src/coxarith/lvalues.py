@@ -15,8 +15,9 @@ dozen digits and exists to catch bugs in the fast route, not to certify.
 The terms of L(chi_8, 3) are the odd terms of zeta(3), so one shared pass
 serves both direct sums; it divides only at odd n, and each even term
 2^j m is the odd term at m shifted right by 3j bits.  Nothing is cached
-across calls but the per-s Euler-Maclaurin coefficients and the Bernoulli
-numbers they are built from.
+across calls but the per-s Euler-Maclaurin coefficients and the table of
+tangent numbers that their Bernoulli numbers are read off (integers only,
+Brent and Harvey's recurrence).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, isqrt, perm
+from math import factorial, isqrt, perm
 from numbers import Rational
 
 __all__ = [
@@ -99,20 +100,43 @@ def decimal_str(q: Fraction, places: int) -> str:
     return f"{sign}{whole}.{frac:0{places}d}" if places else f"{sign}{whole}"
 
 
-@lru_cache(maxsize=None)
+_TANGENT: list[int] = []  # the tangent numbers T_1, T_3, T_5, ... (see _tangent)
+
+
+def _tangent(m: int) -> int:
+    """The tangent number T_{2m-1}, m >= 1: tan x = sum_m T_{2m-1} x^(2m-1) / (2m-1)!.
+
+    The table is built by Brent and Harvey's TangentNumbers recurrence
+    (arXiv:1108.0286, Algorithm 1): O(n^2) steps on integers for the first
+    n values.  It is kept, and built again at twice the length when an m
+    beyond it is asked for.
+    """
+    if m > len(_TANGENT):
+        n = max(m, 2 * len(_TANGENT))
+        t = [factorial(k) for k in range(n)]  # T_{2k-1} starts at t[k - 1] = (k - 1)!
+        for k in range(1, n):
+            for j in range(k, n):
+                t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+        _TANGENT[:] = t
+    return _TANGENT[m - 1]
+
+
 def bernoulli(n: int) -> Fraction:
-    """Exact Bernoulli number B_n (B_1 = -1/2 convention)."""
+    """Exact Bernoulli number B_n (B_1 = -1/2 convention).
+
+    For n = 2m, B_n = (-1)^(m-1) n T_{n-1} / (4^m (4^m - 1)), read off the
+    tangent numbers (_tangent).
+    """
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
     if n == 0:
         return Fraction(1)
     if n == 1:
         return Fraction(-1, 2)
     if n % 2:
         return Fraction(0)
-    # sum_{j=0}^{n} C(n+1, j) B_j = 0
-    acc = Fraction(0)
-    for j in range(n):
-        acc += comb(n + 1, j) * bernoulli(j)
-    return -acc / (n + 1)
+    m = n // 2
+    return Fraction((n if m % 2 else -n) * _tangent(m), 4**m * (4**m - 1))
 
 
 _EM_TERMS = 14  # Euler-Maclaurin correction terms; remainder uses B_30

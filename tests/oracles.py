@@ -30,11 +30,14 @@ integer numerators, witness for witness.
 the distinct Galois conjugates; it is the reference for the library's
 integrality test by descent down the tower.
 
+`bernoulli_recurrence` is the recursive Fraction sum that once gave
+`lvalues.bernoulli`, the reference for its reading off the tangent numbers;
+`em_coefficients_reference` builds the Euler-Maclaurin data from it.
 `hurwitz_zeta_fraction` is the Euler-Maclaurin Hurwitz zeta summed in exact
-Fractions, the reference for the library's fixed-point sum: same N, same
-remainder bound, no rounding.  `hurwitz_radius_fraction` is the library's
-stop rule and ball radius in Fractions, the reference for its integer
-comparison.
+Fractions over `bernoulli_recurrence`, the reference for the library's
+fixed-point sum: same N, same remainder bound, no rounding.
+`hurwitz_radius_fraction` is the library's stop rule and ball radius in
+Fractions, the reference for its integer comparison.
 
 `zeta3_direct_loop` and `l_chi8_direct_loop` are the direct Dirichlet sums
 term by term (one floor division of 10^40 by n^3 per term, the character
@@ -78,13 +81,14 @@ import random
 import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from functools import lru_cache
+from math import comb, gcd, isqrt, lcm
 
 import numpy as np
 from coxarith import diagrams, fields, forms, localfields
 from coxarith.fields import FieldElement, element_literal, factorize, squarefree_part
 from coxarith.forms import QuadraticForm, signature_at
-from coxarith.lvalues import _CHI8, _EM_TERMS, _GUARD_DIGITS, Ball, bernoulli
+from coxarith.lvalues import _CHI8, _EM_TERMS, _GUARD_DIGITS, Ball
 
 
 def _rising(s: int, m: int) -> int:
@@ -1001,10 +1005,37 @@ def minimal_polynomial(x: FieldElement) -> list[Fraction]:
     return out
 
 
+@lru_cache(maxsize=None)
+def bernoulli_recurrence(n: int) -> Fraction:
+    """B_n (B_1 = -1/2) from sum_{j=0}^{n} C(n+1, j) B_j = 0, in Fractions."""
+    if n == 0:
+        return Fraction(1)
+    if n == 1:
+        return Fraction(-1, 2)
+    if n % 2:
+        return Fraction(0)
+    acc = Fraction(0)
+    for j in range(n):
+        acc += comb(n + 1, j) * bernoulli_recurrence(j)
+    return -acc / (n + 1)
+
+
+def em_coefficients_reference(s: int) -> tuple[int, int, tuple[tuple[int, int, int], ...]]:
+    """lvalues._em_coefficients(s) built from bernoulli_recurrence and
+    rising factorials term by term."""
+    J = _EM_TERMS
+    tail = hurwitz_remainder_coeff(s)
+    corrections = []
+    for j in range(1, J + 1):
+        c = bernoulli_recurrence(2 * j) / _rising(1, 2 * j) * _rising(s, 2 * j - 1)
+        corrections.append((c.numerator, c.denominator, s + 2 * j - 1))
+    return tail.numerator, tail.denominator, tuple(corrections)
+
+
 def hurwitz_remainder_coeff(s: int) -> Fraction:
     """|B_{2J+2}| (s)_{2J+1} / (2J+2)!, so the remainder is below 2 coeff x^-(s+2J+1)."""
     J = _EM_TERMS
-    return abs(bernoulli(2 * J + 2)) * Fraction(
+    return abs(bernoulli_recurrence(2 * J + 2)) * Fraction(
         _rising(s, 2 * J + 1), _rising(1, 2 * J + 2))
 
 
@@ -1028,7 +1059,7 @@ def hurwitz_zeta_fraction(s: int, a: Fraction, digits: int) -> Ball:
     value = sum(Fraction(1) / (k + a) ** s for k in range(N))
     value += x ** (1 - s) / (s - 1) + Fraction(1, 2) / x**s
     for j in range(1, J + 1):
-        value += (bernoulli(2 * j) / _rising(1, 2 * j)
+        value += (bernoulli_recurrence(2 * j) / _rising(1, 2 * j)
                   * _rising(s, 2 * j - 1) / x ** (s + 2 * j - 1))
     err = 2 * tail_coeff / x ** (s + 2 * J + 1)
     return Ball(value, err)

@@ -14,10 +14,11 @@ import pathlib
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
-from coxarith import classify, cli, diagrams, fields
+from coxarith import classify, cli, diagrams, fields, localfields
 from coxarith.fields import element_literal, parse_element
 
 DELTA5 = "corpus/delta5.cox"
@@ -251,6 +252,49 @@ def test_batch_refuses_a_huge_vertex_count_in_one_error_row(tmp_path, capsys, mo
     assert lines == usual.out.splitlines()
 
 
+# (2^89 - 1)(2^107 - 1): 196 bits, two Mersenne primes
+HUGE_RADICAND = (2**89 - 1) * (2**107 - 1)
+HUGE_WEIGHT_ERROR = f"sqrt of 2^64 or more in weight expression: 'sqrt({HUGE_RADICAND})'"
+
+
+def _never_factor_the_huge_radicand(monkeypatch):
+    # fail at once, not after minutes, where code without the bound factors it
+    def guarded(n):
+        assert abs(n) != HUGE_RADICAND, "factored the huge radicand"
+        return real(n)
+
+    real = fields.factorize
+    for module in (fields, localfields):
+        monkeypatch.setattr(module, "factorize", guarded)
+
+
+def test_classify_refuses_a_huge_weight_radicand_at_once(tmp_path, capsys, monkeypatch):
+    _never_factor_the_huge_radicand(monkeypatch)
+    path = tmp_path / "huge.cox"
+    path.write_text("dim 2\nvertices 3\nedge 2 3 3\nedge 1 2 3\n"
+                    f"edge 1 3 w sqrt({HUGE_RADICAND})\n")
+    t0 = time.monotonic()
+    code, cap = run(capsys, "classify", str(path))
+    assert time.monotonic() - t0 < 1
+    assert code == cli.EXIT_PARSE
+    assert cap.err == f"error: {HUGE_WEIGHT_ERROR}\n"
+    assert cap.out == ""
+
+
+def test_batch_refuses_a_huge_weight_radicand_in_one_error_row(tmp_path, capsys, monkeypatch):
+    _never_factor_the_huge_radicand(monkeypatch)
+    for path in glob.glob("corpus/*.cox"):
+        shutil.copy(path, tmp_path)
+    (tmp_path / "huge.cox").write_text(f"dim 2\nvertices 3\nedge 1 3 w sqrt({HUGE_RADICAND})\n")
+    _, usual = run(capsys, "batch", "corpus")
+    code, cap = run(capsys, "batch", str(tmp_path))
+    assert code == cli.EXIT_PARSE
+    lines, row = cap.out.splitlines(), f"huge\t\t\t\terror: {HUGE_WEIGHT_ERROR}\t"
+    assert lines.count(row) == 1
+    lines.remove(row)
+    assert lines == usual.out.splitlines()
+
+
 def test_batch_reports_a_zero_denominator_as_a_parse_error(tmp_path, capsys):
     (tmp_path / "stuck.cox").write_text(STUCK)
     (tmp_path / "zero.cox").write_text(ZERO_DENOMINATOR)
@@ -393,6 +437,20 @@ def test_audit_where_the_norm_sampler_failed(capsys):
     assert len(j["pairing_matrix"]) == len(j["square_class_basis"]) == 10
 
 
+def test_audit_refuses_a_huge_radicand_or_prime_before_factoring(capsys, monkeypatch):
+    _never_factor_the_huge_radicand(monkeypatch)
+    n = HUGE_RADICAND
+    for flag, argv in (("--field", ["--field", f"2,{n}", "--prime", "2"]),
+                       ("--field", ["--field", f"{-n}", "--prime", "2"]),
+                       ("--prime", ["--field", "2", "--prime", str(n)]),
+                       ("--prime", ["--prime", str(2**64)])):
+        code, cap = run(capsys, "audit", *argv)
+        assert code == cli.EXIT_PARSE
+        bad = argv[argv.index(flag) + 1].split(",")[-1]
+        assert cap.err == f"error: {flag} takes values below 2^64, got {bad}\n"
+        assert cap.out == ""
+
+
 def test_audit_rejects_composite_prime(capsys):
     for bad in ("6", "1", "0", "-3", "4", "9"):
         code, cap = run(capsys, "audit", "--prime", bad)
@@ -414,9 +472,10 @@ def test_module_is_runnable():
 
 
 def test_cli_imports_at_top_level_only_what_every_command_reads():
-    # the process pool (batch --jobs N > 1), lvalues (volume) and traceback
-    # (an internal error) are imported where they are used, so a cold
-    # classify neither compiles nor imports them
+    # the classification stack (classify, batch, audit), the process pool
+    # (batch --jobs N > 1), lvalues (volume) and traceback (an internal
+    # error) are imported where they are used, so --help, a usage error and
+    # volume compile none of the classification modules
     tree = ast.parse(pathlib.Path(cli.__file__).read_text())
     top = set()
     for node in tree.body:
@@ -424,9 +483,20 @@ def test_cli_imports_at_top_level_only_what_every_command_reads():
             top |= {alias.name for alias in node.names}
         elif isinstance(node, ast.ImportFrom):
             top |= {"." * node.level + (node.module or alias.name) for alias in node.names}
-    assert top == {"__future__", "argparse", "json", "os", "sys", "time",
-                   ".classify", ".diagrams", ".fields", ".localfields"}
+    assert top == {"__future__", "argparse", "json", "os", "sys", "time"}
     code = ("import sys, coxarith.cli; print(sorted(m for m in sys.modules if m in "
-            "('concurrent.futures.process', 'multiprocessing', 'coxarith.lvalues', 'traceback')))")
+            "('concurrent.futures.process', 'multiprocessing', 'traceback', 'coxarith.classify', "
+            "'coxarith.diagrams', 'coxarith.fields', 'coxarith.forms', 'coxarith.localfields', "
+            "'coxarith.lvalues')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_volume_loads_only_cli_and_lvalues():
+    code = ("import contextlib, io, sys\n"
+            "from coxarith import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['volume', '--digits', '5']) == cli.EXIT_OK\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'coxarith'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == str(["coxarith", "coxarith.cli", "coxarith.lvalues"])

@@ -216,6 +216,38 @@ def test_every_element_refusal_keeps_its_message():
         assert (type(info.value), str(info.value)) == (ValueError, message), text
 
 
+def test_a_radicand_of_2_to_the_64_or_more_is_refused_before_it_is_factored(monkeypatch):
+    # the squarefree part of sqrt(k) is found by factoring k, which has no
+    # bound on a large semiprime; outside input keeps k below 2^64
+    huge = (2**89 - 1) * (2**107 - 1)  # 196 bits
+
+    def guarded(n):
+        assert abs(n) < 2**64, f"factored a {abs(n).bit_length()}-bit radicand"
+        return real(n)
+
+    real = fields.squarefree_part
+    monkeypatch.setattr(fields, "squarefree_part", guarded)
+    for k in (huge, 2**64):
+        for expr in (f"sqrt({k})", f"1+2*sqrt({k})+1/0", f"2 + 1/2*sqrt ({k})"):
+            with pytest.raises(DiagramError) as info:
+                parse_diagram(W + expr + "\n")
+            compact = "".join(expr.split())
+            assert (type(info.value), str(info.value)) == (
+                DiagramError, f"sqrt of 2^64 or more in weight expression: {compact!r}"), expr
+            with pytest.raises(ValueError) as info:
+                parse_element(expr)
+            assert (type(info.value), str(info.value)) == (
+                ValueError, f"sqrt of 2^64 or more in element literal {expr!r}"), expr
+    # the first failure in reading order still wins
+    with pytest.raises(DiagramError, match="zero denominator"):
+        parse_diagram(W + f"1/0+sqrt({huge})\n")
+    # 4294967291 * 4294967279 has 64 bits and 2^64 - 1 seven prime factors
+    assert parse_element("sqrt(18446743979220271189)").tower.radicands == (18446743979220271189,)
+    assert parse_element(f"sqrt({2**64 - 1})").tower.radicands == (2**64 - 1,)
+    assert parse_diagram(W + "sqrt(18446743979220271189)\n").tower.radicands == (
+        18446743979220271189,)
+
+
 def test_whitespace_between_terms_and_symbols_is_dropped():
     # whitespace that joins no two digits is ignored, in both grammars
     for text in ("1/2 + 1/2*sqrt(6)", " 1 / 2+1/2 * sqrt ( 6 ) ", "\t1/2\n+1/2*sqrt(6)"):

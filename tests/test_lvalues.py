@@ -3,7 +3,9 @@
 mpmath is the independent oracle here (test-only dependency).  Frozen
 30-digit strings are asserted too, so a broken mpmath install would not
 silently weaken the suite.  The fixed-point Hurwitz sum is also compared
-with the same sum in exact Fractions (`oracles.hurwitz_zeta_fraction`), and
+with the same sum in exact Fractions (`oracles.hurwitz_zeta_fraction`), the
+Bernoulli numbers and Euler-Maclaurin data with the recursive Fraction sum
+(`oracles.bernoulli_recurrence`), and
 the volume check is pinned at every precision (`data/volume_checks.json`).
 The shared pass of the direct routes is compared with the term-by-term
 loops (`oracles.zeta3_direct_loop`, `oracles.l_chi8_direct_loop`).
@@ -22,6 +24,7 @@ import pytest
 from coxarith.lvalues import (
     Ball,
     REFERENCE_VOLUME,
+    _em_coefficients,
     _exp10,
     bernoulli,
     chi8,
@@ -36,6 +39,8 @@ from coxarith.lvalues import (
     zeta3_direct,
 )
 from oracles import (
+    bernoulli_recurrence,
+    em_coefficients_reference,
     hurwitz_radius_fraction,
     hurwitz_remainder_coeff,
     hurwitz_zeta_fraction,
@@ -72,6 +77,18 @@ def test_bernoulli_table():
     }
     for n, want in known.items():
         assert bernoulli(n) == want
+
+
+def test_bernoulli_from_tangent_numbers_matches_the_recurrence():
+    # the tangent table is grown on demand, so read it past its first size too
+    assert [bernoulli(n) for n in range(101)] == [bernoulli_recurrence(n) for n in range(101)]
+    with pytest.raises(ValueError):
+        bernoulli(-2)
+
+
+def test_em_coefficients_match_the_recurrence():
+    for s in range(2, 9):
+        assert _em_coefficients(s) == em_coefficients_reference(s)
 
 
 def test_ball_arithmetic_soundness():

@@ -1,6 +1,6 @@
 """Guards read off the source of src/coxarith/*.py with ast: no dead private
 helpers, no private parameter that no call passes, no stale __all__ entries,
-and no floating point outside lvalues."""
+no floating point outside lvalues, and no package import in lvalues."""
 
 import ast
 import pathlib
@@ -103,3 +103,14 @@ def test_nothing_is_decided_by_a_float():
                 floats.append(f"{name}:{node.lineno}")
     assert floats == []
     assert len(TREES) - 1 >= 7
+
+
+def test_lvalues_imports_nothing_from_the_package():
+    # `coxarith volume` compiles only cli and lvalues; an import of another
+    # package module, at top level or inside a function, would add it
+    own = [f"lvalues.py:{node.lineno}" for node in ast.walk(TREES["lvalues.py"])
+           if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "")
+                                                     .split(".")[0] == "coxarith")
+           or isinstance(node, ast.Import)
+           and any(alias.name.split(".")[0] == "coxarith" for alias in node.names)]
+    assert own == []
