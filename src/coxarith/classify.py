@@ -42,7 +42,7 @@ from math import isqrt
 
 from . import diagrams, fields, forms, localfields
 from .diagrams import CoxeterDiagram
-from .fields import FieldElement, FieldTower, element_literal, make_field, squarefree_part
+from .fields import FieldElement, FieldTower, element_literal, make_field
 from .forms import QuadraticForm
 
 __all__ = [
@@ -180,7 +180,7 @@ def subordinated_forms(model: QuadraticForm, K: FieldTower) -> list[QuadraticFor
     """One form per square class of K over the model's field: the last entry
     of the model multiplied through the class representatives."""
     k = model.tower
-    reps = sorted({min(squarefree_part(t * s) for s in k.subgroup_classes)
+    reps = sorted({min(fields._sqfree_mul(t, s) for s in k.subgroup_classes)
                    for t in K.subgroup_classes})
     out = []
     for t in reps:

@@ -49,7 +49,7 @@ def _tsv_row(j: dict) -> str:
     tf = j["trace_field"]
     a = j["model"]["a"] if j.get("model") and j["model"].get("a") is not None else ""
     return "\t".join([
-        j["diagram"], str(j["dim"]), str(fields.make_field(tf["radicands"])),
+        j["diagram"], str(j["dim"]), str(fields._class_tower(tf["radicands"])),
         str(tf["degree"]), j["verdict"], str(a),
     ])
 
@@ -59,15 +59,16 @@ def _pretty(j: dict, out) -> None:
 
     tf = j["trace_field"]
     print(f"{j['diagram']}: dimension {j['dim']}, {j['vertices']} facets", file=out)
-    print(f"  trace field      {fields.make_field(tf['radicands'])}  (degree {tf['degree']})",
+    print(f"  trace field      {fields._class_tower(tf['radicands'])}  (degree {tf['degree']})",
           file=out)
     print(f"  ambient form     <{', '.join(j['ambient_diagonal'])}>", file=out)
     print(f"  verdict          {j['verdict']}", file=out)
     if j.get("base_field") is not None:
-        print(f"  base field       {fields.make_field(j['base_field']['radicands'])}", file=out)
+        base = fields._class_tower(j["base_field"]["radicands"])
+        print(f"  base field       {base}", file=out)
     for t in j.get("transfers", []):
         tag = "hyperbolic" if t["hyperbolic"] else "not hyperbolic"
-        print(f"    transfer to {str(fields.make_field(t['subfield'])):24s} {tag}", file=out)
+        print(f"    transfer to {str(fields._class_tower(t['subfield'])):24s} {tag}", file=out)
     if j.get("model") is not None:
         print(f"  model            <{', '.join(j['model']['diagonal'])}>", file=out)
     if j.get("subordinated"):
@@ -105,7 +106,7 @@ def cmd_classify(args) -> int:
         return j["exit_code"]
     j["ms"] = int((time.monotonic() - t0) * 1000)
     if args.audit_local:
-        K = fields.make_field(j["trace_field"]["radicands"])
+        K = fields._class_tower(j["trace_field"]["radicands"])
         primes = sorted({pl.p for pl in localfields.relevant_finite_places(
             K, [fields.parse_element(c, K) for c in j["ambient_diagonal"]])})
         j["local_audit"] = {str(p): localfields.local_audit(K, p) for p in primes}
@@ -179,8 +180,7 @@ def cmd_audit(args) -> int:
         rads = [int(t) for t in args.field.split(",") if t.strip()] if args.field else []
         # refused before anything is factored: factoring a large semiprime has no bound
         for flag, n in [("--field", d) for d in rads] + [("--prime", args.prime)]:
-            if abs(n) >= fields._RADICAND_BOUND:
-                raise ValueError(f"{flag} takes values below 2^64, got {n}")
+            fields._bounded(n, flag)
         tower = fields.make_field(rads)
         audit = localfields.local_audit(tower, args.prime)
     except ValueError as exc:

@@ -14,8 +14,9 @@ Vertices are 1..r in declaration order; omitted pairs are right angles
 whose cosine lies in a real multiquadratic field.  A weight is an element
 literal (fields.parse_element's grammar, one tokenizer: fields._sum_terms)
 with cospi(m) allowed as a term.  Numbers and vertex indices are ASCII
-digits only, whitespace may not split a number, and sqrt(k) takes k
-below 2^64 (k is factored for its square class).  Parsing
+digits only, at most 600 in a run (fields._DIGITS_BOUND), whitespace may
+not split a number, and sqrt(k) takes k below 2^64 (k is factored for
+its square class).  Parsing
 certifies w > 1 for every weight at the identity embedding alone
 (fields.sign_at), and that the diagram is connected.
 
@@ -68,6 +69,7 @@ _COS_PAIRS: dict[int, dict[int, tuple[int, int]]] = {
 }
 
 _UNSUPPORTED = "unsupported label: non-multiquadratic cosine"
+_TOO_LONG = f"number of more than {fields._DIGITS_BOUND} digits"  # refused before int()
 
 # label -> the terms of its entry's negative: cos(pi/m), or 1 for "inf"
 _LABELS: dict[int | str, dict[int, tuple[int, int]]] = _COS_PAIRS | {"inf": {1: (1, 1)}}
@@ -84,6 +86,7 @@ def _weight_error(reason: str, expr: str, pos: int) -> DiagramError:
     return DiagramError({"term": f"bad weight expression: {expr!r}",
                          "den": f"zero denominator in weight expression: {expr!r}",
                          "root": "sqrt of a nonpositive integer in weight",
+                         "long": f"{_TOO_LONG} in weight expression",
                          "big": f"sqrt of 2^64 or more in weight expression: {expr!r}"}.get(
                              reason, f"missing sign in weight expression: {expr!r}"))
 
@@ -135,6 +138,7 @@ def parse_diagram(text: str, name: str = "diagram") -> CoxeterDiagram:
     # key -> its label, None for a right angle (m = 2) or its weight's terms
     edges: dict[tuple[int, int], int | str | dict | None] = {}
     classes: set[int] = set()
+    long = len(text) > fields._DIGITS_BOUND  # else no token of the text is too long
     for lineno, line in enumerate(text.splitlines(), 1):
         if "#" in line:
             line = line[:line.index("#")]
@@ -149,6 +153,8 @@ def parse_diagram(text: str, name: str = "diagram") -> CoxeterDiagram:
                 raise DiagramError(f"line {lineno}: edge needs two vertices and a label")
             if not ((ij := parts[1] + parts[2]).isascii() and ij.isdigit()):
                 raise DiagramError(f"line {lineno}: bad vertex index")
+            if long and max(len(parts[1]), len(parts[2])) > fields._DIGITS_BOUND:
+                raise DiagramError(f"line {lineno}: {_TOO_LONG}")
             i, j = int(parts[1]), int(parts[2])
             if not (0 < i <= size and 0 < j <= size) or i == j:
                 raise DiagramError(f"line {lineno}: vertex index out of range")
@@ -167,6 +173,8 @@ def parse_diagram(text: str, name: str = "diagram") -> CoxeterDiagram:
                 m = label
             elif not (label.isascii() and label.isdigit()):
                 raise DiagramError(f"line {lineno}: bad edge label {label!r}")
+            elif long and len(label) > fields._DIGITS_BOUND:
+                raise DiagramError(f"line {lineno}: {_TOO_LONG}")
             elif (m := int(label)) < 2:
                 raise DiagramError(f"line {lineno}: bad edge label {m}")
             pairs = _LABELS.get(m)
@@ -179,10 +187,14 @@ def parse_diagram(text: str, name: str = "diagram") -> CoxeterDiagram:
         elif kind == "dim":
             if dim is not None or len(parts) != 2 or not (parts[1].isascii() and parts[1].isdigit()):
                 raise DiagramError(f"line {lineno}: bad dim header")
+            if long and len(parts[1]) > fields._DIGITS_BOUND:
+                raise DiagramError(f"line {lineno}: {_TOO_LONG}")
             dim = int(parts[1])
         elif kind == "vertices":
             if size is not None or len(parts) != 2 or not (parts[1].isascii() and parts[1].isdigit()):
                 raise DiagramError(f"line {lineno}: bad vertices header")
+            if long and len(parts[1]) > fields._DIGITS_BOUND:
+                raise DiagramError(f"line {lineno}: {_TOO_LONG}")
             size = int(parts[1])
         else:
             raise DiagramError(f"line {lineno}: unknown directive {kind!r}")
@@ -292,7 +304,8 @@ def _rescaled_gram(diagram: CoxeterDiagram) -> tuple[list[list], int, FieldTower
     m, parts, K = 1, None, tower
     used = [any(col) for col in zip(*(nums for _, _, nums, _ in cells))]
     if not all(used):
-        K = make_field(sorted(tower.basis_class[S] for S, u in enumerate(used) if u and S))
+        K = fields._class_tower(sorted(tower.basis_class[S]
+                                       for S, u in enumerate(used) if u and S))
     if K is not tower:  # alpha_S is mult / m times alpha'_T
         _, m, parts = fields._subfield_map(tower, K)
         parts = [(S, T, mult) for S, T, side, mult in parts if not side]

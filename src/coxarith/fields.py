@@ -124,6 +124,16 @@ def squarefree_part(n: int) -> int:
     return t
 
 
+def _bounded(n: int, what: str) -> int:
+    """n, an integer from outside that is about to be factored (a radicand or
+    a prime), when |n| < 2^64, else ValueError: factoring has no bound on
+    its work on a large semiprime.  Public entries call it before anything
+    is factored; what a tower derives from its own classes passes no gate."""
+    if abs(n) >= 2**64:
+        raise ValueError(f"{what} takes values below 2^64, got {n}")
+    return n
+
+
 def _sqfree_mul(a: int, b: int) -> int:
     # product of two squarefree positives, reduced squarefree; no factoring needed
     g = gcd(a, b)
@@ -195,15 +205,17 @@ class FieldTower:
                     m *= radicands[j]
             prods.append(m)
         self.basis_radicand = tuple(prods)  # alpha_S^2, not necessarily squarefree
-        cls, scl = [], []
-        for m in prods:
-            t = squarefree_part(m)
-            cls.append(t)
-            scl.append(isqrt(m // t))
+        # the class of alpha_S^2 folds _sqfree_mul over S's radicands, so no
+        # product is factored.  Squarefree radicands are dependent exactly
+        # when a class repeats or is 1; a square class shows one that is not
+        # squarefree, as in (2, 8)
+        cls = [1]
+        for S in range(1, self.degree):
+            cls.append(_sqfree_mul(cls[S & (S - 1)], radicands[(S & -S).bit_length() - 1]))
         self.basis_class = tuple(cls)
-        self.basis_scale = tuple(scl)
+        self.basis_scale = tuple(isqrt(m // t) for m, t in zip(prods, cls))
         self.class_to_mask = {t: S for S, t in enumerate(cls)}
-        if len(self.class_to_mask) != self.degree:
+        if len(self.class_to_mask) != self.degree or any(isqrt(t) ** 2 == t for t in cls[1:]):
             raise ValueError("radicands not independent")
         self._embeddings = tuple(Embedding(self, e) for e in range(self.degree))
         self._subfields: tuple[FieldTower, ...] | None = None  # see subfields_index2
@@ -239,7 +251,7 @@ class FieldTower:
         if q <= 0:
             raise ValueError("sqrt of a nonpositive rational")
         n = q.numerator * q.denominator
-        t = squarefree_part(n)
+        t = squarefree_part(_bounded(n, "sqrt"))
         # sqrt(q) = isqrt(n // t) / den * sqrt(t)
         return FieldElement(self, *_term_nums(self, {t: (isqrt(n // t), q.denominator)}))
 
@@ -281,6 +293,7 @@ class FieldTower:
 _TOKEN = object()
 _TOWER_CACHE: dict[tuple[int, ...], FieldTower] = {}  # canonical radicands -> tower
 _RAW_CACHE: dict[tuple[int, ...], FieldTower] = {}  # make_field's input as ints -> tower
+_CLASS_CACHE: dict[tuple[int, ...], FieldTower] = {}  # _class_tower's input -> tower
 
 
 def make_field(raw_radicands: Iterable[int]) -> FieldTower:
@@ -291,12 +304,13 @@ def make_field(raw_radicands: Iterable[int]) -> FieldTower:
     the canonical basis is the ascending greedy independent set drawn from
     the whole square-class subgroup (so equal fields get equal tuples).
 
-    One tower exists per canonical tuple, and the answer for each input,
-    read as a tuple of ints, is kept (a refused input is not), so a repeated
-    request factors and closes nothing.  A tower keeps every table it builds
-    for itself: its basis classes and scales, its embeddings, zero and one,
-    the list of subfields_index2 and the basis maps to its subfields
-    (_subfield_map); a subfield inherits none of them.
+    A radicand of 2^64 or more is refused before anything is factored
+    (_bounded).  One tower exists per canonical tuple, and the answer for
+    each input, read as a tuple of ints, is kept (a refused input is not),
+    so a repeated request factors and closes nothing.  A tower keeps every
+    table it builds for itself: its basis classes and scales, its
+    embeddings, zero and one, the list of subfields_index2 and the basis
+    maps to its subfields (_subfield_map); a subfield inherits none of them.
 
     >>> make_field([2, 3]).radicands
     (2, 3)
@@ -309,28 +323,33 @@ def make_field(raw_radicands: Iterable[int]) -> FieldTower:
     """
     raw = tuple(d if type(d) is int else int(_exact(d, Integral)) for d in raw_radicands)
     tower = _RAW_CACHE.get(raw)
-    if tower is not None:
-        return tower
-    gens = set()
-    for d in raw:
-        if d <= 0:
-            raise ValueError("field not totally real / unsupported: radicand %d" % d)
-        t = squarefree_part(d)
-        if t > 1:
-            gens.add(t)
-    group = _closure(sorted(gens))
-    picked: list[int] = []
-    span = frozenset({1})
-    for t in sorted(group - {1}):
-        if t not in span:
-            picked.append(t)
-            span = _closure(span | {t})
-    key = tuple(picked)
-    tower = _TOWER_CACHE.get(key)
     if tower is None:
-        tower = FieldTower(key, _TOKEN)
-        _TOWER_CACHE[key] = tower
-    _RAW_CACHE[raw] = tower
+        _bounded(max(raw, default=0), "a radicand")
+        for d in raw:
+            if d <= 0:
+                raise ValueError("field not totally real / unsupported: radicand %d" % d)
+        tower = _RAW_CACHE[raw] = _class_tower(sorted({squarefree_part(d) for d in raw} - {1}))
+    return tower
+
+
+def _class_tower(classes: list[int]) -> FieldTower:
+    """The tower of squarefree classes > 1, such as a tower's own
+    basis_class entries: closed and reduced to the canonical basis with no
+    gate and no factoring.  Its answers are kept apart from make_field's,
+    so that every input make_field has kept passed its gate."""
+    key = tuple(classes)
+    tower = _CLASS_CACHE.get(key)
+    if tower is None:
+        picked: list[int] = []
+        span = frozenset({1})
+        for t in sorted(_closure(classes) - {1}):
+            if t not in span:
+                picked.append(t)
+                span = _closure(span | {t})
+        tower = _TOWER_CACHE.get(tuple(picked))
+        if tower is None:
+            tower = _TOWER_CACHE[tuple(picked)] = FieldTower(tuple(picked), _TOKEN)
+        _CLASS_CACHE[key] = tower
     return tower
 
 
@@ -773,8 +792,8 @@ def subfields_index2(tower: FieldTower) -> list[FieldTower]:
     once per tower and kept on it; each call returns a fresh copy."""
     if tower._subfields is None:
         tower._subfields = tuple(
-            make_field([tower.basis_class[S] for S in range(tower.degree)
-                        if (S & e).bit_count() % 2 == 0 and tower.basis_class[S] > 1])
+            _class_tower([tower.basis_class[S] for S in range(tower.degree)
+                          if (S & e).bit_count() % 2 == 0 and tower.basis_class[S] > 1])
             for e in range(1, tower.degree))
     return list(tower._subfields)
 
@@ -822,7 +841,7 @@ def _over_subfield(x: FieldElement, F: FieldTower) -> tuple[int, list[int], list
 
 def intersect(f1: FieldTower, f2: FieldTower) -> FieldTower:
     common = f1.subgroup_classes & f2.subgroup_classes
-    return make_field(sorted(common - {1}))
+    return _class_tower(sorted(common - {1}))
 
 
 # -- integrality ---------------------------------------------------------
@@ -876,9 +895,9 @@ def integral_rescale(x: FieldElement) -> FieldElement:
 _TERM = r"([+-]?)(?:([0-9]+)(?:/([0-9]+))?(?:\*({0})\(([0-9]+)\))?|({0})\(([0-9]+)\))"
 _TERM_RE = re.compile(_TERM.format("sqrt"))
 _SPACE = re.compile(r"(?<![0-9]) | (?![0-9])")  # a space not between two digits
-# sqrt(k) of outside input takes k below this: its squarefree part is found
-# by factoring, whose work on a large semiprime has no bound
-_RADICAND_BOUND = 2**64
+# a digit run of outside input is at most this long: below the least limit
+# that sys.set_int_max_str_digits accepts (640), so int() never meets one
+_DIGITS_BOUND = 600
 
 
 def _sum_terms(text: str, pattern: re.Pattern, fail, cos=None) -> dict[int, tuple[int, int]]:
@@ -890,10 +909,12 @@ def _sum_terms(text: str, pattern: re.Pattern, fail, cos=None) -> dict[int, tupl
     first failure raises fail(reason, s, pos), pos where its term starts:
     "term" (none there), "unsigned" (no sign, no term, pos > 0), "sign" (a
     later term without one, or that space), "den" (a zero denominator),
-    "root" (sqrt(0)), "big" (sqrt(k) with k >= _RADICAND_BOUND, before k is
+    "long" (a digit run longer than _DIGITS_BOUND, before int() reads it),
+    "root" (sqrt(0)), "big" (sqrt(k) refused by _bounded, before k is
     factored), "cospi" (m not in cos).
     """
     s = _SPACE.sub("", " ".join(text.split()))
+    long = len(s) > _DIGITS_BOUND  # else no digit run of s is too long
     acc: dict[int, tuple[int, int]] = {}
     pos = 0
     while pos < len(s):
@@ -904,6 +925,8 @@ def _sum_terms(text: str, pattern: re.Pattern, fail, cos=None) -> dict[int, tupl
         sign, n, d, f, k, f2, k2 = m.groups()
         if pos and not sign:
             raise fail("sign", s, pos)
+        if long and max(len(g or "") for g in (n, d, k, k2)) > _DIGITS_BOUND:
+            raise fail("long", s, pos)
         n, d = (-1 if sign == "-" else 1) * int(n or 1), int(d or 1)
         if not d:
             raise fail("den", s, pos)
@@ -915,9 +938,10 @@ def _sum_terms(text: str, pattern: re.Pattern, fail, cos=None) -> dict[int, tupl
         elif f:
             if not k:
                 raise fail("root", s, pos)
-            if k >= _RADICAND_BOUND:
-                raise fail("big", s, pos)
-            t = squarefree_part(k)
+            try:
+                t = squarefree_part(_bounded(k, "sqrt"))
+            except ValueError:
+                raise fail("big", s, pos) from None
             terms = {t: (isqrt(k // t), 1)}
         else:
             terms = {1: (1, 1)}
@@ -931,10 +955,10 @@ def _sum_terms(text: str, pattern: re.Pattern, fail, cos=None) -> dict[int, tupl
 def parse_element(text: str, tower: FieldTower | None = None) -> FieldElement:
     """Parse `1/2 + 1/2*sqrt(6) - sqrt(2)` style literals.
 
-    Terms are read by _sum_terms (ASCII digits only; whitespace is ignored
-    but between two digits, where it is refused; sqrt(k) takes k below
-    2^64) and built through _term_nums, so a nonzero term outside the given
-    tower raises ValueError.
+    Terms are read by _sum_terms (ASCII digits only, at most _DIGITS_BOUND
+    in a run; whitespace is ignored but between two digits, where it is
+    refused; sqrt(k) takes k below 2^64) and built through _term_nums, so
+    a nonzero term outside the given tower raises ValueError.
     """
     if not text.strip():
         raise ValueError("empty element literal")
@@ -942,6 +966,7 @@ def parse_element(text: str, tower: FieldTower | None = None) -> FieldElement:
         "sign": f"missing +/- between terms in {text!r}",
         "den": f"zero denominator in element literal {text!r}",
         "root": "sqrt(0) is not a valid term",
+        "long": f"number of more than {_DIGITS_BOUND} digits in element literal",
         "big": f"sqrt of 2^64 or more in element literal {text!r}"}.get(
             reason, f"bad element literal at {s[pos:]!r}")))
     if tower is None:

@@ -2,7 +2,9 @@
 
 For a tower K = Q(sqrt(d_1),...,sqrt(d_r)) and a rational prime p, the
 completions of K above p are classified by the images of the radicand
-square classes in Q_p* / (Q_p*)^2.  Elements of a completion are vectors
+square classes in Q_p* / (Q_p*)^2, whose basis, the local generators, fixes
+the local field: one completion is built per (local generators, p) and
+shared by the towers that have them.  Elements of a completion are vectors
 over the local radicand basis, and Hilbert symbols are the F_2 pairing on
 the square class group.  Every pairing matrix is validated (symmetry,
 nondegeneracy, (x,-x)=1, and agreement with the closed formula over Q_p
@@ -118,9 +120,14 @@ def hilbert_symbol_Q(a, b, v="inf") -> int:
     a, b = Fraction(fields._exact(a)), Fraction(fields._exact(b))
     if not a or not b:
         raise ZeroDivisionError("Hilbert symbol of 0")
-    if v in ("inf", "real", None):
+    real = v in ("inf", "real", None)
+    return _symbol_at(a, b, None if real else _prime(fields._bounded(int(v), "a prime")))
+
+
+def _symbol_at(a, b, p: int | None) -> int:
+    """hilbert_symbol_Q at a place's p (None when real) as it is: no gate."""
+    if p is None:
         return -1 if (a < 0 and b < 0) else 1
-    p = _prime(int(v))
     (va, ua), (vb, ub) = (_qp_class(q.numerator * q.denominator, p) for q in (a, b))
     if p == 2:
         bit = (ua % 4 == 3 and ub % 4 == 3) ^ (va and ub in (3, 5)) ^ (vb and ua in (3, 5))
@@ -130,12 +137,6 @@ def hilbert_symbol_Q(a, b, v="inf") -> int:
 
 
 # -- splitting of a prime in a tower --------------------------------------
-
-
-def _class_mul(c1: tuple, c2: tuple, p: int) -> tuple[int, int]:
-    if p == 2:
-        return ((c1[0] + c2[0]) & 1, (c1[1] * c2[1]) % 8)
-    return ((c1[0] + c2[0]) & 1, c1[1] * c2[1])
 
 
 class _Structure(NamedTuple):
@@ -158,7 +159,9 @@ def _local_structure(tower: FieldTower, p: int) -> _Structure:
         if c not in cls_to_mask and (p == 2 or t % p or all(g % p for g in chosen)):
             bit = 1 << len(chosen)
             chosen.append(t)
-            cls_to_mask.update([(_class_mul(c, s, p), M | bit) for s, M in cls_to_mask.items()])
+            # the product of two classes: unit parts mod 8 at p = 2, signs at odd p
+            cls_to_mask.update([((c[0] ^ s[0], c[1] * s[1] % 8 if p == 2 else c[1] * s[1]),
+                                 M | bit) for s, M in cls_to_mask.items()])
     size = 1 << len(chosen)
     if len(cls_to_mask) != size:
         raise RuntimeError("local class basis is dependent")
@@ -217,9 +220,9 @@ def real_places(tower: FieldTower) -> tuple[Place, ...]:
 
 
 def splitting(tower: FieldTower, p: int) -> tuple[Place, ...]:
-    """The places of the tower above p, one per local Galois orbit of sign
-    masks, as _local_structure builds them once per (tower, p)."""
-    return _local_structure(tower, p).places
+    """The places of the tower above p < 2^64, one per local Galois orbit of
+    sign masks, as _local_structure builds them once per (tower, p)."""
+    return _local_structure(tower, fields._bounded(p, "a prime")).places
 
 
 # -- square roots in Z_p ----------------------------------------------------
@@ -304,41 +307,42 @@ def _f2_insert(pivots: dict[int, int], x: int) -> bool:
 
 
 class _Completion:
-    """The completion at p over beta_S = prod_{j in S} sqrt(gens[j]).  A subclass
-    sets e, f, M_rows, basis_names and basis_elts (the elements the names stand
-    for) and _extra, and gives mrat, mneg, vec_int and _from_coords on its own
-    element type."""
+    """The completion at p of the local field Q_p(sqrt(g) : g in gens), over
+    beta_S = prod_{j in S} sqrt(gens[j]), shared by every tower with these
+    local generators (_local_structure); it holds no tower, and what a tower
+    adds is kept under its radicands, reached through an element's tower.
+    A subclass sets e, f, M_rows, basis_names and basis_elts (the elements
+    the names stand for) and _extra, and gives mrat, mneg, vec_int and
+    _from_coords on its own element type."""
 
-    def __init__(self, tower: FieldTower, p: int):
-        self.tower = tower
-        self.p = p
-        self.st = st = _local_structure(tower, p)
-        self.gens = st.gens
-        self.size = 1 << len(st.gens)
+    def __init__(self, gens: tuple[int, ...], p: int):
+        self.gens, self.p = gens, p
+        self.size = 1 << len(gens)
         self.bprod = tuple(_prod(g for j, g in enumerate(self.gens) if (mask >> j) & 1)
                            for mask in range(self.size))
-        self._vec_cache: dict[tuple[int, int, tuple[int, ...]], int] = {}  # see vec_of_element
-        self._digits, self._images = 1, self._radicand_images(1)
-        h = -min(s for _, s, _ in self._images)  # alpha_0 = 1 has s = 0
-        self._h = h + (h & 1)
+        self._vec_cache: dict[tuple, int] = {}  # see vec_of_element
+        self._towers: dict[tuple[int, ...], tuple] = {}  # radicands -> _radicand_images
 
-    def _radicand_images(self, digits: int) -> list[tuple[int, int, int]]:
-        """(M, s, c) per global basis mask S, with alpha_S = p^s * c * beta_M and
-        c a unit known mod p^digits.  sqrt(d_j) * beta_M is the canonical root of
-        d_j * bprod[M], so a sign mask names the same place in every model."""
+    def _radicand_images(self, tower: FieldTower, digits: int) -> tuple:
+        """(digits, images, h), kept for the tower: (M, s, c) per basis mask S
+        with alpha_S = p^s * c * beta_M, c a unit known mod p^digits, and the
+        even h >= -s.  sqrt(d_j) * beta_M is the canonical root of d_j *
+        bprod[M], so a sign mask names the same place in every model."""
         p, mod = self.p, self.p**digits
         roots = []
-        for j, M in enumerate(self.st.gen_masks):
-            k, r = _hensel_sqrt(self.tower.radicands[j] * self.bprod[M], p, digits)
+        for j, M in enumerate(_local_structure(tower, p).gen_masks):
+            k, r = _hensel_sqrt(tower.radicands[j] * self.bprod[M], p, digits)
             a, b = _split_val(self.bprod[M], p)
             roots.append((M, k - a, r * pow(b, -1, mod) % mod))
         images = [(0, 0, 1)]
-        for S in range(1, self.tower.degree):
+        for S in range(1, tower.degree):
             M, s, c = images[S & (S - 1)]
             Mj, sj, cj = roots[(S & -S).bit_length() - 1]
             a, b = _split_val(self.bprod[M & Mj], p)
             images.append((M ^ Mj, s + sj + a, c * cj * b % mod))
-        return images
+        h = -2 * (min(s for _, s, _ in images) // 2)  # alpha_0 = 1 has s = 0
+        self._towers[tower.radicands] = out = (digits, images, h)
+        return out
 
     def embed(self, x: FieldElement, eps_mask: int):
         """x * den^2 * p^h, integral and in the class of x, from its integer
@@ -349,15 +353,15 @@ class _Completion:
         the class is read mod pi^(v+1), and 3 at p = 2, where the truncation
         is then x * den^2 * p^h times 1 + O(pi^(2e+1)), a square by the local
         square theorem (O'Meara 63:1)."""
-        p = self.p
+        p, tower = self.p, x.tower
+        digits, images, h = self._towers.get(tower.radicands) or self._radicand_images(tower, 1)
         nums = [c * x.den for c in x.nums]
-        need = _split_val(fields._norm_nums(nums, self.tower), p)[0] + self._extra + self._h
-        if self._digits < need:
-            self._digits = max(need, 2 * self._digits)
-            self._images = self._radicand_images(self._digits)
-        h, mod = self._h, p**need
+        need = _split_val(fields._norm_nums(nums, tower), p)[0] + self._extra + h
+        if digits < need:
+            digits, images, h = self._radicand_images(tower, max(need, 2 * digits))
+        mod = p**need
         z = [0] * self.size
-        for S, (n, (M, s, c)) in enumerate(zip(nums, self._images)):
+        for S, (n, (M, s, c)) in enumerate(zip(nums, images)):
             if (S & eps_mask).bit_count() & 1:
                 n = -n
             z[M] = (z[M] + n * c * p**(s + h)) % mod
@@ -398,14 +402,14 @@ class _Completion:
         for a, b in ((-1, -1), (-1, 2), (2, 2), (2, 5), (3, 5), (2, 3), (3, 7)):
             got = -1 if self.pair_bits(self.vec_int(self.mrat(a)),
                                        self.vec_int(self.mrat(b))) else 1
-            if got != hilbert_symbol_Q(a, b, self.p) ** deg:
+            if got != _symbol_at(a, b, self.p) ** deg:
                 raise RuntimeError("local pairing disagrees with rational Hilbert symbol")
 
     def vec_of_element(self, x: FieldElement, eps_mask: int) -> int:
-        """Square class bitmask of x, an element of the model's tower, at the
-        place of eps_mask; kept per (eps_mask, den, nums), which names x
-        within the tower, so no element is hashed."""
-        key = (eps_mask, x.den, x.nums)
+        """Square class bitmask of x at the place of eps_mask of x's tower;
+        kept per (radicands, eps_mask, den, nums), which names x and its
+        tower, so no element is hashed."""
+        key = (x.tower.radicands, eps_mask, x.den, x.nums)
         got = self._vec_cache.get(key)
         if got is None:
             got = self.vec_int(self.embed(x, eps_mask))
@@ -417,8 +421,8 @@ class _Completion:
 
 
 class LocalModel(_Completion):
-    """The completion of a tower at p = 2, on exact elements of the field
-    L = Q(sqrt(gens[0]), ...) of its local generators.  The radicands of L are
+    """The completion at p = 2, on exact elements of the field L =
+    Q(sqrt(gens[0]), ...) of its local generators.  The radicands of L are
     the generators in order, so alpha_S of L is beta_S, and 2 has one place in
     L.  While the model is built, a stage is the subfield generated by the
     first nbits generators, and v(x) = v_2(N(x)) / f with the norm taken over
@@ -426,14 +430,14 @@ class LocalModel(_Completion):
 
     _extra = 3
 
-    def __init__(self, tower: FieldTower, p: int):
-        super().__init__(tower, p)
-        self.L = fields.make_field(self.gens)
-        if self.L.radicands != self.gens:
+    def __init__(self, gens: tuple[int, ...], p: int):
+        super().__init__(gens, p)
+        self.L = fields._class_tower(gens)
+        if self.L.radicands != gens:
             raise RuntimeError("local generators are not the radicands of their field")
         self.one = self.L.one()
         self._build_dyadic()
-        if self.e != self.st.e or self.f != self.st.f:
+        if (self.e, self.f) != _local_structure(self.L, p)[2:4]:
             raise RuntimeError("local model disagrees with the splitting type")
         if self.val(self.pi) != 1:
             raise RuntimeError("uniformizer does not have valuation 1")
@@ -574,7 +578,7 @@ class LocalModel(_Completion):
         for j, c in enumerate(self.gens):
             e, f, pi, omega = self.e, self.f, self.pi, self.omega
             t = e if c % 2 == 0 else 0
-            beta = self.L.sqrt(c)
+            beta = self._from_coords([int(S == 1 << j) for S in range(self.size)])
             if t & 1:
                 self._stage(j + 1, 2 * e, f, beta * self.pi_pow(-((t - 1) // 2)), omega)
                 continue
@@ -674,11 +678,11 @@ class _OddCompletion(_Completion):
 
     _extra = 1
 
-    def __init__(self, tower: FieldTower, p: int):
-        super().__init__(tower, p)
-        self.e, self.f = self.st.e, self.st.f
-        self._ram = sum(1 << j for j, g in enumerate(self.gens) if g % p == 0)
-        self._unr = sum(1 << j for j, g in enumerate(self.gens) if g % p)
+    def __init__(self, gens: tuple[int, ...], p: int):
+        super().__init__(gens, p)
+        self._ram = sum(1 << j for j, g in enumerate(gens) if g % p == 0)
+        self._unr = sum(1 << j for j, g in enumerate(gens) if g % p)
+        self.e, self.f = 1 + bool(self._ram), 1 + bool(self._unr)
         self._g1 = self.bprod[self._ram] // p or 1  # g' (1 when e = 1)
         pi = self.mrat(p) if self.e == 1 else [int(S == self._ram) for S in range(self.size)]
         units = ([a] + [int(S == self._unr) for S in range(1, self.size)] for a in range(p))
@@ -712,16 +716,18 @@ class _OddCompletion(_Completion):
 
 # -- model cache ---------------------------------------------------------------
 
-_MODELS: dict[tuple[FieldTower, int], _Completion] = {}
+_MODELS: dict[tuple[tuple[int, ...], int], _Completion] = {}  # (gens, p) -> completion
+_TOWER_MODELS: dict[tuple[FieldTower, int], _Completion] = {}  # (tower, p) -> the same
 
 
 def _model(tower: FieldTower, p: int) -> _Completion:
-    """The cached completion of the tower at p: the exact dyadic LocalModel at
-    p = 2, the tame _OddCompletion at odd p."""
-    key = (tower, p)
-    md = _MODELS.get(key)
+    """The completion of the tower at p, built once per (local generators, p):
+    the exact dyadic LocalModel at p = 2, the tame _OddCompletion at odd p."""
+    md = _TOWER_MODELS.get((tower, p))
     if md is None:
-        md = _MODELS[key] = LocalModel(tower, p) if p == 2 else _OddCompletion(tower, p)
+        key = (_local_structure(tower, p).gens, p)
+        md = _MODELS.get(key) or (LocalModel(*key) if p == 2 else _OddCompletion(*key))
+        _MODELS[key] = _TOWER_MODELS[(tower, p)] = md
     return md
 
 
@@ -746,8 +752,7 @@ def hilbert_symbol_local(a, b, place: Place) -> int:
         raise ZeroDivisionError("Hilbert symbol of 0")
     out = hasse_invariant([a, b], place)
     if a.is_rational and b.is_rational:
-        expect = hilbert_symbol_Q(a.rational_value(), b.rational_value(),
-                                  place.p) ** place.degree
+        expect = _symbol_at(a.rational_value(), b.rational_value(), place.p) ** place.degree
         if out != expect:
             raise RuntimeError("local symbol disagrees with rational formula")
     return out
@@ -804,7 +809,7 @@ def _norm_primes(tower: FieldTower, elements: Iterable) -> frozenset[int]:
 
 
 def _places_above(tower: FieldTower, primes: Iterable[int]) -> tuple[Place, ...]:
-    return tuple(pl for p in sorted(primes) for pl in splitting(tower, p))
+    return tuple(pl for p in sorted(primes) for pl in _local_structure(tower, p).places)
 
 
 def relevant_finite_places(tower: FieldTower, elements: Iterable) -> tuple[Place, ...]:
@@ -874,7 +879,7 @@ def finite_hasse_hyperbolic(form) -> bool:
 
 def local_audit(tower: FieldTower, p: int) -> dict:
     """JSON-able description of the splitting and symbol tables above p."""
-    st = _local_structure(tower, p)
+    st = _local_structure(tower, fields._bounded(p, "a prime"))
     md = _model(tower, p)
     places = [{"e": pl.e, "f": pl.f,
                "signs": [-1 if (pl.eps_mask >> j) & 1 else 1 for j in range(tower.r)]}

@@ -664,6 +664,9 @@ def parse_weight_reference(expr: str) -> dict[int, tuple[int, int]]:
         m = _WTERM.match(s, pos)
         if not m or m.start() != pos:
             raise diagrams.DiagramError(f"bad weight expression: {expr!r}")
+        if any(len(run) > DIGITS_BOUND for run in re.findall(r"\d+", m.group())):
+            raise diagrams.DiagramError(f"number of more than {DIGITS_BOUND} digits"
+                                        " in weight expression")
         pos = m.end()
         first = False
         if m["rat"] is not None:
@@ -687,15 +690,26 @@ def parse_weight_reference(expr: str) -> dict[int, tuple[int, int]]:
     return acc
 
 
+DIGITS_BOUND = 600  # the longest digit run the grammar reads
+
+
+def _line_int(token: str, lineno: int) -> int:
+    """A header, vertex index or label of digits, refused when longer than
+    DIGITS_BOUND before int() reads it."""
+    if len(token) > DIGITS_BOUND:
+        raise diagrams.DiagramError(f"line {lineno}: number of more than {DIGITS_BOUND} digits")
+    return int(token)
+
+
 def parse_diagram_reference(text: str, name: str = "diagram"):
     """`diagrams.parse_diagram` as it stood before its intake was made lean:
     its own weight tokenizer (`parse_weight_reference`), labels built afresh
     for each diagram, and each weight's w > 1 read off `fields.signs`, which
     certifies every real embedding.  Since then it refuses, as the library
-    does, a vertex index that is not all digits and whitespace between two
-    digits of a weight.  It reads Unicode digits as int() and str.isdigit
-    do; on ASCII text it is the reference for the library's entries, errors
-    and messages."""
+    does, a vertex index that is not all digits, whitespace between two
+    digits of a weight and a digit run longer than DIGITS_BOUND.  It reads
+    Unicode digits as int() and str.isdigit do; on ASCII text it is the
+    reference for the library's entries, errors and messages."""
     dim = size = None
     raw_edges = []
     seen = set()
@@ -708,11 +722,11 @@ def parse_diagram_reference(text: str, name: str = "diagram"):
         if kind == "dim":
             if dim is not None or len(parts) != 2 or not parts[1].isdigit():
                 raise diagrams.DiagramError(f"line {lineno}: bad dim header")
-            dim = int(parts[1])
+            dim = _line_int(parts[1], lineno)
         elif kind == "vertices":
             if size is not None or len(parts) != 2 or not parts[1].isdigit():
                 raise diagrams.DiagramError(f"line {lineno}: bad vertices header")
-            size = int(parts[1])
+            size = _line_int(parts[1], lineno)
         elif kind == "edge":
             if dim is None or size is None:
                 raise diagrams.DiagramError(f"line {lineno}: edge before dim/vertices headers")
@@ -720,7 +734,7 @@ def parse_diagram_reference(text: str, name: str = "diagram"):
                 raise diagrams.DiagramError(f"line {lineno}: edge needs two vertices and a label")
             if not (parts[1].isdigit() and parts[2].isdigit()):
                 raise diagrams.DiagramError(f"line {lineno}: bad vertex index")
-            i, j = int(parts[1]), int(parts[2])
+            i, j = _line_int(parts[1], lineno), _line_int(parts[2], lineno)
             if not (1 <= i <= size and 1 <= j <= size) or i == j:
                 raise diagrams.DiagramError(f"line {lineno}: vertex index out of range")
             key = (min(i, j), max(i, j))
@@ -740,7 +754,7 @@ def parse_diagram_reference(text: str, name: str = "diagram"):
             else:
                 if not label.isdigit():
                     raise diagrams.DiagramError(f"line {lineno}: bad edge label {label!r}")
-                m = int(label)
+                m = _line_int(label, lineno)
                 if m < 2:
                     raise diagrams.DiagramError(f"line {lineno}: bad edge label {m}")
                 pairs = diagrams._COS_PAIRS.get(m)

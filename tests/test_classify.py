@@ -429,6 +429,25 @@ def test_subordinated_forms_relative_classes():
     assert lasts2 == [1, 3]
 
 
+def test_subordinated_classes_of_large_radicands_are_not_factored(monkeypatch):
+    # a class of K relative to k is the least _sqfree_mul of it with k's
+    # classes, so the products of radicands below 2^64 are not factored
+    def guarded(n):
+        assert abs(n) < 2**64, f"factored a {abs(n).bit_length()}-bit number"
+        return real(n)
+
+    real = fields.factorize
+    K = make_field([5000000000000023, 300000000000000011])
+    monkeypatch.setattr(fields, "factorize", guarded)
+    lasts = [g.diagonal[-1].rational_value()
+             for g in subordinated_forms(QuadraticForm(Q, [-1, 1, 1]), K)]
+    assert lasts == sorted(K.basis_class)
+    k = make_field([5000000000000023])
+    lasts = [g.diagonal[-1].rational_value()
+             for g in subordinated_forms(QuadraticForm(k, [k.rational(-1), k.one()]), K)]
+    assert lasts == [1, 300000000000000011]
+
+
 def test_classify_is_invariant_under_relabeling():
     # the fig3a and fig3b orders reach a zero pivot among the first n+1
     # rows, so their ambient diagonals differ from the unrelabeled ones
@@ -583,7 +602,7 @@ from coxarith.diagrams import load_diagram
 for path in sorted(pathlib.Path(sys.argv[1]).glob("*.cox")):
     classify_diagram(load_diagram(path))
 print(json.dumps({"sympy": "sympy" in sys.modules, "models": len(localfields._MODELS),
-                  "dyadic": sorted(str(t) for t, p in localfields._MODELS if p == 2)}))
+                  "dyadic": sorted(str(gens) for gens, p in localfields._MODELS if p == 2)}))
 """
 
 

@@ -281,6 +281,23 @@ def test_classify_refuses_a_huge_weight_radicand_at_once(tmp_path, capsys, monke
     assert cap.out == ""
 
 
+def test_classify_factors_no_product_of_large_weight_radicands(tmp_path, capsys, monkeypatch):
+    # three weights sqrt(q), q a prime below 2^64: the trace field's classes
+    # are folded, not factored, so the signature refusal comes at once
+    def guarded(n):
+        assert abs(n) < 2**64, f"factored a {abs(n).bit_length()}-bit number"
+        return real(n)
+
+    real = fields.factorize
+    monkeypatch.setattr(fields, "factorize", guarded)
+    path = tmp_path / "big.cox"
+    path.write_text("dim 3\nvertices 4\nedge 1 2 w sqrt(9223372036854775783)\n"
+                    "edge 2 3 w sqrt(300000000000000011)\nedge 3 4 w sqrt(5000000000000023)\n")
+    code, cap = run(capsys, "classify", str(path))
+    assert code == cli.EXIT_SIGNATURE
+    assert cap.err == "error: not a hyperbolic polytope of dimension 3\n"
+
+
 def test_batch_refuses_a_huge_weight_radicand_in_one_error_row(tmp_path, capsys, monkeypatch):
     _never_factor_the_huge_radicand(monkeypatch)
     for path in glob.glob("corpus/*.cox"):

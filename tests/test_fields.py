@@ -525,6 +525,62 @@ def test_tower_tables_are_kept_and_refusals_are_not():
     assert t.one() is t.one() and t.one() == t.rational(1) == t.rational(Fraction(2, 2))
 
 
+# three primes below 2^64 whose products are not: a tower of them, its
+# subfields and intersections are built from its own classes
+BIG_PRIMES = (5000000000000023, 300000000000000011, 9223372036854775783)
+
+
+def _factor_below_2_to_the_64(monkeypatch):
+    def guarded(n):
+        assert abs(n) < 2**64, f"factored a {abs(n).bit_length()}-bit number"
+        return real(n)
+
+    real = fields.factorize
+    monkeypatch.setattr(fields, "factorize", guarded)
+
+
+def test_a_tower_of_large_radicands_factors_no_product(monkeypatch):
+    # each basis class is the _sqfree_mul fold of its radicands and each
+    # scale is read from it, so no product of radicands is factored
+    _factor_below_2_to_the_64(monkeypatch)
+    for cache in ("_RAW_CACHE", "_CLASS_CACHE", "_TOWER_CACHE"):
+        monkeypatch.setattr(fields, cache, {})
+    K = make_field(BIG_PRIMES[::-1])
+    assert K.radicands == BIG_PRIMES
+    for S, (m, t, c) in enumerate(zip(K.basis_radicand, K.basis_class, K.basis_scale)):
+        want = 1
+        for j, q in enumerate(BIG_PRIMES):
+            want *= q if (S >> j) & 1 else 1
+        assert (m, t, c) == (want, want, 1)
+    subs = subfields_index2(K)
+    assert len(subs) == 7 and sorted(F.degree for F in subs) == [4] * 7
+    assert intersect(subs[0], subs[1]).degree == 2
+    assert make_field([BIG_PRIMES[0] * 4, BIG_PRIMES[1] * 9]).radicands == BIG_PRIMES[:2]
+    with pytest.raises(ValueError, match="radicands not independent"):
+        fields.FieldTower((BIG_PRIMES[0], BIG_PRIMES[0] * 4), fields._TOKEN)
+
+
+def test_outside_radicands_of_2_to_the_64_are_refused_before_factoring(monkeypatch):
+    # make_field and FieldTower.sqrt refuse before anything is factored,
+    # even an input whose tower another path has built
+    def refuse(n):
+        raise AssertionError(f"factored {n}")
+
+    K = make_field([2])
+    monkeypatch.setattr(fields, "factorize", refuse)
+    for n in (2**64, (2**89 - 1) * (2**107 - 1)):
+        for call, what, got in ((lambda: make_field([n]), "a radicand", n),
+                                (lambda: make_field([3, n, -1]), "a radicand", n),
+                                (lambda: K.sqrt(n), "sqrt", n),
+                                (lambda: K.sqrt(Fraction(3, n)), "sqrt", 3 * n)):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == f"{what} takes values below 2^64, got {got}"
+    fields._class_tower([2**64 + 13])
+    with pytest.raises(ValueError, match="a radicand takes values below 2"):
+        make_field([2**64 + 13])
+
+
 def test_subfield_lattice_r3():
     t = make_field([2, 3, 5])
     subs = subfields_index2(t)

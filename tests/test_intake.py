@@ -1,16 +1,24 @@
 """The diagram intake: every refusal's class and message, ASCII digits, the
 reference intake, and the one tokenizer of weights and element literals."""
 
+import contextlib
 import glob
+import io
 import json
 import os
 import random
+import sys
+import tempfile
+import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from coxarith import diagrams, fields
-from coxarith.diagrams import DiagramError, UnsupportedLabelError, parse_diagram
+from coxarith import cli, diagrams, fields
+from coxarith.diagrams import DiagramError, SignatureError, UnsupportedLabelError, parse_diagram
 from coxarith.fields import element_literal, make_field, parse_element
 
 HERE = os.path.dirname(__file__)
@@ -18,6 +26,8 @@ CORPUS = os.path.join(HERE, "..", "corpus")
 
 H = "dim 2\nvertices 3\n"
 W = H + "edge 2 3 3\nedge 1 3 3\nedge 1 2 w "  # a triangle whose edge (1,2) is a weight
+LONG = "1" * 601  # one digit over the bound on a digit run
+TOO_LONG = "number of more than 600 digits"
 
 # Recorded from parse_diagram and parse_element as they stood before the
 # intake was made lean (one tokenizer, the weight check at the identity
@@ -143,6 +153,30 @@ DIAGRAM_ERRORS = [
     (W + '1 + 2 3\n', DiagramError, "missing sign in weight expression: '1+2 3'"),
     (W + 'sqrt(1 0)\n', DiagramError, "bad weight expression: 'sqrt(1 0)'"),
     (W + '2 1/0\n', DiagramError, "missing sign in weight expression: '2 1/0'"),
+    # added with the bound of 600 digits on a digit run, refused before int()
+    # reads it (Python's own limit would refuse 4301 digits with its message)
+    (f'dim {LONG}\nvertices 3\n', DiagramError, f'line 1: {TOO_LONG}'),
+    (f'dim {"9" * 5000}\nvertices 3\n', DiagramError, f'line 1: {TOO_LONG}'),
+    (f'dim 0{"0" * 599}2\nvertices 3\n', DiagramError, f'line 1: {TOO_LONG}'),
+    (f'dim x{LONG}\nvertices 3\n', DiagramError, 'line 1: bad dim header'),
+    (f'dim 2\nvertices {LONG}\n', DiagramError, f'line 2: {TOO_LONG}'),
+    (f'dim 2\nvertices 3\nvertices {LONG}\n', DiagramError, 'line 3: bad vertices header'),
+    (H + f'edge {LONG} 2 3\n', DiagramError, f'line 3: {TOO_LONG}'),
+    (H + f'edge 1 {"7" * 5000} 3\n', DiagramError, f'line 3: {TOO_LONG}'),
+    (H + f'edge 1 x{LONG} 3\n', DiagramError, 'line 3: bad vertex index'),
+    (H + f'edge {LONG} 2\n', DiagramError, 'line 3: edge needs two vertices and a label'),
+    (H + f'edge 1 2 {LONG}\n', DiagramError, f'line 3: {TOO_LONG}'),
+    (H + f'edge 1 2 {"0" * 600}3\n', DiagramError, f'line 3: {TOO_LONG}'),
+    (H + f'edge 1 2 {"3" * 5000} x\n', DiagramError, f'line 3: {TOO_LONG}'),
+    (W + f'{LONG}\n', DiagramError, f'{TOO_LONG} in weight expression'),
+    (W + f'{"1" * 5000}\n', DiagramError, f'{TOO_LONG} in weight expression'),
+    (W + f'1/{LONG}\n', DiagramError, f'{TOO_LONG} in weight expression'),
+    (W + f'2+sqrt({LONG})\n', DiagramError, f'{TOO_LONG} in weight expression'),
+    (W + f'2*cospi({LONG})\n', DiagramError, f'{TOO_LONG} in weight expression'),
+    (W + f'2+{LONG}/3*sqrt(2)\n', DiagramError, f'{TOO_LONG} in weight expression'),
+    (W + f'{LONG}+1/0\n', DiagramError, f'{TOO_LONG} in weight expression'),
+    (W + f'1/0+{LONG}\n', DiagramError, f"zero denominator in weight expression: '1/0+{LONG}'"),
+    (W + f'2{LONG}\n', DiagramError, f'{TOO_LONG} in weight expression'),
 ]
 
 ELEMENT_ERRORS = [  # (literal, tower radicands or None, ValueError message)
@@ -183,6 +217,16 @@ ELEMENT_ERRORS = [  # (literal, tower radicands or None, ValueError message)
     ('1 + 2 3', None, "missing +/- between terms in '1 + 2 3'"),
     ('sqrt(1 0)', None, "bad element literal at 'sqrt(1 0)'"),
     ('1/0 2', None, "zero denominator in element literal '1/0 2'"),
+    # added with the bound of 600 digits on a digit run
+    (LONG, None, f'{TOO_LONG} in element literal'),
+    ("1" * 5000, None, f'{TOO_LONG} in element literal'),
+    (f'1/{LONG}', None, f'{TOO_LONG} in element literal'),
+    (f'1+{LONG}*sqrt(2)', None, f'{TOO_LONG} in element literal'),
+    (f'sqrt({LONG})', None, f'{TOO_LONG} in element literal'),
+    (f'sqrt({LONG})', [2], f'{TOO_LONG} in element literal'),
+    (f'{LONG}+1/0', None, f'{TOO_LONG} in element literal'),
+    (f'1/0+{LONG}', None, f"zero denominator in element literal '1/0+{LONG}'"),
+    (f'x+{LONG}', None, f"bad element literal at 'x+{LONG}'"),
 ]
 
 
@@ -246,6 +290,22 @@ def test_a_radicand_of_2_to_the_64_or_more_is_refused_before_it_is_factored(monk
     assert parse_element(f"sqrt({2**64 - 1})").tower.radicands == (2**64 - 1,)
     assert parse_diagram(W + "sqrt(18446743979220271189)\n").tower.radicands == (
         18446743979220271189,)
+
+
+def test_a_digit_run_of_600_is_read_under_the_least_int_limit():
+    # 600 digits stay below the least limit that sys.set_int_max_str_digits
+    # accepts (640), so no accepted run meets Python's own refusal
+    n = "9" * 600
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        d = parse_diagram(W + f"{n}/7\n")
+        x = parse_element(f"1/{n}+sqrt(2)")
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert -d.entries[(1, 2)] == Fraction(int(n), 7) and x.den == int(n)
+    assert parse_diagram(f"dim 0{'0' * 598}2\nvertices 3\nedge 1 2 3\nedge 2 3 3\n"
+                         f"edge 1 3 {'0' * 599}4\n").dim == 2
 
 
 def test_whitespace_between_terms_and_symbols_is_dropped():
@@ -397,3 +457,88 @@ def test_label_entries_are_one_table_per_tower():
     assert diagrams.label_entries(d.tower) is table
     # built on first use for a tower that no diagram was read in
     assert sorted(map(str, diagrams.label_entries(fields.make_field([7, 11])))) == ["3", "inf"]
+
+
+# -- a seeded fuzzer over the .cox token grammar ------------------------------------
+
+# numbers: small, around 2^64 (2^64 - 59 and 2^64 + 13 are prime), digit runs
+# about the bound and far over it, and Unicode digits beside ASCII ones
+_NUMBERS = st.one_of(
+    st.integers(0, 13).map(str),
+    st.sampled_from(["00", "01", str(2**64 - 59), str(2**64 - 1), str(2**64), str(2**64 + 13),
+                     "18446743979220271189"]),
+    st.builds(lambda n, c: c * n, st.integers(598, 5000), st.sampled_from("019")),
+    st.builds(lambda a, u: a + u, st.sampled_from(["", "1"]),
+              st.sampled_from(["٣", "３", "²", "৪"])),
+)
+_TERMS = st.one_of(
+    _NUMBERS,
+    st.builds("{}/{}".format, _NUMBERS, _NUMBERS),
+    st.builds("sqrt({})".format, _NUMBERS),
+    st.builds("{}*sqrt({})".format, _NUMBERS, _NUMBERS),
+    st.builds("cospi({})".format, _NUMBERS),
+)
+_WEIGHTS = st.lists(st.tuples(st.sampled_from(["", "+", "-", " "]), _TERMS),
+                    min_size=1, max_size=3).map(lambda ts: "".join(s + t for s, t in ts))
+_LABELS = st.one_of(st.sampled_from(["2", "3", "4", "5", "6", "12", "inf", "7", "1", "0"]),
+                    _NUMBERS, _WEIGHTS.map("w {}".format))
+_LINES = st.one_of(
+    st.builds("dim {}".format, _NUMBERS),
+    st.builds("vertices {}".format, _NUMBERS),
+    st.builds("edge {} {} {}".format, _NUMBERS, _NUMBERS, _LABELS),
+    st.builds("edge {} {} {}".format, st.sampled_from("1234"), st.sampled_from("1234"), _LABELS),
+    st.sampled_from(["", "# comment", "edge 1 2", "foo 1 2", "dim 3", "vertices 4"]),
+)
+
+
+@st.composite
+def cox_texts(draw):
+    """A triangle whose third edge is a label or a weight, with up to three
+    lines replaced, inserted, repeated, dropped or mutated by one character."""
+    third = draw(st.one_of(st.sampled_from(["4", "inf"]), _WEIGHTS.map("w {}".format)))
+    lines = ["dim 2", "vertices 3", "edge 1 2 3", "edge 2 3 3", f"edge 1 3 {third}"]
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(["replace", "insert", "repeat", "drop", "mutate"]))
+        # the last line half the time: the headers are refused soon enough
+        i = draw(st.just(len(lines) - 1) | st.integers(0, len(lines) - 1)) if lines else 0
+        if op == "insert" or not lines:
+            lines.insert(i, draw(_LINES))
+        elif op == "replace":
+            lines[i] = draw(_LINES)
+        elif op == "repeat":
+            lines.insert(i, lines[i])
+        elif op == "drop":
+            del lines[i]
+        else:
+            j = draw(st.integers(0, len(lines[i])))
+            c = draw(st.sampled_from("0123456789 /*+-()wx#\t٣"))
+            lines[i] = lines[i][:j] + c + lines[i][j + 1:]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(cox_texts())
+def test_fuzzed_diagrams_parse_or_raise_only_the_grammars_errors(text):
+    # DiagramError covers UnsupportedLabelError; the time bound is generous,
+    # as a radicand just below 2^64 is factored
+    t0 = time.monotonic()
+    try:
+        parse_diagram(text)
+    except (DiagramError, SignatureError):
+        pass
+    assert time.monotonic() - t0 < 10
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.lists(cox_texts(), min_size=1, max_size=4))
+def test_batch_prints_one_row_per_fuzzed_file(texts):
+    with tempfile.TemporaryDirectory() as tmp:
+        for k, text in enumerate(texts):
+            with open(os.path.join(tmp, f"f{k}.cox"), "w", encoding="utf-8") as fh:
+                fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            cli.main(["batch", tmp])
+    rows = out.getvalue().splitlines()
+    assert rows[0] == cli._TSV_HEADER
+    assert [row.split("\t")[0] for row in rows[1:]] == [f"f{k}" for k in range(len(texts))]

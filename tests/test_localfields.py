@@ -6,6 +6,8 @@ against the oracles.
 """
 
 import ast
+import importlib.util
+import json
 import os
 import pathlib
 import random
@@ -541,8 +543,9 @@ def test_finite_hasse_target_is_read_off_the_prime():
 @pytest.mark.parametrize("radicands,ef,g", [((6, 10, 14), (4, 2), 1), ((6, 7, 10), (4, 1), 2),
                                              ((3, 5, 7), (2, 2), 2)])
 def test_pairing_rows_match_the_seeded_sampler(radicands, ef, g):
-    md = localfields._model(make_field(radicands), 2)
-    assert ((md.e, md.f), len(splitting(md.tower, 2))) == (ef, g)
+    K = make_field(radicands)
+    md = localfields._model(K, 2)
+    assert ((md.e, md.f), len(splitting(K, 2))) == (ef, g)
     assert md.M_rows == oracles.sampled_rows(md)
 
 
@@ -563,7 +566,7 @@ def test_dyadic_valuation_matches_the_conjugate_product_at_every_stage(radicands
                 assert self.val(x) == oracles.stage_valuation(x, nbits, f)
             stages.append(nbits)
 
-    md = Probe(make_field(radicands), 2)
+    md = Probe(localfields._local_structure(make_field(radicands), 2).gens, 2)
     assert stages == list(range(len(md.gens) + 1)) and len(md.gens) == 3
     md._nbits = 1  # the last generator lies outside the first stage
     with pytest.raises(RuntimeError, match="outside the current stage"):
@@ -786,6 +789,7 @@ def test_residue_roots_with_large_two_power_against_sympy(p):
 def test_odd_places_never_build_a_p_adic_model(monkeypatch):
     # odd places are served by the tame closed form, which has no digits
     monkeypatch.setattr(localfields, "_MODELS", {})
+    monkeypatch.setattr(localfields, "_TOWER_MODELS", {})
     dyadic = localfields.LocalModel
     builds = []
 
@@ -802,8 +806,123 @@ def test_odd_places_never_build_a_p_adic_model(monkeypatch):
             hilbert_symbol_local(a, b, pl)
             hasse_invariant([a, b, a * b], pl)
             square_class_vector(a * p, pl)
-        assert not isinstance(localfields._MODELS[(tower, p)], dyadic)
+        gens = localfields._local_structure(tower, p).gens
+        assert not isinstance(localfields._MODELS[(gens, p)], dyadic)
     assert builds == []
+
+
+# -- one completion per local field ---------------------------------------------
+
+
+def _fresh_models(monkeypatch):
+    monkeypatch.setattr(localfields, "_MODELS", {})
+    monkeypatch.setattr(localfields, "_TOWER_MODELS", {})
+
+
+def test_towers_with_the_same_local_generators_share_one_completion(monkeypatch):
+    # 21 and 33 are squares or the class of 3 mod 5, so Q(sqrt 3), Q(sqrt 3,
+    # sqrt 7) and Q(sqrt 3, sqrt 11) all have the local generators (3,) at 5
+    _fresh_models(monkeypatch)
+    towers = [make_field([3]), make_field([3, 7]), make_field([3, 11])]
+    assert {localfields._local_structure(K, 5).gens for K in towers} == {(3,)}
+    md = localfields._model(towers[0], 5)
+    assert all(localfields._model(K, 5) is md for K in towers[1:])
+    assert list(localfields._MODELS) == [((3,), 5)] and len(localfields._TOWER_MODELS) == 3
+
+
+def test_a_shared_completion_keeps_each_towers_classes_apart(monkeypatch):
+    # the same numerators name different elements of Q(sqrt 3, sqrt 7) and
+    # Q(sqrt 3, sqrt 11); their square classes at 5, read through the one
+    # completion both share, do not depend on which tower reached it first
+    rng = random.Random(35)
+    K7, K11 = make_field([3, 7]), make_field([3, 11])
+    nums = [n for n in (tuple(rng.randint(-30, 30) for _ in range(4)) for _ in range(40)) if any(n)]
+
+    def classes(order):
+        _fresh_models(monkeypatch)
+        return {(str(K), pl.eps_mask): [square_class_vector(fields.FieldElement(K, n), pl)
+                                        for n in nums]
+                for K in order for pl in splitting(K, 5)}
+
+    first = classes([K7, K11])
+    assert first == classes([K11, K7])
+    assert len(first) == 4 and len({tuple(map(tuple, v)) for v in first.values()}) == 4
+
+
+def _held(value):
+    """Every object inside value, through dicts, lists and tuples (a Place
+    is one)."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from _held(k)
+            yield from _held(v)
+    elif isinstance(value, (tuple, list)):
+        for v in value:
+            yield from _held(v)
+    else:
+        yield value
+
+
+def _census(seed: int) -> list:
+    """The benchmark's census of `seed` (perfbench/census.py), read as it is."""
+    bench = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+    spec = importlib.util.spec_from_file_location("census", bench / "census.py")
+    census = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(census)
+    with open(bench / "reference.json") as fh:
+        return census.census(seed, json.load(fh)["pool"])
+
+
+def test_a_cold_census_pass_builds_one_completion_per_local_field(monkeypatch):
+    # the census of seed 7 reaches 38 local fields from 69 (tower, p) pairs:
+    # each completion is built, and its pairing checked, once, and none
+    # holds a tower (a LocalModel holds only L, the field of its generators)
+    from coxarith.classify import classify_diagram
+    from coxarith.diagrams import parse_diagram
+
+    _fresh_models(monkeypatch)
+    checked = []
+    honest = localfields._Completion._validate_matrix
+    monkeypatch.setattr(localfields._Completion, "_validate_matrix",
+                        lambda self: (checked.append(self), honest(self))[1])
+    for name, text in _census(7):
+        classify_diagram(parse_diagram(text, name))
+    models = list(localfields._MODELS.values())
+    assert len(localfields._TOWER_MODELS) == 69
+    assert len(models) == len(checked) == len(set(map(id, checked))) == 38
+    for md in models:
+        towers = {id(v.tower if isinstance(v, fields.FieldElement) else v) for v in _held(vars(md))
+                  if isinstance(v, (fields.FieldTower, fields.FieldElement))}
+        assert towers == ({id(md.L)} if md.p == 2 else set())
+
+
+def test_outside_primes_of_2_to_the_64_are_refused_before_factoring(monkeypatch):
+    # splitting, hilbert_symbol_Q and local_audit take a prime from outside
+    def refuse(n):
+        raise AssertionError(f"factored {n}")
+
+    for module in (fields, localfields):
+        monkeypatch.setattr(module, "factorize", refuse)
+    for n in (2**64, (2**89 - 1) * (2**107 - 1)):
+        for call in (lambda: splitting(Q2, n), lambda: hilbert_symbol_Q(2, 3, n),
+                     lambda: localfields.local_audit(Q2, n)):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == f"a prime takes values below 2^64, got {n}"
+
+
+def test_places_the_library_finds_above_2_to_the_64_need_no_gate():
+    # a prime of a norm reaches its places unrefused, and so do their
+    # symbols and the rational cross-check; only outside input is gated
+    P = 2**64 + 13  # the least prime above 2^64; 2 and 3 are not squares mod P
+    for K, degree in ((Q, 1), (Q2, 2)):
+        pl = relevant_finite_places(K, [K.rational(P)])[-1]
+        assert (pl.p, pl.degree) == (P, degree)
+        want = (-1) ** degree  # (P, 3)_P = (3/P) = -1, to the local degree
+        assert hasse_invariant([P, 3], pl) == want
+        assert hilbert_symbol_local(K.rational(P), K.rational(3), pl) == want
+        with pytest.raises(ValueError, match="a prime takes values below 2"):
+            splitting(K, P)
 
 
 _FLIPPED_RATIONAL_SYMBOL = """
@@ -814,17 +933,17 @@ from coxarith.fields import make_field
 if __debug__:
     sys.exit("expected python -O")
 Q = make_field([])
-honest = localfields.hilbert_symbol_Q
+honest = localfields._symbol_at  # hilbert_symbol_Q past its gate
 for p in (2, 3):
     place = localfields.splitting(Q, p)[0]
     a, b = Q.rational(-1), Q.rational(3)
     localfields.hilbert_symbol_local(a, b, place)
-    localfields.hilbert_symbol_Q = lambda *args: -honest(*args)
+    localfields._symbol_at = lambda *args: -honest(*args)
     try:
         localfields.hilbert_symbol_local(a, b, place)
     except RuntimeError as exc:
         print(p, exc)
-    localfields.hilbert_symbol_Q = honest
+    localfields._symbol_at = honest
 """
 
 
