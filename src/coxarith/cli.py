@@ -109,7 +109,8 @@ def cmd_classify(args) -> int:
         K = fields._class_tower(j["trace_field"]["radicands"])
         primes = sorted({pl.p for pl in localfields.relevant_finite_places(
             K, [fields.parse_element(c, K) for c in j["ambient_diagonal"]])})
-        j["local_audit"] = {str(p): localfields.local_audit(K, p) for p in primes}
+        # found primes, not outside input: past local_audit's 2^64 gate
+        j["local_audit"] = {str(p): localfields._local_audit(K, p) for p in primes}
     if args.tsv:
         print(_TSV_HEADER)
         print(_tsv_row(j))

@@ -133,6 +133,15 @@ class CoxeterDiagram:
                 f"vertices={self.size}, edges={len(self.entries)})")
 
 
+def _line_int(token: str, lineno: int, long: bool) -> int:
+    """A header, vertex index or label of ASCII digits as an int, refused
+    before int() reads it when longer than the digit bound; long tells
+    whether the text is, as a shorter text holds no longer token."""
+    if long and len(token) > fields._DIGITS_BOUND:
+        raise DiagramError(f"line {lineno}: {_TOO_LONG}")
+    return int(token)
+
+
 def parse_diagram(text: str, name: str = "diagram") -> CoxeterDiagram:
     dim = size = None
     # key -> its label, None for a right angle (m = 2) or its weight's terms
@@ -153,9 +162,7 @@ def parse_diagram(text: str, name: str = "diagram") -> CoxeterDiagram:
                 raise DiagramError(f"line {lineno}: edge needs two vertices and a label")
             if not ((ij := parts[1] + parts[2]).isascii() and ij.isdigit()):
                 raise DiagramError(f"line {lineno}: bad vertex index")
-            if long and max(len(parts[1]), len(parts[2])) > fields._DIGITS_BOUND:
-                raise DiagramError(f"line {lineno}: {_TOO_LONG}")
-            i, j = int(parts[1]), int(parts[2])
+            i, j = _line_int(parts[1], lineno, long), _line_int(parts[2], lineno, long)
             if not (0 < i <= size and 0 < j <= size) or i == j:
                 raise DiagramError(f"line {lineno}: vertex index out of range")
             key = (i, j) if i < j else (j, i)
@@ -173,9 +180,7 @@ def parse_diagram(text: str, name: str = "diagram") -> CoxeterDiagram:
                 m = label
             elif not (label.isascii() and label.isdigit()):
                 raise DiagramError(f"line {lineno}: bad edge label {label!r}")
-            elif long and len(label) > fields._DIGITS_BOUND:
-                raise DiagramError(f"line {lineno}: {_TOO_LONG}")
-            elif (m := int(label)) < 2:
+            elif (m := _line_int(label, lineno, long)) < 2:
                 raise DiagramError(f"line {lineno}: bad edge label {m}")
             pairs = _LABELS.get(m)
             if pairs is None:
@@ -187,15 +192,11 @@ def parse_diagram(text: str, name: str = "diagram") -> CoxeterDiagram:
         elif kind == "dim":
             if dim is not None or len(parts) != 2 or not (parts[1].isascii() and parts[1].isdigit()):
                 raise DiagramError(f"line {lineno}: bad dim header")
-            if long and len(parts[1]) > fields._DIGITS_BOUND:
-                raise DiagramError(f"line {lineno}: {_TOO_LONG}")
-            dim = int(parts[1])
+            dim = _line_int(parts[1], lineno, long)
         elif kind == "vertices":
             if size is not None or len(parts) != 2 or not (parts[1].isascii() and parts[1].isdigit()):
                 raise DiagramError(f"line {lineno}: bad vertices header")
-            if long and len(parts[1]) > fields._DIGITS_BOUND:
-                raise DiagramError(f"line {lineno}: {_TOO_LONG}")
-            size = int(parts[1])
+            size = _line_int(parts[1], lineno, long)
         else:
             raise DiagramError(f"line {lineno}: unknown directive {kind!r}")
     if dim is None or size is None:

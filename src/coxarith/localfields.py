@@ -393,9 +393,7 @@ class _Completion:
             raise RuntimeError("pairing is degenerate")
         # (x, -x) = 1 on every basis element
         for b in self.basis_elts:
-            vb = self.vec_int(b)
-            vnb = self.vec_int(self.mneg(b))
-            if self.pair_bits(vb, vnb):
+            if self.pair_bits(self.vec_int(b), self.vec_int(self.mneg(b))):
                 raise RuntimeError("(x,-x) != 1 in local pairing")
         # rational arguments must agree with the closed formula over Q_p
         deg = self.e * self.f
@@ -412,8 +410,7 @@ class _Completion:
         key = (x.tower.radicands, eps_mask, x.den, x.nums)
         got = self._vec_cache.get(key)
         if got is None:
-            got = self.vec_int(self.embed(x, eps_mask))
-            self._vec_cache[key] = got
+            got = self._vec_cache[key] = self.vec_int(self.embed(x, eps_mask))
         return got
 
 
@@ -746,8 +743,7 @@ def square_class_vector(x: FieldElement, place: Place) -> tuple[int, ...]:
 def hilbert_symbol_local(a, b, place: Place) -> int:
     """Hilbert symbol (a,b) at a place of the tower: the Hasse invariant of <a, b>."""
     K = place.tower
-    a = K.coerce(a)
-    b = K.coerce(b)
+    a, b = K.coerce(a), K.coerce(b)
     if not a or not b:
         raise ZeroDivisionError("Hilbert symbol of 0")
     out = hasse_invariant([a, b], place)
@@ -878,12 +874,16 @@ def finite_hasse_hyperbolic(form) -> bool:
 
 
 def local_audit(tower: FieldTower, p: int) -> dict:
-    """JSON-able description of the splitting and symbol tables above p."""
-    st = _local_structure(tower, fields._bounded(p, "a prime"))
-    md = _model(tower, p)
+    """JSON-able description of the splitting and symbol tables above p < 2^64."""
+    return _local_audit(tower, fields._bounded(p, "a prime"))
+
+
+def _local_audit(tower: FieldTower, p: int) -> dict:
+    """local_audit as it is: no gate, for the primes _norm_primes finds."""
+    st, md = _local_structure(tower, p), _model(tower, p)
     places = [{"e": pl.e, "f": pl.f,
                "signs": [-1 if (pl.eps_mask >> j) & 1 else 1 for j in range(tower.r)]}
-              for pl in splitting(tower, p)]
+              for pl in st.places]
     return {
         "p": p,
         "field": str(tower),

@@ -125,6 +125,19 @@ def test_classify_audit_local_matches_recorded_tables(capsys):
         assert json.dumps(got) == json.dumps(recorded[os.path.basename(path)[:-4]]), path
 
 
+def test_classify_audit_local_reaches_found_primes_above_2_to_the_64(tmp_path, capsys):
+    # w = Q + 1 with Q = 2^64 + 13 prime: 1 - w^2 = -Q(Q + 2) puts Q among the
+    # relevant primes, which the audit takes past the gate on outside primes
+    Q = 2**64 + 13
+    path = tmp_path / "big.cox"
+    path.write_text(f"dim 2\nvertices 3\nedge 2 3 3\nedge 1 3 3\nedge 1 2 w {Q + 1}\n")
+    code, cap = run(capsys, "classify", str(path), "--audit-local")
+    assert code == cli.EXIT_OK, cap.err
+    audit = json.loads(cap.out)["local_audit"][str(Q)]
+    assert audit["p"] == Q
+    assert audit["places"] == [{"e": 1, "f": 1, "signs": []}]
+
+
 def test_classify_pretty_prints_every_note(tmp_path, capsys):
     # two undetermined pool diagrams, one for each note the pool's reports carry
     with open(os.path.join(os.path.dirname(__file__), "data", "census_pool_hashes.json")) as fh:
