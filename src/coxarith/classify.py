@@ -241,7 +241,8 @@ class ClassificationReport:
 
 
 def report_from_json(data: dict) -> ClassificationReport:
-    """Rebuild a report from its to_json dict (its exact inverse)."""
+    """Rebuild a report from its to_json dict (its exact inverse); a field
+    class of 2^64 or more is outside input here, refused by make_field."""
     K = make_field(data["trace_field"]["radicands"])
     ambient = QuadraticForm(K, [fields.parse_element(s, K)
                                 for s in data["ambient_diagonal"]])

@@ -78,13 +78,13 @@ def _pretty(j: dict, out) -> None:
         print(f"  note: {note}", file=out)
 
 
-def _classify_json(path: str) -> dict:
+def _classify(path: str):
+    """The ClassificationReport of the diagram at path, or its error row."""
     from . import classify, diagrams
 
     name = os.path.splitext(os.path.basename(path))[0]
     try:
-        diagram = diagrams.load_diagram(path)
-        report = classify.classify_diagram(diagram)
+        return classify.classify_diagram(diagrams.load_diagram(path))
     except (ValueError, OSError) as exc:
         return {"diagram": name, "error": str(exc),
                 "exit_code": _code_for_exception(exc)}
@@ -93,24 +93,27 @@ def _classify_json(path: str) -> dict:
         traceback.print_exc(file=sys.stderr)
         return {"diagram": name, "error": f"internal error: {type(exc).__name__}: {exc}",
                 "exit_code": EXIT_INTERNAL}
-    return report.to_json()
+
+
+def _classify_json(path: str) -> dict:
+    report = _classify(path)
+    return report if type(report) is dict else report.to_json()
 
 
 def cmd_classify(args) -> int:
-    from . import classify, fields, localfields
+    from . import classify, localfields
 
     t0 = time.monotonic()
-    j = _classify_json(args.path)
-    if "error" in j:
-        print(f"error: {j['error']}", file=sys.stderr)
-        return j["exit_code"]
+    report = _classify(args.path)
+    if type(report) is dict:
+        print(f"error: {report['error']}", file=sys.stderr)
+        return report["exit_code"]
+    j = report.to_json()
     j["ms"] = int((time.monotonic() - t0) * 1000)
     if args.audit_local:
-        K = fields._class_tower(j["trace_field"]["radicands"])
-        primes = sorted({pl.p for pl in localfields.relevant_finite_places(
-            K, [fields.parse_element(c, K) for c in j["ambient_diagonal"]])})
-        # found primes, not outside input: past local_audit's 2^64 gate
-        j["local_audit"] = {str(p): localfields._local_audit(K, p) for p in primes}
+        # the form's kept primes, found, not outside input: past local_audit's gate
+        j["local_audit"] = {str(p): localfields._local_audit(report.trace_field, p)
+                            for p in sorted(report.ambient.primes())}
     if args.tsv:
         print(_TSV_HEADER)
         print(_tsv_row(j))

@@ -32,7 +32,7 @@ import re
 from math import gcd, lcm
 
 from . import fields, forms
-from .fields import FieldElement, FieldTower, _mul_nums, _term_nums, make_field
+from .fields import FieldElement, FieldTower, _mul_nums, _term_nums
 from .forms import QuadraticForm
 
 __all__ = [
@@ -133,11 +133,10 @@ class CoxeterDiagram:
                 f"vertices={self.size}, edges={len(self.entries)})")
 
 
-def _line_int(token: str, lineno: int, long: bool) -> int:
+def _line_int(token: str, lineno: int) -> int:
     """A header, vertex index or label of ASCII digits as an int, refused
-    before int() reads it when longer than the digit bound; long tells
-    whether the text is, as a shorter text holds no longer token."""
-    if long and len(token) > fields._DIGITS_BOUND:
+    before int() reads it when longer than the digit bound."""
+    if len(token) > fields._DIGITS_BOUND:
         raise DiagramError(f"line {lineno}: {_TOO_LONG}")
     return int(token)
 
@@ -147,7 +146,6 @@ def parse_diagram(text: str, name: str = "diagram") -> CoxeterDiagram:
     # key -> its label, None for a right angle (m = 2) or its weight's terms
     edges: dict[tuple[int, int], int | str | dict | None] = {}
     classes: set[int] = set()
-    long = len(text) > fields._DIGITS_BOUND  # else no token of the text is too long
     for lineno, line in enumerate(text.splitlines(), 1):
         if "#" in line:
             line = line[:line.index("#")]
@@ -162,7 +160,7 @@ def parse_diagram(text: str, name: str = "diagram") -> CoxeterDiagram:
                 raise DiagramError(f"line {lineno}: edge needs two vertices and a label")
             if not ((ij := parts[1] + parts[2]).isascii() and ij.isdigit()):
                 raise DiagramError(f"line {lineno}: bad vertex index")
-            i, j = _line_int(parts[1], lineno, long), _line_int(parts[2], lineno, long)
+            i, j = _line_int(parts[1], lineno), _line_int(parts[2], lineno)
             if not (0 < i <= size and 0 < j <= size) or i == j:
                 raise DiagramError(f"line {lineno}: vertex index out of range")
             key = (i, j) if i < j else (j, i)
@@ -180,7 +178,7 @@ def parse_diagram(text: str, name: str = "diagram") -> CoxeterDiagram:
                 m = label
             elif not (label.isascii() and label.isdigit()):
                 raise DiagramError(f"line {lineno}: bad edge label {label!r}")
-            elif (m := _line_int(label, lineno, long)) < 2:
+            elif (m := _line_int(label, lineno)) < 2:
                 raise DiagramError(f"line {lineno}: bad edge label {m}")
             pairs = _LABELS.get(m)
             if pairs is None:
@@ -192,11 +190,11 @@ def parse_diagram(text: str, name: str = "diagram") -> CoxeterDiagram:
         elif kind == "dim":
             if dim is not None or len(parts) != 2 or not (parts[1].isascii() and parts[1].isdigit()):
                 raise DiagramError(f"line {lineno}: bad dim header")
-            dim = _line_int(parts[1], lineno, long)
+            dim = _line_int(parts[1], lineno)
         elif kind == "vertices":
             if size is not None or len(parts) != 2 or not (parts[1].isascii() and parts[1].isdigit()):
                 raise DiagramError(f"line {lineno}: bad vertices header")
-            size = _line_int(parts[1], lineno, long)
+            size = _line_int(parts[1], lineno)
         else:
             raise DiagramError(f"line {lineno}: unknown directive {kind!r}")
     if dim is None or size is None:
@@ -206,7 +204,7 @@ def parse_diagram(text: str, name: str = "diagram") -> CoxeterDiagram:
     if size < 1:
         raise DiagramError("vertices must be positive")
 
-    tower = make_field(sorted(classes - {1}))
+    tower = fields._class_tower(sorted(classes - {1}))  # _sum_terms gated the weights' classes
     labels = label_entries(tower)
     entries: dict[tuple[int, int], FieldElement] = {}
     for key, x in edges.items():

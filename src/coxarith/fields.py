@@ -291,26 +291,19 @@ class FieldTower:
 
 
 _TOKEN = object()
-_TOWER_CACHE: dict[tuple[int, ...], FieldTower] = {}  # canonical radicands -> tower
-_RAW_CACHE: dict[tuple[int, ...], FieldTower] = {}  # make_field's input as ints -> tower
-_CLASS_CACHE: dict[tuple[int, ...], FieldTower] = {}  # _class_tower's input -> tower
+_TOWERS: dict[tuple[int, ...], FieldTower] = {}  # classes as given, canonical radicands -> tower
 
 
 def make_field(raw_radicands: Iterable[int]) -> FieldTower:
-    """Canonical tower containing sqrt(d) for every requested d.
+    """Canonical tower containing sqrt(d) for every requested d, the entry
+    for radicands from outside.
 
-    Radicands are integers (a bool, float or str raises TypeError); they
-    are reduced to squarefree parts, closed under products, and
-    the canonical basis is the ascending greedy independent set drawn from
-    the whole square-class subgroup (so equal fields get equal tuples).
-
-    A radicand of 2^64 or more is refused before anything is factored
-    (_bounded).  One tower exists per canonical tuple, and the answer for
-    each input, read as a tuple of ints, is kept (a refused input is not),
-    so a repeated request factors and closes nothing.  A tower keeps every
-    table it builds for itself: its basis classes and scales, its
-    embeddings, zero and one, the list of subfields_index2 and the basis
-    maps to its subfields (_subfield_map); a subfield inherits none of them.
+    Radicands are integers (a bool, float or str raises TypeError).  One of
+    2^64 or more (_bounded) or one that is not positive is refused before
+    anything is factored; the rest are reduced to squarefree parts and
+    handed to _class_tower, which keeps the towers.  make_field keeps
+    nothing itself, so every call passes the gate and a refusal leaves no
+    trace.
 
     >>> make_field([2, 3]).radicands
     (2, 3)
@@ -318,27 +311,29 @@ def make_field(raw_radicands: Iterable[int]) -> FieldTower:
     (2,)
     >>> make_field([2, 3, 6]).radicands
     (2, 3)
-    >>> make_field([6, 10, 15]).radicands == make_field([10, 15]).radicands
+    >>> make_field([6, 10, 15]) is make_field([10, 15])
     True
     """
-    raw = tuple(d if type(d) is int else int(_exact(d, Integral)) for d in raw_radicands)
-    tower = _RAW_CACHE.get(raw)
-    if tower is None:
-        _bounded(max(raw, default=0), "a radicand")
-        for d in raw:
-            if d <= 0:
-                raise ValueError("field not totally real / unsupported: radicand %d" % d)
-        tower = _RAW_CACHE[raw] = _class_tower(sorted({squarefree_part(d) for d in raw} - {1}))
-    return tower
+    raw = [d if type(d) is int else int(_exact(d, Integral)) for d in raw_radicands]
+    _bounded(max(raw, default=0), "a radicand")
+    for d in raw:
+        if d <= 0:
+            raise ValueError("field not totally real / unsupported: radicand %d" % d)
+    return _class_tower(sorted({squarefree_part(d) for d in raw} - {1}))
 
 
 def _class_tower(classes: list[int]) -> FieldTower:
-    """The tower of squarefree classes > 1, such as a tower's own
-    basis_class entries: closed and reduced to the canonical basis with no
-    gate and no factoring.  Its answers are kept apart from make_field's,
-    so that every input make_field has kept passed its gate."""
+    """The tower of squarefree classes > 1, closed and reduced to the
+    canonical basis (the ascending greedy independent set of the subgroup,
+    so equal fields get equal tuples) with no gate and no factoring: the
+    classes have passed a gate or a tower derived them itself.  It owns the
+    one tower table, _TOWERS, keyed by the classes as given and by the
+    canonical radicands, so each tower is built once.  A tower keeps every
+    table it builds for itself: its basis classes and scales, embeddings,
+    zero and one, subfields_index2 and its maps to subfields
+    (_subfield_map); a subfield inherits none of them."""
     key = tuple(classes)
-    tower = _CLASS_CACHE.get(key)
+    tower = _TOWERS.get(key)
     if tower is None:
         picked: list[int] = []
         span = frozenset({1})
@@ -346,10 +341,11 @@ def _class_tower(classes: list[int]) -> FieldTower:
             if t not in span:
                 picked.append(t)
                 span = _closure(span | {t})
-        tower = _TOWER_CACHE.get(tuple(picked))
+        radicands = tuple(picked)
+        tower = _TOWERS.get(radicands)
         if tower is None:
-            tower = _TOWER_CACHE[tuple(picked)] = FieldTower(tuple(picked), _TOKEN)
-        _CLASS_CACHE[key] = tower
+            tower = _TOWERS[radicands] = FieldTower(radicands, _TOKEN)
+        _TOWERS[key] = tower
     return tower
 
 
@@ -914,7 +910,6 @@ def _sum_terms(text: str, pattern: re.Pattern, fail, cos=None) -> dict[int, tupl
     factored), "cospi" (m not in cos).
     """
     s = _SPACE.sub("", " ".join(text.split()))
-    long = len(s) > _DIGITS_BOUND  # else no digit run of s is too long
     acc: dict[int, tuple[int, int]] = {}
     pos = 0
     while pos < len(s):
@@ -925,7 +920,8 @@ def _sum_terms(text: str, pattern: re.Pattern, fail, cos=None) -> dict[int, tupl
         sign, n, d, f, k, f2, k2 = m.groups()
         if pos and not sign:
             raise fail("sign", s, pos)
-        if long and max(len(g or "") for g in (n, d, k, k2)) > _DIGITS_BOUND:
+        # a term within the bound holds no longer run: one len() for most terms
+        if len(m[0]) > _DIGITS_BOUND and max(len(g or "") for g in (n, d, k, k2)) > _DIGITS_BOUND:
             raise fail("long", s, pos)
         n, d = (-1 if sign == "-" else 1) * int(n or 1), int(d or 1)
         if not d:
@@ -969,8 +965,8 @@ def parse_element(text: str, tower: FieldTower | None = None) -> FieldElement:
         "long": f"number of more than {_DIGITS_BOUND} digits in element literal",
         "big": f"sqrt of 2^64 or more in element literal {text!r}"}.get(
             reason, f"bad element literal at {s[pos:]!r}")))
-    if tower is None:
-        tower = make_field([t for t in terms if t > 1])
+    if tower is None:  # _sum_terms has gated the classes and reduced them
+        tower = _class_tower(sorted(t for t in terms if t > 1))
     return FieldElement(tower, *_term_nums(tower, terms))
 
 

@@ -714,17 +714,16 @@ class _OddCompletion(_Completion):
 # -- model cache ---------------------------------------------------------------
 
 _MODELS: dict[tuple[tuple[int, ...], int], _Completion] = {}  # (gens, p) -> completion
-_TOWER_MODELS: dict[tuple[FieldTower, int], _Completion] = {}  # (tower, p) -> the same
 
 
 def _model(tower: FieldTower, p: int) -> _Completion:
-    """The completion of the tower at p, built once per (local generators, p):
-    the exact dyadic LocalModel at p = 2, the tame _OddCompletion at odd p."""
-    md = _TOWER_MODELS.get((tower, p))
+    """The completion of the tower at p, built once per (local generators, p)
+    read off the kept _local_structure: the exact dyadic LocalModel at p = 2,
+    the tame _OddCompletion at odd p."""
+    key = (_local_structure(tower, p).gens, p)
+    md = _MODELS.get(key)
     if md is None:
-        key = (_local_structure(tower, p).gens, p)
-        md = _MODELS.get(key) or (LocalModel(*key) if p == 2 else _OddCompletion(*key))
-        _MODELS[key] = _TOWER_MODELS[(tower, p)] = md
+        md = _MODELS[key] = LocalModel(*key) if p == 2 else _OddCompletion(*key)
     return md
 
 

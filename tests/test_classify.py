@@ -653,6 +653,20 @@ def test_report_round_trips_through_json():
         classify.report_from_json(j)
 
 
+
+def test_report_from_json_refuses_a_class_of_2_to_the_64():
+    # the trace field of two weights sqrt(q), q < 2^64 prime, has the class
+    # 4294967311 * 4294967357 >= 2^64: the report is built, but read back from
+    # its JSON that class is an outside radicand, refused before factoring
+    text = ("dim 2\nvertices 3\nedge 1 2 w sqrt(4294967311)\n"
+            "edge 2 3 w sqrt(4294967357)\nedge 1 3 inf\n")
+    j = classify_diagram(diagrams.parse_diagram(text, "big")).to_json()
+    assert j["trace_field"]["radicands"] == [18446744400127067027]
+    with pytest.raises(ValueError) as info:
+        classify.report_from_json(j)
+    assert str(info.value) == "a radicand takes values below 2^64, got 18446744400127067027"
+
+
 def test_report_json_shape():
     rep = classify_diagram(diagrams.parse_diagram(ARITHMETIC_TRIANGLE, "t334"))
     j = rep.to_json()

@@ -138,6 +138,28 @@ def test_classify_audit_local_reaches_found_primes_above_2_to_the_64(tmp_path, c
     assert audit["places"] == [{"e": 1, "f": 1, "signs": []}]
 
 
+
+def test_classify_audit_local_reads_the_form_of_a_class_above_2_to_the_64(tmp_path, capsys):
+    # the trace field Q(sqrt(4294967311 * 4294967357)) has a class >= 2^64: the
+    # audit reads the report's form and its kept primes, so no literal of it
+    # goes back through parse_element's gate on outside input
+    text = ("dim 2\nvertices 3\nedge 1 2 w sqrt(4294967311)\n"
+            "edge 2 3 w sqrt(4294967357)\nedge 1 3 inf\n")
+    path = tmp_path / "big.cox"
+    path.write_text(text)
+    code, cap = run(capsys, "classify", str(path), "--audit-local")
+    assert code == cli.EXIT_OK, cap.err
+    j = json.loads(cap.out)
+    assert j["trace_field"]["radicands"] == [18446744400127067027]
+    assert j["verdict"] == classify.PSEUDO_ARITHMETIC
+    assert list(j["local_audit"]) == ["2", "5", "23", "131", "364289", "4294967311"]
+    report = classify.classify_diagram(diagrams.parse_diagram(text, "big"))
+    K = report.trace_field
+    assert list(j["local_audit"]) == [str(p) for p in sorted({pl.p for pl in (
+        localfields.relevant_finite_places(K, report.ambient.diagonal))})]
+    assert all(a["field"] == str(K) for a in j["local_audit"].values())
+
+
 def test_classify_pretty_prints_every_note(tmp_path, capsys):
     # two undetermined pool diagrams, one for each note the pool's reports carry
     with open(os.path.join(os.path.dirname(__file__), "data", "census_pool_hashes.json")) as fh:

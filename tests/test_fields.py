@@ -509,14 +509,21 @@ def test_subfields_index2_examples():
 
 
 def test_tower_tables_are_kept_and_refusals_are_not():
-    # make_field keeps its answer per input tuple, never a refusal; a tower
-    # keeps its subfield list and hands each caller a copy
-    for raw in ([0], [-3], [2, -5]):
+    # one tower table, kept by _class_tower; make_field keeps nothing, so a
+    # refusal leaves the table as it was; a tower keeps its subfield list and
+    # hands each caller a copy
+    assert [name for name in vars(fields) if name.endswith(("_CACHE", "TOWERS"))] == ["_TOWERS"]
+    make_field([2])
+    before = dict(fields._TOWERS)
+    for raw in ([0], [-3], [2, -5], [2**64 + 13], [3, 2**64]):
         for _ in range(2):
             with pytest.raises(ValueError, match="radicand"):
                 make_field(raw)
-        assert tuple(raw) not in fields._RAW_CACHE
+        assert fields._TOWERS == before
     assert make_field((6, 10, 15)) is make_field([10, 15]) is make_field(iter([15, 10]))
+    K = make_field([10, 15])
+    assert fields._TOWERS[(6, 10)] is fields._TOWERS[(10, 15)] is K and K.radicands == (6, 10)
+    assert fields._class_tower([6, 10, 15]) is K
     t = make_field([2, 3, 5])
     subs = subfields_index2(t)
     subs.clear()
@@ -543,8 +550,7 @@ def test_a_tower_of_large_radicands_factors_no_product(monkeypatch):
     # each basis class is the _sqfree_mul fold of its radicands and each
     # scale is read from it, so no product of radicands is factored
     _factor_below_2_to_the_64(monkeypatch)
-    for cache in ("_RAW_CACHE", "_CLASS_CACHE", "_TOWER_CACHE"):
-        monkeypatch.setattr(fields, cache, {})
+    monkeypatch.setattr(fields, "_TOWERS", {})
     K = make_field(BIG_PRIMES[::-1])
     assert K.radicands == BIG_PRIMES
     for S, (m, t, c) in enumerate(zip(K.basis_radicand, K.basis_class, K.basis_scale)):

@@ -90,6 +90,9 @@ DIAGRAM_ERRORS = [
     ('dim 3\nvertices 4\nedge 1 2 3\nedge 3 4 3\n', DiagramError, 'diagram is not connected'),
     (H + 'edge 1 2 3\nedge 1 3 2\n', DiagramError, 'diagram is not connected'),
     ('dim 2\nvertices 3\n', DiagramError, 'diagram is not connected'),
+    # enough edges for the count, so the search from vertex 1 refuses it
+    ('dim 3\nvertices 4\nedge 1 2 3\nedge 2 3 3\nedge 1 3 3\n', DiagramError,
+     'diagram is not connected'),
     (W + 'sqrt(2)*\n', DiagramError, "missing sign in weight expression: 'sqrt(2)*'"),
     (W + '2sqrt(2)\n', DiagramError, "missing sign in weight expression: '2sqrt(2)'"),
     (W + '2*\n', DiagramError, "missing sign in weight expression: '2*'"),

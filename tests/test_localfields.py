@@ -789,7 +789,6 @@ def test_residue_roots_with_large_two_power_against_sympy(p):
 def test_odd_places_never_build_a_p_adic_model(monkeypatch):
     # odd places are served by the tame closed form, which has no digits
     monkeypatch.setattr(localfields, "_MODELS", {})
-    monkeypatch.setattr(localfields, "_TOWER_MODELS", {})
     dyadic = localfields.LocalModel
     builds = []
 
@@ -816,7 +815,6 @@ def test_odd_places_never_build_a_p_adic_model(monkeypatch):
 
 def _fresh_models(monkeypatch):
     monkeypatch.setattr(localfields, "_MODELS", {})
-    monkeypatch.setattr(localfields, "_TOWER_MODELS", {})
 
 
 def test_towers_with_the_same_local_generators_share_one_completion(monkeypatch):
@@ -827,7 +825,9 @@ def test_towers_with_the_same_local_generators_share_one_completion(monkeypatch)
     assert {localfields._local_structure(K, 5).gens for K in towers} == {(3,)}
     md = localfields._model(towers[0], 5)
     assert all(localfields._model(K, 5) is md for K in towers[1:])
-    assert list(localfields._MODELS) == [((3,), 5)] and len(localfields._TOWER_MODELS) == 3
+    assert localfields._MODELS == {((3,), 5): md}
+    # the one completion table: no second one keyed by (tower, p)
+    assert [name for name in vars(localfields) if name.endswith("MODELS")] == ["_MODELS"]
 
 
 def test_a_shared_completion_keeps_each_towers_classes_apart(monkeypatch):
@@ -881,14 +881,16 @@ def test_a_cold_census_pass_builds_one_completion_per_local_field(monkeypatch):
     from coxarith.diagrams import parse_diagram
 
     _fresh_models(monkeypatch)
-    checked = []
-    honest = localfields._Completion._validate_matrix
+    checked, pairs = [], set()
+    honest, model = localfields._Completion._validate_matrix, localfields._model
     monkeypatch.setattr(localfields._Completion, "_validate_matrix",
                         lambda self: (checked.append(self), honest(self))[1])
+    monkeypatch.setattr(localfields, "_model",
+                        lambda tower, p: (pairs.add((tower, p)), model(tower, p))[1])
     for name, text in _census(7):
         classify_diagram(parse_diagram(text, name))
     models = list(localfields._MODELS.values())
-    assert len(localfields._TOWER_MODELS) == 69
+    assert len(pairs) == 69
     assert len(models) == len(checked) == len(set(map(id, checked))) == 38
     for md in models:
         towers = {id(v.tower if isinstance(v, fields.FieldElement) else v) for v in _held(vars(md))

@@ -465,6 +465,26 @@ def test_exp10_is_the_least_power_of_ten_above():
     assert _exp10(Fraction(0)) == _exp10(Fraction(-1)) == -10**9
 
 
+def test_exp10_against_a_scan_of_powers_of_ten():
+    # the oracle scans e upward from below 1/d, so it has no estimate to
+    # trust: powers of 2 and 10, each moved by one in a far decimal place,
+    # and random fractions of 1 to 400 bits
+    def least(q):
+        e = -q.denominator.bit_length()
+        while q > Fraction(10) ** e:
+            e += 1
+        return e
+
+    rng = random.Random(20261021)
+    cases = [Fraction(2) ** j for j in range(-400, 401, 9)]
+    cases += [Fraction(10) ** e + s * Fraction(1, 10**90) for e in range(-60, 61, 6)
+              for s in (1, -1)]
+    cases += [Fraction(rng.getrandbits(rng.randint(1, 400)) | 1,
+                       rng.getrandbits(rng.randint(1, 400)) | 1) for _ in range(300)]
+    for q in cases:
+        assert _exp10(q) == least(q), q
+
+
 def test_decimal_str_rounding():
     assert decimal_str(Fraction(1, 3), 5) == "0.33333"
     assert decimal_str(Fraction(2, 3), 4) == "0.6667"

@@ -1,6 +1,7 @@
 """Guards read off the source of src/coxarith/*.py with ast: no dead private
 helpers, no private parameter that no call passes, no stale __all__ entries,
-no floating point outside lvalues, and no package import in lvalues."""
+no floating point outside lvalues, no package import in lvalues, and towers
+built and gated only where they should be."""
 
 import ast
 import pathlib
@@ -114,3 +115,40 @@ def test_lvalues_imports_nothing_from_the_package():
            or isinstance(node, ast.Import)
            and any(alias.name.split(".")[0] == "coxarith" for alias in node.names)]
     assert own == []
+
+
+def _callers(name: str) -> set[str]:
+    """module.function of every call of `name` (as a name or an attribute)
+    in src/, by the innermost enclosing function ("module.<module>" at top
+    level)."""
+    found = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name:
+                    found.add(f"{module}.{where}")
+            visit(child, where)
+
+    for file, tree in TREES.items():
+        module = file.removesuffix(".py")
+        visit(tree, "<module>")
+    return found
+
+
+def test_towers_are_built_only_by_the_tower_table():
+    # _class_tower owns the one tower table; a FieldTower built elsewhere
+    # would be a second tower for one field
+    assert _callers("FieldTower") == {"fields._class_tower"}
+
+
+def test_make_field_is_called_only_where_an_outside_value_enters():
+    # make_field gates outside radicands below 2^64 before factoring them;
+    # classes the library holds or derives go to _class_tower, with no gate
+    assert _callers("make_field") == {
+        "cli.cmd_audit", "classify.report_from_json",
+        "fields.is_square", "fields.rational_square_classes", "fields.is_algebraic_integer"}
