@@ -26,8 +26,8 @@ off f without building the transfer (derivations in descend_field):
      transfer's determinant check, as (-1)^rank(f) * det of the transfer
      is that norm up to squares.  As N_{K/Q} = N_{F/Q} o N_{K/F}, no F
      passes unless N_{K/Q}(det f) is a rational square, tested once first;
-  3. finite Hasse invariants of the transfer, built only now, with its
-     table of negatives read off f's in closed form.
+  3. finite Hasse invariants of the transfer, built only now, at the
+     places above f's primes and those of a, K = F(sqrt(a)).
 
 The admissible model over Q is sought in the
 one-parameter family <-1, 1, ..., 1, a>.  The determinant fixes a up to
@@ -124,8 +124,12 @@ def descend_field(f: QuadraticForm) -> tuple[FieldTower, list[tuple[FieldTower, 
        if N_{K/F}(det f) = s^2, then N_{K/Q}(det f) = N_{F/Q}(s)^2, so when
        N_{K/Q}(det f) is no rational square, no F passes and none is tried.
     3. Finite Hasse invariants: the transfer is built as a plain form, and
-       localfields.finite_hasse_hyperbolic compares its Hasse invariants
-       with those of a hyperbolic form; checks 1 and 2 are not repeated.
+       localfields.finite_hasse_hyperbolic compares them with a hyperbolic
+       form's above 2, f.primes() and the primes of a, factored only now.
+       At any other p, f is a unit form up to squares, K/F is unramified
+       and {1, sqrt(a)} is an integral basis, so each block [[v, u],
+       [u, a*v]] is unimodular there, with Hasse invariant +1, as a
+       hyperbolic form has at odd p.  Checks 1 and 2 are not repeated.
 
     A subfield that fails check 1 or 2 is refused with no transfer.
     """
@@ -136,7 +140,8 @@ def descend_field(f: QuadraticForm) -> tuple[FieldTower, list[tuple[FieldTower, 
     n = fields._norm_nums(f.det().nums, K) if any(fibre[1:]) else -1
     table = [(F, fibre[e] and n >= 0 and isqrt(n) ** 2 == n
               and fields.is_square(_norm_to(f.det(), F))[0]
-              and localfields.finite_hasse_hyperbolic(forms.transfer(f, F)))
+              and localfields.finite_hasse_hyperbolic(forms.transfer(f, F), f.primes().union(
+                  p for p, _ in fields.factorize(fields._subfield_map(K, F)[0]))))
              for e, F in enumerate(fields.subfields_index2(K), 1)]
     hyper = [F for F, h in table if h]
     if not hyper:

@@ -94,9 +94,11 @@ def _weight_error(reason: str, expr: str, pos: int) -> DiagramError:
 class CoxeterDiagram:
     """Parsed diagram: vertices 1..size, Gram entries over a common tower
     keyed by (i, j) with i < j.  The sorted adjacency is built once, from
-    the keys in sorted order: smaller neighbours first, then larger ones."""
+    the keys in sorted order: smaller neighbours first, then larger ones.
+    So is the breadth-first tree from vertex 1, which maps each vertex it
+    reaches to the key of the edge that reached it, in the order reached."""
 
-    __slots__ = ("name", "dim", "size", "tower", "entries", "_adj")
+    __slots__ = ("name", "dim", "size", "tower", "entries", "_adj", "_tree")
 
     def __init__(self, name: str, dim: int, size: int, tower: FieldTower,
                  entries: dict[tuple[int, int], FieldElement]):
@@ -110,6 +112,13 @@ class CoxeterDiagram:
             adj[i].append(j)
             adj[j].append(i)
         self._adj = {v: tuple(ws) for v, ws in adj.items()}
+        self._tree: dict[int, tuple[int, int]] = {}
+        queue = [1]
+        for v in queue:
+            for w in self._adj[v]:
+                if w != 1 and w not in self._tree:
+                    self._tree[w] = (v, w) if v < w else (w, v)
+                    queue.append(w)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
@@ -226,13 +235,7 @@ def parse_diagram(text: str, name: str = "diagram") -> CoxeterDiagram:
     if len(entries) < size - 1:  # a connected graph has size - 1 edges or more
         raise DiagramError("diagram is not connected")
     diagram = CoxeterDiagram(name, dim, size, tower, entries)
-    seen_v, stack = {1}, [1]  # connectivity
-    while stack:
-        for w in diagram.neighbors(stack.pop()):
-            if w not in seen_v:
-                seen_v.add(w)
-                stack.append(w)
-    if len(seen_v) != size:
+    if len(diagram._tree) != size - 1:  # the tree reaches every vertex but 1
         raise DiagramError("diagram is not connected")
     return diagram
 
@@ -264,8 +267,8 @@ def _rescaled_gram(diagram: CoxeterDiagram) -> tuple[list[list], int, FieldTower
     list of integer numerators over K's basis over one denominator den > 0,
     in the matrix M that forms._sym_diagonalize reads and never writes.
 
-    A[s][t] = c_s*c_t*G[s][t], c_v the product of Gram entries along a
-    breadth-first path from vertex 1 to v, so each entry is a closed-walk
+    A[s][t] = c_s*c_t*G[s][t], c_v the product of Gram entries along the
+    diagram's tree from vertex 1 to v, so each entry is a closed-walk
     product, and on the edge that reached v, A[u][v] = c_v^2 = A[v][v].  The
     cells are integer numerators over the diagram's tower.  K is generated
     by the classes of the basis masks they use: Q over Q, the tower when
@@ -280,20 +283,14 @@ def _rescaled_gram(diagram: CoxeterDiagram) -> tuple[list[list], int, FieldTower
     one = [1] + [0] * (tower.degree - 1)
     c = [None, (one, 1)] + [None] * (n - 1)  # vertex -> c_v as (numerators, denominator)
     cells = [(0, 0, one, 1)]  # (s, t, A[s][t] as numerators, denominator), 0-based
-    tree = set()  # the edges that reached a vertex
-    order = [1]
-    for v in order:
-        cv, dv = c[v]
-        for w in diagram.neighbors(v):
-            if c[w] is None:
-                key = (v, w) if v < w else (w, v)
-                a = diagram.entries[key]
-                cw, dw = c[w] = (_mul_nums(cv, a.nums, rad), dv * a.den)
-                sq, d = _mul_nums(cw, cw, rad), dw * dw
-                cells.append((w - 1, w - 1, sq, d))
-                cells.append((key[0] - 1, key[1] - 1, sq, d))
-                tree.add(key)
-                order.append(w)
+    for w, key in diagram._tree.items():  # the parent of w is reached first
+        cv, dv = c[key[0] + key[1] - w]
+        a = diagram.entries[key]
+        cw, dw = c[w] = (_mul_nums(cv, a.nums, rad), dv * a.den)
+        sq, d = _mul_nums(cw, cw, rad), dw * dw
+        cells.append((w - 1, w - 1, sq, d))
+        cells.append((key[0] - 1, key[1] - 1, sq, d))
+    tree = set(diagram._tree.values())
     for (i, j), a in diagram.entries.items():
         if (i, j) not in tree:
             (ci, di), (cj, dj) = c[i], c[j]

@@ -22,11 +22,11 @@ signature_at, is_admissible, globally_isometric, is_hyperbolic,
 real-place Hasse invariants and classify's witness and transfer fibre
 test all read it.  Each form also keeps its determinant and one prime
 set, primes(): 2 and the primes that divide the norms of its entries
-(localfields._norm_primes, the routine of relevant_finite_places); the
-places above them are the only ones where its finite Hasse invariants
-are read.  All three are read off the form's own diagonal on first use;
-a derived form (a transfer, or the sum f + (-g)) is a plain form and
-inherits none of them.
+(localfields._norm_primes, the routine of relevant_finite_places).  All
+three are read off the form's own diagonal on first use; a derived form
+(a transfer, or the sum f + (-g)) is a plain form that computes none of
+them, and its finite places lie above the primes of the forms it comes
+from (and of a, for a transfer below).
 
 The transfer along a quadratic subextension K/F sends a rank-1 form <c>
 to the rank-2 F-form with Gram [[v, u], [u, a*v]] where c = u + v*sqrt(a)
@@ -103,8 +103,8 @@ class QuadraticForm:
     def primes(self) -> frozenset[int]:
         """The primes of localfields.relevant_finite_places for the diagonal:
         2 and each prime dividing the norm of an entry's integral rescale,
-        found on first use (localfields._norm_primes) and kept, so no norm
-        is factored for a form that an earlier check refuses."""
+        found on first use (localfields._norm_primes) and kept.  Forms built
+        from this one (transfers, sums) read their finite places off it."""
         if self._primes is None:
             self._primes = localfields._norm_primes(self.tower, self.diagonal)
         return self._primes
@@ -296,7 +296,7 @@ def globally_isometric(f: QuadraticForm, g: QuadraticForm) -> bool:
     negatives at s, which is m exactly when f and g have equal tables, and
     its (-1)^m * det is det f * det g.  Only a sum that passes both is
     built, and localfields.finite_hasse_hyperbolic compares its Hasse
-    invariants at the places above its own prime set.
+    invariants above f's and g's primes, the sum's own as N(-c) = +-N(c).
     """
     if f.tower != g.tower:
         raise ValueError("forms live over different towers")
@@ -305,7 +305,8 @@ def globally_isometric(f: QuadraticForm, g: QuadraticForm) -> bool:
     if f.negatives() != g.negatives() or not fields.is_square(f.det() * g.det())[0]:
         return False
     return localfields.finite_hasse_hyperbolic(
-        QuadraticForm(f.tower, f.diagonal + tuple(-c for c in g.diagonal)))
+        QuadraticForm(f.tower, f.diagonal + tuple(-c for c in g.diagonal)),
+        f.primes() | g.primes())
 
 
 def is_admissible(form: QuadraticForm) -> bool:

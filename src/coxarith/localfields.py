@@ -43,15 +43,15 @@ Every local-global question ends in finite_hasse_hyperbolic, the last
 check of is_hyperbolic, once its real and determinant checks are read off
 what the caller holds: classify.descend_field reads a transfer's off its
 source form, and forms.globally_isometric reads those of f + (-g) off f
-and g.  It compares Hasse invariants at the places above the form's kept
-prime set (forms.QuadraticForm.primes, found by the routine of
-relevant_finite_places once per form) with a target read off p and
-deg(P).  It never builds the dyadic model when 2 does not split, because
-Hilbert reciprocity settles the first place above 2 once rank, real
-signatures, determinant class and every other place agree.  is_hyperbolic
-runs all three checks on one form; a Hilbert symbol (a,b) is the Hasse
-invariant of <a, b>.  Symbols, Hasse invariants, square class vectors and
-audits still compute every place directly.
+and g.  It compares Hasse invariants with a target read off p and deg(P)
+above the prime set the caller passes: the primes() of the forms it holds,
+and those of a for a transfer to F with K = F(sqrt(a)), so no derived form
+factors its own norms.  It never builds the dyadic model when 2 does not
+split, because Hilbert reciprocity settles the first place above 2 once
+rank, real signatures, determinant class and every other place agree.
+is_hyperbolic runs all three checks on one form; a Hilbert symbol (a,b) is
+the Hasse invariant of <a, b>.  Symbols, Hasse invariants, square class
+vectors and audits still compute every place directly.
 """
 
 from __future__ import annotations
@@ -831,7 +831,7 @@ def is_hyperbolic(form) -> bool:
     exactly when p = 2 and t * deg(P) is odd, t = m(m-1)/2: no symbol is
     computed and no local model is built for it.
     Once the first two hold, the Hasse invariants agree at every real place
-    and are +1 for both outside relevant_finite_places.  By Hilbert
+    and are +1 for both outside the form's prime set, primes().  By Hilbert
     reciprocity (O'Meara, Introduction to Quadratic Forms, section 71) the
     Hasse invariants of each form multiply to +1 over all places, so
     agreement at every other place forces agreement at the first relevant
@@ -848,16 +848,17 @@ def is_hyperbolic(form) -> bool:
     if any(neg != m for neg in form.negatives()):
         return False
     ok, _ = fields.is_square(form.det() * ((-1) ** m))
-    return ok and finite_hasse_hyperbolic(form)
+    return ok and finite_hasse_hyperbolic(form, form.primes())
 
 
-def finite_hasse_hyperbolic(form) -> bool:
+def finite_hasse_hyperbolic(form, primes: Iterable[int]) -> bool:
     """is_hyperbolic's last check alone: the Hasse invariant of a form of
-    even rank 2m at every relevant finite place but the first is that of m
+    even rank 2m at every place above `primes` but the first is that of m
     hyperbolic planes, (-1,-1)_p^(m(m-1)/2 * deg(P)).  As (-1,-1)_p is -1
     at p = 2 and +1 at every odd p, that target is -1 exactly when p = 2
-    and m(m-1)/2 * deg(P) is odd, with no symbol computed.  The places are
-    those above the form's kept prime set (QuadraticForm.primes()).
+    and m(m-1)/2 * deg(P) is odd, with no symbol computed.  `primes` holds
+    2 and every prime where the form may differ from m hyperbolic planes:
+    the form's own primes() or a set read off the forms it comes from.
 
     It decides hyperbolicity only for a form already known to have m
     negatives at every real place and determinant class (-1)^m, as the
@@ -865,7 +866,7 @@ def finite_hasse_hyperbolic(form) -> bool:
     """
     m = form.rank // 2
     t = (m * (m - 1) // 2) % 2
-    for place in _places_above(form.tower, form.primes())[1:]:
+    for place in _places_above(form.tower, primes)[1:]:
         want = -1 if place.p == 2 and t * place.degree % 2 else 1
         if hasse_invariant(form, place) != want:
             return False

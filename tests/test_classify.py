@@ -258,9 +258,9 @@ def test_descend_field_runs_only_the_finite_hasse_check_on_a_transfer(monkeypatc
     seen = []
     real = localfields.finite_hasse_hyperbolic
 
-    def recording(form):
+    def recording(form, primes):
         seen.append(form)
-        return real(form)
+        return real(form, primes)
 
     def refused(form):
         raise AssertionError("is_hyperbolic ran on a transfer")
@@ -532,25 +532,25 @@ def test_signs_at_every_mask_agree_with_sign_at_over_the_pool():
 
 
 def test_each_form_keeps_the_primes_of_its_relevant_places(monkeypatch):
-    # every ambient form, transfer and f + (-g) that classifying the census
-    # pool builds: the kept prime set is that of relevant_finite_places on
-    # its diagonal
-    built = Counter()
-    seen = []
+    # every ambient form that classifying the census pool builds keeps the
+    # prime set of relevant_finite_places on its diagonal; every transfer
+    # and f + (-g) reaches the finite places with a set read off the forms
+    # it comes from, having found none of its own, and a sum's set is its
+    # own all the same, as N(-c) = +-N(c)
+    built = {"ambient": [], "transfer": []}
+    reached = []
 
     def recorder(kind, fn):
         def wrapped(*args):
             form = fn(*args)
-            seen.append((kind, form))
+            built[kind].append(form)
             return form
         return wrapped
 
-    def finite(form):
-        # every form that reaches the finite places and was not recorded
-        # as built is a sum f + (-g) from globally_isometric
-        if not any(form is built_form for _, built_form in seen):
-            seen.append(("f+(-g)", form))
-        return finite_hasse_hyperbolic(form)
+    def finite(form, primes):
+        assert form._primes is None
+        reached.append((form, primes))
+        return finite_hasse_hyperbolic(form, primes)
 
     finite_hasse_hyperbolic = localfields.finite_hasse_hyperbolic
     monkeypatch.setattr(diagrams, "ambient_form", recorder("ambient", diagrams.ambient_form))
@@ -558,11 +558,103 @@ def test_each_form_keeps_the_primes_of_its_relevant_places(monkeypatch):
     monkeypatch.setattr(localfields, "finite_hasse_hyperbolic", finite)
     for name, entry in sorted(_census_pool().items()):
         classify_diagram(diagrams.parse_diagram(entry["cox"], name))
-    for kind, form in seen:
+    for form in built["ambient"]:
         places = localfields.relevant_finite_places(form.tower, form.diagonal)
-        assert form.primes() == frozenset(pl.p for pl in places), (kind, form)
-        built[kind] += 1
-    assert built["ambient"] > 300 and built["transfer"] > 50 and built["f+(-g)"] > 20, built
+        assert form.primes() == frozenset(pl.p for pl in places), form
+    # every form that reaches the finite places and is no transfer is a sum
+    # f + (-g) from globally_isometric; the forms are alive, so ids are unique
+    transfers = {id(t) for t in built["transfer"]}
+    sums = [(form, primes) for form, primes in reached if id(form) not in transfers]
+    assert len(reached) - len(sums) == len(built["transfer"])
+    for form, primes in reached:
+        assert 2 in primes and form._primes is None, form
+    for form, primes in sums:
+        places = localfields.relevant_finite_places(form.tower, form.diagonal)
+        assert primes == frozenset(pl.p for pl in places), form
+    assert len(built["ambient"]) > 300 and len(built["transfer"]) > 50 and len(sums) > 20
+
+
+def test_transfers_are_decided_at_the_places_of_their_source_form(monkeypatch):
+    # every transfer that descend_field builds on the census pool gets the
+    # verdict at the places above f.primes() and the primes of a, K = F(sqrt a),
+    # that it gets at the places above its own prime set.  All of those are
+    # hyperbolic, so seeded forms <c, r*sigma(c)>, r > 0 rational and sigma
+    # the conjugation of K over F, add transfers of both verdicts: each
+    # passes the fibre and norm checks, and its transfer q + (-r)*q is
+    # hyperbolic exactly when r is a similarity factor of q, a question of
+    # the finite places, here also put to the all-places oracle
+    checked = []
+    real = localfields.finite_hasse_hyperbolic
+
+    def recording(form, primes):
+        checked.append((form, primes))
+        return real(form, primes)
+
+    monkeypatch.setattr(localfields, "finite_hasse_hyperbolic", recording)
+    for name, entry in sorted(_census_pool().items()):
+        descend_field(diagrams.ambient_form(diagrams.parse_diagram(entry["cox"], name)))
+    pool = len(checked)
+    rng = random.Random(149)
+    for K in (Q2, make_field([5]), Q23, make_field([3, 5]), make_field([5, 13])):
+        for _ in range(8):
+            c = K.element([Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3)))
+                           for _ in range(K.degree)]) or K.one()
+            sigma = K.embeddings()[rng.randrange(1, K.degree)]
+            descend_field(QuadraticForm(K, [c, oracles.conjugate(c, sigma) * rng.randint(1, 30)]))
+    monkeypatch.undo()
+    assert pool >= 50
+    verdicts = Counter()
+    for i, (form, primes) in enumerate(checked):
+        got = real(form, primes)
+        assert got == real(form, form.primes()), form
+        if i >= pool:
+            assert got is all_places_hyperbolic(form), form
+        verdicts[i >= pool, got] += 1
+    assert verdicts[True, True] >= 10 and verdicts[True, False] >= 10, verdicts
+
+
+_LARGE_WEIGHT_TRIANGLE = "dim 2\nvertices 3\nedge 1 2 5\nedge 1 3 inf\nedge 2 3 w {}\n"
+
+_CLASSIFY_TIMED = """
+import json, sys, time
+from coxarith.classify import classify_diagram
+from coxarith.diagrams import parse_diagram
+
+t0 = time.perf_counter()
+report = classify_diagram(parse_diagram(sys.argv[1], "triangle"))
+print(json.dumps({"s": time.perf_counter() - t0, "verdict": report.verdict, "a": report.model_a}))
+"""
+
+
+def test_a_large_weight_triangle_factors_no_transfer_norm():
+    # the entries of its transfers have norms of some 120 digits, which
+    # sympy does not factor in minutes, while the ambient form's own prime
+    # set takes a fraction of a second; a fresh process, so no cache helps
+    src = os.path.dirname(os.path.dirname(classify.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", _CLASSIFY_TIMED,
+                          _LARGE_WEIGHT_TRIANGLE.format("4294967291*sqrt(2)")],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    got = json.loads(run.stdout)
+    assert (got["verdict"], got["a"]) == (PSEUDO_ARITHMETIC, 1)
+    assert got["s"] < 5.0, got
+
+
+def test_a_large_weight_triangle_report_matches_recorded_json():
+    # the same triangle with weight 1000003*sqrt(2), recorded while each
+    # transfer still found its own prime set, which took 2 s or more of
+    # factoring; re-record only for a deliberate change
+    with open(os.path.join(os.path.dirname(__file__), "data",
+                           "large_weight_triangle.json")) as fh:
+        recorded = json.load(fh)
+    assert recorded["cox"] == _LARGE_WEIGHT_TRIANGLE.format("1000003*sqrt(2)")
+    d = diagrams.parse_diagram(recorded["cox"], "weight-1000003-triangle")
+    t0 = time.perf_counter()
+    report = classify_diagram(d)
+    assert time.perf_counter() - t0 < 1.5
+    assert json.dumps(report.to_json(), indent=2) == json.dumps(recorded["report"], indent=2)
 
 
 def test_report_defaults_are_fresh_per_instance():

@@ -697,9 +697,9 @@ def test_isometry_builds_a_plain_sum_past_the_real_and_determinant_checks(monkey
     sums = []
     real = localfields.finite_hasse_hyperbolic
 
-    def recording(form):
+    def recording(form, primes):
         sums.append((form._negatives, form._det))
-        return real(form)
+        return real(form, primes)
 
     monkeypatch.setattr(localfields, "finite_hasse_hyperbolic", recording)
     rng = random.Random(139)

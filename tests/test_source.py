@@ -152,3 +152,18 @@ def test_make_field_is_called_only_where_an_outside_value_enters():
     assert _callers("make_field") == {
         "cli.cmd_audit", "classify.report_from_json",
         "fields.is_square", "fields.rational_square_classes", "fields.is_algebraic_integer"}
+
+
+def test_prime_sets_are_read_only_off_the_forms_a_check_starts_from():
+    # a transfer or a sum f + (-g) takes its finite places from the forms it
+    # comes from, and finite_hasse_hyperbolic takes them from its caller, so
+    # no derived form factors the norms of its own entries
+    assert _callers("primes") == {
+        "localfields.is_hyperbolic", "forms.globally_isometric",
+        "classify.descend_field", "cli.cmd_classify"}
+
+
+def test_each_diagram_is_walked_once():
+    # CoxeterDiagram keeps its breadth-first tree from vertex 1; the
+    # connectivity check and the path products read it, not a second walk
+    assert _callers("neighbors") == set()
