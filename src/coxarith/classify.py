@@ -27,13 +27,12 @@ off f without building the transfer (derivations in descend_field):
      is that norm up to squares.  As N_{K/Q} = N_{F/Q} o N_{K/F}, no F
      passes unless N_{K/Q}(det f) is a rational square, tested once first;
   3. finite Hasse invariants of the transfer, built only now, at the
-     places above f's primes and those of a, K = F(sqrt(a)).
+     places above f's own primes, f.primes(), and no others.
 
-The admissible model over Q is sought in the
-one-parameter family <-1, 1, ..., 1, a>.  The determinant fixes a up to
-the rational classes that are squares in K, so the candidates are the 2^r
-squarefree members of one coset, read off det(f) by
-`fields.rational_square_classes`.
+The admissible model over Q is sought in the one-parameter family
+<-1, 1, ..., 1, a>: the determinant fixes a up to the rational classes that
+are squares in K, so the candidates, one coset of them, are K-isometric to
+one another and only the least positive one is tested.
 """
 
 from __future__ import annotations
@@ -125,13 +124,13 @@ def descend_field(f: QuadraticForm) -> tuple[FieldTower, list[tuple[FieldTower, 
        N_{K/Q}(det f) is no rational square, no F passes and none is tried.
     3. Finite Hasse invariants: the transfer is built as a plain form, and
        localfields.finite_hasse_hyperbolic compares them with a hyperbolic
-       form's above 2, f.primes() and the primes of a, factored only now.
-       At any other p, f is a unit form up to squares, K/F is unramified
-       and {1, sqrt(a)} is an integral basis, so each block [[v, u],
-       [u, a*v]] is unimodular there, with Hasse invariant +1, as a
-       hyperbolic form has at odd p.  Checks 1 and 2 are not repeated.
-
-    A subfield that fails check 1 or 2 is refused with no transfer.
+       form's above f.primes() alone.  At an odd place P of F outside it, f
+       is a unit form up to squares and a = t^2 * a' with v_P(a') in {0, 1},
+       so {1, sqrt(a')} is an integral basis and each transfer block [[v',
+       u], [u, a'*v']] for a' is unimodular (determinant -N(c), a unit),
+       with Hasse invariant +1 as a hyperbolic form has.  The transfer for a
+       is t times it up to squares, and check 2 fixed its determinant class
+       at (-1)^m, so (t,t)^(m(2m-1)) * (t,(-1)^m)^(2m-1) = 1 keeps that +1.
     """
     K = f.tower
     neg = f.negatives()
@@ -140,8 +139,7 @@ def descend_field(f: QuadraticForm) -> tuple[FieldTower, list[tuple[FieldTower, 
     n = fields._norm_nums(f.det().nums, K) if any(fibre[1:]) else -1
     table = [(F, fibre[e] and n >= 0 and isqrt(n) ** 2 == n
               and fields.is_square(_norm_to(f.det(), F))[0]
-              and localfields.finite_hasse_hyperbolic(forms.transfer(f, F), f.primes().union(
-                  p for p, _ in fields.factorize(fields._subfield_map(K, F)[0]))))
+              and localfields.finite_hasse_hyperbolic(forms.transfer(f, F), f.primes()))
              for e, F in enumerate(fields.subfields_index2(K), 1)]
     hyper = [F for F, h in table if h]
     if not hyper:
@@ -165,17 +163,18 @@ def _norm_to(x: FieldElement, F: FieldTower) -> FieldElement:
 def find_admissible_model(f: QuadraticForm, k: FieldTower) -> tuple[QuadraticForm | None, int | None]:
     """Admissible form over k isometric to f over the trace field.
 
-    Tries <-1, 1, ..., 1, a> for each squarefree a >= 1 with -a*det(f) a
-    square in K, in ascending order.  No other a can work: isometric forms
-    have equal determinants up to squares, so a lies in the class of
-    -det(f) modulo the rationals that are squares in K, a coset with 2^r
-    squarefree members.  Only the rational base field is searched; over a
-    larger k this shape is never definite at the conjugate embeddings.
+    Tests <-1, 1, ..., 1, a> once, for the least squarefree a >= 1 with
+    -a*det(f) a square in K.  No other a can work: isometric forms have equal
+    determinants up to squares, so a lies in the coset of -det(f) modulo the
+    rational classes that are squares in K, and all 2^r members answer alike:
+    a*a' = (-a*det f)(-a'*det f) / det(f)^2 is a square in K, so their forms
+    are K-isometric.  Only the rational base field is searched; over a larger
+    k this shape is never definite at the conjugate embeddings.
     """
     if k.r != 0:
         return None, None
     base = [-1] + [1] * (f.rank - 2)
-    for a in sorted(q for q in fields.rational_square_classes(-f.det()) if q > 0):
+    for a in sorted(q for q in fields.rational_square_classes(-f.det()) if q > 0)[:1]:
         if forms.globally_isometric(QuadraticForm(f.tower, base + [a]), f):
             return QuadraticForm(k, base + [a]), a
     return None, None

@@ -125,10 +125,11 @@ def squarefree_part(n: int) -> int:
 
 
 def _bounded(n: int, what: str) -> int:
-    """n, an integer from outside that is about to be factored (a radicand or
-    a prime), when |n| < 2^64, else ValueError: factoring has no bound on
-    its work on a large semiprime.  Public entries call it before anything
-    is factored; what a tower derives from its own classes passes no gate."""
+    """int(n) for an outside integer n about to be factored (a radicand or a
+    prime) with |n| < 2^64; else ValueError, as factoring has no bound on its
+    work on a large semiprime, or TypeError for a bool, float or str (_exact).
+    Public entries call it first; what a tower derives passes no gate."""
+    n = int(_exact(n, Integral))
     if abs(n) >= 2**64:
         raise ValueError(f"{what} takes values below 2^64, got {n}")
     return n

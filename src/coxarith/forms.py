@@ -26,7 +26,7 @@ set, primes(): 2 and the primes that divide the norms of its entries
 three are read off the form's own diagonal on first use; a derived form
 (a transfer, or the sum f + (-g)) is a plain form that computes none of
 them, and its finite places lie above the primes of the forms it comes
-from (and of a, for a transfer below).
+from: a transfer's above its source form's alone (classify.descend_field).
 
 The transfer along a quadratic subextension K/F sends a rank-1 form <c>
 to the rank-2 F-form with Gram [[v, u], [u, a*v]] where c = u + v*sqrt(a)

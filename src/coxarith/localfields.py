@@ -44,9 +44,9 @@ check of is_hyperbolic, once its real and determinant checks are read off
 what the caller holds: classify.descend_field reads a transfer's off its
 source form, and forms.globally_isometric reads those of f + (-g) off f
 and g.  It compares Hasse invariants with a target read off p and deg(P)
-above the prime set the caller passes: the primes() of the forms it holds,
-and those of a for a transfer to F with K = F(sqrt(a)), so no derived form
-factors its own norms.  It never builds the dyadic model when 2 does not
+above the prime set the caller passes, the primes() of the forms it holds
+(for a transfer, its source form's alone), so no derived form factors its
+own norms.  It never builds the dyadic model when 2 does not
 split, because Hilbert reciprocity settles the first place above 2 once
 rank, real signatures, determinant class and every other place agree.
 is_hyperbolic runs all three checks on one form; a Hilbert symbol (a,b) is
@@ -108,8 +108,8 @@ def _prime(p: int) -> int:
 
 def hilbert_symbol_Q(a, b, v="inf") -> int:
     """Hilbert symbol (a,b)_v over Q; v is "inf" or a prime (else ValueError).
-    a and b are rational (a bool, float or str raises TypeError, as in
-    fields._exact).
+    a and b are rational and a prime v integral (a bool, float or str
+    raises TypeError, as in fields._exact).
 
     At a prime both arguments are read through _qp_class (a = n/d has the
     class of n*d): at p = 2 the symbol is (-1)^(e(a)e(b) + v(a)w(b) +
@@ -121,7 +121,7 @@ def hilbert_symbol_Q(a, b, v="inf") -> int:
     if not a or not b:
         raise ZeroDivisionError("Hilbert symbol of 0")
     real = v in ("inf", "real", None)
-    return _symbol_at(a, b, None if real else _prime(fields._bounded(int(v), "a prime")))
+    return _symbol_at(a, b, None if real else _prime(fields._bounded(v, "a prime")))
 
 
 def _symbol_at(a, b, p: int | None) -> int:

@@ -127,8 +127,7 @@ def bernoulli(n: int) -> Fraction:
     For n = 2m, B_n = (-1)^(m-1) n T_{n-1} / (4^m (4^m - 1)), read off the
     tangent numbers (_tangent).
     """
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
+    n = _int_at_least("n", n, 0)
     if n == 0:
         return Fraction(1)
     if n == 1:

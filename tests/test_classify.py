@@ -368,6 +368,58 @@ def test_no_model_where_the_determinant_allows_none():
                          "by the determinant gives an isometric form"]
 
 
+def test_one_model_search_makes_one_isometry_test(monkeypatch):
+    # every candidate a is K-isometric to the least, so only the least is
+    # put to globally_isometric, whether it is a model or not
+    calls = []
+    real = forms.globally_isometric
+
+    def counting(f, g):
+        calls.append((f, g))
+        return real(f, g)
+
+    monkeypatch.setattr(forms, "globally_isometric", counting)
+    g11 = diagrams.ambient_form(diagrams.parse_diagram(G11_112, "g11-112"))
+    for f, want in ((QuadraticForm(Q2, [-2, 2, 2, 6]), 3), (g11, None),
+                    (QuadraticForm(Q2, [-1, 1, 1, 5]), 5)):
+        assert len(fields.rational_square_classes(-f.det())) == 2
+        calls.clear()
+        assert find_admissible_model(f, Q)[1] == want
+        assert len(calls) == 1, f
+    calls.clear()
+    assert find_admissible_model(QuadraticForm(Q23, [-1, 1, 1, 1]), Q2) == (None, None)
+    assert calls == []
+
+
+def test_every_positive_candidate_gets_the_same_isometry_answer(monkeypatch):
+    # for candidates a, a', (-a*det f)(-a'*det f) is a square in K, so a*a'
+    # is one and the forms <-1, 1, ..., 1, a> are K-isometric: on every
+    # rational model search of the census pool and on g11-112 (a in {7, 14},
+    # no model) all candidates answer alike, and the search returns the least
+    searches = []
+    real = classify.find_admissible_model
+
+    def recording(f, k):
+        searches.append((f, k))
+        return real(f, k)
+
+    monkeypatch.setattr(classify, "find_admissible_model", recording)
+    for name, entry in sorted(_census_pool().items()):
+        classify_diagram(diagrams.parse_diagram(entry["cox"], name))
+    monkeypatch.undo()
+    rational = [f for f, k in searches if k.r == 0]
+    g11 = diagrams.ambient_form(diagrams.parse_diagram(G11_112, "g11-112"))
+    answers = Counter()
+    for f in rational + [g11]:
+        cands = sorted(q for q in fields.rational_square_classes(-f.det()) if q > 0)
+        base = [-1] + [1] * (f.rank - 2)
+        got = {forms.globally_isometric(QuadraticForm(f.tower, base + [a]), f) for a in cands}
+        assert len(got) == 1 and len(cands) >= 2, (f, cands, got)
+        assert find_admissible_model(f, Q)[1] == (cands[0] if True in got else None), f
+        answers[got.pop()] += 1
+    assert len(rational) >= 30 and answers[False] >= 1, answers
+
+
 def test_model_search_has_no_prime_cap():
     # 14 primes divide N(det) here: a search over subsets of the prime
     # support capped at 12 primes, then a <= 30, finds no model
@@ -576,8 +628,9 @@ def test_each_form_keeps_the_primes_of_its_relevant_places(monkeypatch):
 
 def test_transfers_are_decided_at_the_places_of_their_source_form(monkeypatch):
     # every transfer that descend_field builds on the census pool gets the
-    # verdict at the places above f.primes() and the primes of a, K = F(sqrt a),
-    # that it gets at the places above its own prime set.  All of those are
+    # verdict at the places above f.primes() alone, with no prime of a,
+    # K = F(sqrt a), added, that it gets at the places above its own prime
+    # set.  All of those are
     # hyperbolic, so seeded forms <c, r*sigma(c)>, r > 0 rational and sigma
     # the conjugation of K over F, add transfers of both verdicts: each
     # passes the fibre and norm checks, and its transfer q + (-r)*q is

@@ -874,9 +874,11 @@ def _census(seed: int) -> list:
 
 
 def test_a_cold_census_pass_builds_one_completion_per_local_field(monkeypatch):
-    # the census of seed 7 reaches 29 local fields from 57 (tower, p) pairs:
+    # the census of seed 7 reaches 27 local fields from 55 (tower, p) pairs:
     # each completion is built, and its pairing checked, once, and none
-    # holds a tower (a LocalModel holds only L, the field of its generators)
+    # holds a tower (a LocalModel holds only L, the field of its generators);
+    # transfers are checked above their source form's primes alone, so no
+    # pair comes from the primes of a, K = F(sqrt a), by itself
     from coxarith.classify import classify_diagram
     from coxarith.diagrams import parse_diagram
 
@@ -890,8 +892,8 @@ def test_a_cold_census_pass_builds_one_completion_per_local_field(monkeypatch):
     for name, text in _census(7):
         classify_diagram(parse_diagram(text, name))
     models = list(localfields._MODELS.values())
-    assert len(pairs) == 57
-    assert len(models) == len(checked) == len(set(map(id, checked))) == 29
+    assert len(pairs) == 55
+    assert len(models) == len(checked) == len(set(map(id, checked))) == 27
     for md in models:
         towers = {id(v.tower if isinstance(v, fields.FieldElement) else v) for v in _held(vars(md))
                   if isinstance(v, (fields.FieldTower, fields.FieldElement))}
@@ -911,6 +913,21 @@ def test_outside_primes_of_2_to_the_64_are_refused_before_factoring(monkeypatch)
             with pytest.raises(ValueError) as info:
                 call()
             assert str(info.value) == f"a prime takes values below 2^64, got {n}"
+
+
+@pytest.mark.parametrize("p", [2.5, 3.9, "7", True, 5.0])
+def test_outside_primes_that_are_no_exact_integers_are_refused_before_factoring(monkeypatch, p):
+    # int() would read 3.9 as 3 and "7" as 7; a float, str or bool prime is
+    # refused as fields._exact refuses a radicand, before anything is factored
+    def refuse(n):
+        raise AssertionError(f"factored {n}")
+
+    for module in (fields, localfields):
+        monkeypatch.setattr(module, "factorize", refuse)
+    for call in (lambda: splitting(Q2, p), lambda: hilbert_symbol_Q(3, 5, p),
+                 lambda: localfields.local_audit(Q2, p)):
+        with pytest.raises(TypeError, match="expected integral value"):
+            call()
 
 
 def test_places_the_library_finds_above_2_to_the_64_need_no_gate():

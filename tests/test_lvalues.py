@@ -86,6 +86,17 @@ def test_bernoulli_from_tangent_numbers_matches_the_recurrence():
         bernoulli(-2)
 
 
+def test_bernoulli_takes_n_through_the_integer_gate():
+    # like every lvalues entry: True is not read as 1 (B_1 = -1/2), nor 3.0
+    # as 3 (B_3 = 0), nor is 2.0 passed on to the tangent table
+    for bad in (True, False, 3.0, 2.0, 2.5, "2"):
+        with pytest.raises(TypeError, match="^n must be an integer"):
+            bernoulli(bad)
+    with pytest.raises(ValueError, match="^need n >= 0, got -2$"):
+        bernoulli(-2)
+    assert bernoulli(np.int64(4)) == bernoulli(4) == Fraction(-1, 30)
+
+
 def test_em_coefficients_match_the_recurrence():
     for s in range(2, 9):
         assert _em_coefficients(s) == em_coefficients_reference(s)

@@ -163,6 +163,13 @@ def test_prime_sets_are_read_only_off_the_forms_a_check_starts_from():
         "classify.descend_field", "cli.cmd_classify"}
 
 
+def test_the_ladder_factors_nothing_outside_a_forms_own_prime_set():
+    # a transfer to F, K = F(sqrt a), is checked above its source form's
+    # primes alone: at any other odd place every transfer block is
+    # unimodular up to a harmless scaling, so classify factors no integer
+    assert not {c for c in _callers("factorize") if c.startswith("classify.")}
+
+
 def test_each_diagram_is_walked_once():
     # CoxeterDiagram keeps its breadth-first tree from vertex 1; the
     # connectivity check and the path products read it, not a second walk
