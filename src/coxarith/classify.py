@@ -25,7 +25,8 @@ off f without building the transfer (derivations in descend_field):
   2. determinant norm: N_{K/F}(det f) is a square in F, which is the
      transfer's determinant check, as (-1)^rank(f) * det of the transfer
      is that norm up to squares.  As N_{K/Q} = N_{F/Q} o N_{K/F}, no F
-     passes unless N_{K/Q}(det f) is a rational square, tested once first;
+     passes unless N_{K/Q}(det f) is a rational square, tested once first
+     as the product of the entries' norms, before det f is formed;
   3. finite Hasse invariants of the transfer, built only now, at the
      places above f's own primes, f.primes(), and no others.
 
@@ -37,7 +38,7 @@ one another and only the least positive one is tested.
 
 from __future__ import annotations
 
-from math import isqrt
+from math import isqrt, prod
 
 from . import diagrams, fields, forms, localfields
 from .diagrams import CoxeterDiagram
@@ -122,6 +123,9 @@ def descend_field(f: QuadraticForm) -> tuple[FieldTower, list[tuple[FieldTower, 
        that norm (_norm_to) is a square in F.  Once per form, first:
        if N_{K/F}(det f) = s^2, then N_{K/Q}(det f) = N_{F/Q}(s)^2, so when
        N_{K/Q}(det f) is no rational square, no F passes and none is tried.
+       That norm is the product of the entries' norms (N_{K/Q} is
+       multiplicative), each taken on numerators and so off by den^degree,
+       an even power; det f itself is formed only once that test passes.
     3. Finite Hasse invariants: the transfer is built as a plain form, and
        localfields.finite_hasse_hyperbolic compares them with a hyperbolic
        form's above f.primes() alone.  At an odd place P of F outside it, f
@@ -135,8 +139,8 @@ def descend_field(f: QuadraticForm) -> tuple[FieldTower, list[tuple[FieldTower, 
     K = f.tower
     neg = f.negatives()
     fibre = [all(neg[s] == neg[s ^ e] for s in range(K.degree)) for e in range(K.degree)]
-    # N_{K/Q}(det f) times den^degree, an even power: the precheck of stage 2
-    n = fields._norm_nums(f.det().nums, K) if any(fibre[1:]) else -1
+    # N_{K/Q}(det f) times the entries' den^degree, even powers: stage 2's precheck
+    n = prod(fields._norm_nums(c.nums, K) for c in f.diagonal) if any(fibre[1:]) else -1
     table = [(F, fibre[e] and n >= 0 and isqrt(n) ** 2 == n
               and fields.is_square(_norm_to(f.det(), F))[0]
               and localfields.finite_hasse_hyperbolic(forms.transfer(f, F), f.primes()))

@@ -20,8 +20,12 @@ sigma(u) where sigma(u^2 - d*v^2) > 0 and that of +-sigma(v) where it is
 < 0 (_sign_table, every mask at once: signs and sign_at), so a sign is
 exact after r levels and no precision is chosen.
 The norm to Q iterates the step (_norm_nums), and squares are decided by
-_sqrt_nums.  None of these paths builds a FieldElement but for a
-returned root, and none uses floating point.
+_sqrt_nums.  Inverses run the same descent: y * (u - v*sqrt(d)) is that
+norm, so the integer adjugate of y is (u - v*sqrt(d)) times the norm's
+one level down (_adjugate), and FieldElement.inverse, _sqrt_nums and
+forms._sym_diagonalize read it.  None of these paths builds a
+FieldElement but for a returned root or inverse, and none uses floating
+point.
 """
 
 from __future__ import annotations
@@ -399,24 +403,32 @@ def _adjugate(nums, rad: tuple[int, ...]) -> tuple[list[int], int]:
     basis_radicand table is rad (or its first 2^k, as in _norm_nums), with
     no common factor left in Q and e.
 
-    Q is a product of conjugates, found by descending the tower one
-    radicand at a time: with y fixed by sigma_k for every k > j,
-    y * sigma_j(y) is fixed by sigma_j as well, so after the last radicand
-    y = nums * Q is rational.
+    Found by the descent of _norm_nums: y = u + v*sqrt(d) over the prefix
+    tower (as in _halves) has y * (u - v*sqrt(d)) = u^2 - d*v^2
+    (_norm_step), so if (Q', e) is the adjugate of that norm there,
+    Q = (u - v*sqrt(d)) * Q' is y's, and Q = Q' when v = 0.  e is the
+    rational left at the bottom, and the content is divided out once.
     """
-    Q = None
+    steps = []
     y = nums
-    for j in reversed(range(len(nums).bit_length() - 1)):
-        h = 1 << j
-        if any(y[h:]):  # y moves under sigma_j
-            c = [-n if S & h else n for S, n in enumerate(y)]
-            Q = c if Q is None else _mul_nums(Q, c, rad)
-            y = _mul_nums(y, c, rad)
-    if Q is None:
-        Q = [1] + [0] * (len(nums) - 1)
+    while len(y) > 1:
+        h = len(y) >> 1
+        u, v = y[:h], y[h:]
+        if any(v):
+            steps.append((u, v))
+            y = _norm_step(u, v, rad[h], rad)
+        else:
+            steps.append((u, None))
+            y = u
     e = y[0]
-    if not e or any(y[1:]):
-        raise RuntimeError("conjugate product must be a nonzero rational")
+    if not e:
+        raise RuntimeError("adjugate of a zero vector")
+    Q = [1]
+    for u, v in reversed(steps):
+        if v is None:
+            Q += [0] * len(Q)
+        else:
+            Q = _mul_nums(u, Q, rad) + [-b for b in _mul_nums(v, Q, rad)]
     g = gcd(e, *Q)
     return [q // g for q in Q], e // g
 

@@ -4,8 +4,9 @@ A form is stored by its diagonal after exact congruence reduction of a
 symmetric Gram matrix; only the diagonal is kept, not the transformation
 that reaches it.  The reduction (_sym_diagonalize) runs on integer
 numerator vectors over one common denominator, fraction-free in the
-manner of Bareiss: each pivot is cleared with its integer adjugate, the
-trailing block is divided by its content once per pivot, and a
+manner of Bareiss: each pivot is cleared with its integer adjugate, only
+the upper triangle of the trailing block is written, its content is taken
+as its cells are written and divided out once per pivot, and a
 FieldElement is built only for each diagonal entry.  Scaling numerators
 and denominator together changes no element and no zero test, so the
 diagonal is the one an elimination over FieldElement gives.  Isometry
@@ -41,7 +42,6 @@ division: to <v, -v*Norm(c)> when v != 0, and to <1, -1> when v = 0.
 
 from __future__ import annotations
 
-from itertools import chain
 from math import gcd
 from typing import Sequence
 
@@ -136,20 +136,25 @@ def _sym_diagonalize(M: Sequence[Sequence[Sequence[int]]], den: int,
     diagonal (col_i += col_j and row_i += row_j, which puts
     A[i][i] + 2*A[i][j] + A[j][j] there).  Then the trailing block becomes
     its Schur complement A[i][j] - A[k][i] * A[k][j] / A[k][k] for
-    k < i <= j (mirrored into A[j][i]), the congruence that the column
-    operations col_j -= (A[k][j] / A[k][k]) * col_k would perform.
+    k < i <= j, the congruence that the column operations
+    col_j -= (A[k][j] / A[k][k]) * col_k would perform.  The complement is
+    symmetric, so only its upper triangle (j >= i) is written; a swap or a
+    fold reads columns, so it first mirrors the block's upper triangle into
+    the lower one, which nothing else reads.
 
     The complement is taken fraction-free, in the manner of Bareiss's
     elimination (Math. Comp. 22, 1968): with the integer adjugate (Q, e) of
-    the pivot, M[k][k] * Q = e (fields._adjugate: conjugate products, as in
+    the pivot, M[k][k] * Q = e (fields._adjugate: the norm descent, as in
     FieldElement.inverse),
 
         A[i][j] - A[k][i] * A[k][j] / A[k][k]
             = (e * M[i][j] - (M[k][i] * Q) * M[k][j]) / (den * e),
 
-    so the block keeps one common denominator, den * e, and is divided by
-    its content (the gcd of that denominator and all its numerators) once
-    per pivot, not once per product.  Each product (M[k][i] * Q) * M[k][j]
+    so the block keeps one common denominator, den * e.  Its content, the
+    gcd of that denominator and all the numerators of the upper triangle,
+    is taken as each cell is written (a cell left as it is counts too,
+    and once the gcd is 1 no more are taken), and divided out once per
+    pivot, not once per product.  Each product (M[k][i] * Q) * M[k][j]
     runs over the nonzero numerators of both factors alone, and those
     (mask, numerator) pairs are listed once per pivot: for each row entry
     M[k][j] and for each f = -M[k][i] * Q, not once per product.  On a
@@ -191,6 +196,11 @@ def _sym_diagonalize(M: Sequence[Sequence[Sequence[int]]], den: int,
     D: list[FieldElement] = []
     for k in range(n):
         if not nonzero(A[k][k]):
+            # only the upper triangle of the block is kept; the swap and the
+            # fold read columns, so mirror it into the lower one first
+            for i in range(k + 1, n):
+                for j in range(k, i):
+                    A[i][j] = A[j][i]
             piv = next((j for j in range(k + 1, n) if nonzero(A[j][j])), None)
             if piv is not None:
                 i, j = k, piv
@@ -213,16 +223,20 @@ def _sym_diagonalize(M: Sequence[Sequence[Sequence[int]]], den: int,
         D.append(FieldElement(tower, (p,) if flat else tuple(p), den))
         if k == n - 1:
             break
+        # g, the content of the block over den * e, is taken as cells are written
         if flat:
             e = p
+            g = den = den * e
             for i in range(k + 1, n):
                 Ai, f = A[i], row[i]
                 for j in range(i, n):
-                    Ai[j] = A[j][i] = e * Ai[j] - f * row[j]
-            cells = (x for i in range(k + 1, n) for x in A[i][i:])
+                    Ai[j] = x = e * Ai[j] - f * row[j]
+                    if g != 1:
+                        g = gcd(g, x)
         else:
             Q, e = _adjugate(p, rad)
             Q = [-q for q in Q]  # f = -(M[k][i] * Q) is added into e * M[i][j]
+            g = den = den * e
             # nonzero (mask, numerator) pairs, once per pivot: of each row entry
             sup = [None] * (k + 1) + [[(T, y) for T, y in enumerate(row[j]) if y]
                                       for j in range(k + 1, n)]
@@ -235,20 +249,19 @@ def _sym_diagonalize(M: Sequence[Sequence[Sequence[int]]], den: int,
                         for S, a in fs:
                             for T, b in sup[j]:
                                 x[S ^ T] += a * b * rad[S & T]
+                        Ai[j] = x
                     elif e != 1:
-                        x = [e * s for s in Ai[j]]
+                        Ai[j] = x = [e * s for s in Ai[j]]
                     else:
-                        continue
-                    Ai[j] = A[j][i] = x
-            cells = chain.from_iterable(x for i in range(k + 1, n) for x in A[i][i:])
-        den *= e
-        g = gcd(den, *cells)
+                        x = Ai[j]
+                    if g != 1:
+                        g = gcd(g, *x)
         if g != 1:
             den //= g
             for i in range(k + 1, n):
                 Ai = A[i]
                 for j in range(i, n):
-                    Ai[j] = A[j][i] = Ai[j] // g if flat else [s // g for s in Ai[j]]
+                    Ai[j] = Ai[j] // g if flat else [s // g for s in Ai[j]]
     return D + [tower.zero()] * (n - len(D))
 
 

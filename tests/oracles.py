@@ -70,6 +70,11 @@ library's tower, entries, error messages and (M, den, K).
 its conjugates under the stage's radicands, one `FieldElement` product
 per radicand.  It is the reference for the library's integer norm.
 
+`conjugate_adjugate` is the integer adjugate as `fields._adjugate` once
+formed it: a product of full-length conjugates, one radicand at a time from
+the top, with the element multiplied through at each.  It is the reference
+for the library's descent through `_norm_step`.
+
 `sampled_rows` is the seeded norm sampler that once found the dyadic pairing
 rows: up to 1,200 norms s^2 - b*t^2 per row, from a fixed base list and then
 random s, t, until the norm classes reach rank dim - 1.  It is the reference
@@ -417,6 +422,28 @@ def _squarefree_split(m: int) -> tuple[int, int]:
             t *= p
         p += 1
     return t * m, s
+
+
+def conjugate_adjugate(nums, rad) -> tuple[list[int], int]:
+    """(Q, e) with nums * Q = e and gcd(e, *Q) = 1, Q the product of the
+    conjugates y -> sigma_j(y) that move y, from the top radicand down:
+    with y fixed by sigma_k for every k > j, y * sigma_j(y) is fixed by
+    sigma_j as well, so after the last radicand y = nums * Q is rational."""
+    Q = None
+    y = nums
+    for j in reversed(range(len(nums).bit_length() - 1)):
+        h = 1 << j
+        if any(y[h:]):  # y moves under sigma_j
+            c = [-n if S & h else n for S, n in enumerate(y)]
+            Q = c if Q is None else fields._mul_nums(Q, c, rad)
+            y = fields._mul_nums(y, c, rad)
+    if Q is None:
+        Q = [1] + [0] * (len(nums) - 1)
+    e = y[0]
+    if not e or any(y[1:]):
+        raise RuntimeError("conjugate product must be a nonzero rational")
+    g = gcd(e, *Q)
+    return [q // g for q in Q], e // g
 
 
 def dense_products(rads) -> list[int]:

@@ -459,6 +459,31 @@ def test_mul_nums_matches_the_dense_product(rads):
         assert got == want and all(type(x) is int for x in got), (a, b)
 
 
+@pytest.mark.parametrize("rads", [(), (2,), (2, 3), (2, 3, 5)])
+def test_adjugate_descent_matches_the_conjugate_products(rads):
+    # full-length vectors, and the 2^k-numerator prefixes that _sqrt_nums
+    # passes with the whole tower's table, sparse and dense
+    rad = make_field(rads).basis_radicand
+    rng = random.Random(2600 + len(rad))
+    checked = 0
+    for size in (1 << k for k in range(len(rads) + 1)):
+        for trial in range(24):
+            nums = [rng.randint(-40, 40) if trial % 3 or rng.random() < 0.5 else 0
+                    for _ in range(size)]
+            if not any(nums):
+                continue
+            Q, e = fields._adjugate(nums, rad)
+            assert fields._mul_nums(nums, Q, rad) == [e] + [0] * (size - 1), nums
+            assert gcd(e, *Q) == 1
+            want_Q, want_e = oracles.conjugate_adjugate(nums, rad)
+            s = 1 if e == want_e else -1
+            assert (Q, e) == ([s * q for q in want_Q], s * want_e), nums
+            checked += 1
+        with pytest.raises(RuntimeError):
+            fields._adjugate([0] * size, rad)
+    assert checked >= 16 * (len(rads) + 1)
+
+
 def test_signs_over_q_are_read_off_the_numerator(monkeypatch):
     # degree 1: the one sign is the numerator's (den > 0), zero included,
     # and no norm is formed for it

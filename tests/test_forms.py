@@ -1,5 +1,6 @@
 """Diagonalization, scaled trace transfer, global isometry, admissibility."""
 
+import copy
 import random
 from collections import Counter
 from fractions import Fraction
@@ -277,10 +278,13 @@ def test_integer_kernel_equals_the_field_elimination(rads):
         got = oracles.sym_diagonalize(G, tower)
         assert [(c.tower, c.nums, c.den) for c in got] == \
             [(c.tower, c.nums, c.den) for c in want], (kind, G)
-        # the same matrix over a denominator with a common factor left in
+        # the same matrix over a denominator with a common factor left in,
+        # in mutable cells: the kernel writes to neither its rows nor its cells
         den = lcm(*(x.den for row in G for x in row)) * 6
-        M = [[tuple(v * (den // x.den) for v in x.nums) for x in row] for row in G]
+        M = [[[v * (den // x.den) for v in x.nums] for x in row] for row in G]
+        before = copy.deepcopy(M)
         assert forms._sym_diagonalize(M, den, tower) == want
+        assert M == before, kind
         seen[kind] += 1
         seen["rank<n"] += sum(1 for c in want if c) < n
     assert seen["fold"] == 8 and seen["rank<n"] >= 8

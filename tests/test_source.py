@@ -117,10 +117,9 @@ def test_lvalues_imports_nothing_from_the_package():
     assert own == []
 
 
-def _callers(name: str) -> set[str]:
-    """module.function of every call of `name` (as a name or an attribute)
-    in src/, by the innermost enclosing function ("module.<module>" at top
-    level)."""
+def _sites(match) -> set[str]:
+    """module.function of every node in src/ that `match` accepts, by the
+    innermost enclosing function ("module.<module>" at top level)."""
     found = set()
 
     def visit(node, where):
@@ -128,16 +127,25 @@ def _callers(name: str) -> set[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name:
-                    found.add(f"{module}.{where}")
+            if match(child):
+                found.add(f"{module}.{where}")
             visit(child, where)
 
     for file, tree in TREES.items():
         module = file.removesuffix(".py")
         visit(tree, "<module>")
     return found
+
+
+def _callers(name: str) -> set[str]:
+    """The _sites of every call of `name`, as a name or an attribute."""
+    def match(node):
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        return (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name
+
+    return _sites(match)
 
 
 def test_towers_are_built_only_by_the_tower_table():
@@ -174,3 +182,25 @@ def test_each_diagram_is_walked_once():
     # CoxeterDiagram keeps its breadth-first tree from vertex 1; the
     # connectivity check and the path products read it, not a second walk
     assert _callers("neighbors") == set()
+
+
+def _mask_signed(node) -> bool:
+    """x if <mask test> else -x, either way round, with x no constant: a
+    conjugate's numerator, negated where a bit of its mask is set."""
+    if not (isinstance(node, ast.IfExp) and any(
+            isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.BitAnd)
+            for sub in ast.walk(node.test))):
+        return False
+    for x, neg in ((node.body, node.orelse), (node.orelse, node.body)):
+        if (isinstance(neg, ast.UnaryOp) and isinstance(neg.op, ast.USub)
+                and not isinstance(x, ast.Constant) and ast.dump(neg.operand) == ast.dump(x)):
+            return True
+    return False
+
+
+def test_only_the_norm_step_forms_u_squared_minus_d_v_squared():
+    # inverses, signs, norms and squares all descend through _norm_step; a
+    # mask-signed conjugate elsewhere is a second way to form y * sigma(y)
+    assert _mask_signed(ast.parse("-n if S & h else n", mode="eval").body)
+    assert not _mask_signed(ast.parse("-1 if (m >> j) & 1 else 1", mode="eval").body)
+    assert _sites(_mask_signed) <= {"fields._norm_step"}
