@@ -178,9 +178,9 @@ def find_admissible_model(f: QuadraticForm, k: FieldTower) -> tuple[QuadraticFor
     if k.r != 0:
         return None, None
     base = [-1] + [1] * (f.rank - 2)
-    for a in sorted(q for q in fields.rational_square_classes(-f.det()) if q > 0)[:1]:
-        if forms.globally_isometric(QuadraticForm(f.tower, base + [a]), f):
-            return QuadraticForm(k, base + [a]), a
+    a = min((q for q in fields.rational_square_classes(-f.det()) if q > 0), default=None)
+    if a is not None and forms.globally_isometric(QuadraticForm(f.tower, base + [a]), f):
+        return QuadraticForm(k, base + [a]), a
     return None, None
 
 

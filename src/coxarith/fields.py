@@ -568,7 +568,7 @@ class FieldElement:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return FieldElement(self.tower, tuple(n * other.numerator for n in self.nums),
                                 self.den * other.denominator)
         a, b = self._pair(other)

@@ -6,15 +6,16 @@ that reaches it.  The reduction (_sym_diagonalize) runs on integer
 numerator vectors over one common denominator, fraction-free in the
 manner of Bareiss: each pivot is cleared with its integer adjugate, only
 the upper triangle of the trailing block is written, its content is taken
-as its cells are written and divided out once per pivot, and a
-FieldElement is built only for each diagonal entry.  Scaling numerators
-and denominator together changes no element and no zero test, so the
-diagonal is the one an elimination over FieldElement gives.  Isometry
-over the field is decided by Witt cancellation: f and g are isometric
-exactly when they have equal rank and f + (-g) is hyperbolic.
-globally_isometric reads the real and determinant checks of that off f
-and g, as classify.descend_field reads a transfer's off its source form,
-and only the finite places go to localfields.finite_hasse_hyperbolic.
+as its cells are written and divided out where each cell is next read (in
+the pivot row, or inside the cell's next write), and a FieldElement is
+built only for each diagonal entry.  Scaling numerators and denominator
+together changes no element and no zero test, so the diagonal is the one
+an elimination over FieldElement gives.  Isometry over the field is
+decided by Witt cancellation: f and g are isometric exactly when they have
+equal rank and f + (-g) is hyperbolic.  globally_isometric reads the real
+and determinant checks of that off f and g, as classify.descend_field
+reads a transfer's off its source form, and only the finite places go to
+localfields.finite_hasse_hyperbolic.
 
 Every real-place question is read off one table per form, negatives():
 its negative entries at each embedding, indexed by mask, with the signs
@@ -150,17 +151,20 @@ def _sym_diagonalize(M: Sequence[Sequence[Sequence[int]]], den: int,
         A[i][j] - A[k][i] * A[k][j] / A[k][k]
             = (e * M[i][j] - (M[k][i] * Q) * M[k][j]) / (den * e),
 
-    so the block keeps one common denominator, den * e.  Its content, the
-    gcd of that denominator and all the numerators of the upper triangle,
-    is taken as each cell is written (a cell left as it is counts too,
-    and once the gcd is 1 no more are taken), and divided out once per
-    pivot, not once per product.  Each product (M[k][i] * Q) * M[k][j]
-    runs over the nonzero numerators of both factors alone, and those
-    (mask, numerator) pairs are listed once per pivot: for each row entry
-    M[k][j] and for each f = -M[k][i] * Q, not once per product.  On a
-    degree-1 tower the entries are plain ints, Q = 1 and e = M[k][k].  The
-    denominator may turn negative; FieldElement gives each D[k] a positive
-    one.
+    so the block keeps one common denominator, den * e.  Its content G,
+    the gcd of that denominator and all the numerators of the upper
+    triangle, is taken as each cell is written (once the gcd is 1 no more
+    are taken); den is divided by G at once, and the cells owe it until
+    they are next read: the pivot row is divided as step k + 1 reads it,
+    and every other cell inside its next write, as e * (M[i][j] // G)
+    less the product.  A swap or a fold only moves or adds cells, each
+    owing the same G.  Each product (M[k][i] * Q) * M[k][j] runs over the
+    nonzero numerators of both factors alone, and those (mask, numerator)
+    pairs are listed once per pivot: for each pivot-row entry M[k][j] as
+    the row is read, and for each f = -M[k][i] * Q, not once per product.
+    On a degree-1 tower the entries are plain ints, Q = 1 and e = M[k][k].
+    The denominator may turn negative; FieldElement gives each D[k] a
+    positive one.
 
     The diagonal is the one an elimination over FieldElement gives, element
     for element: every block is the same exact matrix, only written over
@@ -194,6 +198,7 @@ def _sym_diagonalize(M: Sequence[Sequence[Sequence[int]]], den: int,
 
     rad = tower.basis_radicand
     D: list[FieldElement] = []
+    G = 1  # the content the block still owes, divided out where a cell is next read
     for k in range(n):
         if not nonzero(A[k][k]):
             # only the upper triangle of the block is kept; the swap and the
@@ -219,6 +224,7 @@ def _sym_diagonalize(M: Sequence[Sequence[Sequence[int]]], den: int,
                     A[t][i], A[t][j] = A[t][j], A[t][i]
                 A[i], A[j] = A[j], A[i]
         row = A[k]
+        row[k:] = [c // G for c in row[k:]] if flat else [[s // G for s in c] for c in row[k:]]
         p = row[k]
         D.append(FieldElement(tower, (p,) if flat else tuple(p), den))
         if k == n - 1:
@@ -230,38 +236,27 @@ def _sym_diagonalize(M: Sequence[Sequence[Sequence[int]]], den: int,
             for i in range(k + 1, n):
                 Ai, f = A[i], row[i]
                 for j in range(i, n):
-                    Ai[j] = x = e * Ai[j] - f * row[j]
+                    Ai[j] = x = e * (Ai[j] // G) - f * row[j]
                     if g != 1:
                         g = gcd(g, x)
         else:
             Q, e = _adjugate(p, rad)
             Q = [-q for q in Q]  # f = -(M[k][i] * Q) is added into e * M[i][j]
             g = den = den * e
-            # nonzero (mask, numerator) pairs, once per pivot: of each row entry
-            sup = [None] * (k + 1) + [[(T, y) for T, y in enumerate(row[j]) if y]
-                                      for j in range(k + 1, n)]
+            # nonzero (mask, numerator) pairs of each entry of the pivot row, once per pivot
+            sup = [[(T, y) for T, y in enumerate(c) if y] for c in row[k:]]
             for i in range(k + 1, n):
                 Ai = A[i]
-                fs = sup[i] and [(S, y) for S, y in enumerate(_mul_nums(row[i], Q, rad)) if y]
+                fs = sup[i - k] and [(S, y) for S, y in enumerate(_mul_nums(row[i], Q, rad)) if y]
                 for j in range(i, n):
-                    if fs and sup[j]:
-                        x = [e * s for s in Ai[j]]
-                        for S, a in fs:
-                            for T, b in sup[j]:
-                                x[S ^ T] += a * b * rad[S & T]
-                        Ai[j] = x
-                    elif e != 1:
-                        Ai[j] = x = [e * s for s in Ai[j]]
-                    else:
-                        x = Ai[j]
+                    Ai[j] = x = [e * (s // G) for s in Ai[j]]
+                    for S, a in fs:
+                        for T, b in sup[j - k]:
+                            x[S ^ T] += a * b * rad[S & T]
                     if g != 1:
                         g = gcd(g, *x)
-        if g != 1:
-            den //= g
-            for i in range(k + 1, n):
-                Ai = A[i]
-                for j in range(i, n):
-                    Ai[j] = Ai[j] // g if flat else [s // g for s in Ai[j]]
+        den //= g
+        G = g
     return D + [tower.zero()] * (n - len(D))
 
 

@@ -50,19 +50,21 @@ _CHI8 = {1: 1, 3: -1, 5: -1, 7: 1}
 
 def chi8(n: int) -> int:
     """The primitive quadratic character mod 8 (zero on even arguments)."""
+    n = _as_int("n", n)
     return 0 if n % 2 == 0 else _CHI8[n % 8]
 
 REFERENCE_VOLUME = Fraction(757347442200786763497722, 10**26)
 
 
 class Ball:
-    """Exact interval [value - err, value + err]."""
+    """Exact interval [value - err, value + err]; a float or bool value or
+    radius is refused (_as_fraction)."""
 
     __slots__ = ("value", "err")
 
     def __init__(self, value, err=0):
-        self.value = Fraction(value)
-        self.err = Fraction(err)
+        self.value = _as_fraction("value", value)
+        self.err = _as_fraction("err", err)
         if self.err < 0:
             raise ValueError("ball radius must be nonnegative")
 
@@ -78,11 +80,11 @@ class Ball:
         return Ball(self.value * other.value, err)
 
     def scale(self, q) -> "Ball":
-        q = Fraction(q)
+        q = _as_fraction("q", q)
         return Ball(self.value * q, self.err * abs(q))
 
     def contains(self, q) -> bool:
-        return abs(self.value - Fraction(q)) <= self.err
+        return abs(self.value - _as_fraction("q", q)) <= self.err
 
     def agrees_with(self, other: "Ball") -> bool:
         return abs(self.value - other.value) <= self.err + other.err
@@ -93,6 +95,8 @@ class Ball:
 
 def decimal_str(q: Fraction, places: int) -> str:
     """q rounded to the given number of decimal places, half away from zero."""
+    q = _as_fraction("q", q)
+    places = _int_at_least("places", places, 0)
     sign = "-" if q < 0 else ""
     scaled = abs(q) * 10**places
     n = (scaled.numerator * 2 + scaled.denominator) // (2 * scaled.denominator)
@@ -157,6 +161,17 @@ def _int_at_least(name: str, n, least: int) -> int:
     return n
 
 
+def _as_fraction(name: str, q) -> Fraction:
+    """q as a Fraction; a bool or a non-rational (a float, a str) is refused
+    with TypeError, as it would be read at a value the caller may not have
+    meant (a float at its binary value).  A Fraction is returned as it is."""
+    if type(q) is Fraction:
+        return q
+    if isinstance(q, bool) or not isinstance(q, Rational):
+        raise TypeError(f"{name} must be a rational number, not {type(q).__name__}")
+    return Fraction(q)
+
+
 @lru_cache(maxsize=None)
 def _em_coefficients(s: int) -> tuple[int, int, tuple[tuple[int, int, int], ...]]:
     """The Euler-Maclaurin data of zeta(s, .) as integers, built once per s.
@@ -194,9 +209,7 @@ def hurwitz_zeta(s: int, a: Fraction, digits: int) -> Ball:
     """
     s = _int_at_least("s", s, 2)
     digits = _int_at_least("digits", digits, 0)
-    if isinstance(a, bool) or not isinstance(a, Rational):
-        raise TypeError(f"a must be a rational number, not {type(a).__name__}")
-    a = Fraction(a)
+    a = _as_fraction("a", a)
     if not 0 < a <= 1:
         raise ValueError("need 0 < a <= 1")
     tail_num, tail_den, corrections = _em_coefficients(s)

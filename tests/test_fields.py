@@ -148,6 +148,30 @@ def test_element_arithmetic_examples():
     assert prod == t23.sqrt(6)
 
 
+SPELLINGS = {
+    "x * b": lambda x, b: x * b,
+    "b * x": lambda x, b: b * x,
+    "x + b": lambda x, b: x + b,
+    "x - b": lambda x, b: x - b,
+    "x / b": lambda x, b: x / b,
+    "K.coerce(b)": lambda x, b: x.tower.coerce(b),
+}
+
+
+@pytest.mark.parametrize("spelling", sorted(SPELLINGS))
+def test_a_bool_is_no_scalar_in_any_spelling(spelling):
+    # x * True and True * x returned x while x + True and K.coerce(True)
+    # raised; int and Fraction scalars stay exact in each spelling
+    op = SPELLINGS[spelling]
+    K = make_field([2, 3])
+    x = 1 + K.sqrt(2) - K.sqrt(6) / 3
+    for b in (True, False):
+        with pytest.raises(TypeError):
+            op(x, b)
+    for q in (3, Fraction(-2, 5)):
+        assert op(x, q) == op(x, K.rational(q))
+
+
 def test_division_by_zero():
     t = make_field([2])
     with pytest.raises(ZeroDivisionError):

@@ -290,6 +290,75 @@ def test_integer_kernel_equals_the_field_elimination(rads):
     assert seen["fold"] == 8 and seen["rank<n"] >= 8
 
 
+def owed_gram(tower, p, row, S):
+    """A = [[p, row], [row^t, S + row^t row / p]] as elements: the symmetric
+    Gram whose block after the first pivot p is exactly S."""
+    c = [tower.coerce(x) for x in row]
+    n = len(S) + 1
+    A = [[tower.coerce(p)] + c] + [[x] + [None] * (n - 1) for x in c]
+    for i in range(1, n):
+        for j in range(1, n):
+            A[i][j] = tower.coerce(S[i - 1][j - 1]) + c[i - 1] * c[j - 1] / A[0][0]
+    return A
+
+
+def first_block_content(M, den, tower):
+    """The gcd of den * e and every numerator of the upper triangle of the
+    block after the first pivot, e * M[i][j] - (M[0][i] * Q) * M[0][j] over
+    den * e, with (Q, e) the integer adjugate of M[0][0]."""
+    rad = tower.basis_radicand
+    Q, e = fields._adjugate(M[0][0], rad)
+    nums = [den * e]
+    for i in range(1, len(M)):
+        f = fields._mul_nums(M[0][i], Q, rad)
+        for j in range(i, len(M)):
+            nums += [e * s - t for s, t in zip(M[i][j], fields._mul_nums(f, M[0][j], rad))]
+    return gcd(*nums)
+
+
+def _q23(a, b=0, c=0, d=0):
+    return Q23.element([a, b, c, d])  # a + b*sqrt(2) + c*sqrt(3) + d*sqrt(6)
+
+
+# (tower, p, row, S, branch): S, the block after the first pivot, has a zero
+# first diagonal entry, so step 1 swaps in a later pivot, or a zero diagonal
+# with a nonzero off-diagonal pair, so step 1 folds
+OWED_CASES = [
+    (Q, 2, [2, 1, 3], [[0, 1, 2], [1, 3, 0], [2, 0, -1]], "swap"),
+    (Q, 3, [1, 2, 1, 5], [[0, 1, 2, 0], [1, 0, -1, 1], [2, -1, 0, 3], [0, 1, 3, 0]],
+     "fold"),
+    (Q23, _q23(1, 1, 1), [_q23(0, 1), _q23(1, 0, 1), _q23(-1, 0, 0, 1)],
+     [[0, _q23(1, 1), 2], [_q23(1, 1), _q23(0, 0, 2), 0], [2, 0, _q23(3, 0, 0, 1)]], "swap"),
+    (Q23, _q23(2, 0, 0, 1), [_q23(1, 1), 3, _q23(0, 0, 1), _q23(1, 0, 0, -1)],
+     [[0, _q23(0, 1), 1, 0], [_q23(0, 1), 0, _q23(2, 0, 1), 1],
+      [1, _q23(2, 0, 1), 0, _q23(0, 0, 0, 1)], [0, 1, _q23(0, 0, 0, 1), 0]], "fold"),
+]
+
+
+@pytest.mark.parametrize("tower, p, row, S, branch", OWED_CASES,
+                         ids=["deg1-swap", "deg1-fold", "deg4-swap", "deg4-fold"])
+def test_swap_and_fold_with_an_owed_content_equal_the_field_elimination(
+        tower, p, row, S, branch):
+    # the block after the first pivot keeps a content above 1 that is
+    # divided out only where each cell is next read; here step 1 then swaps
+    # or folds, moving and adding cells that still owe it
+    A = owed_gram(tower, p, row, S)
+    assert not S[0][0]
+    if branch == "swap":
+        assert any(S[i][i] for i in range(1, len(S)))
+    else:
+        assert not any(S[i][i] for i in range(len(S))) and S[0][1]
+    den = lcm(*(x.den for r in A for x in r))
+    M = [[[v * (den // x.den) for v in x.nums] for x in r] for r in A]
+    assert first_block_content(M, den, tower) > 1
+    before = copy.deepcopy(M)
+    want, _ = oracles.congruence_diagonalize(A, tower)
+    got = forms._sym_diagonalize(M, den, tower)
+    assert [(c.tower, c.nums, c.den) for c in got] == \
+        [(c.tower, c.nums, c.den) for c in want]
+    assert M == before
+
+
 def test_integer_kernel_refuses_a_nonsymmetric_or_nonsquare_matrix():
     one, two, z = (1, 0), (2, 0), (0, 0)
     with pytest.raises(ValueError, match="not symmetric"):

@@ -114,6 +114,21 @@ def test_ball_arithmetic_soundness():
     assert not a.agrees_with(Ball(Fraction(1, 2), Fraction(1, 100)))
 
 
+def test_ball_refuses_a_float_or_bool_value_or_radius():
+    # Ball(0.1) stored the float's binary value 3602879701896397/2^55
+    for value, err in ((0.1, 0), (True, 0), (1, 0.5), (1, False), ("1/3", 0)):
+        with pytest.raises(TypeError):
+            Ball(value, err)
+    ball = Ball(Fraction(1, 3), 1)
+    for call in (lambda: ball.scale(0.5), lambda: ball.scale(True),
+                 lambda: ball.contains(0.25)):
+        with pytest.raises(TypeError):
+            call()
+    assert (Ball(1).value, Ball(1).err) == (1, 0)
+    assert ball.scale(np.int64(2)).value == Fraction(2, 3)
+    assert ball.contains(Fraction(1, 4))
+
+
 def test_hurwitz_zeta_contains_oracle():
     mp.mp.dps = 45
     for s, a in ((2, Fraction(1)), (3, Fraction(1, 8)), (3, Fraction(7, 8)),
@@ -393,6 +408,14 @@ def test_chi8_multiplicative_and_zero_on_evens():
             assert chi8(m) * chi8(n) == chi8(m * n)
 
 
+def test_chi8_takes_integers_only():
+    # chi8(3.0) read -1, chi8(True) read 1 and chi8(1.5) raised KeyError
+    for n in (3.0, 1.5, True, False, "3"):
+        with pytest.raises(TypeError, match="^n must be an integer"):
+            chi8(n)
+    assert [chi8(np.int64(n)) for n in (-1, 3, 5, 8)] == [1, -1, -1, 0]
+
+
 def test_l3_matches_backsolved_reference():
     # the printed volume pins the L-value once zeta(3) is known:
     # sqrt(2) L(chi8, 3) = (V - 73/23040 zeta(3)) * 360
@@ -502,3 +525,17 @@ def test_decimal_str_rounding():
     assert decimal_str(Fraction(-5, 4), 1) == "-1.3"  # half away from zero
     assert decimal_str(Fraction(7), 0) == "7"
     assert decimal_str(Fraction(1, 2), 0) == "1"
+
+
+def test_decimal_str_takes_an_exact_value_and_integer_places():
+    # places 2.0 raised AttributeError and True ValueError; a float q was
+    # read at its binary value
+    for places in (2.0, True, "2"):
+        with pytest.raises(TypeError, match="^places must be an integer"):
+            decimal_str(Fraction(1, 3), places)
+    with pytest.raises(ValueError, match="places >= 0"):
+        decimal_str(Fraction(1, 3), -1)
+    for q in (0.5, True):
+        with pytest.raises(TypeError, match="^q must be a rational"):
+            decimal_str(q, 2)
+    assert decimal_str(1, np.int64(2)) == "1.00"
